@@ -38,7 +38,8 @@ the coordinator's registry
 (:meth:`~repro.obs.registry.MetricsRegistry.merge_state`), and the
 coordinator emits ``parallel.*`` trace events.
 
-Within one worker the semantics are exactly :class:`MachineEngine`'s;
+Within one worker the semantics are exactly :class:`MachineEngine`'s
+(both drive the same :class:`~repro.core.stepper.ExtensionStepper`);
 across workers the solution *set* is identical while discovery order is
 nondeterministic — the differential suite pins this down.
 """
@@ -54,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from repro.core.errors import GuessError, ReplayDivergenceError
+from repro.core.errors import ReplayDivergenceError
 from repro.core.lease import LeaseTable
 from repro.core.transport import (
     EndpointDown,
@@ -62,7 +63,7 @@ from repro.core.transport import (
     TcpTransport,
     TcpWorkerConnection,
 )
-from repro.core.recorder import NondetLog, Recorder
+from repro.core.recorder import NondetLog, recorder_for
 from repro.core.journal import (
     JOURNAL_VERSION,
     FSYNC_POLICIES,
@@ -72,6 +73,7 @@ from repro.core.journal import (
     recover,
 )
 from repro.core.result import SearchResult, SearchStats, Solution
+from repro.core.stepper import ExtensionStepper, Pending
 from repro.core.supervisor import (
     SlotState,
     SupervisorPolicy,
@@ -79,15 +81,7 @@ from repro.core.supervisor import (
 )
 from repro.cpu.assembler import Program, assemble
 from repro.libos.files import HostFS
-from repro.libos.libos import ExecState, LibOS
-from repro.libos.syscalls import (
-    ContinueAction,
-    ExitAction,
-    GuessAction,
-    GuessFailAction,
-    KillAction,
-    StrategyAction,
-)
+from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
 from repro.obs import events as _events
 from repro.obs.live import (
@@ -101,9 +95,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.status import HeartbeatRecord, RunStatus
 from repro.obs.trace import TRACER as _TRACER, MemorySink
 from repro.search import get_strategy
-from repro.search.extension import Extension
 from repro.search.shard import PrefixTask, TaskFrontier, spill_extension
-from repro.snapshot.snapshot import Snapshot, SnapshotManager
+from repro.snapshot.snapshot import SnapshotManager
 from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
 
@@ -191,44 +184,6 @@ class ClusterConfig:
 # ----------------------------------------------------------------------
 
 
-class _Candidate:
-    """Worker-local partial candidate: snapshot + full path + fanouts.
-
-    Unlike :class:`MachineEngine`'s candidate, this one keeps the fanout
-    chain so any unevaluated extension can be converted back into a
-    replayable :class:`PrefixTask` at spill time — local snapshot state
-    is always *rebuildable*, which is what makes it safe to throw away.
-    """
-
-    __slots__ = ("snapshot", "path", "fanouts", "n", "console")
-
-    def __init__(self, snapshot: Snapshot, path: tuple[int, ...],
-                 fanouts: tuple[int, ...], n: int, console):
-        self.snapshot = snapshot
-        self.path = path
-        self.fanouts = fanouts
-        self.n = n
-        self.console = console
-
-
-@dataclass
-class _Pending:
-    """The extension step currently executing in the worker."""
-
-    state: ExecState
-    path: tuple[int, ...]
-    fanouts: tuple[int, ...]
-    parent: Optional[_Candidate]
-    steps_used: int = 0
-    #: Guest instructions of ``steps_used`` spent replaying the task
-    #: prefix (the rest is fresh exploration; the split is what the
-    #: profiler charges as rehydration overhead).
-    replay_steps: int = 0
-    #: Guess outcomes still to feed from the task prefix (replay mode
-    #: while nonzero remain).
-    replay_pos: int = 0
-
-
 class _SubtreeWorker:
     """One worker's engine stack: rehydrate a task, explore its subtree.
 
@@ -240,9 +195,12 @@ class _SubtreeWorker:
     """
 
     def __init__(self, program: Program, config: ClusterConfig,
-                 replay_log: Optional[NondetLog] = None):
+                 replay_log: Optional[NondetLog] = None, worker_id: int = -1):
         self.program = program
         self.config = config
+        #: The id trace events name (-1: the coordinator's in-process
+        #: worker of degraded mode).
+        self.worker_id = worker_id
         input_source = None
         if config.input_script is not None:
             from repro.libos.console import InputSource
@@ -253,12 +211,7 @@ class _SubtreeWorker:
             hostfs = HostFS(dict(config.hostfs_files),
                             block_size=config.hostfs_block_size)
         self.libos = LibOS(hostfs=hostfs, input=input_source)
-        if config.replay_mode != "off":
-            self.recorder: Optional[Recorder] = Recorder(
-                config.replay_mode, log=replay_log
-            )
-        else:
-            self.recorder = None
+        self.recorder = recorder_for(config.replay_mode, replay_log)
         self.libos.dispatcher.nondet = self.recorder
         self.pool = FramePool()
         self.registry = MetricsRegistry("cluster-worker")
@@ -273,10 +226,26 @@ class _SubtreeWorker:
         self._frames_copied = self.registry.counter("mem.frames_copied")
         self._spills_counter = self.registry.counter("parallel.worker_spills")
         self._last_copied = 0
-        #: Heartbeat hook called between extension evaluations (set by
+        #: Heartbeat hook called between VM exits (set by
         #: ``_worker_main`` when live telemetry is on; it is rate-limited
         #: internally, so calling it often is cheap).
         self.heartbeat: Optional[Callable[[], None]] = None
+        # Guest strategy selection is coordinator policy in the cluster
+        # engine: the stepper acknowledges and ignores it.
+        self.stepper = ExtensionStepper(
+            self.libos, self.vcpu, self.pool, get_strategy(config.strategy),
+            config.max_steps_per_extension, manager=self.manager,
+            allow_guest_strategy=False, spill=self._spill,
+            prefix_replay=True, nondet_sites=config.nondet_sites,
+        )
+        self.stepper.stats = self.stats
+        # The running task, read by the spill hook.
+        self._task = PrefixTask()
+        self._solutions_budget: Optional[int] = None
+        self._spilled: list[PrefixTask] = []
+        #: Fresh (non-replay) guest instructions of the task's finished
+        #: paths: what ``task_step_budget`` limits.
+        self._explored = 0
 
     def sync_frame_stats(self) -> None:
         """Mirror the pool's copy count into the registry.
@@ -289,25 +258,6 @@ class _SubtreeWorker:
             self._frames_copied.inc(copied - self._last_copied)
             self._last_copied = copied
 
-    def _divergence_verdict(self, pc: int) -> Optional[str]:
-        """The static analyzer's take on a replay divergence at *pc*."""
-        sites = self.config.nondet_sites
-        if sites is None:
-            return None  # engine ran with verify="off": no analysis
-        for site_pc, lint_id in sites:
-            if site_pc == pc:
-                return (
-                    f"{lint_id} flagged this syscall site as "
-                    "nondeterministic at analysis time"
-                )
-        if sites:
-            listed = ", ".join(f"{lid}@{spc:#x}" for spc, lid in sites[:4])
-            return f"program was not certified deterministic ({listed})"
-        return (
-            "program was certified deterministic — divergence indicates "
-            "an engine or snapshot bug, not guest nondeterminism"
-        )
-
     # -- public entry point --------------------------------------------
 
     def explore(self, task: PrefixTask, solutions_budget: Optional[int]):
@@ -318,257 +268,50 @@ class _SubtreeWorker:
         enter (budget exceedances and solution-budget early stops).
         """
         with self._task_timer.time():
-            return self._explore(task, solutions_budget)
+            solutions, spilled = self._explore(task, solutions_budget)
+        if _TRACER.enabled:
+            _TRACER.emit(
+                _events.TASK_END, worker=self.worker_id,
+                task=list(task.prefix), span=task.span,
+                solutions=len(solutions), spilled=len(spilled),
+                explore_steps=self._steps_counter.value,
+                replay_steps=self._replay_counter.value,
+                task_s=self._task_timer.total_s,
+            )
+        return solutions, spilled
 
     def _explore(self, task: PrefixTask, solutions_budget: Optional[int]):
-        cfg = self.config
-        strategy = get_strategy(cfg.strategy)
-        tree = SnapshotTree(self.manager)
-        solutions: list[tuple[tuple[int, ...], int, str]] = []
-        spilled: list[PrefixTask] = []
-        explore_steps = 0
+        stepper = self.stepper
+        stepper.strategy = get_strategy(self.config.strategy)
+        stepper.tree = tree = SnapshotTree(self.manager)
+        stepper.solutions = solutions = []
+        self._task = task
+        self._solutions_budget = solutions_budget
+        self._spilled = spilled = []
+        self._explored = 0
 
-        state, regs = self.libos.load(self.program, self.pool)
-        self.vcpu.regs.load(regs.frozen())
-        if self.recorder is not None:
-            # Rehydration restarts at the root segment; nondet events
-            # recorded along the prefix replay under their original keys.
-            self.recorder.begin_segment(())
-        self.stats.evaluations += 1
-        pending = _Pending(state, task.prefix, task.fanouts, None)
-
-        def over_budget() -> bool:
-            return (
-                cfg.task_step_budget is not None
-                and explore_steps >= cfg.task_step_budget
-            )
-
-        def finish(pending: _Pending) -> None:
-            pending.state.free()
-            if pending.parent is not None:
-                tree.unpin(pending.parent.snapshot)
-
-        def handle_guess(action: GuessAction, pending: _Pending) -> None:
-            n = action.n
-            if action.hints is not None and len(action.hints) != n:
-                raise GuessError("hint vector length does not match fan-out")
-            if n == 0:
-                self.stats.fails += 1
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_FAIL, depth=len(pending.path),
-                        path=list(pending.path),
-                        steps=pending.steps_used - pending.replay_steps,
-                        replay_steps=pending.replay_steps,
-                    )
-                finish(pending)
-                return
-            hints = tuple(action.hints) if action.hints is not None else None
-            local_depth = len(pending.path) - task.depth
-            if (
-                (cfg.subtree_depth is not None
-                 and local_depth >= cfg.subtree_depth)
-                or over_budget()
-                or (solutions_budget is not None
-                    and len(solutions) >= solutions_budget)
-            ):
-                # Outside this task's budget: hand the whole choice point
-                # back to the coordinator as replayable subtree roots.
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_SPILL, depth=len(pending.path), n=n,
-                        path=list(pending.path),
-                        steps=pending.steps_used - pending.replay_steps,
-                        replay_steps=pending.replay_steps,
-                    )
-                spilled.extend(
-                    spill_extension(pending.path, pending.fanouts, n, hints,
-                                    span=task.span)
-                )
-                finish(pending)
-                return
-            parent_snap = pending.parent.snapshot if pending.parent else None
-            snap = self.manager.take(
-                pending.state.space,
-                regs=self.vcpu.regs.frozen(),
-                files=pending.state.files,
-                parent=parent_snap if parent_snap and parent_snap.alive else None,
-            )
-            cand = _Candidate(snap, pending.path, pending.fanouts, n,
-                              pending.state.console.fork_cow())
-            tree.add(snap)
-            tree.pin(snap, n)
-            self.stats.candidates += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_GUESS, n=n, depth=len(pending.path),
-                    sid=snap.sid, path=list(pending.path),
-                    steps=pending.steps_used - pending.replay_steps,
-                    replay_steps=pending.replay_steps,
-                )
-            strategy.add(
-                Extension(
-                    cand,
-                    number=i,
-                    hint=hints[i] if hints is not None else None,
-                    depth=len(pending.path),
-                )
-                for i in range(n)
-            )
-            finish(pending)
-
-        def run_pending(pending: _Pending) -> None:
-            nonlocal explore_steps
-            prefix = task.prefix
-            replaying = pending.replay_pos < len(prefix)
-            while True:
-                budget = self.config.max_steps_per_extension - pending.steps_used
-                self.vcpu.attach(pending.state.space)
-                exit_event = self.vcpu.enter(max_steps=max(budget, 1))
-                pending.steps_used += exit_event.steps
-                if replaying:
-                    self._replay_counter.inc(exit_event.steps)
-                    pending.replay_steps += exit_event.steps
-                else:
-                    self._steps_counter.inc(exit_event.steps)
-                    explore_steps += exit_event.steps
-                action = self.libos.handle_exit(exit_event, self.vcpu,
-                                                pending.state)
-                if isinstance(action, ContinueAction):
-                    if pending.steps_used >= self.config.max_steps_per_extension:
-                        self.stats.kills += 1
-                        if _TRACER.enabled:
-                            _TRACER.emit(
-                                _events.SEARCH_KILL, depth=len(pending.path),
-                                path=list(pending.path),
-                                steps=pending.steps_used - pending.replay_steps,
-                                replay_steps=pending.replay_steps,
-                            )
-                        finish(pending)
-                        return
-                    if self.heartbeat is not None:
-                        self.heartbeat()
-                    continue
-                if isinstance(action, StrategyAction):
-                    # Guest strategy selection is coordinator policy in
-                    # the cluster engine; acknowledge and ignore.
-                    continue
-                if isinstance(action, GuessAction):
-                    if pending.replay_pos < len(prefix):
-                        pos = pending.replay_pos
-                        if action.n != pending.fanouts[pos]:
-                            # rip already points past the 1-byte SYSCALL.
-                            pc = self.vcpu.regs.rip - 1
-                            raise ReplayDivergenceError(
-                                "nondeterministic guest: replayed guess "
-                                f"had fan-out {pending.fanouts[pos]}, "
-                                f"now {action.n}",
-                                prefix=prefix,
-                                position=pos,
-                                pc=pc,
-                                expected=pending.fanouts[pos],
-                                actual=action.n,
-                                verdict=self._divergence_verdict(pc),
-                            )
-                        self.vcpu.regs.rax = prefix[pos]
-                        pending.replay_pos = pos + 1
-                        self.stats.replayed_decisions += 1
-                        if self.recorder is not None:
-                            self.recorder.begin_segment(prefix[:pos + 1])
-                        replaying = pending.replay_pos < len(prefix)
-                        continue
-                    handle_guess(action, pending)
-                    return
-                if pending.replay_pos < len(prefix):
-                    pc = self.vcpu.regs.rip - 1
-                    raise ReplayDivergenceError(
-                        "nondeterministic guest: path ended during "
-                        f"replay of a prefix of length {len(prefix)}",
-                        prefix=prefix,
-                        position=pending.replay_pos,
-                        pc=pc,
-                        verdict=self._divergence_verdict(pc),
-                    )
-                if isinstance(action, GuessFailAction):
-                    self.stats.fails += 1
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_FAIL, depth=len(pending.path),
-                            path=list(pending.path),
-                            steps=pending.steps_used - pending.replay_steps,
-                            replay_steps=pending.replay_steps,
-                        )
-                    finish(pending)
-                    return
-                if isinstance(action, ExitAction):
-                    self.stats.completions += 1
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_SOLUTION,
-                            depth=len(pending.path),
-                            path=list(pending.path),
-                            steps=pending.steps_used - pending.replay_steps,
-                            replay_steps=pending.replay_steps,
-                        )
-                    solutions.append(
-                        (pending.path, action.status,
-                         pending.state.console.text)
-                    )
-                    finish(pending)
-                    return
-                if isinstance(action, KillAction):
-                    self.stats.kills += 1
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_KILL, depth=len(pending.path),
-                            path=list(pending.path),
-                            steps=pending.steps_used - pending.replay_steps,
-                            replay_steps=pending.replay_steps,
-                        )
-                    finish(pending)
-                    return
-                raise AssertionError(f"unhandled action {action!r}")  # pragma: no cover
-
-        run_pending(pending)
+        self._run(stepper.boot(self.program, task.prefix, task.fanouts))
         while True:
             if self.heartbeat is not None:
                 self.heartbeat()
-            if (
-                solutions_budget is not None
-                and len(solutions) >= solutions_budget
-            ) or over_budget():
+            if self._over_budget(0):
                 break
-            ext = strategy.next()
+            ext = stepper.strategy.next()
             if ext is None:
                 break
-            self.stats.evaluations += 1
-            cand: _Candidate = ext.candidate
-            regs2, space, files = self.manager.restore(cand.snapshot)
-            self.vcpu.regs.load(regs2)
-            self.vcpu.regs.rax = ext.number
-            if self.recorder is not None:
-                self.recorder.begin_segment(cand.path + (ext.number,))
-            run_pending(
-                _Pending(
-                    ExecState(space, files, cand.console.fork_cow()),
-                    cand.path + (ext.number,),
-                    cand.fanouts + (cand.n,),
-                    cand,
-                    replay_pos=len(task.prefix),
-                )
-            )
+            self._run(stepper.resume(ext))
 
         # Convert whatever local frontier remains into replayable tasks
         # and unwind its pins so the snapshot tree (and its frames) die.
         while True:
-            ext = strategy.next()
+            ext = stepper.strategy.next()
             if ext is None:
                 break
             cand = ext.candidate
             spilled.append(
                 PrefixTask(
                     prefix=cand.path + (ext.number,),
-                    fanouts=cand.fanouts + (cand.n,),
+                    fanouts=cand.fanouts,
                     hint=ext.hint,
                     span=task.span,
                 )
@@ -580,7 +323,54 @@ class _SubtreeWorker:
         self.sync_frame_stats()
         if spilled:
             self._spills_counter.inc(len(spilled))
-        return solutions, spilled
+        return [(s.path, *s.value) for s in solutions], spilled
+
+    def _run(self, pending: Pending) -> None:
+        """Step *pending* to its boundary one VM exit at a time, keeping
+        the live step counters and the heartbeat current."""
+        step = self.stepper.step
+        while True:
+            used, replayed = pending.steps_used, pending.replay_steps
+            outcome = step(pending, once=True)
+            replay = pending.replay_steps - replayed
+            if replay:
+                self._replay_counter.inc(replay)
+            else:
+                self._steps_counter.inc(pending.steps_used - used)
+            if outcome is not None:
+                break
+            if self.heartbeat is not None:
+                self.heartbeat()
+        self._explored += pending.steps_used - pending.replay_steps
+
+    def _over_budget(self, fresh: int) -> bool:
+        """Whether the task is out of budget once *fresh* more explored
+        steps are counted."""
+        budget = self.config.task_step_budget
+        solutions_budget = self._solutions_budget
+        return (
+            budget is not None and self._explored + fresh >= budget
+        ) or (
+            solutions_budget is not None
+            and len(self.stepper.solutions) >= solutions_budget
+        )
+
+    def _spill(self, pending: Pending, n: int,
+               hints: Optional[tuple[float, ...]]) -> bool:
+        """Hand a choice point outside this task's budget back to the
+        coordinator as replayable subtree roots."""
+        depth_limit = self.config.subtree_depth
+        if not (
+            (depth_limit is not None
+             and len(pending.path) - self._task.depth >= depth_limit)
+            or self._over_budget(pending.steps_used - pending.replay_steps)
+        ):
+            return False
+        self._spilled.extend(
+            spill_extension(pending.path, pending.fanouts, n, hints,
+                            span=self._task.span)
+        )
+        return True
 
 
 #: Seconds between an idle worker's re-announcements of its steal
@@ -603,7 +393,7 @@ def _worker_main(worker_id: int, conn, program: Program,
     _TRACER.reset_sinks()
     _TRACER.set_context(worker=worker_id)
     collector = _TRACER.attach(MemorySink()) if config.collect_trace else None
-    worker = _SubtreeWorker(program, config)
+    worker = _SubtreeWorker(program, config, worker_id=worker_id)
     emitter: Optional[HeartbeatEmitter] = None
     if config.heartbeat_interval is not None:
         # The flight ring is a tracer sink of its own: attaching it
@@ -672,15 +462,6 @@ def _worker_main(worker_id: int, conn, program: Program,
                 if solutions_budget is not None:
                     solutions_budget = max(
                         0, solutions_budget - len(solutions)
-                    )
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_END, worker=worker_id,
-                        task=list(task.prefix), span=task.span,
-                        solutions=len(solutions), spilled=len(spilled),
-                        explore_steps=worker._steps_counter.value,
-                        replay_steps=worker._replay_counter.value,
-                        task_s=worker._task_timer.total_s,
                     )
                 state = worker.registry.state_dict()
                 if emitter is not None:
@@ -1530,15 +1311,6 @@ class ProcessParallelEngine:
                     else max(self.max_solutions - len(solutions), 0)
                 )
                 task_solutions, spilled = local.explore(task, remaining)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_END, worker=-1,
-                        task=list(task.prefix), span=task.span,
-                        solutions=len(task_solutions), spilled=len(spilled),
-                        explore_steps=local._steps_counter.value,
-                        replay_steps=local._replay_counter.value,
-                        task_s=local._task_timer.total_s,
-                    )
                 reg.merge_state(local.registry.state_dict())
                 local.registry.reset()
                 c_done.inc()
@@ -1698,6 +1470,13 @@ class ProcessParallelEngine:
                         continue
                     if msg[0] == "steal":
                         if handle.busy:
+                            if (now - handle.last_progress
+                                    < _STEAL_REANNOUNCE_S):
+                                # Sent before our latest dispatch reached
+                                # the worker (the two crossed in flight):
+                                # it will steal again once that batch is
+                                # done.
+                                continue
                             # The worker says it is idle while the
                             # coordinator still holds leases for it: its
                             # results were lost in flight (dropped

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.machine import MachineEngine, _Candidate
+from repro.core.machine import MachineEngine
 from repro.core.result import SearchStats, Solution
-from repro.cpu.assembler import Program
+from repro.core.stepper import Candidate
+from repro.cpu.assembler import Program, assemble
 from repro.interpose.policy import InterpositionPolicy
 from repro.libos.files import HostFS
 from repro.search import ExternalStrategy
@@ -80,25 +81,18 @@ class InteractiveSearch:
             hostfs=hostfs,
             max_steps_per_extension=max_steps_per_extension,
         )
-        # The external entity owns scheduling; guests may still call
-        # sys_guess_strategy (it succeeds) but it does not take over.
-        self._engine.allow_guest_strategy = False
         self._stats = SearchStats()
         self.solutions: list[Solution] = []
         self._closed = False
+        stepper = self._stepper = self._engine.stepper
+        # The external entity owns scheduling; guests may still call
+        # sys_guess_strategy (it succeeds) but it does not take over.
+        stepper.allow_guest_strategy = False
+        stepper.stats = self._stats
+        stepper.solutions = self.solutions
         # Boot: run the root path to its first boundary.
-        program = guest
-        state, regs = self._engine.libos.load(
-            program if isinstance(program, Program)
-            else __import__("repro.cpu", fromlist=["assemble"]).assemble(program),
-            self._engine.pool,
-        )
-        self._engine.vcpu.regs.load(regs.frozen())
-        from repro.core.machine import _Pending
-
-        self._stats.evaluations += 1
-        self._engine._run_pending(_Pending(state, (), None), self._stats,
-                                  self.solutions)
+        program = guest if isinstance(guest, Program) else assemble(guest)
+        stepper.step(stepper.boot(program))
 
     # ------------------------------------------------------------------
 
@@ -107,7 +101,7 @@ class InteractiveSearch:
         views = []
         for seq in sorted(self._external.pending):
             ext = self._external.pending[seq]
-            cand: _Candidate = ext.candidate
+            cand: Candidate = ext.candidate
             views.append(
                 PendingExtension(
                     seq=seq, path=cand.path, number=ext.number,
@@ -130,10 +124,7 @@ class InteractiveSearch:
         self._external.select(seq)
         ext = self._external.next()
         assert ext is not None
-        self._stats.evaluations += 1
-        outcome = self._engine._run_pending(
-            self._engine._start_extension(ext), self._stats, self.solutions
-        )
+        outcome = self._stepper.step(self._stepper.resume(ext))
         created = tuple(
             p for p in self.pending() if p.seq not in before and p.seq != seq
         )
@@ -164,7 +155,7 @@ class InteractiveSearch:
         # Unpin by draining: each parked extension holds one pin.
         for seq in sorted(self._external.pending):
             ext = self._external.pending[seq]
-            cand: _Candidate = ext.candidate
+            cand: Candidate = ext.candidate
             self._engine.tree.unpin(cand.snapshot)
         self._external.pending.clear()
         self._external.drain()

@@ -16,75 +16,29 @@ machine-code programs running behind the full Figure 2 stack:
 
 Unlike the replay engine, restoring a candidate does **zero** guest
 re-execution: the address space *is* the state.
+
+The guess/fail/exit/kill loop itself is the shared
+:class:`~repro.core.stepper.ExtensionStepper`; this engine adds the
+global budgets and the transcript.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.errors import GuessError
-from repro.core.recorder import NondetLog, Recorder
+from repro.core.recorder import NondetLog, Recorder, recorder_for
 from repro.core.result import SearchResult, SearchStats, Solution
-from repro.core.sysno import STRATEGY_IDS
+from repro.core.stepper import ExtensionStepper, PathOutput
 from repro.cpu.assembler import Program, assemble
-from repro.libos.console import Console
 from repro.libos.files import HostFS
-from repro.libos.libos import ExecState, LibOS
+from repro.libos.libos import LibOS
 from repro.interpose.policy import InterpositionPolicy
 from repro.mem.frames import FramePool
-from repro.obs import events as _events
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TRACER as _TRACER
-from repro.search import Extension, Strategy, get_strategy
-from repro.snapshot.snapshot import Snapshot, SnapshotManager
+from repro.search import Strategy, get_strategy
+from repro.snapshot.snapshot import SnapshotManager
 from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
-from repro.libos.syscalls import (
-    ContinueAction,
-    ExitAction,
-    GuessAction,
-    GuessFailAction,
-    KillAction,
-    StrategyAction,
-)
-
-
-@dataclass(frozen=True)
-class PathOutput:
-    """Console output of one finished path (completed, failed or killed)."""
-
-    path: tuple[int, ...]
-    data: bytes
-    outcome: str  # "exit" | "fail" | "kill"
-
-    @property
-    def text(self) -> str:
-        """Output decoded as UTF-8 (lazy: most paths are never read)."""
-        return self.data.decode("utf-8", errors="replace")
-
-
-class _Candidate:
-    """A partial candidate: snapshot + the decision path that reached it."""
-
-    __slots__ = ("snapshot", "path", "n", "console")
-
-    def __init__(self, snapshot: Snapshot, path: tuple[int, ...], n: int,
-                 console: Console):
-        self.snapshot = snapshot
-        self.path = path
-        self.n = n
-        self.console = console
-
-
-@dataclass
-class _Pending:
-    """The extension step currently executing."""
-
-    state: ExecState
-    path: tuple[int, ...]
-    parent: Optional[_Candidate]
-    steps_used: int = 0
 
 
 class MachineEngine:
@@ -149,36 +103,25 @@ class MachineEngine:
                 f"verify must be 'off', 'warn' or 'strict', got {verify!r}"
             )
         self.verify = verify
-        if replay_mode not in ("off", "record", "strict"):
-            raise ValueError(
-                f"replay_mode must be 'off', 'record' or 'strict', "
-                f"got {replay_mode!r}"
-            )
-        if recorder is not None:
-            self.recorder: Optional[Recorder] = recorder
-            self.replay_mode = recorder.mode
-        elif replay_mode != "off":
-            self.recorder = Recorder(replay_mode, log=replay_log)
-            self.replay_mode = replay_mode
-        else:
-            self.recorder = None
-            self.replay_mode = "off"
+        own = recorder_for(replay_mode, replay_log)
+        self.recorder = recorder if recorder is not None else own
+        self.replay_mode = (
+            self.recorder.mode if self.recorder is not None else "off"
+        )
         #: Analysis report of the last verified guest (None under "off").
         self.last_report = None
-        if isinstance(strategy, Strategy):
-            self._strategy = strategy
-        elif strategy == "coverage":
+        if strategy == "coverage":
             # S2E-style coverage-optimized exploration: prefer extensions
             # whose (guess site, branch number) has not been taken yet.
             from repro.search import CoverageStrategy
 
-            self._strategy = CoverageStrategy(
+            strategy = CoverageStrategy(
                 coverage_key=lambda ext: (
                     ext.candidate.snapshot.regs.rip, ext.number
                 )
             )
-        else:
-            self._strategy = get_strategy(strategy)
+        elif not isinstance(strategy, Strategy):
+            strategy = get_strategy(strategy)
         self.libos = LibOS(policy=policy, hostfs=hostfs, input=input)
         self.libos.dispatcher.nondet = self.recorder
         self.max_steps_per_extension = max_steps_per_extension
@@ -214,7 +157,16 @@ class MachineEngine:
         #: is the "stdout transcript": Figure 1's print-then-fail pattern
         #: lands here even though failed paths produce no Solution.
         self.transcript: list[PathOutput] = []
-        self._locked = False
+        self.stepper = ExtensionStepper(
+            self.libos, self.vcpu, self.pool, strategy,
+            max_steps_per_extension, manager=self.manager, tree=self.tree,
+            transcript=self.transcript, kill_reasons=True,
+        )
+
+    #: When False, guest ``sys_guess_strategy`` calls are acknowledged
+    #: but ignored — used by externally-controlled sessions, where the
+    #: external entity owns scheduling (§3.1).
+    allow_guest_strategy: bool = True
 
     # ------------------------------------------------------------------
 
@@ -230,16 +182,13 @@ class MachineEngine:
         stats = SearchStats(registry=self.registry)
         solutions: list[Solution] = []
         stop_reason: Optional[str] = None
-        self._locked = False
-        self.transcript = []
+        stepper = self.stepper
+        stepper.stats = stats
+        stepper.solutions = solutions
+        self.transcript = stepper.transcript = []
+        stepper.allow_guest_strategy = self.allow_guest_strategy
 
-        state, regs = self.libos.load(program, self.pool)
-        self.vcpu.regs.load(regs.frozen())
-        if self.recorder is not None:
-            self.recorder.begin_segment(())
-        stats.evaluations += 1
-        self._run_pending(_Pending(state, (), None), stats, solutions)
-
+        stepper.step(stepper.boot(program))
         while True:
             if (
                 self.max_solutions is not None
@@ -259,182 +208,14 @@ class MachineEngine:
             ):
                 stop_reason = "max_total_steps"
                 break
-            ext = self._strategy.next()
+            ext = stepper.strategy.next()
             if ext is None:
                 break
-            stats.evaluations += 1
-            self._run_pending(self._start_extension(ext), stats, solutions)
+            stepper.step(stepper.resume(ext))
 
-        exhausted = stop_reason is None
-        self._strategy.drain()
-        stats.peak_frontier = self._strategy.stats.peak_frontier
+        result = stepper.result(stop_reason)
         stats.extra.update(self._machine_stats())
-        return SearchResult(
-            solutions=solutions,
-            stats=stats,
-            strategy=self._strategy.name,
-            exhausted=exhausted,
-            stop_reason=stop_reason,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _run_pending(self, pending: _Pending, stats: SearchStats,
-                     solutions: list[Solution]) -> str:
-        """Run one extension step to its boundary (guess/fail/exit/kill).
-
-        Returns the outcome kind; any candidates created go to the
-        strategy, so step-driven controllers (the externally-controlled
-        strategy of §3.1) can reuse the whole mechanism.
-        """
-        while True:
-            budget = self.max_steps_per_extension - pending.steps_used
-            self.vcpu.attach(pending.state.space)
-            exit_event = self.vcpu.enter(max_steps=max(budget, 1))
-            pending.steps_used += exit_event.steps
-            action = self.libos.handle_exit(exit_event, self.vcpu, pending.state)
-
-            if isinstance(action, ContinueAction):
-                if pending.steps_used >= self.max_steps_per_extension:
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.SEARCH_KILL, depth=len(pending.path),
-                            path=list(pending.path), steps=pending.steps_used,
-                        )
-                    self._finish(pending, "kill", stats)
-                    return "kill"
-                continue
-            if isinstance(action, StrategyAction):
-                self._select_strategy(action.name)
-                continue
-            if isinstance(action, GuessAction):
-                return self._handle_guess(action, pending, stats)
-            if isinstance(action, GuessFailAction):
-                stats.fails += 1
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_FAIL, depth=len(pending.path),
-                        path=list(pending.path), steps=pending.steps_used,
-                    )
-                self._finish(pending, "fail", stats)
-                return "fail"
-            if isinstance(action, ExitAction):
-                stats.completions += 1
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_SOLUTION,
-                        depth=len(pending.path),
-                        path=list(pending.path),
-                        steps=pending.steps_used,
-                    )
-                solutions.append(
-                    Solution(
-                        value=(action.status, pending.state.console.text),
-                        path=pending.path,
-                    )
-                )
-                self._finish(pending, "exit", stats)
-                return "exit"
-            if isinstance(action, KillAction):
-                stats.kills += 1
-                stats.extra.setdefault("kill_reasons", []).append(action.reason)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.SEARCH_KILL, depth=len(pending.path),
-                        path=list(pending.path), steps=pending.steps_used,
-                        reason=action.reason,
-                    )
-                self._finish(pending, "kill", stats)
-                return "kill"
-            raise AssertionError(f"unhandled action {action!r}")  # pragma: no cover
-
-    def _start_extension(self, ext: Extension) -> _Pending:
-        """Restore a snapshot and prime it with the extension number."""
-        cand: _Candidate = ext.candidate
-        regs, space, files = self.manager.restore(cand.snapshot)
-        self.vcpu.regs.load(regs)
-        self.vcpu.regs.rax = ext.number
-        path = cand.path + (ext.number,)
-        if self.recorder is not None:
-            self.recorder.begin_segment(path)
-        state = ExecState(space, files, cand.console.fork_cow())
-        return _Pending(state, path, cand)
-
-    def _handle_guess(self, action: GuessAction, pending: _Pending,
-                      stats: SearchStats) -> str:
-        """Take a snapshot at the guess point and fan out extensions."""
-        n = action.n
-        if action.hints is not None and len(action.hints) != n:
-            raise GuessError("hint vector length does not match fan-out")
-        if n == 0:
-            # A zero-fanout guess is a dead end, exactly like sys_guess_fail.
-            stats.fails += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_FAIL, depth=len(pending.path),
-                    path=list(pending.path), steps=pending.steps_used,
-                )
-            self._finish(pending, "fail", stats)
-            return "fail"
-        self._locked = True
-        parent_snap = pending.parent.snapshot if pending.parent else None
-        snap = self.manager.take(
-            pending.state.space,
-            regs=self.vcpu.regs.frozen(),
-            files=pending.state.files,
-            parent=parent_snap if parent_snap and parent_snap.alive else None,
-        )
-        cand = _Candidate(snap, pending.path, n, pending.state.console.fork_cow())
-        snap.meta["fanout"] = n
-        snap.meta["path"] = pending.path
-        self.tree.add(snap)
-        self.tree.pin(snap, n)
-        stats.candidates += 1
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.SEARCH_GUESS, n=n, depth=len(pending.path),
-                sid=snap.sid, path=list(pending.path),
-                steps=pending.steps_used,
-            )
-        self._strategy.add(
-            Extension(
-                cand,
-                number=i,
-                hint=action.hints[i] if action.hints is not None else None,
-                depth=len(pending.path),
-            )
-            for i in range(n)
-        )
-        # The pre-guess execution is abandoned; the scheduler decides
-        # which extension (not necessarily one of these) runs next.
-        self._retire(pending)
-        return "guess"
-
-    def _finish(self, pending: _Pending, outcome: str, stats: SearchStats) -> None:
-        """Record a finished path's output and release its resources."""
-        self.transcript.append(
-            PathOutput(pending.path, pending.state.console.data, outcome)
-        )
-        self._retire(pending)
-
-    def _retire(self, pending: _Pending) -> None:
-        pending.state.free()
-        if pending.parent is not None:
-            self.tree.unpin(pending.parent.snapshot)
-
-    #: When False, guest ``sys_guess_strategy`` calls are acknowledged
-    #: but ignored — used by externally-controlled sessions, where the
-    #: external entity owns scheduling (§3.1).
-    allow_guest_strategy: bool = True
-
-    def _select_strategy(self, name: str) -> None:
-        if not self.allow_guest_strategy or name == self._strategy.name:
-            return
-        if self._locked:
-            raise GuessError(
-                f"cannot switch strategy to {name!r} after the first guess"
-            )
-        self._strategy = get_strategy(name)
+        return result
 
     def _machine_stats(self) -> dict:
         """Cost counters from every layer, for benches and EXPERIMENTS.md."""
@@ -468,7 +249,7 @@ class MachineEngine:
 
     @property
     def strategy_name(self) -> str:
-        return self._strategy.name
+        return self.stepper.strategy.name
 
     def solutions_text(self, result: SearchResult) -> list[str]:
         """Console text of each completed path (convenience accessor)."""

@@ -7,12 +7,13 @@ a different candidate extension.  §3 also contrasts sequential DFS with
 "a parallel depth-first-search strategy [that] might simply fork without
 waiting".
 
-This engine simulates that: *k* logical workers each own a vCPU and an
-in-flight extension; the scheduler round-robin time-slices them (a quantum
-of guest instructions per turn), so many extension evaluations are live
-simultaneously over the same snapshot tree.  Because the simulator is
-single-threaded Python, this is concurrency rather than parallelism — but
-it exercises precisely the property that makes the design parallel-safe:
+This engine simulates that: *k* logical workers each own an extension
+stepper over a vCPU and an in-flight extension; the scheduler round-robin
+time-slices them (a quantum of guest instructions per turn), so many
+extension evaluations are live simultaneously over the same snapshot
+tree.  Because the simulator is single-threaded Python, this is
+concurrency rather than parallelism — but it exercises precisely the
+property that makes the design parallel-safe:
 **in-flight executions forked from the same snapshot share pages and
 never observe each other's writes**.  Worker-occupancy statistics show
 the available speedup on real hardware.
@@ -20,49 +21,37 @@ the available speedup on real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.errors import GuessError
 from repro.core.result import SearchResult, SearchStats, Solution
+from repro.core.stepper import ExtensionStepper, Pending
 from repro.cpu.assembler import Program, assemble
 from repro.interpose.policy import InterpositionPolicy
 from repro.libos.files import HostFS
-from repro.libos.libos import ExecState, LibOS
-from repro.libos.syscalls import (
-    ContinueAction,
-    ExitAction,
-    GuessAction,
-    GuessFailAction,
-    KillAction,
-    StrategyAction,
-)
+from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
 from repro.obs import events as _events
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import TRACER as _TRACER
-from repro.search import Extension, Strategy, get_strategy
+from repro.search import Strategy, get_strategy
 from repro.snapshot.snapshot import SnapshotManager
 from repro.snapshot.tree import SnapshotTree
-from repro.vmm.vcpu import VCpu, VmExitReason
-from repro.core.machine import _Candidate  # shared candidate shape
+from repro.vmm.vcpu import VCpu
 
 
 @dataclass
 class _Worker:
-    """One logical core: a vCPU plus its in-flight extension."""
+    """One logical core: a stepper over a vCPU plus its in-flight extension."""
 
-    vcpu: VCpu
-    state: Optional[ExecState] = None
-    path: tuple[int, ...] = ()
-    parent: Optional[_Candidate] = None
-    steps_used: int = 0
+    stepper: ExtensionStepper
+    pending: Optional[Pending] = None
     busy_turns: int = 0
     idle_turns: int = 0
 
     @property
     def busy(self) -> bool:
-        return self.state is not None
+        return self.pending is not None
 
 
 class ParallelMachineEngine:
@@ -91,10 +80,8 @@ class ParallelMachineEngine:
     ):
         if workers < 1:
             raise ValueError("need at least one worker")
-        if isinstance(strategy, Strategy):
-            self._strategy = strategy
-        else:
-            self._strategy = get_strategy(strategy)
+        if not isinstance(strategy, Strategy):
+            strategy = get_strategy(strategy)
         self.quantum = quantum
         self.libos = LibOS(policy=policy, hostfs=hostfs)
         self.pool = FramePool()
@@ -105,9 +92,13 @@ class ParallelMachineEngine:
         self.max_solutions = max_solutions
         icache: dict = {}
         self.workers = [
-            _Worker(vcpu=VCpu(cpu_id=i, icache=icache)) for i in range(workers)
+            _Worker(ExtensionStepper(
+                self.libos, VCpu(cpu_id=i, icache=icache), self.pool,
+                strategy, max_steps_per_extension, manager=self.manager,
+                tree=self.tree, quantum=quantum, tags={"worker": i},
+            ))
+            for i in range(workers)
         ]
-        self._locked = False
         #: Peak number of simultaneously busy workers (occupancy proof).
         self.peak_busy = 0
 
@@ -118,16 +109,11 @@ class ParallelMachineEngine:
         stats = SearchStats(registry=self.registry)
         solutions: list[Solution] = []
         stop_reason: Optional[str] = None
-        self._locked = False
-
-        state, regs = self.libos.load(program, self.pool)
+        for worker in self.workers:
+            worker.stepper.stats = stats
+            worker.stepper.solutions = solutions
         boot = self.workers[0]
-        boot.vcpu.regs.load(regs.frozen())
-        boot.state = state
-        boot.path = ()
-        boot.parent = None
-        boot.steps_used = 0
-        stats.evaluations += 1
+        boot.pending = boot.stepper.boot(program)
 
         while True:
             if (
@@ -137,15 +123,25 @@ class ParallelMachineEngine:
                 stop_reason = "max_solutions"
                 break
 
-            # Refill idle workers from the strategy frontier.
+            # Refill idle workers from the strategy frontier.  Only the
+            # boot path can switch strategies (no switch once a candidate
+            # exists), so every worker adopts the boot stepper's.
+            strategy = boot.stepper.strategy
             for worker in self.workers:
                 if worker.busy:
                     continue
-                ext = self._strategy.next()
+                ext = strategy.next()
                 if ext is None:
                     break
-                self._assign(worker, ext)
-                stats.evaluations += 1
+                worker.stepper.strategy = strategy
+                worker.pending = worker.stepper.resume(ext)
+                if _TRACER.enabled:
+                    _TRACER.emit(
+                        _events.PARALLEL_SCHEDULE,
+                        worker=worker.stepper.vcpu.cpu_id,
+                        ext=ext.number,
+                        depth=len(ext.candidate.path),
+                    )
 
             busy = [w for w in self.workers if w.busy]
             self.peak_busy = max(self.peak_busy, len(busy))
@@ -158,178 +154,33 @@ class ParallelMachineEngine:
                     worker.idle_turns += 1
 
             for worker in busy:
-                self._turn(worker, stats, solutions)
+                self._turn(worker)
 
-        exhausted = stop_reason is None
         for worker in self.workers:
             if worker.busy:
-                self._finish(worker, stats)
-        self._strategy.drain()
-        stats.peak_frontier = self._strategy.stats.peak_frontier
+                worker.stepper.retire(worker.pending)
+                worker.pending = None
+        result = boot.stepper.result(stop_reason)
         stats.extra.update(self._parallel_stats())
-        return SearchResult(
-            solutions=solutions,
-            stats=stats,
-            strategy=self._strategy.name,
-            exhausted=exhausted,
-            stop_reason=stop_reason,
-        )
+        return result
 
     # ------------------------------------------------------------------
 
-    def _assign(self, worker: _Worker, ext: Extension) -> None:
-        cand: _Candidate = ext.candidate
-        regs, space, files = self.manager.restore(cand.snapshot)
-        worker.vcpu.regs.load(regs)
-        worker.vcpu.regs.rax = ext.number
-        worker.state = ExecState(space, files, cand.console.fork_cow())
-        worker.path = cand.path + (ext.number,)
-        worker.parent = cand
-        worker.steps_used = 0
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.PARALLEL_SCHEDULE,
-                worker=worker.vcpu.cpu_id,
-                ext=ext.number,
-                depth=len(cand.path),
-            )
-
-    def _turn(self, worker: _Worker, stats: SearchStats,
-              solutions: list[Solution]) -> None:
-        """Run one quantum on *worker*, handling at most one boundary."""
-        worker.vcpu.attach(worker.state.space)
-        exit_event = worker.vcpu.enter(max_steps=self.quantum)
-        worker.steps_used += exit_event.steps
-        if exit_event.reason is VmExitReason.STEP_LIMIT:
+    def _turn(self, worker: _Worker) -> None:
+        """Run one quantum on *worker*, handling at most one VM exit."""
+        pending = worker.pending
+        outcome = worker.stepper.step(pending, once=True)
+        if outcome == "preempt":
             # End of timeslice, not a runaway guest: the extension stays
             # in flight and resumes on the worker's next turn.
             if _TRACER.enabled:
                 _TRACER.emit(
                     _events.PARALLEL_PREEMPT,
-                    worker=worker.vcpu.cpu_id,
-                    steps=worker.steps_used,
+                    worker=worker.stepper.vcpu.cpu_id,
+                    steps=pending.steps_used,
                 )
-            if worker.steps_used >= self.max_steps_per_extension:
-                stats.kills += 1
-                self._emit_kill(worker)
-                self._finish(worker, stats)
-            return
-        action = self.libos.handle_exit(exit_event, worker.vcpu, worker.state)
-
-        if isinstance(action, ContinueAction):
-            if worker.steps_used >= self.max_steps_per_extension:
-                stats.kills += 1
-                self._emit_kill(worker)
-                self._finish(worker, stats)
-            return
-        if isinstance(action, StrategyAction):
-            self._select_strategy(action.name)
-            return
-        if isinstance(action, GuessAction):
-            self._handle_guess(action, worker, stats)
-            return
-        if isinstance(action, GuessFailAction):
-            stats.fails += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_FAIL, depth=len(worker.path),
-                    path=list(worker.path), steps=worker.steps_used,
-                    worker=worker.vcpu.cpu_id,
-                )
-            self._finish(worker, stats)
-            return
-        if isinstance(action, ExitAction):
-            stats.completions += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_SOLUTION,
-                    depth=len(worker.path),
-                    path=list(worker.path),
-                    steps=worker.steps_used,
-                    worker=worker.vcpu.cpu_id,
-                )
-            solutions.append(
-                Solution(
-                    value=(action.status, worker.state.console.text),
-                    path=worker.path,
-                )
-            )
-            self._finish(worker, stats)
-            return
-        if isinstance(action, KillAction):
-            stats.kills += 1
-            self._emit_kill(worker)
-            self._finish(worker, stats)
-            return
-        raise AssertionError(f"unhandled action {action!r}")  # pragma: no cover
-
-    def _handle_guess(self, action: GuessAction, worker: _Worker,
-                      stats: SearchStats) -> None:
-        n = action.n
-        if n == 0:
-            # A zero-fanout guess is a dead end, exactly like sys_guess_fail.
-            stats.fails += 1
-            if _TRACER.enabled:
-                _TRACER.emit(
-                    _events.SEARCH_FAIL, depth=len(worker.path),
-                    path=list(worker.path), steps=worker.steps_used,
-                    worker=worker.vcpu.cpu_id,
-                )
-            self._finish(worker, stats)
-            return
-        self._locked = True
-        parent_snap = worker.parent.snapshot if worker.parent else None
-        snap = self.manager.take(
-            worker.state.space,
-            regs=worker.vcpu.regs.frozen(),
-            files=worker.state.files,
-            parent=parent_snap if parent_snap and parent_snap.alive else None,
-        )
-        cand = _Candidate(snap, worker.path, n,
-                          worker.state.console.fork_cow())
-        self.tree.add(snap)
-        self.tree.pin(snap, n)
-        stats.candidates += 1
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.SEARCH_GUESS, n=n, depth=len(worker.path),
-                sid=snap.sid, path=list(worker.path),
-                steps=worker.steps_used, worker=worker.vcpu.cpu_id,
-            )
-        self._strategy.add(
-            Extension(
-                cand,
-                number=i,
-                hint=action.hints[i] if action.hints is not None else None,
-                depth=len(worker.path),
-            )
-            for i in range(n)
-        )
-        self._finish(worker, stats)
-
-    def _emit_kill(self, worker: _Worker) -> None:
-        if _TRACER.enabled:
-            _TRACER.emit(
-                _events.SEARCH_KILL, depth=len(worker.path),
-                path=list(worker.path), steps=worker.steps_used,
-                worker=worker.vcpu.cpu_id,
-            )
-
-    def _finish(self, worker: _Worker, stats: SearchStats) -> None:
-        worker.state.free()
-        worker.state = None
-        if worker.parent is not None:
-            self.tree.unpin(worker.parent.snapshot)
-            worker.parent = None
-
-    def _select_strategy(self, name: str) -> None:
-        if name == self._strategy.name:
-            return
-        if self._locked:
-            raise GuessError(
-                f"cannot switch strategy to {name!r} after the first guess"
-            )
-        self._strategy = get_strategy(name)
+        elif outcome is not None:
+            worker.pending = None
 
     def _parallel_stats(self) -> dict:
         total_busy = sum(w.busy_turns for w in self.workers)
@@ -339,9 +190,9 @@ class ParallelMachineEngine:
             "peak_busy_workers": self.peak_busy,
             "occupancy": total_busy / total_turns if total_turns else 0.0,
             "guest_instructions": sum(
-                w.vcpu.vmcs.guest_instructions for w in self.workers
+                w.stepper.vcpu.vmcs.guest_instructions for w in self.workers
             ),
-            "vm_exits": sum(w.vcpu.vmcs.exits for w in self.workers),
+            "vm_exits": sum(w.stepper.vcpu.vmcs.exits for w in self.workers),
             "snapshots_taken": self.manager.stats.taken,
             "snapshots_peak_live": self.manager.stats.peak_live,
             "frames_peak": self.pool.peak_live_frames,

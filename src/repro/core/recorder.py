@@ -396,6 +396,16 @@ class Recorder:
         return fresh
 
 
+def recorder_for(mode: str,
+                 log: Optional[NondetLog] = None) -> Optional[Recorder]:
+    """The recorder an engine attaches for replay *mode* (none for "off")."""
+    if mode not in ("off", "record", "strict"):
+        raise ValueError(
+            f"replay_mode must be 'off', 'record' or 'strict', got {mode!r}"
+        )
+    return None if mode == "off" else Recorder(mode, log=log)
+
+
 def live_time_ns() -> bytes:
     """The live ``sys_time`` outcome: wall-clock nanoseconds, LE u64."""
     return (time.time_ns() & ((1 << 64) - 1)).to_bytes(8, "little")

@@ -15,38 +15,16 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.core.errors import GuessError, ReplayDivergenceError
-from repro.core.recorder import NondetLog, Recorder
+from repro.core.recorder import NondetLog, Recorder, recorder_for
 from repro.core.result import SearchResult, SearchStats, Solution
+from repro.core.stepper import Candidate, ExtensionStepper, Pending
 from repro.cpu.assembler import Program, assemble
 from repro.interpose.policy import InterpositionPolicy
 from repro.libos.files import HostFS
 from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
-from repro.search import Extension, Strategy, get_strategy
+from repro.search import Strategy, get_strategy
 from repro.vmm.vcpu import VCpu
-from repro.libos.syscalls import (
-    ContinueAction,
-    ExitAction,
-    GuessAction,
-    GuessFailAction,
-    KillAction,
-    StrategyAction,
-)
-
-
-class _PrefixCandidate:
-    __slots__ = ("prefix", "fanouts", "n", "hints")
-
-    def __init__(self, prefix, fanouts, n, hints):
-        self.prefix = prefix
-        self.fanouts = fanouts
-        self.n = n
-        self.hints = hints
-
-    @property
-    def depth(self):
-        return len(self.prefix)
 
 
 class ReplayMachineEngine:
@@ -65,21 +43,10 @@ class ReplayMachineEngine:
         recorder: Optional[Recorder] = None,
         input=None,
     ):
-        if isinstance(strategy, Strategy):
-            self._strategy = strategy
-        else:
-            self._strategy = get_strategy(strategy)
-        if replay_mode not in ("off", "record", "strict"):
-            raise ValueError(
-                f"replay_mode must be 'off', 'record' or 'strict', "
-                f"got {replay_mode!r}"
-            )
-        if recorder is not None:
-            self.recorder: Optional[Recorder] = recorder
-        elif replay_mode != "off":
-            self.recorder = Recorder(replay_mode, log=replay_log)
-        else:
-            self.recorder = None
+        if not isinstance(strategy, Strategy):
+            strategy = get_strategy(strategy)
+        own = recorder_for(replay_mode, replay_log)
+        self.recorder = recorder if recorder is not None else own
         self.libos = LibOS(policy=policy, hostfs=hostfs, input=input)
         self.libos.dispatcher.nondet = self.recorder
         self.max_steps_per_path = max_steps_per_path
@@ -87,137 +54,53 @@ class ReplayMachineEngine:
         self.max_solutions = max_solutions
         self.pool = FramePool()
         self.vcpu = VCpu()
-        self._locked = False
+        # Every fresh guess spills, so no snapshot is ever taken: a
+        # candidate is its decision prefix, and evaluating an extension
+        # replays that prefix from the program entry.
+        self._stepper = ExtensionStepper(
+            self.libos, self.vcpu, self.pool, strategy, max_steps_per_path,
+            spill=self._spill, prefix_replay=True,
+        )
 
     def run(self, guest: Union[str, Program]) -> SearchResult:
         program = assemble(guest) if isinstance(guest, str) else guest
         stats = SearchStats()
         solutions: list[Solution] = []
         stop_reason: Optional[str] = None
-        self._locked = False
+        stepper = self._stepper
+        stepper.stats = stats
+        stepper.solutions = solutions
 
-        def evaluate(prefix: tuple[int, ...], fanouts: tuple[int, ...]) -> None:
-            """One full re-execution of the guest with scripted guesses."""
-            stats.evaluations += 1
-            state, regs = self.libos.load(program, self.pool)
-            self.vcpu.regs.load(regs.frozen())
-            self.vcpu.attach(state.space)
-            position = 0
-            steps = 0
-            if self.recorder is not None:
-                # Re-execution restarts at the root segment; recorded
-                # events along the prefix replay under their original keys.
-                self.recorder.begin_segment(())
-            try:
-                while True:
-                    budget = self.max_steps_per_path - steps
-                    exit_event = self.vcpu.enter(max_steps=max(budget, 1))
-                    steps += exit_event.steps
-                    action = self.libos.handle_exit(exit_event, self.vcpu, state)
-                    if isinstance(action, ContinueAction):
-                        if steps >= self.max_steps_per_path:
-                            stats.kills += 1
-                            return
-                        continue
-                    if isinstance(action, StrategyAction):
-                        self._select_strategy(action.name)
-                        continue
-                    if isinstance(action, GuessAction):
-                        if position < len(prefix):
-                            if action.n != fanouts[position]:
-                                raise ReplayDivergenceError(
-                                    "nondeterministic guest: fan-out "
-                                    "changed during replay",
-                                    prefix=prefix,
-                                    position=position,
-                                    pc=self.vcpu.regs.rip - 1,
-                                    expected=fanouts[position],
-                                    actual=action.n,
-                                )
-                            self.vcpu.regs.rax = prefix[position]
-                            position += 1
-                            stats.replayed_decisions += 1
-                            if self.recorder is not None:
-                                self.recorder.begin_segment(prefix[:position])
-                            continue
-                        if action.n == 0:
-                            stats.fails += 1
-                            return
-                        self._locked = True
-                        candidate = _PrefixCandidate(
-                            prefix, fanouts, action.n, action.hints
-                        )
-                        stats.candidates += 1
-                        self._strategy.add(
-                            Extension(
-                                candidate,
-                                number=i,
-                                hint=(action.hints[i]
-                                      if action.hints is not None else None),
-                                depth=candidate.depth,
-                            )
-                            for i in range(action.n)
-                        )
-                        return
-                    if isinstance(action, GuessFailAction):
-                        stats.fails += 1
-                        return
-                    if isinstance(action, ExitAction):
-                        stats.completions += 1
-                        solutions.append(
-                            Solution(
-                                value=(action.status, state.console.text),
-                                path=prefix[:position] if position < len(prefix)
-                                else prefix,
-                            )
-                        )
-                        return
-                    if isinstance(action, KillAction):
-                        stats.kills += 1
-                        return
-                    raise AssertionError(f"unhandled {action!r}")  # pragma: no cover
-            finally:
-                state.free()
-
-        evaluate((), ())
-        exhausted = True
+        stepper.step(stepper.boot(program))
         while True:
             if self.max_solutions is not None and len(solutions) >= self.max_solutions:
-                exhausted = False
                 stop_reason = "max_solutions"
                 break
             if (
                 self.max_evaluations is not None
                 and stats.evaluations >= self.max_evaluations
             ):
-                exhausted = False
                 stop_reason = "max_evaluations"
                 break
-            ext = self._strategy.next()
+            ext = stepper.strategy.next()
             if ext is None:
                 break
-            cand: _PrefixCandidate = ext.candidate
-            evaluate(cand.prefix + (ext.number,), cand.fanouts + (cand.n,))
-        self._strategy.drain()
-        stats.peak_frontier = self._strategy.stats.peak_frontier
+            cand: Candidate = ext.candidate
+            stepper.step(stepper.boot(program, cand.path + (ext.number,),
+                                      cand.fanouts))
+        result = stepper.result(stop_reason)
         stats.extra["guest_instructions"] = self.vcpu.vmcs.guest_instructions
         stats.extra["vm_exits"] = self.vcpu.vmcs.exits
         if self.recorder is not None:
             stats.extra["nondet_recorded"] = self.recorder.recorded
             stats.extra["nondet_replayed"] = self.recorder.replayed
-        return SearchResult(
-            solutions=solutions,
-            stats=stats,
-            strategy=self._strategy.name,
-            exhausted=exhausted,
-            stop_reason=stop_reason,
-        )
+        return result
 
-    def _select_strategy(self, name: str) -> None:
-        if name == self._strategy.name:
-            return
-        if self._locked:
-            raise GuessError(
-                f"cannot switch strategy to {name!r} after the first guess"
-            )
-        self._strategy = get_strategy(name)
+    def _spill(self, pending: Pending, n: int,
+               hints: Optional[tuple[float, ...]]) -> bool:
+        """Queue a fresh choice point's extensions; their candidate is the
+        decision prefix alone, with no snapshot."""
+        self._stepper.fan_out(
+            Candidate(None, pending.path, pending.fanouts + (n,), None), hints
+        )
+        return True

@@ -961,6 +961,10 @@ class TcpWorkerConnection:
 
     def _pump(self, blocking: bool) -> bool:
         """Read socket bytes into the inbox; True if anything arrived."""
+        # Frames that came in behind a handshake reply (an outbox flushed
+        # on reattach) are already buffered: deliver them first.
+        if len(self._decoder) and self._unpack(b""):
+            return True
         sock = self._sock
         try:
             if not blocking:
@@ -982,6 +986,10 @@ class TcpWorkerConnection:
             except ConnectionError:
                 raise EOFError("coordinator gone") from None
             return False
+        return self._unpack(data)
+
+    def _unpack(self, data: bytes) -> bool:
+        """Feed *data* to the decoder and queue every complete message."""
         try:
             self._decoder.feed(data)
             got = False

@@ -32,6 +32,9 @@ from repro.mem.addrspace import AddressSpace
 from repro.mem.frames import FramePool
 from repro.vmm.vcpu import VCpu, VmExit, VmExitReason
 
+#: Kill reason of an extension that ran out of its instruction budget.
+STEP_BUDGET_EXHAUSTED = "extension step budget exhausted"
+
 
 @dataclass
 class ExecState:
@@ -104,7 +107,7 @@ class LibOS:
         if reason is VmExitReason.CPU_EXCEPTION:
             return KillAction(f"cpu exception: {exit_event.fault}")
         if reason is VmExitReason.STEP_LIMIT:
-            return KillAction("extension step budget exhausted")
+            return KillAction(STEP_BUDGET_EXHAUSTED)
         raise AssertionError(f"unhandled exit {exit_event!r}")  # pragma: no cover
 
 

@@ -119,14 +119,14 @@ def test_worker_divergence_verdict_lookup():
         return _SubtreeWorker(program, ClusterConfig(nondet_sites=sites))
 
     # verify="off": no analysis, no verdict to cite.
-    assert worker(None)._divergence_verdict(0x400010) is None
+    assert worker(None).stepper.verdict(0x400010) is None
     # Certified program: divergence implicates the engine, not the guest.
-    assert "certified" in worker(())._divergence_verdict(0x400010)
+    assert "certified" in worker(()).stepper.verdict(0x400010)
     # Flagged site: the verdict names the lint.
     flagged = worker(((0x400010, "DT001"),))
-    assert "DT001" in flagged._divergence_verdict(0x400010)
+    assert "DT001" in flagged.stepper.verdict(0x400010)
     # Uncertified program, different site: cite the known sites.
-    assert "0x400010" in flagged._divergence_verdict(0x400099)
+    assert "0x400010" in flagged.stepper.verdict(0x400099)
 
 
 def test_python_replay_divergence_cites_prefix():

@@ -14,9 +14,11 @@ Three acceptance properties from the observability work:
 Fault hooks are module-level (pickled into spawned workers).
 """
 
+import functools
 import json
 import os
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -45,12 +47,25 @@ def _crash_first_attempt(task):
         os._exit(1)
 
 
-class _MidRunProbe(threading.Thread):
-    """Polls the status endpoints from another thread during the run."""
+def _hold_until_probed(flag_path, task):
+    """Hold one first-generation task until the probe has scraped a
+    mid-run ``/metrics`` body carrying the step counter, so the run
+    cannot finish (and stop its server) first.  Bounded well under the
+    task timeout."""
+    if task.attempt == 0 and task.prefix == _POISON:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(flag_path) and time.monotonic() < deadline:
+            time.sleep(0.01)
 
-    def __init__(self, url):
+
+class _MidRunProbe(threading.Thread):
+    """Polls the status endpoints from another thread during the run;
+    touches *flag_path* once a ``/metrics`` body shows the step counter."""
+
+    def __init__(self, url, flag_path=None):
         super().__init__(daemon=True)
         self.url = url
+        self.flag_path = flag_path
         self.statuses = []
         self.metrics_bodies = []
         self.stop = threading.Event()
@@ -63,7 +78,11 @@ class _MidRunProbe(threading.Thread):
                     self.statuses.append(json.loads(resp.read()))
                 with urllib.request.urlopen(
                         self.url + "/metrics", timeout=2) as resp:
-                    self.metrics_bodies.append(resp.read().decode())
+                    body = resp.read().decode()
+                self.metrics_bodies.append(body)
+                if (self.flag_path is not None
+                        and "repro_parallel_guest_steps_total" in body):
+                    open(self.flag_path, "a").close()
             except OSError:
                 pass
             self.stop.wait(0.02)
@@ -73,6 +92,7 @@ class TestLiveEndpoints:
     def test_mid_run_serving_and_final_exactness(self, tmp_path,
                                                  sequential_5):
         log_path = str(tmp_path / "status.jsonl")
+        probed = str(tmp_path / "probed")
         engine = ProcessParallelEngine(
             workers=2,
             subtree_depth=1,
@@ -81,6 +101,7 @@ class TestLiveEndpoints:
             status_log=log_path,
             status_interval=0.05,
             heartbeat_interval=0.02,
+            fault_hook=functools.partial(_hold_until_probed, probed),
         )
 
         probe_holder = {}
@@ -91,7 +112,7 @@ class TestLiveEndpoints:
                 if stop_waiting.is_set():
                     return
                 threading.Event().wait(0.01)
-            probe = _MidRunProbe(engine.status_server.url)
+            probe = _MidRunProbe(engine.status_server.url, probed)
             probe_holder["probe"] = probe
             probe.run()  # reuse this thread as the poll loop
 

@@ -1,10 +1,12 @@
-"""Differential agreement across the three machine-guest engines.
+"""Differential agreement across the four machine-guest engines.
 
 The same assembly guest explored by :class:`MachineEngine` (sequential
 snapshots), :class:`ParallelMachineEngine` (time-sliced simulated
-concurrency) and :class:`ProcessParallelEngine` (real worker processes
-with replay rehydration) must produce the identical solution *set* —
-discovery order is allowed to differ, which is why comparisons sort.
+concurrency), :class:`ReplayMachineEngine` (no snapshots: every
+extension re-executes from the entry) and :class:`ProcessParallelEngine`
+(real worker processes with replay rehydration) must produce the
+identical solution *set* — discovery order is allowed to differ, which
+is why comparisons sort.
 
 Workloads cover distinct search shapes: n-queens (uniform fan-out),
 sudoku (constrained fan-out seeded by givens), graph coloring (dense
@@ -16,6 +18,7 @@ import pytest
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.machine import MachineEngine
 from repro.core.parallel import ParallelMachineEngine
+from repro.core.replay_machine import ReplayMachineEngine
 from repro.workloads.coloring import (
     WHEEL5_EDGES,
     WHEEL5_NODES,
@@ -56,6 +59,7 @@ def make_engines(order):
     return [
         MachineEngine(strategy=order),
         ParallelMachineEngine(workers=3, quantum=40, strategy=order),
+        ReplayMachineEngine(strategy=order),
         ProcessParallelEngine(workers=2, strategy=order, task_step_budget=2000),
     ]
 
@@ -97,6 +101,7 @@ def test_max_solutions_consistent(order, reference):
         (MachineEngine, {"strategy": order}),
         (ParallelMachineEngine, {"workers": 3, "quantum": 40,
                                  "strategy": order}),
+        (ReplayMachineEngine, {"strategy": order}),
         (ProcessParallelEngine, {"workers": 2, "strategy": order,
                                  "task_step_budget": 2000}),
     ]:
