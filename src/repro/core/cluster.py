@@ -47,6 +47,7 @@ nondeterministic — the differential suite pins this down.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import multiprocessing
 import time
@@ -59,6 +60,7 @@ from repro.core.errors import ReplayDivergenceError
 from repro.core.lease import LeaseTable
 from repro.core.transport import (
     EndpointDown,
+    LocalTransport,
     PipeTransport,
     TcpTransport,
     TcpWorkerConnection,
@@ -77,6 +79,7 @@ from repro.core.stepper import ExtensionStepper, Pending
 from repro.core.supervisor import (
     SlotState,
     SupervisorPolicy,
+    WorkerSlot,
     WorkerSupervisor,
 )
 from repro.cpu.assembler import Program, assemble
@@ -195,11 +198,11 @@ class _SubtreeWorker:
     """
 
     def __init__(self, program: Program, config: ClusterConfig,
-                 replay_log: Optional[NondetLog] = None, worker_id: int = -1):
+                 worker_id: int = -1):
         self.program = program
         self.config = config
-        #: The id trace events name (-1: the coordinator's in-process
-        #: worker of degraded mode).
+        #: The id trace events and results name (-1: the coordinator's
+        #: in-process endpoint of degraded mode).
         self.worker_id = worker_id
         input_source = None
         if config.input_script is not None:
@@ -211,7 +214,7 @@ class _SubtreeWorker:
             hostfs = HostFS(dict(config.hostfs_files),
                             block_size=config.hostfs_block_size)
         self.libos = LibOS(hostfs=hostfs, input=input_source)
-        self.recorder = recorder_for(config.replay_mode, replay_log)
+        self.recorder = recorder_for(config.replay_mode)
         self.libos.dispatcher.nondet = self.recorder
         self.pool = FramePool()
         self.registry = MetricsRegistry("cluster-worker")
@@ -382,6 +385,59 @@ class _SubtreeWorker:
 #: re-dispatches.
 _STEAL_REANNOUNCE_S = 1.0
 
+#: Trace events each worker's flight-recorder ring keeps.
+_FLIGHT_EVENTS = 256
+
+
+def _serve_batch(worker: _SubtreeWorker, conn, work: tuple,
+                 emitter: Optional[HeartbeatEmitter] = None,
+                 collector: Optional[MemorySink] = None) -> None:
+    """Explore a ``work`` message's batch in dispatch order, sending one
+    ``task`` message per task through *conn*: the batch body of both
+    :func:`_worker_main` and degraded mode's in-process endpoint.
+    Exceptions propagate to the caller."""
+    _, batch, solutions_budget, shipped_events = work
+    config = worker.config
+    if worker.recorder is not None and shipped_events:
+        worker.recorder.log.merge(shipped_events)
+    for task in batch:
+        if _TRACER.enabled:
+            _TRACER.emit(
+                _events.TASK_BEGIN, worker=worker.worker_id,
+                task=list(task.prefix), depth=task.depth,
+                span=task.span, attempt=task.attempt,
+            )
+        if emitter is not None:
+            # Force a beat before the fault hook can kill us: the
+            # shipped ring (with task.begin) is what the flight
+            # recorder dumps for this death.
+            worker.heartbeat = (
+                lambda t=task: emitter.beat(task=t.prefix, span=t.span)
+            )
+            emitter.beat(task=task.prefix, span=task.span, force=True)
+        if config.fault_hook is not None:
+            config.fault_hook(task)
+        solutions, spilled = worker.explore(task, solutions_budget)
+        if solutions_budget is not None:
+            solutions_budget = max(0, solutions_budget - len(solutions))
+        state = worker.registry.state_dict()
+        if emitter is not None:
+            worker.heartbeat = None
+            # Bank the lifetime counters this reset will zero.
+            emitter.note_task_result(state)
+        worker.registry.reset()
+        segment = collector.drain() if collector is not None else None
+        fresh_events = (
+            worker.recorder.drain_fresh()
+            if worker.recorder is not None else []
+        )
+        if config.pipe_hook is not None:
+            config.pipe_hook(conn, task)
+        conn.send(
+            ("task", worker.worker_id, task.key(), task.fence, solutions,
+             spilled, state, segment, fresh_events)
+        )
+
 
 def _worker_main(worker_id: int, conn, program: Program,
                  config: ClusterConfig) -> None:
@@ -433,53 +489,14 @@ def _worker_main(worker_id: int, conn, program: Program,
             if not (isinstance(msg, tuple) and len(msg) == 4
                     and msg[0] == "work"):
                 continue  # duplicated/unknown control frame: ignore
-            _, batch, solutions_budget, shipped_events = msg
-            if worker.recorder is not None and shipped_events:
-                worker.recorder.log.merge(shipped_events)
-            for task in batch:
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_BEGIN, worker=worker_id,
-                        task=list(task.prefix), depth=task.depth,
-                        span=task.span, attempt=task.attempt,
-                    )
-                if emitter is not None:
-                    # Force a beat before the fault hook can kill us:
-                    # the shipped ring (with task.begin) is what the
-                    # flight recorder dumps for this death.
-                    worker.heartbeat = (
-                        lambda t=task: emitter.beat(task=t.prefix, span=t.span)
-                    )
-                    emitter.beat(task=task.prefix, span=task.span, force=True)
-                if config.fault_hook is not None:
-                    config.fault_hook(task)
-                try:
-                    solutions, spilled = worker.explore(task, solutions_budget)
-                except Exception as exc:  # engine/guest error: report and die
-                    conn.send(("error", worker_id,
-                               f"{type(exc).__name__}: {exc}"))
-                    return
-                if solutions_budget is not None:
-                    solutions_budget = max(
-                        0, solutions_budget - len(solutions)
-                    )
-                state = worker.registry.state_dict()
-                if emitter is not None:
-                    worker.heartbeat = None
-                    # Bank the lifetime counters this reset will zero.
-                    emitter.note_task_result(state)
-                worker.registry.reset()
-                segment = collector.drain() if collector is not None else None
-                fresh_events = (
-                    worker.recorder.drain_fresh()
-                    if worker.recorder is not None else []
-                )
-                if config.pipe_hook is not None:
-                    config.pipe_hook(conn, task)
-                conn.send(
-                    ("task", worker_id, task.key(), task.fence, solutions,
-                     spilled, state, segment, fresh_events)
-                )
+            try:
+                _serve_batch(worker, conn, msg, emitter, collector)
+            except (EOFError, OSError):
+                raise  # the link itself failed: nothing can be reported
+            except Exception as exc:  # engine/guest error: report and die
+                conn.send(("error", worker_id,
+                           f"{type(exc).__name__}: {exc}"))
+                return
             conn.send(("steal", worker_id, config.steal_batch))
             last_steal = time.monotonic()
     except (EOFError, OSError, KeyboardInterrupt, ConnectionError):
@@ -518,17 +535,17 @@ def tcp_worker(host: str, port: int) -> None:
 
 
 class _WorkerHandle:
-    __slots__ = ("ep", "slot_index", "pending", "last_progress", "want")
+    __slots__ = ("ep", "slot", "pending", "last_progress", "want")
 
-    def __init__(self, ep, slot_index: int):
+    def __init__(self, ep, slot: WorkerSlot):
         #: The transport endpoint this worker is reached through.
         self.ep = ep
-        #: Index of the supervisor slot this worker occupies.
-        self.slot_index = slot_index
+        #: The supervisor slot this worker occupies.
+        self.slot = slot
         #: Leased tasks dispatched and not yet settled, in worker order
         #: (each carries the fence it travelled under).
         self.pending: list[PrefixTask] = []
-        self.last_progress = 0.0
+        self.last_progress = time.monotonic()
         #: Outstanding steal capacity (0 = no unfulfilled steal).
         self.want = 0
 
@@ -539,6 +556,13 @@ class _WorkerHandle:
     @property
     def busy(self) -> bool:
         return bool(self.pending)
+
+    def take(self, key: tuple, fence: int) -> Optional[PrefixTask]:
+        """Remove and return the pending task granted as (key, fence)."""
+        for i, task in enumerate(self.pending):
+            if task.key() == key and task.fence == fence:
+                return self.pending.pop(i)
+        return None
 
 
 class ProcessParallelEngine:
@@ -565,9 +589,6 @@ class ProcessParallelEngine:
     max_task_retries:
         How many times a task lost to a crash or timeout is re-dispatched
         before being dropped (a drop marks the result not exhausted).
-    mp_context:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (fast worker startup), else ``spawn``.
     fault_hook:
         Test-only fault injector run in workers (see :class:`ClusterConfig`).
     collect_trace:
@@ -602,15 +623,13 @@ class ProcessParallelEngine:
     fsync:
         Journal durability policy: ``"always"``, ``"batch"`` (default)
         or ``"off"``.
-    min_workers:
-        Graceful-degradation floor: when the supervisor can no longer
-        keep at least this many worker slots serviceable, the remaining
-        frontier is finished on an in-process engine instead of
-        aborting the run.
     supervisor:
-        Full :class:`~repro.core.supervisor.SupervisorPolicy`
-        (respawn backoff, poison threshold, slot failure limit).  When
-        given it wins over the *min_workers* convenience parameter.
+        :class:`~repro.core.supervisor.SupervisorPolicy`: respawn
+        backoff, poison threshold, slot failure limit, and the
+        graceful-degradation floor ``min_workers`` — when fewer worker
+        slots stay serviceable, the coordinator closes the pool and
+        finishes the frontier on an in-process endpoint instead of
+        aborting the run.
     chaos:
         A :class:`~repro.chaos.FaultPlan` wired into the three
         injection seams (worker fault hook, result-pipe hook, journal
@@ -660,12 +679,10 @@ class ProcessParallelEngine:
         step counter demonstrably grows — a stalled worker cannot beat,
         so stalls still time out.
     flight_dir:
-        Directory for flight-recorder post-mortems: each worker's most
-        recent *flight_events* trace events (shipped inside heartbeats,
-        so they survive ``kill -9``) are dumped to a JSONL file when
-        the supervisor observes that worker crash or stall.
-    flight_events:
-        Ring capacity per worker for *flight_dir* (default 256).
+        Directory for flight-recorder post-mortems: each worker's 256
+        most recent trace events (shipped inside heartbeats, so they
+        survive ``kill -9``) are dumped to a JSONL file when the
+        supervisor observes that worker crash or stall.
     transport:
         The wire between coordinator and workers: ``"pipe"`` (default;
         local worker processes over duplex multiprocessing pipes) or
@@ -704,14 +721,12 @@ class ProcessParallelEngine:
         max_solutions: Optional[int] = None,
         task_timeout: Optional[float] = 30.0,
         max_task_retries: int = 2,
-        mp_context: Optional[str] = None,
         fault_hook: Optional[Callable[[PrefixTask], None]] = None,
         collect_trace: Optional[bool] = None,
         verify: str = "off",
         journal: Optional[str] = None,
         resume: bool = False,
         fsync: str = "batch",
-        min_workers: int = 1,
         supervisor: Optional[SupervisorPolicy] = None,
         chaos=None,
         replay_mode: str = "off",
@@ -723,7 +738,6 @@ class ProcessParallelEngine:
         status_interval: float = 0.5,
         heartbeat_interval: Optional[float] = None,
         flight_dir: Optional[str] = None,
-        flight_events: int = 256,
         transport: str = "pipe",
         listen: Optional[tuple] = None,
         lease_timeout: Optional[float] = None,
@@ -760,8 +774,6 @@ class ProcessParallelEngine:
             raise ValueError("status_interval must be > 0")
         if heartbeat_interval is not None and heartbeat_interval < 0:
             raise ValueError("heartbeat_interval must be >= 0")
-        if flight_events < 1:
-            raise ValueError("flight_events must be >= 1")
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -797,8 +809,7 @@ class ProcessParallelEngine:
             else (NondetLog() if replay_mode != "off" else None)
         )
         self.supervisor_policy = (
-            supervisor if supervisor is not None
-            else SupervisorPolicy(min_workers=min_workers)
+            supervisor if supervisor is not None else SupervisorPolicy()
         )
         self.status_port = status_port
         self.status_log = status_log
@@ -843,15 +854,16 @@ class ProcessParallelEngine:
             ),
             heartbeat_interval=hb_interval,
             flight_events=(
-                flight_events
+                _FLIGHT_EVENTS
                 if flight_dir is not None and hb_interval is not None else 0
             ),
             steal_batch=batch_size,
         )
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        # fork where available: fast worker startup.
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         self.registry = MetricsRegistry("cluster-engine")
         self._next_wid = 0
 
@@ -867,41 +879,63 @@ class ProcessParallelEngine:
                 program, self.verify, replay_mode=self.replay_mode
             )
             sites = nondet_sites(self.last_report)
-        self.registry.reset()
-        stats = SearchStats(registry=self.registry)
-        reg = self.registry
-        c_dispatches = reg.counter("parallel.dispatches")
-        c_tasks = reg.counter("parallel.tasks_dispatched")
-        c_done = reg.counter("parallel.tasks_completed")
-        c_spilled = reg.counter("parallel.tasks_spilled")
-        c_crashes = reg.counter("parallel.worker_crashes")
-        c_timeouts = reg.counter("parallel.task_timeouts")
-        c_retries = reg.counter("parallel.tasks_retried")
-        c_dropped = reg.counter("parallel.tasks_dropped")
-        c_trace_merged = reg.counter("parallel.trace_events_merged")
-        c_trace_dropped = reg.counter("parallel.trace_dropped")
-        c_respawns = reg.counter("parallel.respawns")
-        c_poisoned = reg.counter("parallel.poisoned_tasks")
-        c_degraded = reg.counter("parallel.degraded_runs")
-        c_proto = reg.counter("parallel.protocol_errors")
-        c_resume_filtered = reg.counter("parallel.resume_spills_filtered")
-        c_heartbeats = reg.counter("telemetry.heartbeats")
-        c_flight = reg.counter("telemetry.flight_dumps")
-        c_steals = reg.counter("parallel.steals")
-        c_lease_expired = reg.counter("parallel.leases_expired")
-        c_fenced = reg.counter("parallel.fenced_stale")
-        c_joins = reg.counter("parallel.worker_joins")
-        g_workers = reg.gauge("parallel.workers")
+        coordinator = _Coordinator(self, program, sites)
+        try:
+            coordinator.run()
+        finally:
+            coordinator.close()
+        return coordinator.result()
+
+
+class _Coordinator:
+    """One :meth:`ProcessParallelEngine.run`, as explicit state.
+
+    Scheduling is written once against the transport interface: every
+    batch is granted by :meth:`_dispatch`, every result accounted by
+    :meth:`_settle`, and every task that will not report decided by
+    :meth:`_lose`.  Degraded mode is not a second loop: it swaps the
+    pool's transport for an in-process endpoint and carries on.
+    """
+
+    def __init__(self, engine: ProcessParallelEngine, program: Program,
+                 sites: Optional[tuple[tuple[int, str], ...]]):
+        self.engine = engine
+        self.program = program
+        engine.registry.reset()
+        self.reg = reg = engine.registry
+        self.stats = SearchStats(registry=reg)
+        self.c_dispatches = reg.counter("parallel.dispatches")
+        self.c_tasks = reg.counter("parallel.tasks_dispatched")
+        self.c_done = reg.counter("parallel.tasks_completed")
+        self.c_spilled = reg.counter("parallel.tasks_spilled")
+        self.c_crashes = reg.counter("parallel.worker_crashes")
+        self.c_timeouts = reg.counter("parallel.task_timeouts")
+        self.c_retries = reg.counter("parallel.tasks_retried")
+        self.c_dropped = reg.counter("parallel.tasks_dropped")
+        self.c_trace_merged = reg.counter("parallel.trace_events_merged")
+        self.c_trace_dropped = reg.counter("parallel.trace_dropped")
+        self.c_respawns = reg.counter("parallel.respawns")
+        self.c_poisoned = reg.counter("parallel.poisoned_tasks")
+        self.c_degraded = reg.counter("parallel.degraded_runs")
+        self.c_proto = reg.counter("parallel.protocol_errors")
+        self.c_resume_filtered = reg.counter("parallel.resume_spills_filtered")
+        self.c_heartbeats = reg.counter("telemetry.heartbeats")
+        self.c_flight = reg.counter("telemetry.flight_dumps")
+        self.c_steals = reg.counter("parallel.steals")
+        self.c_lease_expired = reg.counter("parallel.leases_expired")
+        self.c_fenced = reg.counter("parallel.fenced_stale")
+        self.c_joins = reg.counter("parallel.worker_joins")
+        self.g_workers = reg.gauge("parallel.workers")
 
         # Trace propagation: workers collect iff the coordinator traces,
         # unless explicitly overridden.  An override to False while a
         # sink is attached means worker events are lost — make that loud.
         collect = (
-            _TRACER.enabled if self.collect_trace is None
-            else self.collect_trace
+            _TRACER.enabled if engine.collect_trace is None
+            else engine.collect_trace
         )
-        run_config = dataclasses.replace(
-            self.config, collect_trace=collect, nondet_sites=sites
+        self.config = dataclasses.replace(
+            engine.config, collect_trace=collect, nondet_sites=sites
         )
         if _TRACER.enabled and not collect:
             warnings.warn(
@@ -909,936 +943,757 @@ class ProcessParallelEngine:
                 "collecting (collect_trace=False): worker-side trace events "
                 "will be dropped",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of ProcessParallelEngine.run
             )
 
-        span = next(_run_spans)
-        run_status = RunStatus(
-            workers=self.num_workers, span=span, strategy=self.strategy_name,
+        self.span = next(_run_spans)
+        self.status = engine.status = RunStatus(
+            workers=engine.num_workers, span=self.span,
+            strategy=engine.strategy_name,
         )
-        self.status = run_status
-        server: Optional[StatusServer] = None
-        logger: Optional[StatusLogger] = None
-        flight: Optional[FlightRecorder] = None
-        if self.status_port is not None:
-            server = StatusServer(run_status, port=self.status_port).start()
-        self.status_server = server
-        if self.flight_dir is not None and run_config.flight_events > 0:
-            flight = FlightRecorder(
-                self.flight_dir, capacity=run_config.flight_events,
-            )
-        self.flight_recorder = flight
-        frontier = TaskFrontier(order=self.strategy_name)
-        solutions: list[Solution] = []
-        stop_reason: Optional[str] = None
-        degraded = False
+        self.server: Optional[StatusServer] = None
+        self.logger: Optional[StatusLogger] = None
+        self.flight: Optional[FlightRecorder] = None
+        self.last_refresh = 0.0
+        self.frontier = TaskFrontier(order=engine.strategy_name)
+        self.solutions: list[Solution] = []
+        self.stop_reason: Optional[str] = None
+        self.degraded = False
+        self.poisoned: list[tuple[PrefixTask, list]] = []
+        self.sup = WorkerSupervisor(engine.num_workers,
+                                    engine.supervisor_policy)
+        self.nlog = engine.replay_log  # the run's merged nondet-event log
+        self.journal: Optional[JournalWriter] = None
         #: Task keys already completed in the journaled run: a resumed
         #: coordinator drops re-spills of these so a re-explored parent
         #: (its own completion record lost to corruption) can never
         #: double-count a child's already-durable solutions.
-        resume_completed: set[tuple[int, ...]] = set()
-        poisoned: list[tuple[PrefixTask, list]] = []
-        recovered = None
-        journal: Optional[JournalWriter] = None
-        digest = program_digest(program)
-        jhook = self.chaos.journal_hook if self.chaos is not None else None
-        sup = WorkerSupervisor(self.num_workers, self.supervisor_policy)
-
-        nlog = self.replay_log  # coordinator's merged nondet-event log
-
-        if self.resume:
-            recovered = recover(self.journal_path)
-            check_resume(recovered, digest, sites,
-                         replay_mode=self.replay_mode)
-            if nlog is not None and recovered.nondet_events:
-                nlog.merge_records(recovered.nondet_events)
-            journal = JournalWriter(
-                self.journal_path, fsync=self.fsync,
-                start_epoch=recovered.last_epoch + 1,
-                truncate_to=recovered.valid_bytes,
-                fault_hook=jhook, registry=reg,
-            )
-            for spath, status, text in recovered.solutions:
-                solutions.append(Solution(value=(status, text), path=spath))
-            resume_completed = set(recovered.completed_keys)
-            for task, evidence in recovered.poisoned:
-                sup.quarantine(task.key())
-                poisoned.append((task, evidence))
-            frontier.extend(recovered.pending)
-            journal.append(
-                "resume", span=span, pending=len(recovered.pending),
-                solutions=len(solutions), skipped=recovered.skipped,
-                torn=recovered.torn,
-            )
-        else:
-            root = PrefixTask(span=span)
-            if self.journal_path is not None:
-                journal = JournalWriter(
-                    self.journal_path, fsync=self.fsync,
-                    fault_hook=jhook, registry=reg,
+        self.resume_completed: set[tuple[int, ...]] = set()
+        self.recovered = None
+        if engine.resume:
+            self.recovered = rec = recover(engine.journal_path)
+            check_resume(rec, program_digest(program), sites,
+                         replay_mode=engine.replay_mode)
+            if self.nlog is not None and rec.nondet_events:
+                self.nlog.merge_records(rec.nondet_events)
+            for spath, status, text in rec.solutions:
+                self.solutions.append(
+                    Solution(value=(status, text), path=spath)
                 )
-                journal.append(
-                    "run_begin",
-                    version=JOURNAL_VERSION,
-                    program=digest,
-                    span=span,
-                    strategy=self.strategy_name,
-                    workers=self.num_workers,
-                    batch_size=self.batch_size,
-                    subtree_depth=self.config.subtree_depth,
-                    task_step_budget=self.config.task_step_budget,
-                    max_steps=self.config.max_steps_per_extension,
-                    max_solutions=self.max_solutions,
-                    replay_mode=self.replay_mode,
-                    transport=self.transport_name,
-                    lease_timeout=self.lease_timeout,
-                    certified=(None if sites is None else not sites),
-                    nondet_sites=(
-                        None if sites is None
-                        else [[pc, lint] for pc, lint in sites]
-                    ),
-                    root=root.to_record(),
-                )
-            frontier.push(root)
-
-        poll = 0.02 if self.task_timeout is None else min(
-            0.02, self.task_timeout / 4
-        )
-
-        # -- transport, leases, steal pool ------------------------------
-        if self.transport_name == "tcp":
-            host, port = self.listen if self.listen is not None else (
-                "127.0.0.1", 0,
-            )
-            net_hook = (
-                self.chaos.net_hook
-                if self.chaos is not None
-                and getattr(self.chaos, "has_net_faults", False)
-                else None
-            )
-            transport = TcpTransport(
-                self._ctx, host=host, port=port,
-                worker_entry=_tcp_worker_entry, net_hook=net_hook,
-                heartbeat_timeout=self.heartbeat_timeout,
-                start_wid=self._next_wid,
-            )
+            self.resume_completed = set(rec.completed_keys)
+            for task, evidence in rec.poisoned:
+                self.sup.quarantine(task.key())
+                self.poisoned.append((task, evidence))
+            self.frontier.extend(rec.pending)
         else:
-            transport = PipeTransport(
-                self._ctx, _worker_main, start_wid=self._next_wid,
-            )
-        transport.start(program, run_config)
-        self.transport_address = transport.address
-        #: Wire-level observations (chaos net faults) arrive from the
-        #: transport's loop thread; the tracer is single-threaded, so
-        #: they are buffered here and drained into the trace by the
-        #: coordinator loop.  deque.append is atomic under the GIL.
-        wire_events: deque = deque()
-        if self.transport_name == "tcp" and _TRACER.enabled:
-            transport.on_wire_event = (
-                lambda kind, **f: wire_events.append((kind, f))
-            )
+            self.frontier.push(PrefixTask(span=self.span))
+        #: Every task key settled this run (superset of the resumed
+        #: completed set): the second line of defence against double
+        #: counting, behind fence matching.
+        self.completed_keys: set[tuple[int, ...]] = set(self.resume_completed)
 
         #: Leases expire a bit *after* the stall detector would have
         #: fired: the stall path (which kills the worker) stays primary;
         #: lease expiry is the backstop for results lost in flight and
         #: for partitioned workers that still look healthy.
-        lease_s = self.lease_timeout
-        if lease_s is None and self.task_timeout is not None:
-            lease_s = self.task_timeout * 1.5
-        leases = LeaseTable(
+        lease_s = engine.lease_timeout
+        if lease_s is None and engine.task_timeout is not None:
+            lease_s = engine.task_timeout * 1.5
+        self.leases = LeaseTable(
             duration=lease_s,
             start_fence=(
-                recovered.last_fence + 1 if recovered is not None else 1
+                self.recovered.last_fence + 1 if self.recovered else 1
             ),
         )
-        #: Every task key settled this run (superset of the resumed
-        #: completed set): the second line of defence against double
-        #: counting, behind fence matching.
-        completed_keys: set[tuple[int, ...]] = set(resume_completed)
+        #: The pool's transport, and the one in use: the same object
+        #: until degraded mode swaps in the in-process endpoint.
+        self.pool = self.transport = None
+        #: Worker handles by supervisor slot index, and by worker id.
+        self.handles: dict[int, _WorkerHandle] = {}
+        self.by_wid: dict[int, _WorkerHandle] = {}
         #: wids with unfulfilled steal announcements, FIFO.
-        steal_queue: deque[int] = deque()
-        by_wid: dict[int, _WorkerHandle] = {}
+        self.steal_queue: deque[int] = deque()
+        self.wire_events: deque = deque()
 
-        def make_handle(ep, slot_index: int) -> _WorkerHandle:
-            handle = _WorkerHandle(ep, slot_index)
-            handle.last_progress = time.monotonic()
-            by_wid[ep.wid] = handle
-            return handle
+    # -- lifecycle -------------------------------------------------------
 
-        handles: list[Optional[_WorkerHandle]] = [
-            make_handle(transport.spawn(), i)
-            for i in range(self.num_workers)
-        ]
-        g_workers.set(self.num_workers)
-
-        track_status = self._telemetry
-        status_every = min(0.25, self.status_interval)
-        last_refresh = 0.0
-
-        def worker_health() -> list[dict]:
-            health = sup.health()
-            for entry in health:
-                handle = handles[entry["slot"]]
-                entry["worker"] = handle.wid if handle is not None else None
-                entry["busy"] = bool(handle is not None and handle.busy)
-            return health
-
-        def maybe_refresh(force: bool = False) -> None:
-            nonlocal last_refresh
-            if not track_status:
-                return
-            now = time.monotonic()
-            if not force and now - last_refresh < status_every:
-                return
-            last_refresh = now
-            run_status.refresh(
-                reg.state_dict(),
-                pending=len(frontier),
-                in_flight=sum(
-                    len(h.pending) for h in handles if h is not None
+    def _start(self) -> None:
+        """Open the run's telemetry, journal and worker pool."""
+        e = self.engine
+        if e.status_port is not None:
+            self.server = StatusServer(self.status, port=e.status_port).start()
+        e.status_server = self.server
+        if e.flight_dir is not None and self.config.flight_events > 0:
+            self.flight = FlightRecorder(
+                e.flight_dir, capacity=self.config.flight_events,
+            )
+        e.flight_recorder = self.flight
+        rec, sites = self.recovered, self.config.nondet_sites
+        if e.journal_path is not None:
+            self.journal = JournalWriter(
+                e.journal_path, fsync=e.fsync,
+                start_epoch=rec.last_epoch + 1 if rec else 0,
+                truncate_to=rec.valid_bytes if rec else None,
+                fault_hook=(e.chaos.journal_hook
+                            if e.chaos is not None else None),
+                registry=self.reg,
+            )
+        if rec is not None:
+            self._journal(
+                "resume", span=self.span, pending=len(rec.pending),
+                solutions=len(self.solutions), skipped=rec.skipped,
+                torn=rec.torn,
+            )
+        else:
+            self._journal(
+                "run_begin",
+                version=JOURNAL_VERSION,
+                program=program_digest(self.program),
+                span=self.span,
+                strategy=e.strategy_name,
+                workers=e.num_workers,
+                batch_size=e.batch_size,
+                subtree_depth=e.config.subtree_depth,
+                task_step_budget=e.config.task_step_budget,
+                max_steps=e.config.max_steps_per_extension,
+                max_solutions=e.max_solutions,
+                replay_mode=e.replay_mode,
+                transport=e.transport_name,
+                lease_timeout=e.lease_timeout,
+                certified=(None if sites is None else not sites),
+                nondet_sites=(
+                    None if sites is None
+                    else [[pc, lint] for pc, lint in sites]
                 ),
-                solutions=len(solutions),
-                health=worker_health(),
+                root=PrefixTask(span=self.span).to_record(),
             )
 
-        maybe_refresh(force=True)
-        if self.status_log is not None:
-            logger = StatusLogger(
-                run_status, self.status_log, interval=self.status_interval,
+        if e.transport_name == "tcp":
+            host, port = e.listen if e.listen is not None else (
+                "127.0.0.1", 0,
+            )
+            net_hook = (
+                e.chaos.net_hook
+                if e.chaos is not None
+                and getattr(e.chaos, "has_net_faults", False)
+                else None
+            )
+            transport = TcpTransport(
+                e._ctx, host=host, port=port,
+                worker_entry=_tcp_worker_entry, net_hook=net_hook,
+                heartbeat_timeout=e.heartbeat_timeout,
+                start_wid=e._next_wid,
+            )
+            if _TRACER.enabled:
+                # Wire-level observations (chaos net faults) arrive on
+                # the transport's loop thread; the tracer is
+                # single-threaded, so they are buffered here and drained
+                # into the trace by the coordinator loop.  deque.append
+                # is atomic under the GIL.
+                transport.on_wire_event = (
+                    lambda kind, **f: self.wire_events.append((kind, f))
+                )
+        else:
+            transport = PipeTransport(
+                e._ctx, _worker_main, start_wid=e._next_wid,
+            )
+        self.pool = self.transport = transport.start(self.program,
+                                                     self.config)
+        e.transport_address = transport.address
+        for slot in self.sup.slots:
+            self._add_handle(transport.spawn(), slot)
+        self.g_workers.set(e.num_workers)
+        self._refresh(force=True)
+        if e.status_log is not None:
+            self.logger = StatusLogger(
+                self.status, e.status_log, interval=e.status_interval,
             ).start()
 
-        def journal_append(rtype: str, **fields) -> None:
-            if journal is not None:
-                journal.append(rtype, **fields)
-
-        def solutions_payload(task_solutions) -> list:
-            return [
-                [list(path), status, text]
-                for path, status, text in task_solutions
-            ]
-
-        def batch_events(batch) -> list:
-            """Recorded events every task in *batch* may replay through."""
-            if nlog is None:
-                return []
-            picked: dict = {}
-            for task in batch:
-                for event in nlog.events_for_task(task.prefix):
-                    picked[event.key()] = event
-            return list(picked.values())
-
-        def absorb_events(fresh_events) -> None:
-            """Merge worker-recorded events and make them durable.
-
-            The ``nondet`` record must land *before* the task's
-            ``complete`` record: if the completion is later lost, the
-            re-explored subtree replays these events and reproduces the
-            durable solutions instead of re-rolling them.
-            """
-            if nlog is None or not fresh_events:
-                return
-            nlog.merge(fresh_events)
-            journal_append(
-                "nondet", events=[e.to_record() for e in fresh_events]
-            )
-
-        def push_tasks(tasks) -> None:
-            for task in tasks:
-                key = task.key()
-                if key in completed_keys:
-                    if key in resume_completed:
-                        c_resume_filtered.inc()
-                    continue
-                if sup.is_poisoned(key):
-                    continue  # quarantined: never re-dispatched
-                frontier.push(task)
-
-        def reclaim(handle: _WorkerHandle, reason: str) -> None:
-            """Revoke *handle*'s leases, requeue the tasks (no blame).
-
-            Used when the worker is believed healthy but its results
-            were lost in flight (it announced a steal while the
-            coordinator still held leases for it): the revocation
-            fences off any late duplicate, the requeue re-executes.
-            """
-            tasks, handle.pending = list(handle.pending), []
-            for task in tasks:
-                lease = leases.revoke(task.key())
-                if lease is None or lease.fence != task.fence:
-                    continue  # superseded already (expired, re-granted)
-                c_lease_expired.inc()
-                journal_append("expire", task=task.to_record(),
-                               fence=task.fence, worker=handle.wid,
-                               reason=reason)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.PARALLEL_LEASE_EXPIRED,
-                        task=list(task.prefix), fence=task.fence,
-                        worker=handle.wid,
-                    )
-                if (task.key() in completed_keys
-                        or sup.is_poisoned(task.key())):
-                    continue
-                if task.attempt >= self.max_task_retries:
-                    c_dropped.inc()
-                    journal_append("drop", task=task.to_record())
-                    if _TRACER.enabled:
-                        _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
-                    continue
-                c_retries.inc()
-                frontier.push(task.retried())
-
-        def fail_worker(slot, handle: _WorkerHandle, kind: str,
-                        detail: str = "") -> None:
-            """Account one worker death: blame, requeue, schedule respawn."""
-            if flight is not None:
-                flight.record_failure(
-                    handle.wid, kind, detail,
-                    task=(
-                        list(handle.pending[0].prefix)
-                        if handle.pending else None
-                    ),
-                )
-                c_flight.inc()
-            run_status.on_worker_failed(handle.wid)
-            if kind == "timeout":
-                c_timeouts.inc()
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_TIMEOUT, worker=handle.wid)
-            else:
-                c_crashes.inc()
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_CRASH, worker=handle.wid)
-            # Sever trust in the endpoint.  For pipes this also
-            # terminates the process; for TCP it only disconnects — a
-            # partitioned worker cannot be signalled either, and its
-            # possible resurfacing (with now-stale fences) is exactly
-            # the case the lease table exists for.
-            handle.ep.kill()
-            # Fence off everything the worker still owed us: whatever
-            # it delivers from here on settles as stale.
-            leases.revoke_worker(handle.wid)
-            # Workers run their batch in dispatch order and report per
-            # task, so the first unreported task is the one that was
-            # executing: the suspect.  Batch-mates are requeued without
-            # an attempt bump — they are collateral, not culprits.
-            suspect = handle.pending[0] if handle.pending else None
-            decision = sup.record_failure(
-                slot, handle.wid, kind,
-                suspect.key() if suspect is not None else None, detail,
-            )
-            requeue: list[PrefixTask] = []
-            if suspect is not None:
-                if decision.poison:
-                    c_poisoned.inc()
-                    poisoned.append((suspect, decision.evidence))
-                    journal_append("poisoned", task=suspect.to_record(),
-                                   evidence=decision.evidence)
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.PARALLEL_POISONED,
-                            task=list(suspect.prefix),
-                            kills=len(decision.evidence),
-                        )
-                elif suspect.attempt >= self.max_task_retries:
-                    c_dropped.inc()
-                    journal_append("drop", task=suspect.to_record())
-                    if _TRACER.enabled:
-                        _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
-                else:
-                    requeue.append(suspect.retried())
-                requeue.extend(handle.pending[1:])
-            handle.pending = []
-            handles[slot.index] = None
-            if by_wid.get(handle.wid) is handle:
-                del by_wid[handle.wid]
-            if requeue:
-                c_retries.inc(len(requeue))
-                if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_RETRY, worker=handle.wid,
-                                 tasks=len(requeue))
-                # Requeue lost tasks ahead of everything else so retries
-                # bound the damage a flaky worker can do to latency.
-                for task in requeue:
-                    frontier.push(task)
-
-        def register_join(ep, detail: str = "") -> None:
-            """An external (or resurfaced) worker completed the
-            handshake: give it a non-respawnable slot and let it steal."""
-            slot = sup.add_slot(respawnable=False)
-            handles.append(make_handle(ep, slot.index))
-            c_joins.inc()
-            g_workers.set(
-                sum(1 for h in handles if h is not None)
-            )
-            journal_append("join", worker=ep.wid, detail=detail)
-            if _TRACER.enabled:
-                _TRACER.emit(_events.PARALLEL_JOIN, worker=ep.wid,
-                             detail=detail)
-
-        def run_degraded() -> None:
-            """Finish the frontier in-process after pool collapse.
-
-            The in-process engine is the same :class:`_SubtreeWorker`
-            stack the workers run, so semantics are identical; fault
-            and pipe hooks are stripped (injected worker faults would
-            kill the coordinator, and there is no pipe).
-            """
-            local_config = dataclasses.replace(
-                run_config, fault_hook=None, pipe_hook=None,
-                collect_trace=False,
-            )
-            # The in-process worker records straight into the
-            # coordinator's log; drained fresh events are journaled the
-            # same way a remote worker's shipped events are.
-            local = _SubtreeWorker(program, local_config, replay_log=nlog)
-            while frontier:
-                if (
-                    self.max_solutions is not None
-                    and len(solutions) >= self.max_solutions
-                ):
-                    break
-                task = frontier.pop()
-                journal_append("dispatch", task=task.to_record(), worker=-1)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.TASK_BEGIN, worker=-1,
-                        task=list(task.prefix), depth=task.depth,
-                        span=task.span, attempt=task.attempt,
-                    )
-                remaining = (
-                    None if self.max_solutions is None
-                    else max(self.max_solutions - len(solutions), 0)
-                )
-                task_solutions, spilled = local.explore(task, remaining)
-                reg.merge_state(local.registry.state_dict())
-                local.registry.reset()
-                c_done.inc()
-                c_spilled.inc(len(spilled))
-                run_status.on_task_complete(
-                    -1, task.fanouts, len(task_solutions),
-                    [t.fanouts for t in spilled],
-                )
-                push_tasks(spilled)
-                maybe_refresh()
-                if local.recorder is not None:
-                    fresh = local.recorder.drain_fresh()
-                    if fresh:  # already merged: it records into nlog
-                        journal_append(
-                            "nondet",
-                            events=[e.to_record() for e in fresh],
-                        )
-                journal_append(
-                    "complete", task=task.to_record(),
-                    solutions=solutions_payload(task_solutions),
-                    spilled=[t.to_record() for t in spilled],
-                )
-                for spath, status, text in task_solutions:
-                    solutions.append(Solution(value=(status, text), path=spath))
-
-        try:
-            while True:
-                if (
-                    self.max_solutions is not None
-                    and len(solutions) >= self.max_solutions
-                ):
-                    stop_reason = "max_solutions"
-                    break
-                maybe_refresh()
-
+    def run(self) -> None:
+        """Schedule until the frontier is exhausted or a stop condition
+        holds, then seal the journal.  Any exception path (worker error,
+        chaos kill) skips the seal, leaving the journal resumable."""
+        e = self.engine
+        self._start()
+        poll = 0.02 if e.task_timeout is None else min(
+            0.02, e.task_timeout / 4
+        )
+        while True:
+            if self._remaining() == 0:
+                self.stop_reason = "max_solutions"
+                break
+            self._refresh()
+            if not self.degraded:
                 now = time.monotonic()
-                for slot in sup.respawn_ready(now):
-                    replacement = make_handle(transport.spawn(), slot.index)
-                    handles[slot.index] = replacement
-                    sup.mark_running(slot)
-                    c_respawns.inc()
+                for slot in self.sup.respawn_ready(now):
+                    handle = self._add_handle(self.transport.spawn(), slot)
+                    self.sup.mark_running(slot)
+                    self.c_respawns.inc()
                     if _TRACER.enabled:
                         _TRACER.emit(
-                            _events.PARALLEL_RESPAWN, worker=replacement.wid,
+                            _events.PARALLEL_RESPAWN, worker=handle.wid,
                             slot=slot.index, failures=slot.failures,
                         )
-
-                if sup.collapsed() and (
-                    frontier
-                    or any(h is not None and h.busy for h in handles)
+                if self.sup.collapsed() and (
+                    self.frontier
+                    or any(h.busy for h in self.handles.values())
                 ):
-                    degraded = True
-                    break
+                    self._degrade()
+            self._dispatch()
 
-                # Fulfil steal announcements off the frontier.  Workers
-                # *pull*: an idle worker announces capacity and the
-                # coordinator grants it a leased batch — nothing is
-                # pushed unsolicited, so a slow worker never queues work
-                # it cannot start while a fast one sits idle.
-                while steal_queue and frontier:
-                    wid = steal_queue.popleft()
-                    handle = by_wid.get(wid)
-                    if handle is None or handle.busy:
-                        continue  # died or was re-dispatched meanwhile
-                    slot = sup.slots[handle.slot_index]
-                    if slot.state is not SlotState.RUNNING:
-                        continue
-                    if not handle.ep.alive():
-                        fail_worker(slot, handle, "crash",
-                                    "worker died while idle")
-                        continue
-                    want = max(1, min(handle.want, self.batch_size))
-                    handle.want = 0
-                    batch = frontier.take_batch(want)
-                    remaining = (
-                        None if self.max_solutions is None
-                        else max(self.max_solutions - len(solutions), 0)
+            busy = any(h.busy for h in self.handles.values())
+            if not busy and not self.frontier:
+                break  # frontier exhausted, nothing in flight
+            timeout = poll
+            if not busy:
+                # Everything runnable is mid-backoff (or tasks were just
+                # requeued): wait to the nearest respawn deadline instead
+                # of spinning.  The transport still gets polled — a TCP
+                # pool can gain an external joiner while every local
+                # slot is down.
+                due = self.sup.next_respawn_due()
+                if due is not None:
+                    timeout = min(poll, max(0.0, due - time.monotonic()))
+            events = self.transport.poll(max(0.0, timeout))
+            now = time.monotonic()
+            while self.wire_events:
+                kind, f = self.wire_events.popleft()
+                if kind == "net_fault" and _TRACER.enabled:
+                    _TRACER.emit(
+                        _events.CHAOS_NET_FAULT, action=f.get("kind"),
+                        direction=f.get("direction"),
+                        worker=f.get("worker"), seq=f.get("seq"),
                     )
-                    granted = [
-                        leases.grant(task, handle.wid).task for task in batch
-                    ]
-                    handle.pending = list(granted)
-                    handle.last_progress = time.monotonic()
-                    try:
-                        handle.ep.send(("work", granted, remaining,
-                                        batch_events(granted)))
-                    except EndpointDown:
-                        fail_worker(slot, handle, "crash",
-                                    "dispatch channel closed")
-                        continue
-                    c_dispatches.inc()
-                    c_tasks.inc(len(granted))
-                    for task in granted:
-                        journal_append("dispatch", task=task.to_record(),
-                                       worker=handle.wid)
-                    if _TRACER.enabled:
-                        _TRACER.emit(_events.PARALLEL_DISPATCH,
-                                     worker=handle.wid, tasks=len(granted))
+            for ev in events:
+                self._on_event(ev, now)
+            for slot in self.sup.slots:
+                handle = self.handles.get(slot.index)
+                if handle is None or not handle.busy:
+                    continue  # failed or drained earlier this sweep
+                if not handle.ep.alive():
+                    self._fail(handle, "crash", "worker process died")
+                elif (
+                    e.task_timeout is not None
+                    and now - handle.last_progress > e.task_timeout
+                ):
+                    self._fail(handle, "timeout",
+                               f"no progress for {e.task_timeout:.1f}s")
+            # Lease expiry is the *backstop* behind the stall detector
+            # above (leases outlive the task timeout by design): it
+            # fires when results were lost in flight or a partitioned
+            # worker still looks alive.  The expired fence is retired;
+            # whatever the old holder eventually delivers settles stale.
+            for lease in self.leases.expired(now):
+                holder = self.by_wid.get(lease.wid)
+                if holder is not None:
+                    holder.take(lease.key, lease.fence)
+                self._expire(lease.task, lease.wid, "lease expired")
 
-                busy_count = sum(
-                    1 for h in handles if h is not None and h.busy
-                )
-                if not busy_count and not frontier:
-                    break  # frontier exhausted, nothing in flight
-                timeout = poll
-                if not busy_count:
-                    # Everything runnable is mid-backoff (or tasks were
-                    # just requeued): wait to the nearest respawn
-                    # deadline instead of spinning.  The transport still
-                    # gets polled — a TCP pool can gain an external
-                    # joiner while every local slot is down.
-                    due = sup.next_respawn_due()
-                    if due is not None:
-                        timeout = min(poll, max(0.0, due - time.monotonic()))
+        if self.stop_reason is None and self.poisoned:
+            self.stop_reason = "tasks_poisoned"
+        if self.stop_reason is None and self.c_dropped.value:
+            self.stop_reason = "task_retries_exhausted"
+        if e.max_solutions is not None:
+            del self.solutions[e.max_solutions:]
+        self._journal(
+            "run_end", stop_reason=self.stop_reason,
+            exhausted=self.stop_reason is None,
+            solutions=len(self.solutions),
+        )
 
-                events = transport.poll(max(0.0, timeout))
-                now = time.monotonic()
-                while wire_events:
-                    kind, f = wire_events.popleft()
-                    if kind == "net_fault" and _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.CHAOS_NET_FAULT,
-                            action=f.get("kind"),
-                            direction=f.get("direction"),
-                            worker=f.get("worker"), seq=f.get("seq"),
-                        )
-                for ev in events:
-                    if ev.kind == "join":
-                        register_join(ev.endpoint, ev.detail)
-                        continue
-                    handle = by_wid.get(ev.endpoint.wid)
-                    if handle is None or handle.ep is not ev.endpoint:
-                        continue  # failed/replaced earlier this sweep
-                    slot = sup.slots[handle.slot_index]
-                    if ev.kind == "down":
-                        if ev.protocol_error:
-                            c_proto.inc()
-                        fail_worker(slot, handle, ev.fail_kind or "crash",
-                                    ev.detail)
-                        continue
-                    msg = ev.payload
-                    if (
-                        not isinstance(msg, tuple)
-                        or len(msg) < 3
-                        or msg[0] not in ("task", "error", "hb", "steal")
-                        or (msg[0] == "task" and len(msg) != 9)
-                        or (msg[0] == "hb"
-                            and not (len(msg) == 3
-                                     and isinstance(msg[2], HeartbeatRecord)))
-                        or (msg[0] == "steal"
-                            and not (len(msg) == 3
-                                     and isinstance(msg[2], int)))
-                    ):
-                        c_proto.inc()
-                        fail_worker(slot, handle, "crash",
-                                    f"malformed result message {msg!r}"[:200])
-                        continue
-                    if msg[0] == "steal":
-                        if handle.busy:
-                            if (now - handle.last_progress
-                                    < _STEAL_REANNOUNCE_S):
-                                # Sent before our latest dispatch reached
-                                # the worker (the two crossed in flight):
-                                # it will steal again once that batch is
-                                # done.
-                                continue
-                            # The worker says it is idle while the
-                            # coordinator still holds leases for it: its
-                            # results were lost in flight (dropped
-                            # frames, a reconnect).  Reclaim eagerly —
-                            # the requeue re-executes, and the revoked
-                            # fences turn any late duplicate delivery
-                            # into a discarded stale.
-                            reclaim(handle, "steal while leases held")
-                        handle.want = msg[2]
-                        if handle.wid not in steal_queue:
-                            steal_queue.append(handle.wid)
-                            c_steals.inc()
-                            if _TRACER.enabled:
-                                _TRACER.emit(
-                                    _events.PARALLEL_STEAL,
-                                    worker=handle.wid, want=msg[2],
-                                )
-                        continue
-                    if msg[0] == "hb":
-                        record: HeartbeatRecord = msg[2]
-                        c_heartbeats.inc()
-                        progressed = run_status.observe_heartbeat(record)
-                        if flight is not None and record.events:
-                            flight.extend(handle.wid, record.events)
-                        if progressed and handle.busy:
-                            # The worker's step counter grew: its task
-                            # is alive, defer the stall timeout.  (A
-                            # stalled worker cannot beat, so real
-                            # stalls still trip it.)  Leases ride the
-                            # same signal — observed progress renews
-                            # ownership.
-                            handle.last_progress = now
-                            leases.extend_worker(handle.wid, now)
-                        continue
-                    if msg[0] == "error":
-                        if str(msg[2]).startswith(
-                            "ReplayDivergenceError:"
-                        ):
-                            # Surface a worker's replay divergence as
-                            # itself: callers catch the typed error the
-                            # same way whichever engine detected it.
-                            raise ReplayDivergenceError(
-                                f"worker {msg[1]}: {msg[2]}"
-                            )
-                        raise WorkerError(msg[1], msg[2])
-                    (_kind, _wid, key, fence, task_solutions, spilled,
-                     state, segment, fresh_events) = msg
-                    key = tuple(key)
-                    handle.last_progress = now
-                    if leases.settle(key, fence) == "stale":
-                        # A fenced-off result: the lease expired (or the
-                        # worker was declared down) and the task was
-                        # re-dispatched, or this is a duplicated
-                        # delivery.  Discard it *wholesale* — no
-                        # registry merge, no solutions, no spills, no
-                        # journal complete — so the accepted execution
-                        # remains the only accounting of this subtree.
-                        c_fenced.inc()
-                        journal_append(
-                            "stale", task={"prefix": list(key)},
-                            fence=fence, worker=handle.wid,
-                        )
-                        if _TRACER.enabled:
-                            _TRACER.emit(
-                                _events.PARALLEL_FENCED_STALE,
-                                worker=handle.wid, task=list(key),
-                                fence=fence,
-                            )
-                        for i, task in enumerate(handle.pending):
-                            if task.key() == key and task.fence == fence:
-                                handle.pending.pop(i)
-                                break
-                        continue
-                    completed: Optional[PrefixTask] = None
-                    for i, task in enumerate(handle.pending):
-                        if task.key() == key:
-                            completed = handle.pending.pop(i)
-                            break
-                    completed_keys.add(key)
-                    sup.record_success(slot)
-                    c_done.inc()
-                    c_spilled.inc(len(spilled))
-                    reg.merge_state(state)
-                    run_status.on_task_complete(
-                        handle.wid,
-                        completed.fanouts if completed is not None else (),
-                        len(task_solutions),
-                        [t.fanouts for t in spilled],
-                    )
-                    push_tasks(spilled)
-                    absorb_events(fresh_events)
-                    journal_append(
-                        "complete",
-                        task=(
-                            completed.to_record() if completed is not None
-                            else {"prefix": list(key), "fanouts": []}
-                        ),
-                        worker=handle.wid,
-                        solutions=solutions_payload(task_solutions),
-                        spilled=[t.to_record() for t in spilled],
-                    )
-                    for spath, status, text in task_solutions:
-                        solutions.append(
-                            Solution(value=(status, text), path=spath)
-                        )
-                    if _TRACER.enabled:
-                        # Splice the worker's buffered segment in between
-                        # its dispatch and its result event, so the merged
-                        # stream stays causally ordered.
-                        if segment:
-                            c_trace_merged.inc(
-                                _TRACER.ingest(segment, worker=handle.wid)
-                            )
-                        elif segment is None:
-                            # The worker never collected: its events for
-                            # this task are gone.  Count the loss.
-                            c_trace_dropped.inc()
-                        _TRACER.emit(
-                            _events.PARALLEL_RESULT, worker=handle.wid,
-                            solutions=len(task_solutions),
-                            spilled=len(spilled),
-                        )
-                for slot in sup.slots:
-                    handle = handles[slot.index]
-                    if handle is None or not handle.busy:
-                        continue  # failed or drained earlier this sweep
-                    if not handle.ep.alive():
-                        fail_worker(slot, handle, "crash",
-                                    "worker process died")
-                    elif (
-                        self.task_timeout is not None
-                        and now - handle.last_progress > self.task_timeout
-                    ):
-                        fail_worker(
-                            slot, handle, "timeout",
-                            f"no progress for {self.task_timeout:.1f}s",
-                        )
+    def close(self) -> None:
+        """Release workers, journal and telemetry, on every exit path."""
+        if self.transport is not None:
+            self._close_transport()
+            # Worker ids stay unique across an engine's runs even though
+            # each run builds a fresh transport.
+            self.engine._next_wid = self.pool._next_wid
+        self.g_workers.set(0)
+        if self.journal is not None:
+            self.journal.close()
+        # Seal the status: uncommitted heartbeat states are dropped, so
+        # from here the status metrics mirror the engine registry.
+        self._finalize()
+        if self.logger is not None:
+            self.logger.stop()
+        if self.server is not None:
+            self.server.stop()
 
-                # Lease expiry is the *backstop* behind the stall
-                # detector above (leases outlive the task timeout by
-                # design): it fires when results were lost in flight or
-                # a partitioned worker still looks alive.  The expired
-                # fence is retired, the task requeued under a fresh one;
-                # whatever the old holder eventually delivers settles
-                # stale.
-                for lease in leases.expired(now):
-                    c_lease_expired.inc()
-                    journal_append(
-                        "expire", task=lease.task.to_record(),
-                        fence=lease.fence, worker=lease.wid,
-                        reason="lease expired",
-                    )
-                    if _TRACER.enabled:
-                        _TRACER.emit(
-                            _events.PARALLEL_LEASE_EXPIRED,
-                            task=list(lease.key), fence=lease.fence,
-                            worker=lease.wid,
-                        )
-                    holder = by_wid.get(lease.wid)
-                    if holder is not None:
-                        holder.pending = [
-                            t for t in holder.pending
-                            if not (t.key() == lease.key
-                                    and t.fence == lease.fence)
-                        ]
-                    if (lease.key in completed_keys
-                            or sup.is_poisoned(lease.key)):
-                        continue
-                    if lease.task.attempt >= self.max_task_retries:
-                        c_dropped.inc()
-                        journal_append("drop", task=lease.task.to_record())
-                        if _TRACER.enabled:
-                            _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
-                        continue
-                    c_retries.inc()
-                    frontier.push(lease.task.retried())
+    def _close_transport(self) -> None:
+        """Signal busy workers at once (their tasks are lost by
+        construction); the transport's close poisons the idle ones and
+        reaps every local process."""
+        for handle in self.handles.values():
+            if handle.busy:
+                handle.ep.kill()
+        self.transport.close()
 
-            if degraded:
-                # Reclaim in-flight tasks, drop the dead pool, and
-                # finish what remains on an in-process engine.  Every
-                # live lease is drained with it: from here the
-                # coordinator is the only executor, so any late remote
-                # result is stale by construction.
-                for slot in sup.slots:
-                    handle = handles[slot.index]
-                    if handle is not None and handle.pending:
-                        frontier.extend(handle.pending)
-                        handle.pending = []
-                leases.drain()
-                self._shutdown([h for h in handles if h is not None])
-                handles = [None] * len(handles)
-                by_wid.clear()
-                steal_queue.clear()
-                g_workers.set(0)
-                c_degraded.inc()
+    def _degrade(self) -> None:
+        """Close the collapsed pool and finish on an in-process endpoint
+        that serves batches with the workers' own :func:`_serve_batch`
+        (minus the fault and pipe hooks: an injected worker fault would
+        kill the coordinator), in a slot the supervisor never respawns.
+        """
+        self._close_transport()
+        # Requeue in-flight tasks untouched and fence off every live
+        # lease: nothing the old pool still delivers can count.
+        for handle in self.handles.values():
+            for task in handle.pending:
+                self._lose(task, suspect=False)
+        self.leases.drain()
+        self.handles.clear()
+        self.by_wid.clear()
+        self.steal_queue.clear()
+        self.g_workers.set(0)
+        self.degraded = True
+        self.c_degraded.inc()
+        if _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_DEGRADED, pending=len(self.frontier))
+        self._journal("degraded", pending=len(self.frontier))
+        local = _SubtreeWorker(self.program, dataclasses.replace(
+            self.config, fault_hook=None, pipe_hook=None,
+        ))
+        # The in-process worker emits straight into this tracer; the
+        # unattached sink drains an empty segment, which says that no
+        # worker-side event was lost.
+        self.transport = LocalTransport(
+            functools.partial(_serve_batch, local, collector=MemorySink())
+        ).start(self.program, self.config)
+        self._add_handle(self.transport.spawn(),
+                         self.sup.add_slot(respawnable=False))
+
+    # -- scheduling --------------------------------------------------------
+
+    def _add_handle(self, ep, slot: WorkerSlot) -> _WorkerHandle:
+        handle = _WorkerHandle(ep, slot)
+        self.handles[slot.index] = handle
+        self.by_wid[ep.wid] = handle
+        return handle
+
+    def _dispatch(self) -> None:
+        """Fulfil steal announcements off the frontier.
+
+        Workers *pull*: an idle worker announces capacity and the
+        coordinator grants it a leased batch — nothing is pushed
+        unsolicited, so a slow worker never queues work it cannot start
+        while a fast one sits idle.
+        """
+        e = self.engine
+        while self.steal_queue and self.frontier:
+            handle = self.by_wid.get(self.steal_queue.popleft())
+            if handle is None or handle.busy:
+                continue  # died or was re-dispatched meanwhile
+            if handle.slot.state is not SlotState.RUNNING:
+                continue
+            if not handle.ep.alive():
+                self._fail(handle, "crash", "worker died while idle")
+                continue
+            want = max(1, min(handle.want, e.batch_size))
+            handle.want = 0
+            granted = [
+                self.leases.grant(task, handle.wid).task
+                for task in self.frontier.take_batch(want)
+            ]
+            handle.pending = list(granted)
+            handle.last_progress = time.monotonic()
+            try:
+                handle.ep.send(("work", granted, self._remaining(),
+                                self._batch_events(granted)))
+            except EndpointDown:
+                self._fail(handle, "crash", "dispatch channel closed")
+                continue
+            self.c_dispatches.inc()
+            self.c_tasks.inc(len(granted))
+            for task in granted:
+                self._journal("dispatch", task=task.to_record(),
+                              worker=handle.wid)
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_DISPATCH, worker=handle.wid,
+                             tasks=len(granted))
+
+    def _remaining(self) -> Optional[int]:
+        """Solutions the run still wants (None: no limit)."""
+        cap = self.engine.max_solutions
+        return None if cap is None else max(cap - len(self.solutions), 0)
+
+    def _batch_events(self, batch) -> list:
+        """Recorded events every task in *batch* may replay through."""
+        if self.nlog is None:
+            return []
+        picked: dict = {}
+        for task in batch:
+            for event in self.nlog.events_for_task(task.prefix):
+                picked[event.key()] = event
+        return list(picked.values())
+
+    def _on_event(self, ev, now: float) -> None:
+        """Account one transport event."""
+        if ev.kind == "join":
+            # An external (or resurfaced) worker completed the
+            # handshake: give it a non-respawnable slot and let it steal.
+            self._add_handle(ev.endpoint, self.sup.add_slot(respawnable=False))
+            self.c_joins.inc()
+            self.g_workers.set(len(self.handles))
+            self._journal("join", worker=ev.endpoint.wid, detail=ev.detail)
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_JOIN, worker=ev.endpoint.wid,
+                             detail=ev.detail)
+            return
+        handle = self.by_wid.get(ev.endpoint.wid)
+        if handle is None or handle.ep is not ev.endpoint:
+            return  # failed/replaced earlier this sweep
+        if ev.kind == "down":
+            if ev.protocol_error:
+                self.c_proto.inc()
+            self._fail(handle, ev.fail_kind or "crash", ev.detail)
+            return
+        msg = ev.payload
+        if (
+            not isinstance(msg, tuple)
+            or len(msg) < 3
+            or msg[0] not in ("task", "error", "hb", "steal")
+            or (msg[0] == "task" and len(msg) != 9)
+            or (msg[0] == "hb"
+                and not (len(msg) == 3
+                         and isinstance(msg[2], HeartbeatRecord)))
+            or (msg[0] == "steal"
+                and not (len(msg) == 3 and isinstance(msg[2], int)))
+        ):
+            self.c_proto.inc()
+            self._fail(handle, "crash",
+                       f"malformed result message {msg!r}"[:200])
+            return
+        if msg[0] == "steal":
+            if handle.busy:
+                if now - handle.last_progress < _STEAL_REANNOUNCE_S:
+                    # Sent before our latest dispatch reached the worker
+                    # (the two crossed in flight): it will steal again
+                    # once that batch is done.
+                    return
+                # The worker says it is idle while the coordinator still
+                # holds leases for it: its results were lost in flight
+                # (dropped frames, a reconnect).  Reclaim eagerly — the
+                # requeue re-executes, and the revoked fences turn any
+                # late duplicate delivery into a discarded stale.
+                tasks, handle.pending = handle.pending, []
+                for task in tasks:
+                    lease = self.leases.revoke(task.key())
+                    if lease is not None and lease.fence == task.fence:
+                        self._expire(task, handle.wid,
+                                     "steal while leases held")
+            handle.want = msg[2]
+            if handle.wid not in self.steal_queue:
+                self.steal_queue.append(handle.wid)
+                self.c_steals.inc()
                 if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_DEGRADED,
-                                 pending=len(frontier))
-                journal_append("degraded", pending=len(frontier))
-                run_degraded()
+                    _TRACER.emit(_events.PARALLEL_STEAL, worker=handle.wid,
+                                 want=msg[2])
+        elif msg[0] == "hb":
+            record: HeartbeatRecord = msg[2]
+            self.c_heartbeats.inc()
+            progressed = self.status.observe_heartbeat(record)
+            if self.flight is not None and record.events:
+                self.flight.extend(handle.wid, record.events)
+            if progressed and handle.busy:
+                # The worker's step counter grew: its task is alive,
+                # defer the stall timeout.  (A stalled worker cannot
+                # beat, so real stalls still trip it.)  Leases ride the
+                # same signal — observed progress renews ownership.
+                handle.last_progress = now
+                self.leases.extend_worker(handle.wid, now)
+        elif msg[0] == "error":
+            if str(msg[2]).startswith("ReplayDivergenceError:"):
+                # Surface a worker's replay divergence as itself: callers
+                # catch the typed error the same way whichever engine
+                # detected it.
+                raise ReplayDivergenceError(f"worker {msg[1]}: {msg[2]}")
+            raise WorkerError(msg[1], msg[2])
+        else:
+            self._settle(handle, msg, now)
 
-            # Normal completion: seal the journal.  Any exception path
-            # (worker error, chaos kill) skips this, leaving the journal
-            # resumable.
-            if (
-                stop_reason is None
-                and self.max_solutions is not None
-                and len(solutions) >= self.max_solutions
-            ):
-                stop_reason = "max_solutions"
-            if stop_reason is None and poisoned:
-                stop_reason = "tasks_poisoned"
-            if stop_reason is None and c_dropped.value:
-                stop_reason = "task_retries_exhausted"
-            if self.max_solutions is not None:
-                del solutions[self.max_solutions:]
-            journal_append(
-                "run_end", stop_reason=stop_reason,
-                exhausted=stop_reason is None, solutions=len(solutions),
+    def _settle(self, handle: _WorkerHandle, msg: tuple, now: float) -> None:
+        """Account one ``task`` result: fence check, registry merge,
+        status, spills, nondet events, the ``complete`` record,
+        solutions and the trace splice."""
+        (_kind, _wid, key, fence, task_solutions, spilled,
+         state, segment, fresh_events) = msg
+        key = tuple(key)
+        handle.last_progress = now
+        if self.leases.settle(key, fence) == "stale":
+            # A fenced-off result: the lease expired (or the worker was
+            # declared down) and the task was re-dispatched, or this is
+            # a duplicated delivery.  Discard it *wholesale* — no
+            # registry merge, no solutions, no spills, no journal
+            # complete — so the accepted execution remains the only
+            # accounting of this subtree.
+            self.c_fenced.inc()
+            self._journal("stale", task={"prefix": list(key)},
+                          fence=fence, worker=handle.wid)
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_FENCED_STALE,
+                             worker=handle.wid, task=list(key), fence=fence)
+            handle.take(key, fence)
+            return
+        completed = handle.take(key, fence)
+        self.completed_keys.add(key)
+        self.sup.record_success(handle.slot)
+        self.c_done.inc()
+        self.c_spilled.inc(len(spilled))
+        self.reg.merge_state(state)
+        self.status.on_task_complete(
+            handle.wid, completed.fanouts if completed is not None else (),
+            len(task_solutions), [t.fanouts for t in spilled],
+        )
+        for child in spilled:
+            if child.key() in self.completed_keys:
+                if child.key() in self.resume_completed:
+                    self.c_resume_filtered.inc()
+            elif not self.sup.is_poisoned(child.key()):
+                # (a quarantined subtree is never re-dispatched)
+                self.frontier.push(child)
+        if self.nlog is not None and fresh_events:
+            # The ``nondet`` record must land *before* the task's
+            # ``complete`` record: if the completion is later lost, the
+            # re-explored subtree replays these events and reproduces
+            # the durable solutions instead of re-rolling them.
+            self.nlog.merge(fresh_events)
+            self._journal(
+                "nondet", events=[e.to_record() for e in fresh_events]
             )
-        finally:
-            self._shutdown([h for h in handles if h is not None])
-            transport.close()
-            # Worker ids stay unique across a coordinator's runs even
-            # though each run builds a fresh transport.
-            self._next_wid = transport._next_wid
-            g_workers.set(0)
-            if journal is not None:
-                journal.close()
-            # Seal the status on every exit path (exceptions included):
-            # uncommitted heartbeat states are dropped, so from here the
-            # status metrics mirror the engine registry.
-            run_status.finalize(
-                reg.state_dict(), pending=len(frontier),
-                solutions=len(solutions), health=worker_health(),
-                stop_reason=stop_reason, degraded=degraded,
+        self._journal(
+            "complete",
+            task=(
+                completed.to_record() if completed is not None
+                else {"prefix": list(key), "fanouts": []}
+            ),
+            worker=handle.wid,
+            solutions=[[list(path), status, text]
+                       for path, status, text in task_solutions],
+            spilled=[t.to_record() for t in spilled],
+        )
+        for spath, status, text in task_solutions:
+            self.solutions.append(Solution(value=(status, text), path=spath))
+        if _TRACER.enabled:
+            # Splice the worker's buffered segment in between its
+            # dispatch and its result event, so the merged stream stays
+            # causally ordered.
+            if segment:
+                self.c_trace_merged.inc(
+                    _TRACER.ingest(segment, worker=handle.wid)
+                )
+            elif segment is None:
+                # The worker never collected: its events for this task
+                # are gone.  Count the loss.
+                self.c_trace_dropped.inc()
+            _TRACER.emit(
+                _events.PARALLEL_RESULT, worker=handle.wid,
+                solutions=len(task_solutions), spilled=len(spilled),
             )
-            if logger is not None:
-                logger.stop()
-            if server is not None:
-                server.stop()
 
-        stats.peak_frontier = max(stats.peak_frontier, frontier.peak)
+    # -- lost tasks --------------------------------------------------------
+
+    def _fail(self, handle: _WorkerHandle, kind: str,
+              detail: str = "") -> None:
+        """Account one worker death: blame, requeue, schedule respawn."""
+        # Workers run their batch in dispatch order and report per task,
+        # so the first unreported task is the one that was executing:
+        # the suspect.
+        suspect = handle.pending[0] if handle.pending else None
+        if self.flight is not None:
+            self.flight.record_failure(
+                handle.wid, kind, detail,
+                task=list(suspect.prefix) if suspect is not None else None,
+            )
+            self.c_flight.inc()
+        self.status.on_worker_failed(handle.wid)
+        if kind == "timeout":
+            self.c_timeouts.inc()
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_TIMEOUT, worker=handle.wid)
+        else:
+            self.c_crashes.inc()
+            if _TRACER.enabled:
+                _TRACER.emit(_events.PARALLEL_CRASH, worker=handle.wid)
+        # Sever trust in the endpoint.  For pipes this also terminates
+        # the process; for TCP it only disconnects — a partitioned worker
+        # cannot be signalled either, and its possible resurfacing (with
+        # now-stale fences) is exactly the case the lease table exists
+        # for.  Either way the transport's close reaps the process.
+        handle.ep.kill()
+        # Fence off everything the worker still owed us: whatever it
+        # delivers from here on settles as stale.
+        self.leases.revoke_worker(handle.wid)
+        decision = self.sup.record_failure(
+            handle.slot, handle.wid, kind,
+            suspect.key() if suspect is not None else None, detail,
+        )
+        requeued = 0
+        if suspect is not None:
+            if decision.poison:
+                self.c_poisoned.inc()
+                self.poisoned.append((suspect, decision.evidence))
+                self._journal("poisoned", task=suspect.to_record(),
+                              evidence=decision.evidence)
+                if _TRACER.enabled:
+                    _TRACER.emit(
+                        _events.PARALLEL_POISONED,
+                        task=list(suspect.prefix),
+                        kills=len(decision.evidence),
+                    )
+            else:
+                requeued += self._lose(suspect)
+            for task in handle.pending[1:]:
+                requeued += self._lose(task, suspect=False)
+        handle.pending = []
+        self.handles.pop(handle.slot.index, None)
+        if self.by_wid.get(handle.wid) is handle:
+            del self.by_wid[handle.wid]
+        if requeued and _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_RETRY, worker=handle.wid,
+                         tasks=requeued)
+
+    def _expire(self, task: PrefixTask, wid: int, reason: str) -> None:
+        """A lease ended without a result: record it, then lose the task."""
+        self.c_lease_expired.inc()
+        self._journal("expire", task=task.to_record(), fence=task.fence,
+                      worker=wid, reason=reason)
+        if _TRACER.enabled:
+            _TRACER.emit(_events.PARALLEL_LEASE_EXPIRED,
+                         task=list(task.prefix), fence=task.fence, worker=wid)
+        self._lose(task)
+
+    def _lose(self, task: PrefixTask, suspect: bool = True) -> bool:
+        """Skip, drop or requeue a task that will not report; returns
+        whether it was requeued.  Only a *suspect* (the task a dead
+        worker was running, or whose lease ended) is attempt-bumped and
+        can run out of retries; collateral tasks requeue untouched."""
+        key = task.key()
+        if key in self.completed_keys or self.sup.is_poisoned(key):
+            return False
+        if suspect:
+            if task.attempt >= self.engine.max_task_retries:
+                self.c_dropped.inc()
+                self._journal("drop", task=task.to_record())
+                if _TRACER.enabled:
+                    _TRACER.emit(_events.PARALLEL_DROP, tasks=1)
+                return False
+            task = task.retried()
+        self.c_retries.inc()
+        self.frontier.push(task)
+        return True
+
+    # -- status and result -------------------------------------------------
+
+    def _journal(self, rtype: str, **fields) -> None:
+        if self.journal is not None:
+            self.journal.append(rtype, **fields)
+
+    def _health(self) -> list[dict]:
+        health = self.sup.health()
+        for entry in health:
+            handle = self.handles.get(entry["slot"])
+            entry["worker"] = handle.wid if handle is not None else None
+            entry["busy"] = bool(handle is not None and handle.busy)
+        return health
+
+    def _refresh(self, force: bool = False) -> None:
+        if not self.engine._telemetry:
+            return
+        now = time.monotonic()
+        if (not force and now - self.last_refresh
+                < min(0.25, self.engine.status_interval)):
+            return
+        self.last_refresh = now
+        self.status.refresh(
+            self.reg.state_dict(),
+            pending=len(self.frontier),
+            in_flight=sum(len(h.pending) for h in self.handles.values()),
+            solutions=len(self.solutions),
+            health=self._health(),
+        )
+
+    def _finalize(self) -> None:
+        self.status.finalize(
+            self.reg.state_dict(), pending=len(self.frontier),
+            solutions=len(self.solutions), health=self._health(),
+            stop_reason=self.stop_reason, degraded=self.degraded,
+        )
+
+    def result(self) -> SearchResult:
+        e, reg, rec = self.engine, self.reg, self.recovered
+        stats = self.stats
+        stats.peak_frontier = max(stats.peak_frontier, self.frontier.peak)
         stats.extra.update({
-            "workers": self.num_workers,
-            "transport": self.transport_name,
-            "strategy_order": self.strategy_name,
-            "tasks_dispatched": c_tasks.value,
-            "tasks_completed": c_done.value,
-            "tasks_spilled": c_spilled.value,
-            "tasks_retried": c_retries.value,
-            "tasks_dropped": c_dropped.value,
-            "tasks_poisoned": len(poisoned),
-            "worker_crashes": c_crashes.value,
-            "task_timeouts": c_timeouts.value,
-            "respawns": c_respawns.value,
-            "protocol_errors": c_proto.value,
-            "degraded": bool(c_degraded.value),
-            "min_workers": self.supervisor_policy.min_workers,
-            "steals": c_steals.value,
-            "leases_expired": c_lease_expired.value,
-            "fenced_stale": c_fenced.value,
-            "worker_joins": c_joins.value,
-            "lease_timeout": lease_s,
-            "peak_task_frontier": frontier.peak,
+            "workers": e.num_workers,
+            "transport": e.transport_name,
+            "strategy_order": e.strategy_name,
+            "tasks_dispatched": self.c_tasks.value,
+            "tasks_completed": self.c_done.value,
+            "tasks_spilled": self.c_spilled.value,
+            "tasks_retried": self.c_retries.value,
+            "tasks_dropped": self.c_dropped.value,
+            "tasks_poisoned": len(self.poisoned),
+            "worker_crashes": self.c_crashes.value,
+            "task_timeouts": self.c_timeouts.value,
+            "respawns": self.c_respawns.value,
+            "protocol_errors": self.c_proto.value,
+            "degraded": bool(self.c_degraded.value),
+            "min_workers": e.supervisor_policy.min_workers,
+            "steals": self.c_steals.value,
+            "leases_expired": self.c_lease_expired.value,
+            "fenced_stale": self.c_fenced.value,
+            "worker_joins": self.c_joins.value,
+            "lease_timeout": self.leases.duration,
+            "peak_task_frontier": self.frontier.peak,
             "replay_steps": reg.counter("parallel.replay_steps").value,
             "guest_instructions": reg.counter("parallel.guest_steps").value,
-            "trace_events_merged": c_trace_merged.value,
-            "trace_dropped": c_trace_dropped.value,
-            "trace_span": span,
+            "trace_events_merged": self.c_trace_merged.value,
+            "trace_dropped": self.c_trace_dropped.value,
+            "trace_span": self.span,
             "snapshots_taken": reg.counter("snapshot.taken").value,
             "snapshots_restored": reg.counter("snapshot.restored").value,
             "frames_copied": reg.counter("mem.frames_copied").value,
         })
-        if self.transport_name == "tcp":
-            stats.extra["transport_stats"] = dict(transport.stats)
-        if nlog is not None:
+        if e.transport_name == "tcp":
+            stats.extra["transport_stats"] = dict(self.pool.stats)
+        if self.nlog is not None:
             stats.extra.update({
-                "replay_mode": self.replay_mode,
-                "nondet_events": len(nlog),
-                "nondet_conflicts": nlog.conflicts,
+                "replay_mode": e.replay_mode,
+                "nondet_events": len(self.nlog),
+                "nondet_conflicts": self.nlog.conflicts,
             })
-        if self.journal_path is not None:
+        if e.journal_path is not None:
             stats.extra.update({
-                "journal": self.journal_path,
+                "journal": e.journal_path,
                 "journal_records": reg.counter("journal.records").value,
                 "journal_fsyncs": reg.counter("journal.fsyncs").value,
-                "resumed": recovered is not None,
-                "resume_pending": len(recovered.pending) if recovered else 0,
-                "resume_solutions": (
-                    len(recovered.solutions) if recovered else 0
-                ),
-                "journal_skipped": recovered.skipped if recovered else 0,
-                "journal_torn": recovered.torn if recovered else 0,
-                "resume_spills_filtered": c_resume_filtered.value,
+                "resumed": rec is not None,
+                "resume_pending": len(rec.pending) if rec else 0,
+                "resume_solutions": len(rec.solutions) if rec else 0,
+                "journal_skipped": rec.skipped if rec else 0,
+                "journal_torn": rec.torn if rec else 0,
+                "resume_spills_filtered": self.c_resume_filtered.value,
             })
-        if poisoned:
+        if self.poisoned:
             stats.extra["poisoned_tasks"] = [
                 {"task": task.to_record(), "evidence": evidence}
-                for task, evidence in poisoned
+                for task, evidence in self.poisoned
             ]
-        if track_status:
-            stats.extra["heartbeats"] = c_heartbeats.value
-            if server is not None:
-                stats.extra["status_url"] = server.url
-            if self.status_log is not None:
-                stats.extra["status_log"] = self.status_log
-            if flight is not None:
-                stats.extra["flight_dumps"] = list(flight.dumps)
+        if e._telemetry:
+            stats.extra["heartbeats"] = self.c_heartbeats.value
+            if self.server is not None:
+                stats.extra["status_url"] = self.server.url
+            if e.status_log is not None:
+                stats.extra["status_log"] = e.status_log
+            if self.flight is not None:
+                stats.extra["flight_dumps"] = list(self.flight.dumps)
         # Re-seal after the peak_frontier gauge write above, so the
         # status metrics equal the registry's true final state exactly.
-        run_status.finalize(
-            reg.state_dict(), pending=len(frontier),
-            solutions=len(solutions), health=worker_health(),
-            stop_reason=stop_reason, degraded=degraded,
-        )
+        self._finalize()
         return SearchResult(
-            solutions=solutions,
+            solutions=self.solutions,
             stats=stats,
-            strategy=self.strategy_name,
-            exhausted=stop_reason is None,
-            stop_reason=stop_reason,
+            strategy=e.strategy_name,
+            exhausted=self.stop_reason is None,
+            stop_reason=self.stop_reason,
         )
-
-    # ------------------------------------------------------------------
-
-    def _shutdown(self, handles: list[_WorkerHandle],
-                  grace: float = 2.0) -> None:
-        """Stop every worker; escalate poison -> terminate -> kill.
-
-        Idle workers get the poison pill; busy ones are terminated at
-        once (their tasks are lost by construction).  Each escalation
-        stage shares one deadline across the pool, so shutdown latency
-        is bounded by ~2 * grace however many workers are stuck, and
-        the final blocking ``join`` after SIGKILL guarantees every
-        local child is reaped — no zombies survive this call.
-        External (joined) TCP workers have no local process: poisoning
-        them asks them to exit and closing the endpoint severs the
-        connection, which is all a remote peer can be given.
-        """
-        for handle in handles:
-            if handle.ep.alive() and not handle.busy:
-                handle.ep.poison()
-            else:
-                # No trusted connection (or mid-task): go straight to
-                # the signal.  terminate() checks the local process
-                # itself — endpoint-level trust is irrelevant here, a
-                # distrusted-but-running worker must still be stopped.
-                handle.ep.terminate()
-        deadline = time.monotonic() + grace
-        for handle in handles:
-            handle.ep.join(timeout=max(0.0, deadline - time.monotonic()))
-        for handle in handles:
-            handle.ep.terminate()
-        deadline = time.monotonic() + grace
-        for handle in handles:
-            handle.ep.join(timeout=max(0.0, deadline - time.monotonic()))
-        for handle in handles:
-            handle.ep.kill_hard()
-        for handle in handles:
-            # SIGKILL cannot be caught: this join terminates, and it is
-            # what actually reaps the local child (no zombie left
-            # behind).  Endpoint close severs any remaining connection.
-            handle.ep.join()
-            handle.ep.close()

@@ -30,7 +30,7 @@ slot and a circuit breaker per task:
 * **Graceful degradation**: when fewer than ``min_workers`` slots
   remain serviceable the engine stops paying process overhead for a
   pool that cannot sustain it and finishes the remaining frontier on an
-  in-process engine (see ``ProcessParallelEngine._run_degraded``).
+  in-process endpoint (see ``repro.core.transport.LocalTransport``).
 
 The supervisor is pure bookkeeping — it never spawns or kills anything
 itself.  The engine asks it what to do; that keeps every transition unit

@@ -16,6 +16,8 @@ once against a small interface and the wire underneath is swappable:
   window so a transient disconnect is not a death, and elastic
   membership: a worker started anywhere with ``run_guest --connect``
   does a ``hello`` handshake and joins the pool mid-run.
+* :class:`LocalTransport` — degraded mode: one in-process endpoint
+  whose batches run synchronously inside :meth:`~LocalTransport.poll`.
 
 Failure model.  The transport reports, it never decides: every observed
 anomaly surfaces as a :class:`TransportEvent` (``kind="down"``) and the
@@ -46,6 +48,8 @@ import time
 import zlib
 from collections import deque
 from multiprocessing import connection as mp_connection
+from multiprocessing.process import BaseProcess
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 #: Version of the hello/welcome handshake; bumped on incompatible
@@ -168,8 +172,6 @@ class TransportEvent:
 class PipeEndpoint:
     """A local worker process reached over a duplex mp pipe."""
 
-    external = False
-
     def __init__(self, wid: int, proc, conn):
         self.wid = wid
         self.proc = proc
@@ -194,30 +196,12 @@ class PipeEndpoint:
         except (OSError, ValueError):
             pass
 
-    def terminate(self) -> None:
-        if self.proc.is_alive():
-            self.proc.terminate()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self.proc.join(timeout=timeout)
-
-    def kill_hard(self) -> None:
-        if self.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            self.proc.kill()
-
     def kill(self) -> None:
-        """Hard-stop: close the pipe and terminate the process."""
-        self.closed = True
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        """Hard-stop: close the pipe and terminate the process (the
+        transport's close reaps it)."""
+        self.close()
         if self.proc.is_alive():
             self.proc.terminate()
-        self.proc.join(timeout=2.0)
-        if self.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            self.proc.kill()
-            self.proc.join()
 
     def close(self) -> None:
         self.closed = True
@@ -234,8 +218,6 @@ class PipeTransport:
     ``multiprocessing.Pipe(duplex=True)`` per worker, the child owning
     its end, worker death surfacing as EOF on the coordinator's end.
     """
-
-    name = "pipe"
 
     def __init__(self, ctx, worker_main: Callable, start_wid: int = 0):
         self._ctx = ctx
@@ -304,7 +286,93 @@ class PipeTransport:
         return events
 
     def close(self) -> None:
+        """Stop and reap every worker this transport spawned."""
+        _reap(self._endpoints)
+        for ep in self._endpoints:
+            ep.close()
         self._endpoints.clear()
+
+
+def _reap(endpoints, grace: float = 2.0) -> None:
+    """Stop every worker behind *endpoints*: poison -> terminate -> kill.
+
+    Trusted endpoints get the poison pill; the processes of endpoints
+    the engine killed (crashed, stalled, busy at shutdown) are
+    terminated at once.  Each stage shares one deadline across the
+    pool, and the final join after SIGKILL reaps every local child.  An
+    external worker has no local process: the pill is all it gets.
+    """
+    procs = []
+    for ep in endpoints:
+        if not ep.closed:
+            ep.poison()
+        elif ep.proc is not None and ep.proc.is_alive():
+            ep.proc.terminate()
+        if ep.proc is not None:
+            procs.append(ep.proc)
+    for escalate in (BaseProcess.terminate, BaseProcess.kill):
+        deadline = time.monotonic() + grace
+        for proc in procs:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in procs:
+            if proc.is_alive():
+                escalate(proc)
+    for proc in procs:
+        proc.join()  # SIGKILL cannot be caught: this join terminates
+
+
+# ----------------------------------------------------------------------
+# Local transport (degraded mode: the coordinator serves its own tasks)
+# ----------------------------------------------------------------------
+
+
+class LocalTransport:
+    """One in-process endpoint behind the Transport interface: the
+    engine's degraded mode.  The transport is its own, only, endpoint.
+
+    Each ``work`` message sent to it is served by ``serve(conn, work)``,
+    which replies through ``conn.send`` exactly as a worker does over
+    its pipe.  :meth:`poll` serves what was sent, synchronously, and
+    delivers the replies, each batch followed by the endpoint's next
+    ``steal``.  An exception raised while serving propagates.
+    """
+
+    wid = -1
+
+    def __init__(self, serve: Callable):
+        self._serve = serve
+        self.closed = False
+        self._work: deque = deque()
+        self._replies: list = []
+
+    def start(self, program, config) -> "LocalTransport":
+        self._steal = ("steal", self.wid, config.steal_batch)
+        return self
+
+    def spawn(self) -> "LocalTransport":
+        self._replies.append(self._steal)
+        return self
+
+    def send(self, msg: Any) -> None:
+        if self.closed:
+            raise EndpointDown("in-process endpoint closed")
+        self._work.append(msg)
+
+    def alive(self) -> bool:
+        return not self.closed
+
+    def kill(self) -> None:
+        self.closed = True
+
+    close = kill
+
+    def poll(self, timeout: float) -> list[TransportEvent]:
+        conn = SimpleNamespace(send=self._replies.append)
+        while self._work and not self.closed:
+            self._serve(conn, self._work.popleft())
+            self._replies.append(self._steal)
+        replies, self._replies = self._replies, []
+        return [TransportEvent("msg", self, payload=msg) for msg in replies]
 
 
 # ----------------------------------------------------------------------
@@ -365,25 +433,9 @@ class TcpEndpoint:
         except (EndpointDown, TransportError):
             pass
 
-    def terminate(self) -> None:
-        if self.proc is not None and self.proc.is_alive():
-            self.proc.terminate()
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self.proc is not None:
-            self.proc.join(timeout=timeout)
-
-    def kill_hard(self) -> None:
-        if self.proc is not None and self.proc.is_alive():
-            self.proc.kill()
-
     def kill(self) -> None:
         """Sever trust: close the connection, keep the process (if any)
         for transport-close reaping — see the class docstring."""
-        self.closed = True
-        self._transport._detach_threadsafe(self)
-
-    def close(self) -> None:
         self.closed = True
         self._transport._detach_threadsafe(self)
 
@@ -412,8 +464,6 @@ class TcpTransport:
     :meth:`repro.chaos.FaultPlan.net_hook`.
     """
 
-    name = "tcp"
-
     def __init__(self, ctx=None, host: str = "127.0.0.1", port: int = 0,
                  *, worker_entry: Optional[Callable] = None,
                  net_hook: Optional[Callable] = None,
@@ -438,10 +488,9 @@ class TcpTransport:
         self._watchdog = None
         self._events: "queue.Queue[TransportEvent]" = queue.Queue()
         #: wid -> most recent endpoint for it (loop thread only after
-        #: start, except for reads).
+        #: start, except for reads).  Every local process ever spawned
+        #: is behind one of these, and is reaped at close.
         self._by_wid: dict[int, TcpEndpoint] = {}
-        #: Every local process ever spawned, reaped at close.
-        self._procs: list = []
         self.address: Optional[tuple] = None
         #: Trace hook the engine may set: called as cb(event_type, **f)
         #: from the loop thread for reconnect/net-fault observability.
@@ -487,7 +536,6 @@ class TcpTransport:
         )
         proc.start()
         ep.proc = proc
-        self._procs.append(proc)
         return ep
 
     def _alloc_wid(self) -> int:
@@ -511,8 +559,13 @@ class TcpTransport:
                 return events
 
     def close(self) -> None:
-        if self._loop is None:
+        """Stop and reap every local worker (including those whose
+        endpoints were killed mid-run and deliberately left running to
+        model partitions), then tear the acceptor down."""
+        if self._loop is None or self._loop.is_closed():
             return
+        # While the loop still runs, so the pills go out.
+        _reap(list(self._by_wid.values()))
 
         async def _teardown():
             if self._watchdog is not None:
@@ -534,20 +587,6 @@ class TcpTransport:
             self._loop.close()
         except RuntimeError:  # pragma: no cover
             pass
-        # Reap every local process we ever spawned (including workers
-        # whose endpoints were killed mid-run and deliberately left
-        # running to model partitions).
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        deadline = time.monotonic() + 2.0
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-            proc.join()
-        self._procs.clear()
 
     # -- loop-thread internals -----------------------------------------
 

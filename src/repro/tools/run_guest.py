@@ -21,6 +21,7 @@ from repro.core.cluster import ProcessParallelEngine
 from repro.core.machine import MachineEngine
 from repro.core.parallel import ParallelMachineEngine
 from repro.core.replay_machine import ReplayMachineEngine
+from repro.core.supervisor import SupervisorPolicy
 from repro.cpu.assembler import AssemblyError, assemble
 from repro.obs.trace import TRACER
 
@@ -361,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             journal=args.journal,
             resume=args.resume,
             fsync=args.fsync,
-            min_workers=args.min_workers,
+            supervisor=SupervisorPolicy(min_workers=args.min_workers),
             chaos=chaos,
             replay_mode=args.replay_mode,
             replay_log=seed_log,
@@ -463,6 +464,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             if extra.get("worker_joins"):
                 line += f", {extra['worker_joins']} workers joined"
+            if extra.get("degraded"):
+                line += "; degraded: finished in-process"
             print(line)
         if "heartbeats" in extra:
             line = f"  telemetry: {extra['heartbeats']} heartbeats"

@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.core.cluster import ProcessParallelEngine
+from repro.core.journal import scan
 from repro.core.machine import MachineEngine
 from repro.core.supervisor import SupervisorPolicy
 from repro.workloads.nqueens import nqueens_asm
@@ -58,6 +59,13 @@ def _crash_always(task):
 
 def _crash_every_task(task):
     os._exit(1)
+
+
+def _outlive_lease_first_attempt(task):
+    """Hold the poison subtree's first attempt past a 0.3 s lease; the
+    worker then finishes it and delivers a result under a dead fence."""
+    if task.attempt == 0 and task.prefix == _POISON:
+        time.sleep(1.0)
 
 
 class TestWorkerCrash:
@@ -197,6 +205,65 @@ class TestSupervision:
         assert result.stats.extra["degraded"] is True
         assert solution_set(result) == solution_set(sequential_5)
         assert result.exhausted
+
+    def test_degraded_run_is_dispatched_and_journaled_like_a_pool(
+            self, tmp_path, sequential_5):
+        """In-process tasks are leased, counted and journaled exactly
+        like remote ones: every dispatch is accounted, every completion
+        names its worker, and every grant carries its own fence."""
+        journal = str(tmp_path / "degraded.journal")
+        engine = ProcessParallelEngine(
+            workers=2,
+            subtree_depth=1,
+            task_step_budget=None,
+            max_task_retries=5,
+            fault_hook=_crash_every_task,
+            supervisor=SupervisorPolicy(max_slot_failures=1),
+            journal=journal,
+        )
+        result = engine.run(nqueens_asm(5))
+        extra = result.stats.extra
+        assert extra["degraded"] is True
+        assert solution_set(result) == solution_set(sequential_5)
+        assert extra["tasks_dispatched"] == (
+            extra["tasks_completed"] + extra["tasks_retried"]
+        )
+        records, _skipped, _torn, _valid = scan(journal)
+        completes = [r for r in records if r["type"] == "complete"]
+        assert len(completes) == extra["tasks_completed"]
+        assert all(isinstance(r.get("worker"), int) for r in completes)
+        fences = [r["task"]["fence"] for r in records
+                  if r["type"] == "dispatch"]
+        assert len(fences) == extra["tasks_dispatched"]
+        assert all(fence > 0 for fence in fences)
+        assert len(set(fences)) == len(fences)
+
+
+class TestLeaseExpiry:
+    def test_expired_lease_is_requeued_and_its_late_result_fenced(
+            self, sequential_5):
+        """Expire -> requeue -> fence on the pipe transport.  With one
+        worker the late result always arrives before that worker's next
+        steal, so the fenced discard always happens."""
+        engine = ProcessParallelEngine(
+            workers=1,
+            subtree_depth=1,
+            task_step_budget=None,
+            task_timeout=None,
+            lease_timeout=0.3,
+            max_task_retries=10,
+            fault_hook=_outlive_lease_first_attempt,
+        )
+        result = engine.run(nqueens_asm(5))
+        extra = result.stats.extra
+        assert result.exhausted
+        assert solution_set(result) == solution_set(sequential_5)
+        assert extra["guest_instructions"] == (
+            sequential_5.stats.extra["guest_instructions"]
+        )
+        assert extra["leases_expired"] >= 1
+        assert extra["fenced_stale"] >= 1
+        assert extra["tasks_dropped"] == 0
 
 
 class TestNondetWorkloadFaults:

@@ -39,6 +39,19 @@ class TestRunGuest:
         ) == 0
         assert "2 solution(s)" in capsys.readouterr().out
 
+    def test_process_engine_reports_degraded_run(self, tmp_path, capsys):
+        # One worker under a floor of two: the pool is collapsed from
+        # the start and the whole run finishes in-process.
+        path = tmp_path / "queens5.s"
+        path.write_text(nqueens_asm(5))
+        assert run_guest.main(
+            [str(path), "--engine", "process", "--workers", "1",
+             "--min-workers", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "10 solution(s)" in out
+        assert "degraded" in out
+
     def test_snapshot_modes(self, queens_file, capsys):
         for mode in ("cow", "eager", "dirty-eager"):
             assert run_guest.main(
