@@ -29,8 +29,8 @@ from repro.snapshot.snapshot import Snapshot, SnapshotManager
 class DirtyEagerSnapshotManager(SnapshotManager):
     """Snapshot manager that pre-copies the recorded dirty set on restore."""
 
-    def __init__(self, pool=None, registry=None):
-        super().__init__(pool, registry=registry)
+    def __init__(self, pool=None):
+        super().__init__(pool)
         #: Pages privatised eagerly at restore time (vs on a later fault).
         self.eager_copies = 0
 

@@ -94,12 +94,12 @@ from repro.obs.live import (
     StatusLogger,
     StatusServer,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, record_into
 from repro.obs.status import HeartbeatRecord, RunStatus
 from repro.obs.trace import TRACER as _TRACER, MemorySink
 from repro.search import get_strategy
 from repro.search.shard import PrefixTask, TaskFrontier, spill_extension
-from repro.snapshot.snapshot import SnapshotManager
+from repro.snapshot.snapshot import SnapshotManager, SnapshotStats
 from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
 
@@ -218,9 +218,8 @@ class _SubtreeWorker:
         self.libos.dispatcher.nondet = self.recorder
         self.pool = FramePool()
         self.registry = MetricsRegistry("cluster-worker")
-        self.manager = SnapshotManager(self.pool, registry=self.registry)
+        self.manager = SnapshotManager(self.pool)
         self.vcpu = VCpu()
-        self.stats = SearchStats(registry=self.registry)
         self._steps_counter = self.registry.counter("parallel.guest_steps")
         self._replay_counter = self.registry.counter("parallel.replay_steps")
         self._task_timer = self.registry.timer("parallel.task_time")
@@ -241,7 +240,6 @@ class _SubtreeWorker:
             allow_guest_strategy=False, spill=self._spill,
             prefix_replay=True, nondet_sites=config.nondet_sites,
         )
-        self.stepper.stats = self.stats
         # The running task, read by the spill hook.
         self._task = PrefixTask()
         self._solutions_budget: Optional[int] = None
@@ -250,16 +248,28 @@ class _SubtreeWorker:
         #: paths: what ``task_step_budget`` limits.
         self._explored = 0
 
-    def sync_frame_stats(self) -> None:
-        """Mirror the pool's copy count into the registry.
+    def sync_registry(self) -> None:
+        """Copy the pool's copy count and the task's snapshot and search
+        records into the registry.
 
         Called at every task end and before every heartbeat, so mid-task
-        uncommitted registry states carry the COW work done so far.
+        uncommitted registry states carry the work done so far.
         """
         copied = self.pool.stats.copied
         if copied != self._last_copied:
             self._frames_copied.inc(copied - self._last_copied)
             self._last_copied = copied
+        record_into(self.registry, "snapshot", self.manager.stats)
+        record_into(self.registry, "search", self.stepper.stats)
+
+    def ship_state(self) -> dict:
+        """The finished task's registry state; zeroes the registry and
+        starts fresh records, so each state is one task's delta."""
+        state = self.registry.state_dict()
+        self.registry.reset()
+        self.manager.stats = SnapshotStats()
+        self.stepper.stats = SearchStats()
+        return state
 
     # -- public entry point --------------------------------------------
 
@@ -323,7 +333,7 @@ class _SubtreeWorker:
         # Worker-local frontier peaks are per-task numbers; summing them
         # through the gauge merge would be meaningless, so the engine's
         # peak_frontier reports the coordinator task frontier instead.
-        self.sync_frame_stats()
+        self.sync_registry()
         if spilled:
             self._spills_counter.inc(len(spilled))
         return [(s.path, *s.value) for s in solutions], spilled
@@ -420,12 +430,11 @@ def _serve_batch(worker: _SubtreeWorker, conn, work: tuple,
         solutions, spilled = worker.explore(task, solutions_budget)
         if solutions_budget is not None:
             solutions_budget = max(0, solutions_budget - len(solutions))
-        state = worker.registry.state_dict()
+        state = worker.ship_state()
         if emitter is not None:
             worker.heartbeat = None
-            # Bank the lifetime counters this reset will zero.
+            # Bank the lifetime counters the reset zeroed.
             emitter.note_task_result(state)
-        worker.registry.reset()
         segment = collector.drain() if collector is not None else None
         fresh_events = (
             worker.recorder.drain_fresh()
@@ -462,7 +471,7 @@ def _worker_main(worker_id: int, conn, program: Program,
         )
         emitter = HeartbeatEmitter(
             conn, worker_id, worker.registry, config.heartbeat_interval,
-            ring=ring, sync=worker.sync_frame_stats,
+            ring=ring, sync=worker.sync_registry,
         )
     try:
         conn.send(("steal", worker_id, config.steal_batch))
@@ -903,7 +912,9 @@ class _Coordinator:
         self.program = program
         engine.registry.reset()
         self.reg = reg = engine.registry
-        self.stats = SearchStats(registry=reg)
+        # Workers ship ``search.*`` with every result; start the run's
+        # sums from zero so the status shows them from the first scrape.
+        record_into(reg, "search", SearchStats())
         self.c_dispatches = reg.counter("parallel.dispatches")
         self.c_tasks = reg.counter("parallel.tasks_dispatched")
         self.c_done = reg.counter("parallel.tasks_completed")
@@ -1621,8 +1632,12 @@ class _Coordinator:
 
     def result(self) -> SearchResult:
         e, reg, rec = self.engine, self.reg, self.recovered
-        stats = self.stats
+        stats = SearchStats(**{
+            field: reg.get(f"search.{field}").value
+            for field in SearchStats.FIELDS
+        })
         stats.peak_frontier = max(stats.peak_frontier, self.frontier.peak)
+        record_into(reg, "search", stats)
         stats.extra.update({
             "workers": e.num_workers,
             "transport": e.transport_name,

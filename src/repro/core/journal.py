@@ -110,11 +110,13 @@ def encode_record(record: dict) -> str:
     return json.dumps(with_crc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def decode_record(line: str) -> Optional[dict]:
+def decode_record(line: str,
+                  required: tuple[str, ...] = ("epoch", "type")) -> Optional[dict]:
     """Decode and verify one journal line; None if corrupt.
 
-    Corrupt means: not JSON, not an object, missing ``crc``/``epoch``/
-    ``type``, or CRC mismatch.
+    Corrupt means: not JSON, not an object, missing ``crc`` or a
+    *required* field, or CRC mismatch.  Replay-log files use the same
+    sealing and require no field.
     """
     try:
         record = json.loads(line)
@@ -125,7 +127,7 @@ def decode_record(line: str) -> Optional[dict]:
     crc = record.pop("crc", None)
     if not isinstance(crc, int):
         return None
-    if "epoch" not in record or "type" not in record:
+    if any(name not in record for name in required):
         return None
     body = json.dumps(record, sort_keys=True, separators=(",", ":"))
     if (zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF) != crc:

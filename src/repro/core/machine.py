@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.core.recorder import NondetLog, Recorder, recorder_for
+from repro.core.recorder import NondetLog, recorder_for
 from repro.core.result import SearchResult, SearchStats, Solution
 from repro.core.stepper import ExtensionStepper, PathOutput
 from repro.cpu.assembler import Program, assemble
@@ -34,7 +34,7 @@ from repro.libos.files import HostFS
 from repro.libos.libos import LibOS
 from repro.interpose.policy import InterpositionPolicy
 from repro.mem.frames import FramePool
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, record_into
 from repro.search import Strategy, get_strategy
 from repro.snapshot.snapshot import SnapshotManager
 from repro.snapshot.tree import SnapshotTree
@@ -72,11 +72,6 @@ class MachineEngine:
     replay_log:
         A :class:`~repro.core.recorder.NondetLog` of previously recorded
         events to replay from (and, in record mode, add to).
-    recorder:
-        An externally owned :class:`~repro.core.recorder.Recorder` to
-        use instead of building one — how cluster workers share one
-        recorder across the engines they drive.  Overrides
-        ``replay_mode``/``replay_log``.
     input:
         Scripted stdin for guests that read fd 0 (passed to the libOS).
     """
@@ -95,7 +90,6 @@ class MachineEngine:
         verify: str = "off",
         replay_mode: str = "off",
         replay_log: Optional[NondetLog] = None,
-        recorder: Optional[Recorder] = None,
         input=None,
     ):
         if verify not in ("off", "warn", "strict"):
@@ -103,8 +97,7 @@ class MachineEngine:
                 f"verify must be 'off', 'warn' or 'strict', got {verify!r}"
             )
         self.verify = verify
-        own = recorder_for(replay_mode, replay_log)
-        self.recorder = recorder if recorder is not None else own
+        self.recorder = recorder_for(replay_mode, replay_log)
         self.replay_mode = (
             self.recorder.mode if self.recorder is not None else "off"
         )
@@ -129,25 +122,22 @@ class MachineEngine:
         self.max_solutions = max_solutions
         self.max_total_steps = max_total_steps
         self.pool = FramePool(limit=pool_limit)
-        #: One registry for the whole engine: snapshot lifecycle and
-        #: search counters share it, so a single ``as_dict()`` captures
-        #: the run (each engine instance gets its own namespace).
+        #: The snapshot lifecycle and search counters of the last run,
+        #: copied in when it ends, so one ``as_dict()`` captures it.
         self.registry = MetricsRegistry("machine-engine")
         if snapshot_mode == "cow":
-            self.manager = SnapshotManager(self.pool, registry=self.registry)
+            self.manager = SnapshotManager(self.pool)
         elif snapshot_mode == "eager":
             # The §3 naive-fork baseline: full copies per take/restore.
             from repro.baselines.eager import EagerSnapshotManager
 
-            self.manager = EagerSnapshotManager(self.pool, registry=self.registry)
+            self.manager = EagerSnapshotManager(self.pool)
         elif snapshot_mode == "dirty-eager":
             # DESIGN.md §5 ablation: pre-copy the dirty working set at
             # take time instead of faulting per page afterwards.
             from repro.baselines.dirty import DirtyEagerSnapshotManager
 
-            self.manager = DirtyEagerSnapshotManager(
-                self.pool, registry=self.registry
-            )
+            self.manager = DirtyEagerSnapshotManager(self.pool)
         else:
             raise ValueError(f"unknown snapshot_mode {snapshot_mode!r}")
         self.snapshot_mode = snapshot_mode
@@ -179,7 +169,7 @@ class MachineEngine:
             self.last_report = verify_program(
                 program, self.verify, replay_mode=self.replay_mode
             )
-        stats = SearchStats(registry=self.registry)
+        stats = SearchStats()
         solutions: list[Solution] = []
         stop_reason: Optional[str] = None
         stepper = self.stepper
@@ -215,6 +205,8 @@ class MachineEngine:
 
         result = stepper.result(stop_reason)
         stats.extra.update(self._machine_stats())
+        record_into(self.registry, "snapshot", self.manager.stats)
+        record_into(self.registry, "search", stats)
         return result
 
     def _machine_stats(self) -> dict:

@@ -32,7 +32,7 @@ from repro.libos.files import HostFS
 from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
 from repro.obs import events as _events
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, record_into
 from repro.obs.trace import TRACER as _TRACER
 from repro.search import Strategy, get_strategy
 from repro.snapshot.snapshot import SnapshotManager
@@ -86,7 +86,7 @@ class ParallelMachineEngine:
         self.libos = LibOS(policy=policy, hostfs=hostfs)
         self.pool = FramePool()
         self.registry = MetricsRegistry("parallel-engine")
-        self.manager = SnapshotManager(self.pool, registry=self.registry)
+        self.manager = SnapshotManager(self.pool)
         self.tree = SnapshotTree(self.manager)
         self.max_steps_per_extension = max_steps_per_extension
         self.max_solutions = max_solutions
@@ -106,7 +106,7 @@ class ParallelMachineEngine:
 
     def run(self, guest: Union[str, Program]) -> SearchResult:
         program = assemble(guest) if isinstance(guest, str) else guest
-        stats = SearchStats(registry=self.registry)
+        stats = SearchStats()
         solutions: list[Solution] = []
         stop_reason: Optional[str] = None
         for worker in self.workers:
@@ -162,6 +162,8 @@ class ParallelMachineEngine:
                 worker.pending = None
         result = boot.stepper.result(stop_reason)
         stats.extra.update(self._parallel_stats())
+        record_into(self.registry, "snapshot", self.manager.stats)
+        record_into(self.registry, "search", stats)
         return result
 
     # ------------------------------------------------------------------

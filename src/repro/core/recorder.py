@@ -42,14 +42,13 @@ divergence.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.core.errors import ReplayDivergenceError
+from repro.core.journal import decode_record, encode_record
 from repro.obs import events as _events
 from repro.obs.trace import TRACER as _TRACER
 
@@ -211,7 +210,7 @@ class NondetLog:
         """
         events = self.events()
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_seal({
+            fh.write(encode_record({
                 "type": "replay_log",
                 "version": REPLAY_LOG_VERSION,
                 "program": program,
@@ -220,7 +219,7 @@ class NondetLog:
             for event in events:
                 record = {"type": "nondet"}
                 record.update(event.to_record())
-                fh.write(_seal(record))
+                fh.write(encode_record(record))
             fh.flush()
             os.fsync(fh.fileno())
         return len(events)
@@ -244,7 +243,7 @@ class NondetLog:
                 text = raw.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
-                record = _unseal(text)
+                record = decode_record(text, required=())
                 if record is None:
                     raise ReplayDivergenceError(
                         f"replay log {path} is corrupt at line {lineno} "
@@ -272,30 +271,6 @@ class NondetLog:
                 f"refusing to replay against {program}"
             )
         return log
-
-
-def _seal(record: dict) -> str:
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    sealed = dict(record)
-    sealed["crc"] = crc
-    return json.dumps(sealed, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _unseal(line: str) -> Optional[dict]:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    crc = record.pop("crc", None)
-    if not isinstance(crc, int):
-        return None
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    if (zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF) != crc:
-        return None
-    return record
 
 
 class Recorder:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.core.recorder import NondetLog, Recorder, recorder_for
+from repro.core.recorder import NondetLog, recorder_for
 from repro.core.result import SearchResult, SearchStats, Solution
 from repro.core.stepper import Candidate, ExtensionStepper, Pending
 from repro.cpu.assembler import Program, assemble
@@ -40,13 +40,11 @@ class ReplayMachineEngine:
         max_solutions: Optional[int] = None,
         replay_mode: str = "off",
         replay_log: Optional[NondetLog] = None,
-        recorder: Optional[Recorder] = None,
         input=None,
     ):
         if not isinstance(strategy, Strategy):
             strategy = get_strategy(strategy)
-        own = recorder_for(replay_mode, replay_log)
-        self.recorder = recorder if recorder is not None else own
+        self.recorder = recorder_for(replay_mode, replay_log)
         self.libos = LibOS(policy=policy, hostfs=hostfs, input=input)
         self.libos.dispatcher.nondet = self.recorder
         self.max_steps_per_path = max_steps_per_path

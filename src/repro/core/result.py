@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.obs.registry import MetricsRegistry, metric_view
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,9 @@ class Solution:
 class SearchStats:
     """Counters describing one exploration run.
 
-    Registry-backed under ``search.*``; attributes are live views over
-    the registry metrics (see :mod:`repro.obs.registry`), so engines can
-    keep incrementing ``stats.fails`` while reports enumerate the same
-    numbers as ``search.fails``.
+    A plain record of ints that engines increment directly; an engine
+    copies it into its registry as ``search.*`` with
+    :func:`~repro.obs.registry.record_into` when a run ends.
 
     Fields:
 
@@ -56,13 +54,12 @@ class SearchStats:
     * ``extra`` — engine-specific extras dict (VM exits, pages copied…).
     """
 
-    candidates = metric_view("candidates")
-    evaluations = metric_view("evaluations")
-    fails = metric_view("fails")
-    completions = metric_view("completions")
-    replayed_decisions = metric_view("replayed_decisions")
-    kills = metric_view("kills")
-    peak_frontier = metric_view("peak_frontier")
+    FIELDS = (
+        "candidates", "evaluations", "fails", "completions",
+        "replayed_decisions", "kills", "peak_frontier",
+    )
+    GAUGES = {"peak_frontier": "peak_frontier"}
+    __slots__ = FIELDS + ("extra",)
 
     def __init__(
         self,
@@ -74,23 +71,7 @@ class SearchStats:
         kills: int = 0,
         peak_frontier: int = 0,
         extra: Optional[dict] = None,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "search",
     ):
-        self.registry = registry if registry is not None else MetricsRegistry(prefix)
-        self._metrics = {
-            "candidates": self.registry.counter(f"{prefix}.candidates"),
-            "evaluations": self.registry.counter(f"{prefix}.evaluations"),
-            "fails": self.registry.counter(f"{prefix}.fails"),
-            "completions": self.registry.counter(f"{prefix}.completions"),
-            "replayed_decisions": self.registry.counter(
-                f"{prefix}.replayed_decisions"
-            ),
-            "kills": self.registry.counter(f"{prefix}.kills"),
-            "peak_frontier": self.registry.gauge(f"{prefix}.peak_frontier"),
-        }
-        for metric in self._metrics.values():
-            metric.reset()
         self.candidates = candidates
         self.evaluations = evaluations
         self.fails = fails

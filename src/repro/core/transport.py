@@ -240,9 +240,17 @@ class PipeTransport:
         wid = self._next_wid
         self._next_wid += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # A forked child inherits the coordinator's end of its own pipe
+        # and of every live worker's.  It must close them: while any
+        # copy stays open, no worker sees EOF when the coordinator dies.
+        inherited = (
+            [parent_conn] + [ep.conn for ep in self._endpoints if not ep.closed]
+            if self._ctx.get_start_method() == "fork" else []
+        )
         proc = self._ctx.Process(
-            target=self._worker_main,
-            args=(wid, child_conn, self._program, self._config),
+            target=_close_then_run,
+            args=(inherited, self._worker_main, wid, child_conn,
+                  self._program, self._config),
             daemon=True,
             name=f"repro-cluster-w{wid}",
         )
@@ -291,6 +299,14 @@ class PipeTransport:
         for ep in self._endpoints:
             ep.close()
         self._endpoints.clear()
+
+
+def _close_then_run(inherited, worker_main: Callable, *args) -> None:
+    """Pipe worker entry: close the *inherited* coordinator-side pipe
+    ends, then run *worker_main*."""
+    for conn in inherited:
+        conn.close()
+    worker_main(*args)
 
 
 def _reap(endpoints, grace: float = 2.0) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.obs.registry import MetricsRegistry, metric_view
 
 
 class AccessKind(enum.Enum):
@@ -69,17 +68,11 @@ class FaultStats:
     copy-on-write, which is the paper's key cost metric for snapshot
     maintenance.
 
-    The counts are ``mem.*`` counters in an observability registry; the
-    attributes here are views over them (``faults.cow_faults += 1`` and
-    ``registry.get("mem.cow_faults").inc()`` are the same write).
+    A plain record of ints: one is built per address space, on every
+    snapshot take and restore, so it holds no registry.
     """
 
-    cow_faults = metric_view("cow_faults")
-    demand_zero_faults = metric_view("demand_zero_faults")
-    hard_faults = metric_view("hard_faults")
-    pages_copied = metric_view("pages_copied")
-    nodes_copied = metric_view("nodes_copied")
-    bytes_copied = metric_view("bytes_copied")
+    __slots__ = _FAULT_FIELDS + ("extra",)
 
     def __init__(
         self,
@@ -90,16 +83,7 @@ class FaultStats:
         nodes_copied: int = 0,
         bytes_copied: int = 0,
         extra: Optional[dict] = None,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "mem",
     ):
-        self.registry = registry if registry is not None else MetricsRegistry(prefix)
-        self._metrics = {
-            name: self.registry.counter(f"{prefix}.{name}")
-            for name in _FAULT_FIELDS
-        }
-        for metric in self._metrics.values():
-            metric.reset()
         self.cow_faults = cow_faults
         self.demand_zero_faults = demand_zero_faults
         self.hard_faults = hard_faults

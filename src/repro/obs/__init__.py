@@ -7,10 +7,10 @@ restore caused these COW faults") needs an ordered event trace.  This
 package provides both:
 
 * :mod:`repro.obs.registry` — named counters, gauges, monotonic timers
-  and fixed-bucket histograms.  The legacy per-subsystem stats objects
+  and fixed-bucket histograms.  The per-subsystem stats objects
   (``SnapshotStats``, ``FaultStats``, ``StrategyStats``, ``SearchStats``)
-  are now thin attribute views over registry metrics, so their public
-  fields keep working while everything is uniformly enumerable.
+  are plain records of ints; :func:`record_into` copies one into a
+  registry where a run's counts are read as a set.
 * :mod:`repro.obs.events` — the typed event schema
   (``snapshot.take/restore/discard``, ``mem.cow_fault`` …).
 * :mod:`repro.obs.trace` — the process-wide :class:`Tracer` with
@@ -57,7 +57,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     Timer,
     get_registry,
-    metric_view,
+    record_into,
 )
 from repro.obs.status import (
     HeartbeatRecord,
@@ -81,7 +81,7 @@ __all__ = [
     "MetricsRegistry",
     "Timer",
     "get_registry",
-    "metric_view",
+    "record_into",
     "EVENT_FIELDS",
     "EVENT_TYPES",
     "validate_event",

@@ -10,12 +10,13 @@ Design constraints (in priority order):
    (``snapshot.taken``, ``mem.cow_faults``) and a scalar-ish value, so
    one ``as_dict()`` call snapshots a whole subsystem for reports,
    benches and invariant checks.
-3. **Backward-compatible views.**  The legacy stats dataclasses expose
-   their old attributes through :class:`metric_view` descriptors, so
-   ``manager.stats.taken`` and ``stats.taken += 1`` keep working while
-   the single source of truth lives here.
+3. **Plain records on the hot path.**  The stats records
+   (``SnapshotStats``, ``SearchStats`` ...) are slotted ints that own
+   their counts; :func:`record_into` copies one into a registry only
+   where the counts are read as a set (a worker's shipped state, the
+   coordinator's merged registry, an engine's registry after a run).
 
-Registries are instantiable (one per engine/manager keeps concurrent
+Registries are instantiable (one per engine keeps concurrent
 sessions from double-counting); :func:`get_registry` returns the
 process-wide default for code without a natural owner.
 """
@@ -360,32 +361,23 @@ class MetricsRegistry:
         return f"MetricsRegistry({self.name!r}, {len(self._metrics)} metrics)"
 
 
-class metric_view:
-    """Descriptor exposing a registry metric as a plain numeric attribute.
+def record_into(registry: MetricsRegistry, prefix: str, record: Any) -> None:
+    """Copy a stats record's counts into ``<prefix>.<field>`` metrics.
 
-    The legacy stats objects use this to stay source-compatible: reading
-    the attribute reads ``metric.value``, assigning writes it (so the
-    pre-registry ``stats.taken += 1`` call sites still work).  The owning
-    instance must keep its metrics in a ``_metrics`` dict keyed by the
-    view's *key*.
+    The record names its fields in ``FIELDS``; each becomes a counter,
+    except those in ``GAUGES`` (field -> the field holding its
+    high-water mark), which become gauges with that ``peak`` — the
+    ``.peak`` twin a live gauge would have recorded.
     """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):
-        self.key = key
-
-    def __get__(self, obj: Any, objtype: Any = None) -> Any:
-        if obj is None:
-            return self
-        return obj._metrics[self.key].value
-
-    def __set__(self, obj: Any, value: Any) -> None:
-        metric = obj._metrics[self.key]
-        if isinstance(metric, Gauge):
-            metric.set(value)
+    gauges = record.GAUGES
+    for field in record.FIELDS:
+        value = getattr(record, field)
+        if field in gauges:
+            gauge = registry.gauge(f"{prefix}.{field}")
+            gauge.value = value
+            gauge.peak = getattr(record, gauges[field])
         else:
-            metric.value = value
+            registry.counter(f"{prefix}.{field}").value = value
 
 
 _GLOBAL = MetricsRegistry("global")

@@ -15,22 +15,13 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
-from repro.obs.registry import MetricsRegistry, metric_view
 from repro.search.extension import Extension
 
 
 class StrategyStats:
-    """Frontier accounting for one search run.
+    """Frontier accounting for one search run (a plain record of ints)."""
 
-    Registry-backed (``search.frontier.*``): the attributes below are
-    views over counters/gauges so strategy internals and external
-    observers read the same numbers.
-    """
-
-    added = metric_view("added")
-    popped = metric_view("popped")
-    dropped = metric_view("dropped")
-    peak_frontier = metric_view("peak_frontier")
+    __slots__ = ("added", "popped", "dropped", "peak_frontier")
 
     def __init__(
         self,
@@ -38,18 +29,7 @@ class StrategyStats:
         popped: int = 0,
         dropped: int = 0,
         peak_frontier: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "search.frontier",
     ):
-        self.registry = registry if registry is not None else MetricsRegistry(prefix)
-        self._metrics = {
-            "added": self.registry.counter(f"{prefix}.added"),
-            "popped": self.registry.counter(f"{prefix}.popped"),
-            "dropped": self.registry.counter(f"{prefix}.dropped"),
-            "peak_frontier": self.registry.gauge(f"{prefix}.peak_frontier"),
-        }
-        for metric in self._metrics.values():
-            metric.reset()
         self.added = added
         self.popped = popped
         self.dropped = dropped

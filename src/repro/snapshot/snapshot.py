@@ -25,7 +25,6 @@ from repro.core.errors import SnapshotDiscardedError
 from repro.mem.addrspace import AddressSpace
 from repro.mem.frames import FramePool
 from repro.obs import events
-from repro.obs.registry import MetricsRegistry, metric_view
 from repro.obs.trace import TRACER
 
 _snapshot_ids = itertools.count(1)
@@ -34,18 +33,17 @@ _snapshot_ids = itertools.count(1)
 class SnapshotStats:
     """Lifecycle counters for a :class:`SnapshotManager`.
 
-    The counts live in a :class:`repro.obs.registry.MetricsRegistry`
-    under ``snapshot.*``; the historical attributes (``taken``,
-    ``restored``, ``discarded``, ``live``, ``peak_live``) are views over
-    those metrics, so both spellings read and write the same numbers.
-    ``live`` is a gauge whose own high-water mark backs ``peak_live``.
+    A plain record of ints (``taken``, ``restored``, ``discarded``,
+    ``live``, ``peak_live``, and ``pruned`` — discards made by
+    :class:`~repro.snapshot.tree.SnapshotTree` pin-exhaustion pruning).
+    Engines copy it into their registry as ``snapshot.*`` with
+    :func:`~repro.obs.registry.record_into`, where ``live`` is a gauge
+    whose peak is ``peak_live``.
     """
 
-    taken = metric_view("taken")
-    restored = metric_view("restored")
-    discarded = metric_view("discarded")
-    live = metric_view("live")
-    peak_live = metric_view("peak_live")
+    FIELDS = ("taken", "restored", "discarded", "live", "peak_live", "pruned")
+    GAUGES = {"live": "peak_live", "peak_live": "peak_live"}
+    __slots__ = FIELDS
 
     def __init__(
         self,
@@ -54,30 +52,20 @@ class SnapshotStats:
         discarded: int = 0,
         live: int = 0,
         peak_live: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        prefix: str = "snapshot",
+        pruned: int = 0,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry(prefix)
-        self._metrics = {
-            "taken": self.registry.counter(f"{prefix}.taken"),
-            "restored": self.registry.counter(f"{prefix}.restored"),
-            "discarded": self.registry.counter(f"{prefix}.discarded"),
-            "live": self.registry.gauge(f"{prefix}.live"),
-            "peak_live": self.registry.gauge(f"{prefix}.peak_live"),
-        }
-        for metric in self._metrics.values():
-            metric.reset()
         self.taken = taken
         self.restored = restored
         self.discarded = discarded
         self.live = live
         self.peak_live = peak_live
+        self.pruned = pruned
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SnapshotStats(taken={self.taken}, restored={self.restored}, "
             f"discarded={self.discarded}, live={self.live}, "
-            f"peak_live={self.peak_live})"
+            f"peak_live={self.peak_live}, pruned={self.pruned})"
         )
 
 
@@ -178,14 +166,9 @@ class SnapshotManager:
     footprint accounting are global across the snapshot tree.
     """
 
-    def __init__(
-        self,
-        pool: Optional[FramePool] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, pool: Optional[FramePool] = None):
         self.pool = pool if pool is not None else FramePool()
-        self.registry = registry if registry is not None else MetricsRegistry("snapshot")
-        self.stats = SnapshotStats(registry=self.registry)
+        self.stats = SnapshotStats()
 
     # ------------------------------------------------------------------
 

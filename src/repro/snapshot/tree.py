@@ -26,9 +26,6 @@ class SnapshotTree:
         #: Reference counts of *pending work*: how many unevaluated
         #: extensions (or running evaluations) still need each snapshot.
         self._pins: dict[int, int] = {}
-        #: Snapshots discarded by pin-exhaustion pruning (frontier
-        #: hygiene, as opposed to explicit engine discards).
-        self._pruned = manager.registry.counter("snapshot.pruned")
 
     # ------------------------------------------------------------------
 
@@ -97,7 +94,7 @@ class SnapshotTree:
             if TRACER.enabled:
                 TRACER.emit(events.SNAPSHOT_PRUNE, sid=snap.sid, depth=snap.depth)
             self.manager.discard(snap)
-            self._pruned.inc()
+            self.manager.stats.pruned += 1
             del self._by_id[snap.sid]
             if snap is self.root:
                 self.root = None

@@ -201,6 +201,83 @@ class TestRealSigkill:
         assert solution_multiset(result) == baseline_6
         assert result.exhausted
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_of_a_killed_coordinator_exit(self, tmp_path):
+        """Workers notice a ``kill -9``-ed coordinator and exit.
+
+        Each pipe worker must see EOF once the coordinator's pipe ends
+        are gone, which fails if a forked worker keeps an inherited copy
+        of its own coordinator end or of an earlier worker's.
+        """
+        journal = str(tmp_path / "run.journal")
+        script = tmp_path / "coordinator.py"
+        script.write_text(_CHILD.replace("nqueens_asm(6)", "nqueens_asm(7)"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.Popen(
+            [sys.executable, str(script), journal], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2 or _journal_lines(journal) < 10:
+                assert child.poll() is None, "coordinator exited before the kill"
+                assert time.monotonic() < deadline, "run never got going"
+                time.sleep(0.01)
+                workers = _children(child.pid)
+            assert len(workers) == 2
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if not any(_running(pid) for pid in workers):
+                    break
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _running(pid)]
+            assert not survivors, f"orphaned workers still running: {survivors}"
+        finally:
+            if child.poll() is None:  # pragma: no cover - cleanup
+                child.kill()
+                child.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _journal_lines(path):
+    try:
+        with open(path) as fh:
+            return sum(1 for _ in fh)
+    except FileNotFoundError:
+        return 0
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` of *pid* from ``/proc``, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    """PIDs of *pid*'s live child processes."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid and stat[0] != "Z":
+                out.append(int(entry))
+    return sorted(out)
+
+
+def _running(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
 
 class TestRecordModeResume:
     """Crash tolerance for *nondeterministic* guests (record mode).

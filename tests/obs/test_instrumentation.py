@@ -2,7 +2,7 @@
 
 These tests exercise the real subsystems (no mocks): address spaces take
 real COW faults, engines run real guests, and the assertions tie the
-event stream back to the registry counters the legacy stats views read.
+event stream back to the stats counters.
 """
 
 import pytest
@@ -12,7 +12,6 @@ from repro.core.parallel import ParallelMachineEngine
 from repro.mem import AddressSpace, FramePool, PAGE_SIZE, Permission
 from repro.obs import events as ev
 from repro.obs.trace import TRACER
-from repro.search import get_strategy
 from repro.snapshot import SnapshotManager
 from repro.snapshot.tree import SnapshotTree
 from repro.workloads.nqueens import KNOWN_SOLUTION_COUNTS, nqueens_asm
@@ -59,10 +58,10 @@ class TestSnapshotEvents:
             for snap in snaps:
                 mgr.restore(snap)
             mgr.discard(snaps[0])
-        flat = mgr.registry.as_dict()
-        assert len(events_of(sink, ev.SNAPSHOT_TAKE)) == flat["snapshot.taken"]
-        assert len(events_of(sink, ev.SNAPSHOT_RESTORE)) == flat["snapshot.restored"]
-        assert len(events_of(sink, ev.SNAPSHOT_DISCARD)) == flat["snapshot.discarded"]
+        stats = mgr.stats
+        assert len(events_of(sink, ev.SNAPSHOT_TAKE)) == stats.taken
+        assert len(events_of(sink, ev.SNAPSHOT_RESTORE)) == stats.restored
+        assert len(events_of(sink, ev.SNAPSHOT_DISCARD)) == stats.discarded
 
     def test_tree_prune_emits_and_counts(self):
         mgr = SnapshotManager()
@@ -77,7 +76,7 @@ class TestSnapshotEvents:
         (prune,) = events_of(sink, ev.SNAPSHOT_PRUNE)
         assert prune["sid"] == snap.sid
         assert prune["depth"] == 0
-        assert mgr.registry.get("snapshot.pruned").value == 1
+        assert mgr.stats.pruned == 1
         # Pruning goes through discard, so both events appear.
         assert len(events_of(sink, ev.SNAPSHOT_DISCARD)) == 1
 
@@ -112,7 +111,6 @@ class TestMemEvents:
                 space.write(BASE + i * PAGE_SIZE, b"x")
         faults = events_of(sink, ev.MEM_COW_FAULT)
         assert len(faults) == space.faults.pages_copied == 8
-        assert space.faults.registry.as_dict()["mem.pages_copied"] == 8
 
     def test_page_alloc_kinds(self):
         space = AddressSpace(FramePool())
@@ -195,23 +193,12 @@ class TestEngineEvents:
 
 
 class TestStatsViews:
-    def test_strategy_stats_are_registry_views(self):
-        strategy = get_strategy("dfs")
-        stats = strategy.stats
-        stats.added += 2
-        stats.peak_frontier = 5
-        flat = stats.registry.as_dict()
-        assert flat["search.frontier.added"] == 2
-        assert flat["search.frontier.peak_frontier"] == 5
-
     def test_search_stats_kwargs_still_work(self):
         from repro.core.result import SearchStats
 
         stats = SearchStats(candidates=3, evaluations=7, fails=2)
         assert stats.candidates == 3
-        assert stats.registry.as_dict()["search.evaluations"] == 7
         stats.fails += 1
-        assert stats.registry.get("search.fails").value == 3
 
     def test_fault_stats_snapshot_and_delta_still_work(self):
         from repro.mem.faults import FaultStats

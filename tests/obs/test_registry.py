@@ -9,7 +9,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     Timer,
     get_registry,
-    metric_view,
 )
 
 
@@ -169,35 +168,3 @@ class TestMetricsRegistry:
     def test_global_registry_is_a_singleton(self):
         assert get_registry() is get_registry()
         assert isinstance(get_registry(), MetricsRegistry)
-
-
-class TestMetricView:
-    class Stats:
-        hits = metric_view("hits")
-        level = metric_view("level")
-
-        def __init__(self, registry):
-            self._metrics = {
-                "hits": registry.counter("hits"),
-                "level": registry.gauge("level"),
-            }
-
-    def test_read_write_through_view(self):
-        reg = MetricsRegistry()
-        stats = self.Stats(reg)
-        stats.hits += 2
-        assert stats.hits == 2
-        assert reg.get("hits").value == 2
-        reg.get("hits").inc()
-        assert stats.hits == 3
-
-    def test_gauge_view_assignment_updates_peak(self):
-        reg = MetricsRegistry()
-        stats = self.Stats(reg)
-        stats.level = 9
-        stats.level = 1
-        assert stats.level == 1
-        assert reg.get("level").peak == 9
-
-    def test_class_level_access_returns_descriptor(self):
-        assert isinstance(self.Stats.hits, metric_view)

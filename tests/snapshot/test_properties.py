@@ -8,8 +8,6 @@ the core invariants, no matter what happens around them:
 * the lifecycle counters never drift: ``live`` equals the number of
   snapshots taken and not yet discarded, ``peak_live`` is its high-water
   mark, and ``taken == discarded + live`` at every step;
-* the observability registry and the legacy ``SnapshotStats`` attributes
-  are views of the *same* numbers (the PR-1 migration contract);
 * a discarded snapshot can never be restored, and a double discard is a
   typed error — the Silhouette bug-8 shape (operating on freed snapshot
   state) must be impossible to reach silently.
@@ -138,19 +136,6 @@ class SnapshotInvariants(RuleBasedStateMachine):
         assert stats.taken == stats.discarded + stats.live
         assert stats.peak_live >= stats.live
         assert stats.restored >= 0
-
-    @invariant()
-    def registry_equals_legacy_stats(self):
-        """The registry metrics ARE the legacy fields, not a copy."""
-        stats = self.manager.stats
-        metrics = self.manager.registry.as_dict()
-        assert metrics["snapshot.taken"] == stats.taken
-        assert metrics["snapshot.restored"] == stats.restored
-        assert metrics["snapshot.discarded"] == stats.discarded
-        assert metrics["snapshot.live"] == stats.live
-        assert metrics["snapshot.peak_live"] == stats.peak_live
-        # peak is maintained by the gauge itself, not by caller max().
-        assert metrics["snapshot.live.peak"] == stats.peak_live
 
     def teardown(self):
         for snap, _ in self.snaps:
