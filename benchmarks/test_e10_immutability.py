@@ -29,7 +29,7 @@ def image_hash(space) -> str:
 
 
 def build_parent(mgr):
-    space = AddressSpace(mgr.pool, name="root")
+    space = AddressSpace(mgr.pool)
     space.map_region(BASE, IMAGE_PAGES * PAGE_SIZE, Permission.RW)
     for i in range(IMAGE_PAGES):
         space.write_u64(BASE + i * PAGE_SIZE, 0xBA5E0000 + i)

@@ -28,7 +28,7 @@ ROUNDS = 10
 
 
 def make_space(pool, pages):
-    space = AddressSpace(pool, name="bench")
+    space = AddressSpace(pool)
     space.map_region(BASE, pages * PAGE_SIZE, Permission.RW, eager=True)
     space.write(BASE, b"seed")
     return space

@@ -2,9 +2,11 @@
 
 Accounts for every layer of the Figure 2 stack on a real guest run:
 ring-3 guest instructions, VM exits by reason, libOS syscall dispatch
-counts, page-fault/COW activity in the virtual-memory subsystem, TLB
-shootdowns at snapshot points, and snapshot-manager traffic driven by
-the search-strategy scheduler.
+counts, page-fault/COW activity in the virtual-memory subsystem, and
+snapshot-manager traffic driven by the search-strategy scheduler.  (The
+translation cache is flushed at every fork and free rather than counted;
+``tests/mem/test_addrspace.py::TestForkCow::test_tlb_flushed_on_fork``
+checks the flush.)
 """
 
 from repro.bench import Table

@@ -1,9 +1,9 @@
 """Control-flow graph construction over the shared ISA decode table.
 
 Decoding starts from the entry point and every ``.text`` symbol and
-proceeds by recursive descent, reusing :data:`repro.cpu.isa.OPCODES` —
-the same single table the assembler and interpreter derive operand
-layouts from, so the static decoder cannot drift from the dynamic one.
+proceeds by recursive descent through :func:`repro.cpu.isa.decode` — the
+same decoder the interpreter and the symbolic executor use, so the static
+decoder cannot drift from the dynamic one.
 
 Conservatism notes:
 
@@ -90,37 +90,12 @@ class BasicBlock:
 
 def decode_insn(text: bytes, text_base: int, pc: int) -> Insn | DecodeIssue:
     """Decode one instruction at *pc* from the text image."""
-    off = pc - text_base
-    opcode = text[off]
-    spec = isa.OPCODES.get(opcode)
-    if spec is None:
-        return DecodeIssue(pc, "invalid-opcode", opcode)
-    length = isa.insn_length(opcode)
-    if off + length > len(text):
-        return DecodeIssue(pc, "truncated", opcode)
-    raw = text[off + 1 : off + length]
-    pos = 0
-    fields: list[int] = []
-    next_pc = pc + length
-    for kind in spec.layout:
-        if kind in ("r", "c"):
-            if kind == "r" and raw[pos] >= 16:
-                return DecodeIssue(pc, "bad-register", opcode)
-            fields.append(raw[pos])
-            pos += 1
-        elif kind == "i":
-            fields.append(int.from_bytes(raw[pos : pos + 8], "little"))
-            pos += 8
-        elif kind in ("s", "d"):
-            fields.append(
-                int.from_bytes(raw[pos : pos + 4], "little", signed=True)
-            )
-            pos += 4
-        else:  # "t": branch target, resolved to absolute
-            rel = int.from_bytes(raw[pos : pos + 4], "little", signed=True)
-            fields.append(next_pc + rel)
-            pos += 4
-    return Insn(pc, opcode, spec.name, spec.layout, tuple(fields), length)
+    try:
+        opcode, *fields, next_pc = isa.decode(text, pc, pc - text_base)
+    except isa.DecodeError as err:
+        return DecodeIssue(pc, err.kind, err.opcode)
+    spec = isa.OPCODES[opcode]
+    return Insn(pc, opcode, spec.name, spec.layout, tuple(fields), next_pc - pc)
 
 
 class ControlFlowGraph:

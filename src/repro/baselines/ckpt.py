@@ -51,13 +51,12 @@ class Checkpointer:
         self.stats.bytes_serialized += len(out)
         return bytes(out)
 
-    def restore(self, blob: bytes, pool: FramePool,
-                name: str = "ckpt-restore") -> AddressSpace:
+    def restore(self, blob: bytes, pool: FramePool) -> AddressSpace:
         """Rebuild an address space from a checkpoint blob."""
         if blob[:4] != _MAGIC:
             raise ValueError("not a checkpoint blob")
         count = int.from_bytes(blob[4:12], "little")
-        space = AddressSpace(pool, name=name)
+        space = AddressSpace(pool)
         pos = 12
         record = 8 + 2 + PAGE_SIZE
         for _ in range(count):

@@ -60,5 +60,4 @@ class DirtyEagerSnapshotManager(SnapshotManager):
                 self.eager_copies += 1
                 space.faults.pages_copied += 1
                 space.dirty_vpns.add(vpn)
-        space.tlb.flush()
         return regs, space, files

@@ -29,7 +29,7 @@ class EagerSnapshotManager(SnapshotManager):
     ) -> Snapshot:
         if space.pool is not self.pool:
             raise ValueError("address space does not belong to this manager's pool")
-        frozen_space = space.fork_eager(name=f"eagersnap-of-{space.name}")
+        frozen_space = space.fork_eager()
         frozen_files = files.fork_cow() if hasattr(files, "fork_cow") else files
         snap = Snapshot(regs, frozen_space, frozen_files, parent)
         self._note_take(snap)
@@ -38,7 +38,7 @@ class EagerSnapshotManager(SnapshotManager):
     def restore(self, snap: Snapshot) -> tuple[Any, AddressSpace, Any]:
         if not snap.alive:
             raise SnapshotDiscardedError(snap.sid, "restore")
-        space = snap.space.fork_eager(name=f"eager-restore-{snap.sid}")
+        space = snap.space.fork_eager()
         files = (
             snap.files.fork_cow() if hasattr(snap.files, "fork_cow") else snap.files
         )

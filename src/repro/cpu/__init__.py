@@ -8,24 +8,26 @@ spaces — so guest code takes real COW page faults.
 
 * :mod:`repro.cpu.registers` -- the register file (the immutable half of
   a snapshot together with the address space).
-* :mod:`repro.cpu.isa` -- opcode definitions and encoding layout.
+* :mod:`repro.cpu.isa` -- opcode definitions, encoding layout, and the
+  one instruction decoder every consumer shares.
 * :mod:`repro.cpu.assembler` -- text assembly -> :class:`Program`.
 * :mod:`repro.cpu.interpreter` -- fetch/decode/execute with a decode
-  cache; stops with typed :class:`CpuExit` events (syscall, halt, fault,
-  step budget) that the VMM layer turns into VM exits.
+  cache; stops with a typed :class:`VmExit` (syscall, halt, page fault,
+  CPU exception, step budget) that the VMM layer counts and the libOS
+  consumes.
 """
 
 from repro.cpu.assembler import AssemblyError, Program, assemble
-from repro.cpu.interpreter import CpuExit, ExitReason, Interpreter
+from repro.cpu.interpreter import Interpreter, VmExit, VmExitReason
 from repro.cpu.registers import REG_NAMES, RegisterFile
 
 __all__ = [
     "AssemblyError",
-    "CpuExit",
-    "ExitReason",
     "Interpreter",
     "Program",
     "REG_NAMES",
     "RegisterFile",
+    "VmExit",
+    "VmExitReason",
     "assemble",
 ]

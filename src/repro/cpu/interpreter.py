@@ -5,9 +5,10 @@ so every load, store, push, pop and instruction fetch is translated by
 the simulated MMU — copy-on-write faults happen exactly where real guest
 code would take them.
 
-Execution proceeds until a *CPU exit*: a ``syscall`` or ``hlt``
-instruction, an unresolvable fault, or the step budget.  The VMM layer
-(:mod:`repro.vmm`) wraps these in VM exits for the libOS.
+Execution proceeds until a *VM exit*: a ``syscall`` or ``hlt``
+instruction, a page fault the MMU could not resolve, a CPU exception, or
+the step budget.  The interpreter returns the :class:`VmExit` record the
+VMM layer (:mod:`repro.vmm`) counts and the libOS consumes.
 
 A decode cache (rip -> decoded tuple) makes re-execution cheap.  It stays
 valid across snapshot restore because .text is mapped read-execute: guest
@@ -41,21 +42,23 @@ class InvalidOpcodeError(Exception):
         super().__init__(f"invalid opcode {opcode:#04x} at {rip:#x}")
 
 
-class ExitReason(enum.Enum):
-    """Why the CPU stopped executing."""
+class VmExitReason(enum.Enum):
+    """Why control returned from the guest to the libOS."""
 
     SYSCALL = "syscall"
     HLT = "hlt"
-    FAULT = "fault"
+    PAGE_FAULT = "page_fault"
+    CPU_EXCEPTION = "cpu_exception"
     STEP_LIMIT = "step_limit"
 
 
 @dataclass
-class CpuExit:
-    """One CPU exit event."""
+class VmExit:
+    """One VM exit event, with its qualification payload."""
 
-    reason: ExitReason
+    reason: VmExitReason
     steps: int
+    #: For PAGE_FAULT / CPU_EXCEPTION: the underlying exception object.
     fault: Optional[Exception] = None
 
 
@@ -100,48 +103,28 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _decode(self, rip: int) -> tuple:
+        # Fetch the opcode byte alone first: an undefined opcode is #UD
+        # even when the bytes after it are unmapped.
         space = self.space
         opcode = space.fetch(rip, 1)[0]
-        spec = isa.OPCODES.get(opcode)
-        if spec is None:
+        if opcode not in isa.OPCODES:
             raise InvalidOpcodeError(rip, opcode)
-        length = isa.insn_length(opcode)
-        raw = space.fetch(rip + 1, length - 1) if length > 1 else b""
-        next_rip = rip + length
-        pos = 0
-        fields: list[int] = [opcode]
-        for kind in spec.layout:
-            if kind in ("r", "c"):
-                if kind == "r" and raw[pos] >= 16:
-                    # A register operand outside r0..r15 is an invalid
-                    # encoding, not a host error.
-                    raise InvalidOpcodeError(rip, opcode)
-                fields.append(raw[pos])
-                pos += 1
-            elif kind == "i":
-                fields.append(int.from_bytes(raw[pos : pos + 8], "little"))
-                pos += 8
-            elif kind == "s" or kind == "d":
-                fields.append(
-                    int.from_bytes(raw[pos : pos + 4], "little", signed=True)
-                )
-                pos += 4
-            else:  # "t": branch target, pre-resolved to absolute
-                rel = int.from_bytes(raw[pos : pos + 4], "little", signed=True)
-                fields.append(next_rip + rel)
-                pos += 4
-        fields.append(next_rip)
-        return tuple(fields)
+        try:
+            return isa.decode(space.fetch(rip, isa.insn_length(opcode)), rip)
+        except isa.DecodeError:
+            # A register operand outside r0..r15 is an invalid encoding,
+            # not a host error.
+            raise InvalidOpcodeError(rip, opcode) from None
 
     # ------------------------------------------------------------------
     # Execute
     # ------------------------------------------------------------------
 
-    def step(self) -> CpuExit:
+    def step(self) -> VmExit:
         """Execute exactly one instruction (slow path, used in tests)."""
         return self.run(max_steps=1)
 
-    def run(self, max_steps: Optional[int] = None) -> CpuExit:
+    def run(self, max_steps: Optional[int] = None) -> VmExit:
         """Run until syscall/hlt/fault or *max_steps* instructions."""
         regs = self.regs
         g = regs.gprs
@@ -166,7 +149,7 @@ class Interpreter:
             while True:
                 if steps == budget:
                     sync_out()
-                    return CpuExit(ExitReason.STEP_LIMIT, steps)
+                    return VmExit(VmExitReason.STEP_LIMIT, steps)
                 d = icache.get(rip)
                 if d is None:
                     d = self._decode(rip)
@@ -368,14 +351,17 @@ class Interpreter:
                 elif op == I.SYSCALL:
                     rip = d[1]  # resume after the syscall instruction
                     sync_out()
-                    return CpuExit(ExitReason.SYSCALL, steps)
+                    return VmExit(VmExitReason.SYSCALL, steps)
                 elif op == I.HLT:
                     rip = d[1]
                     sync_out()
-                    return CpuExit(ExitReason.HLT, steps)
+                    return VmExit(VmExitReason.HLT, steps)
                 else:  # pragma: no cover - table and executor kept in sync
                     raise InvalidOpcodeError(rip, op)
-        except (PageFaultError, DivideError, InvalidOpcodeError) as fault:
+        except PageFaultError as fault:
             # rip still points at the faulting instruction.
             sync_out()
-            return CpuExit(ExitReason.FAULT, steps, fault=fault)
+            return VmExit(VmExitReason.PAGE_FAULT, steps, fault)
+        except (DivideError, InvalidOpcodeError) as fault:
+            sync_out()
+            return VmExit(VmExitReason.CPU_EXCEPTION, steps, fault)

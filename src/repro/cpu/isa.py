@@ -89,7 +89,7 @@ class OpSpec(NamedTuple):
     layout: str
 
 
-#: opcode byte -> operand spec.  The assembler and interpreter both
+#: opcode byte -> operand spec.  The assembler and :func:`decode` both
 #: derive operand sizes from this single table.
 OPCODES: dict[int, OpSpec] = {
     MOVI: OpSpec("mov", "ri"),
@@ -153,3 +153,55 @@ def insn_length(opcode: int) -> int:
     """Total encoded length (opcode byte + operands) of *opcode*."""
     spec = OPCODES[opcode]
     return 1 + sum(_FIELD_WIDTH[f] for f in spec.layout)
+
+
+class DecodeError(Exception):
+    """The bytes at *pc* do not encode an instruction.
+
+    ``kind`` is ``"invalid-opcode"`` (undefined opcode byte),
+    ``"bad-register"`` (a register operand outside r0..r15) or
+    ``"truncated"`` (the bytes end mid-instruction).
+    """
+
+    def __init__(self, pc: int, kind: str, opcode: int) -> None:
+        self.pc = pc
+        self.kind = kind
+        self.opcode = opcode
+        super().__init__(f"{kind} (opcode {opcode:#04x}) at {pc:#x}")
+
+
+def decode(code: bytes, pc: int, offset: int = 0) -> tuple[int, ...]:
+    """Decode the instruction at ``code[offset]``, which sits at address *pc*.
+
+    Returns ``(opcode, *operands, next_pc)`` with operands in layout
+    order: register, scale and imm64 fields as encoded, imm32 and disp32
+    sign-extended, and branch targets resolved to absolute addresses.
+    Every consumer (interpreter, control-flow graph, symbolic executor) decodes
+    through here.  Raises :class:`DecodeError`.
+    """
+    opcode = code[offset]
+    spec = OPCODES.get(opcode)
+    if spec is None:
+        raise DecodeError(pc, "invalid-opcode", opcode)
+    length = insn_length(opcode)
+    if offset + length > len(code):
+        raise DecodeError(pc, "truncated", opcode)
+    next_pc = pc + length
+    pos = offset + 1
+    fields = [opcode]
+    for kind in spec.layout:
+        width = _FIELD_WIDTH[kind]
+        if kind == "r" or kind == "c":
+            value = code[pos]
+            if kind == "r" and value >= 16:
+                raise DecodeError(pc, "bad-register", opcode)
+        elif kind == "i":
+            value = int.from_bytes(code[pos : pos + width], "little")
+        else:
+            value = int.from_bytes(code[pos : pos + width], "little", signed=True)
+            if kind == "t":
+                value += next_pc
+        fields.append(value)
+        pos += width
+    fields.append(next_pc)
+    return tuple(fields)

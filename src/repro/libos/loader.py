@@ -17,7 +17,7 @@ the two can never disagree about what the loader maps.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.cpu.assembler import Program
 from repro.cpu.registers import RegisterFile
@@ -75,14 +75,13 @@ def load_program(
     pool: FramePool,
     stack_pages: int = DEFAULT_STACK_PAGES,
     bss_pages: int = 16,
-    name: Optional[str] = None,
 ) -> tuple[AddressSpace, RegisterFile]:
     """Build the initial address space and register file for *program*.
 
     Returns ``(space, regs)`` with ``rip`` at the entry point and ``rsp``
     at the stack top.
     """
-    space = AddressSpace(pool, name=name or "guest")
+    space = AddressSpace(pool)
     segments = {
         seg.name: seg for seg in memory_map(program, stack_pages, bss_pages)
     }

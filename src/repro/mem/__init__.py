@@ -9,8 +9,8 @@ builds on via Dune.  It provides:
 * :mod:`repro.mem.pagetable` -- a persistent 4-level radix page table with
   structural sharing, the data structure that makes snapshot creation O(1);
 * :mod:`repro.mem.addrspace` -- :class:`AddressSpace`, the mutable
-  process-facing view with copy-on-write fault handling;
-* :mod:`repro.mem.tlb` -- a software TLB model with invalidation counting;
+  process-facing view with copy-on-write fault handling and a
+  translation cache that every fork and free empties;
 * :mod:`repro.mem.faults` -- page-fault exception types and statistics.
 
 The cost model is explicit: every copy-on-write fault, copied page-table
@@ -18,7 +18,7 @@ node, and copied frame is counted, so benchmarks can report simulated cost
 (pages copied, faults taken) alongside Python wall-clock.
 """
 
-from repro.mem.addrspace import AddressSpace, MemStats
+from repro.mem.addrspace import AddressSpace
 from repro.mem.faults import (
     AccessKind,
     NotMappedError,
@@ -38,7 +38,6 @@ from repro.mem.layout import (
     page_align_up,
 )
 from repro.mem.pagetable import PageTable, Permission
-from repro.mem.tlb import TLB, TLBEntry
 
 __all__ = [
     "AccessKind",
@@ -48,7 +47,6 @@ __all__ = [
     "Frame",
     "FramePool",
     "HEAP_BASE",
-    "MemStats",
     "NotMappedError",
     "PAGE_MASK",
     "PAGE_SHIFT",
@@ -58,8 +56,6 @@ __all__ = [
     "Permission",
     "ProtectionError",
     "STACK_TOP",
-    "TLB",
-    "TLBEntry",
     "page_align_down",
     "page_align_up",
 ]

@@ -17,7 +17,6 @@ snapshot-shared page take the same copy-on-write route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.mem.faults import (
@@ -34,28 +33,21 @@ from repro.mem.layout import (
     is_canonical,
     page_align_up,
 )
-from repro.mem.pagetable import PTE, PageTable, Permission
-from repro.mem.tlb import TLB, TLBEntry
+from repro.mem.pagetable import PageTable, Permission
 from repro.obs import events as _events
 from repro.obs.trace import TRACER as _TRACER
 
 _as_ids = itertools.count()
 
-
-@dataclass
-class MemStats:
-    """A read-only aggregate of an address space's cost counters."""
-
-    cow_faults: int
-    demand_zero_faults: int
-    pages_copied: int
-    bytes_copied: int
-    nodes_copied: int
-    tlb_hits: int
-    tlb_misses: int
-    tlb_flushes: int
-    mapped_pages: int
-    live_frames: int
+#: The permission bit each access needs, as a plain int.
+_READ = int(Permission.READ)
+_WRITE = int(Permission.WRITE)
+_NEEDED_BIT = {
+    AccessKind.READ: _READ,
+    AccessKind.WRITE: _WRITE,
+    AccessKind.EXECUTE: int(Permission.EXEC),
+}
+_ACCESS_OF = {bit: access for access, bit in _NEEDED_BIT.items()}
 
 
 class AddressSpace:
@@ -67,21 +59,17 @@ class AddressSpace:
         The physical frame pool backing this address space.  Address
         spaces that should share physical memory (e.g. a parent and its
         snapshots) must share a pool.
-    name:
-        Optional label used in reprs and diagnostics.
     """
 
-    def __init__(
-        self,
-        pool: FramePool,
-        name: Optional[str] = None,
-        _table: Optional[PageTable] = None,
-    ):
+    def __init__(self, pool: FramePool, _table: Optional[PageTable] = None):
         self.pool = pool
         self.asid = next(_as_ids)
-        self.name = name or f"as{self.asid}"
         self.table = _table if _table is not None else PageTable(pool)
-        self.tlb = TLB()
+        #: Cached translations, ``vpn -> (frame, perms, writable)``.
+        #: ``writable`` is False for a page that must still COW-fault on
+        #: write although its PTE grants WRITE (its frame may be shared).
+        #: Emptied at every fork and at free.
+        self.tlb: dict[int, tuple[Frame, int, bool]] = {}
         self.faults = FaultStats()
         #: Pages written since the last snapshot point (cleared by the
         #: dirty-eager snapshot manager; maintained on the write-fault
@@ -97,7 +85,7 @@ class AddressSpace:
         self._freed = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AddressSpace({self.name!r}, pages={self.table.entry_count()})"
+        return f"AddressSpace(asid={self.asid}, pages={self.table.entry_count()})"
 
     # ------------------------------------------------------------------
     # Region management
@@ -156,7 +144,7 @@ class AddressSpace:
                 frame = self._zero()
                 frame.refcount += 1
             self.table.map(vpn, frame, perms)
-            self.tlb.invalidate(vpn)
+            self.tlb.pop(vpn, None)
 
     def unmap_region(self, base: int, size: int) -> None:
         """Unmap every page intersecting ``[base, base+size)``."""
@@ -166,7 +154,7 @@ class AddressSpace:
         for i in range(npages):
             vpn = (base >> PAGE_SHIFT) + i
             if self.table.unmap(vpn):
-                self.tlb.invalidate(vpn)
+                self.tlb.pop(vpn, None)
 
     def protect_region(self, base: int, size: int, perms: Permission) -> None:
         """Change permissions for every mapped page in the region."""
@@ -175,7 +163,7 @@ class AddressSpace:
             vpn = (base >> PAGE_SHIFT) + i
             if self.table.is_mapped(vpn):
                 self.table.set_perms(vpn, perms)
-                self.tlb.invalidate(vpn)
+                self.tlb.pop(vpn, None)
 
     def set_brk_base(self, base: int) -> None:
         """Initialise the program break (heap start)."""
@@ -207,31 +195,28 @@ class AddressSpace:
     # Translation and fault handling
     # ------------------------------------------------------------------
 
-    def _frame_for(self, vpn: int, access: AccessKind) -> Frame:
-        """Translate *vpn* for *access*, resolving COW faults.
+    def _frame_for(self, vpn: int, needed: int) -> Frame:
+        """Translate *vpn* for an access needing permission bit *needed*,
+        resolving COW faults.
 
         Raises :class:`NotMappedError` / :class:`ProtectionError` for
         faults the memory subsystem cannot resolve.
         """
-        write = access is AccessKind.WRITE
-        entry = self.tlb.lookup(vpn)
-        if (
-            entry is not None
-            and entry.perms & _NEEDED_PERM[access]
-            and (not write or entry.writable)
-        ):
-            return entry.frame
+        write = needed == _WRITE
+        entry = self.tlb.get(vpn)
+        if entry is not None and entry[1] & needed and (not write or entry[2]):
+            return entry[0]
         pte = self.table.lookup(vpn)
         if pte is None:
             self.faults.hard_faults += 1
-            raise NotMappedError(vpn << PAGE_SHIFT, access)
-        needed = _NEEDED_PERM[access]
+            raise NotMappedError(vpn << PAGE_SHIFT, _ACCESS_OF[needed])
         if not (pte.perms & needed):
             self.faults.hard_faults += 1
             raise ProtectionError(
                 vpn << PAGE_SHIFT,
-                access,
-                f"page perms {pte.perms!r} lack {needed!r}",
+                _ACCESS_OF[needed],
+                f"page perms {Permission(pte.perms)!r} lack "
+                f"{Permission(needed)!r}",
             )
         if write:
             # Sharing is tracked at *node* granularity (a snapshot shares
@@ -255,17 +240,10 @@ class AddressSpace:
                     _TRACER.emit(
                         _events.MEM_COW_FAULT, asid=self.asid, vpn=vpn, kind=kind
                     )
-            # Only a write that ran make_private may cache writability:
-            # the read path cannot tell a node-shared frame from an
-            # exclusive one.
-            self.tlb.insert(vpn, TLBEntry(pte.frame, pte.perms, True))
-        else:
-            self.tlb.insert(vpn, TLBEntry(pte.frame, pte.perms, False))
+        # Only a write that ran make_private may cache writability: the
+        # read path cannot tell a node-shared frame from an exclusive one.
+        self.tlb[vpn] = (pte.frame, pte.perms, write)
         return pte.frame
-
-    def translate(self, addr: int, access: AccessKind = AccessKind.READ) -> Frame:
-        """Translate a byte address, returning its (fault-resolved) frame."""
-        return self._frame_for(addr >> PAGE_SHIFT, access)
 
     # ------------------------------------------------------------------
     # Byte accessors
@@ -275,11 +253,12 @@ class AddressSpace:
         """Read *n* bytes starting at *addr* (may span pages)."""
         if n < 0:
             raise ValueError("negative read size")
+        needed = _NEEDED_BIT[access]
         out = bytearray()
         while n > 0:
             off = addr & PAGE_MASK
             chunk = min(n, PAGE_SIZE - off)
-            frame = self._frame_for(addr >> PAGE_SHIFT, access)
+            frame = self._frame_for(addr >> PAGE_SHIFT, needed)
             out += frame.data[off : off + chunk]
             addr += chunk
             n -= chunk
@@ -295,7 +274,7 @@ class AddressSpace:
         while pos < n:
             off = addr & PAGE_MASK
             chunk = min(n - pos, PAGE_SIZE - off)
-            frame = self._frame_for(addr >> PAGE_SHIFT, AccessKind.WRITE)
+            frame = self._frame_for(addr >> PAGE_SHIFT, _WRITE)
             frame.data[off : off + chunk] = data[pos : pos + chunk]
             addr += chunk
             pos += chunk
@@ -312,21 +291,20 @@ class AddressSpace:
     # -- single-page fast paths used by the CPU interpreter -------------
     #
     # These keep the simulator usable at millions of guest memory
-    # accesses: a TLB hit costs one dict lookup and one slice, skipping
-    # the generic span loop and enum permission arithmetic.
+    # accesses: a cached translation costs one dict lookup and one slice,
+    # skipping the generic span loop.
 
     def read_word(self, addr: int) -> int:
         """Fast 64-bit little-endian load (falls back across pages)."""
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 8:
             vpn = addr >> PAGE_SHIFT
-            entry = self.tlb._entries.get(vpn)
-            if entry is not None and entry.perms.value & 1:
-                self.tlb.stats.hits += 1
-                data = entry.frame.data
-                return int.from_bytes(data[off : off + 8], "little")
-            frame = self._frame_for(vpn, AccessKind.READ)
-            return int.from_bytes(frame.data[off : off + 8], "little")
+            entry = self.tlb.get(vpn)
+            if entry is not None and entry[1] & _READ:
+                data = entry[0].data
+            else:
+                data = self._frame_for(vpn, _READ).data
+            return int.from_bytes(data[off : off + 8], "little")
         return self.read_int(addr, 8)
 
     def write_word(self, addr: int, value: int) -> None:
@@ -334,35 +312,31 @@ class AddressSpace:
         off = addr & PAGE_MASK
         if off <= PAGE_SIZE - 8:
             vpn = addr >> PAGE_SHIFT
-            entry = self.tlb._entries.get(vpn)
-            if entry is not None and entry.writable:
-                self.tlb.stats.hits += 1
-                frame_data = entry.frame.data
+            entry = self.tlb.get(vpn)
+            if entry is not None and entry[2]:
+                data = entry[0].data
             else:
-                frame_data = self._frame_for(vpn, AccessKind.WRITE).data
-            frame_data[off : off + 8] = (value & MASK64_).to_bytes(8, "little")
+                data = self._frame_for(vpn, _WRITE).data
+            data[off : off + 8] = (value & MASK64_).to_bytes(8, "little")
             return
         self.write_int(addr, value, 8)
 
     def read_byte(self, addr: int) -> int:
         """Fast byte load."""
         vpn = addr >> PAGE_SHIFT
-        entry = self.tlb._entries.get(vpn)
-        if entry is not None and entry.perms.value & 1:
-            self.tlb.stats.hits += 1
-            return entry.frame.data[addr & PAGE_MASK]
-        return self._frame_for(vpn, AccessKind.READ).data[addr & PAGE_MASK]
+        entry = self.tlb.get(vpn)
+        if entry is not None and entry[1] & _READ:
+            return entry[0].data[addr & PAGE_MASK]
+        return self._frame_for(vpn, _READ).data[addr & PAGE_MASK]
 
     def write_byte(self, addr: int, value: int) -> None:
         """Fast byte store."""
         vpn = addr >> PAGE_SHIFT
-        entry = self.tlb._entries.get(vpn)
-        if entry is not None and entry.writable:
-            self.tlb.stats.hits += 1
-            entry.frame.data[addr & PAGE_MASK] = value & 0xFF
+        entry = self.tlb.get(vpn)
+        if entry is not None and entry[2]:
+            entry[0].data[addr & PAGE_MASK] = value & 0xFF
             return
-        frame = self._frame_for(vpn, AccessKind.WRITE)
-        frame.data[addr & PAGE_MASK] = value & 0xFF
+        self._frame_for(vpn, _WRITE).data[addr & PAGE_MASK] = value & 0xFF
 
     def read_u8(self, addr: int) -> int:
         return self.read_int(addr, 1)
@@ -395,7 +369,16 @@ class AddressSpace:
     # Snapshot support
     # ------------------------------------------------------------------
 
-    def fork_cow(self, name: Optional[str] = None) -> "AddressSpace":
+    def _clone(self, table: Optional[PageTable] = None) -> "AddressSpace":
+        """A new space over *table* that carries this space's brk and mmap
+        cursors, so a guest resumed in it allocates where it left off."""
+        clone = AddressSpace(self.pool, _table=table)
+        clone.brk_base = self.brk_base
+        clone.brk_end = self.brk_end
+        clone.mmap_next = self.mmap_next
+        return clone
+
+    def fork_cow(self) -> "AddressSpace":
         """Create a logical copy of this address space in O(1).
 
         Both this space and the copy become copy-on-write: the first write
@@ -403,23 +386,18 @@ class AddressSpace:
         flushed (the software equivalent of the TLB shootdown that
         write-protecting the PTEs would require on hardware).
         """
-        clone = AddressSpace(self.pool, name=name, _table=self.table.clone())
-        clone.brk_base = self.brk_base
-        clone.brk_end = self.brk_end
-        clone.mmap_next = self.mmap_next
+        clone = self._clone(self.table.clone())
         clone._zero_frame = self._zero_frame
-        self.tlb.flush()
+        self.tlb.clear()
         return clone
 
-    def fork_eager(self, name: Optional[str] = None) -> "AddressSpace":
+    def fork_eager(self) -> "AddressSpace":
         """Create a physical copy of this address space in O(pages).
 
         This is the naive-``fork`` baseline from §3 of the paper: every
         mapped page is duplicated up front.
         """
-        clone = AddressSpace(self.pool, name=name)
-        clone.brk_base = self.brk_base
-        clone.brk_end = self.brk_end
+        clone = self._clone()
         for vpn, pte in self.table.items():
             frame = self.pool.copy(pte.frame)
             clone.table.map(vpn, frame, pte.perms)
@@ -431,7 +409,7 @@ class AddressSpace:
             return
         self._freed = True
         self.table.free()
-        self.tlb.flush()
+        self.tlb.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -440,10 +418,6 @@ class AddressSpace:
     def mapped_pages(self) -> int:
         """Number of pages currently mapped."""
         return self.table.entry_count()
-
-    def mapped_bytes(self) -> int:
-        """Total bytes currently mapped."""
-        return self.mapped_pages() * PAGE_SIZE
 
     def resident_private_pages(self) -> int:
         """Pages whose frame this space does not share with anyone
@@ -468,26 +442,5 @@ class AddressSpace:
                 return False
         return True
 
-    def stats(self) -> MemStats:
-        """Aggregate cost counters for this address space."""
-        return MemStats(
-            cow_faults=self.faults.cow_faults,
-            demand_zero_faults=self.faults.demand_zero_faults,
-            pages_copied=self.faults.pages_copied,
-            bytes_copied=self.faults.bytes_copied,
-            nodes_copied=self.table.nodes_copied,
-            tlb_hits=self.tlb.stats.hits,
-            tlb_misses=self.tlb.stats.misses,
-            tlb_flushes=self.tlb.stats.flushes,
-            mapped_pages=self.mapped_pages(),
-            live_frames=self.pool.live_frames,
-        )
-
-
-_NEEDED_PERM = {
-    AccessKind.READ: Permission.READ,
-    AccessKind.WRITE: Permission.WRITE,
-    AccessKind.EXECUTE: Permission.EXEC,
-}
 
 MASK64_ = (1 << 64) - 1

@@ -11,8 +11,6 @@ unresolvable faults propagating to the VMM as VM exits.
 from __future__ import annotations
 
 import enum
-from typing import Optional
-
 
 
 class AccessKind(enum.Enum):
@@ -54,7 +52,6 @@ _FAULT_FIELDS = (
     "demand_zero_faults",
     "hard_faults",
     "pages_copied",
-    "nodes_copied",
     "bytes_copied",
 )
 
@@ -64,15 +61,16 @@ class FaultStats:
 
     ``cow_faults`` and ``demand_zero_faults`` are *resolved* internally;
     ``hard_faults`` escaped to the caller.  ``pages_copied`` /
-    ``nodes_copied`` / ``bytes_copied`` measure the physical work done by
-    copy-on-write, which is the paper's key cost metric for snapshot
-    maintenance.
+    ``bytes_copied`` measure the physical work done by copy-on-write,
+    which is the paper's key cost metric for snapshot maintenance (the
+    page-table nodes copied on the way are
+    :attr:`repro.mem.pagetable.PageTable.nodes_copied`).
 
     A plain record of ints: one is built per address space, on every
     snapshot take and restore, so it holds no registry.
     """
 
-    __slots__ = _FAULT_FIELDS + ("extra",)
+    __slots__ = _FAULT_FIELDS
 
     def __init__(
         self,
@@ -80,48 +78,14 @@ class FaultStats:
         demand_zero_faults: int = 0,
         hard_faults: int = 0,
         pages_copied: int = 0,
-        nodes_copied: int = 0,
         bytes_copied: int = 0,
-        extra: Optional[dict] = None,
     ):
         self.cow_faults = cow_faults
         self.demand_zero_faults = demand_zero_faults
         self.hard_faults = hard_faults
         self.pages_copied = pages_copied
-        self.nodes_copied = nodes_copied
         self.bytes_copied = bytes_copied
-        self.extra: dict = extra if extra is not None else {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{name}={getattr(self, name)}" for name in _FAULT_FIELDS)
         return f"FaultStats({body})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultStats):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in _FAULT_FIELDS
-        ) and self.extra == other.extra
-
-    def snapshot(self) -> "FaultStats":
-        """Return an independent copy of the current counters."""
-        return FaultStats(
-            cow_faults=self.cow_faults,
-            demand_zero_faults=self.demand_zero_faults,
-            hard_faults=self.hard_faults,
-            pages_copied=self.pages_copied,
-            nodes_copied=self.nodes_copied,
-            bytes_copied=self.bytes_copied,
-            extra=dict(self.extra),
-        )
-
-    def delta(self, earlier: "FaultStats") -> "FaultStats":
-        """Return counters accumulated since *earlier* was captured."""
-        return FaultStats(
-            cow_faults=self.cow_faults - earlier.cow_faults,
-            demand_zero_faults=self.demand_zero_faults - earlier.demand_zero_faults,
-            hard_faults=self.hard_faults - earlier.hard_faults,
-            pages_copied=self.pages_copied - earlier.pages_copied,
-            nodes_copied=self.nodes_copied - earlier.nodes_copied,
-            bytes_copied=self.bytes_copied - earlier.bytes_copied,
-        )

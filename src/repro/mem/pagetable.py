@@ -52,11 +52,12 @@ class PTE(NamedTuple):
 
     PTEs are immutable so they can be shared freely between a node and its
     copy; mutation happens by replacing the entry in an exclusively-owned
-    level-0 node.
+    level-0 node.  ``perms`` holds the :class:`Permission` bits as a plain
+    int, so the translation path tests them without enum arithmetic.
     """
 
     frame: Frame
-    perms: Permission
+    perms: int
 
 
 class _Node:
@@ -83,9 +84,6 @@ class PageTable:
         self._root = _root if _root is not None else _Node(_TOP_LEVEL)
         #: Number of radix nodes copied to regain exclusivity (COW cost).
         self.nodes_copied = 0
-        #: Monotonic generation, bumped on every structural mutation; used
-        #: by the TLB layer to know when cached translations are stale.
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # Read path
@@ -106,11 +104,6 @@ class PageTable:
     def is_mapped(self, vpn: int) -> bool:
         """True if *vpn* has a mapping."""
         return self.lookup(vpn) is not None
-
-    def mapped_vpns(self) -> Iterator[int]:
-        """Yield every mapped virtual page number in ascending order."""
-        for vpn, _pte in self.items():
-            yield vpn
 
     def items(self) -> Iterator[tuple[int, PTE]]:
         """Yield ``(vpn, pte)`` pairs for every mapping, ascending."""
@@ -150,16 +143,6 @@ class PageTable:
             return sum(walk(c, exclusive) for c in node.entries.values())
 
         return walk(self._root, True)
-
-    def node_count(self) -> int:
-        """Total number of radix nodes reachable from this root."""
-
-        def count(node: _Node) -> int:
-            if node.level == 0:
-                return 1
-            return 1 + sum(count(c) for c in node.entries.values())
-
-        return count(self._root)
 
     def shares_root_with(self, other: "PageTable") -> bool:
         """True if *other* currently shares this table's root node."""
@@ -225,18 +208,18 @@ class PageTable:
             node = child
         return node
 
-    def map(self, vpn: int, frame: Frame, perms: Permission) -> None:
-        """Map *vpn* to *frame* with *perms*, consuming the frame ref.
+    def map(self, vpn: int, frame: Frame, perms: int) -> None:
+        """Map *vpn* to *frame* with *perms* (:class:`Permission` bits),
+        consuming the frame ref.
 
         Replacing an existing mapping releases the old frame.
         """
         leaf = self._leaf_exclusive(vpn, create=True)
         idx = _index_at(vpn, 0)
         old = leaf.entries.get(idx)
-        leaf.entries[idx] = PTE(frame, perms)
+        leaf.entries[idx] = PTE(frame, int(perms))
         if old is not None:
             self.pool.put(old.frame)
-        self.generation += 1
 
     def unmap(self, vpn: int) -> bool:
         """Remove the mapping for *vpn*.  Returns False if it was absent."""
@@ -248,7 +231,6 @@ class PageTable:
         if old is None:
             return False
         self.pool.put(old.frame)
-        self.generation += 1
         return True
 
     def set_perms(self, vpn: int, perms: Permission) -> None:
@@ -258,8 +240,7 @@ class PageTable:
         if leaf is None or idx not in leaf.entries:
             raise KeyError(f"vpn {vpn:#x} is not mapped")
         old = leaf.entries[idx]
-        leaf.entries[idx] = PTE(old.frame, perms)
-        self.generation += 1
+        leaf.entries[idx] = PTE(old.frame, int(perms))
 
     def make_private(self, vpn: int) -> PTE:
         """Resolve a copy-on-write fault on *vpn*.
@@ -280,7 +261,6 @@ class PageTable:
             # copy is a new live frame already counted by pool.copy().
             pte = PTE(fresh, pte.perms)
             leaf.entries[idx] = pte
-            self.generation += 1
         return pte
 
     # ------------------------------------------------------------------

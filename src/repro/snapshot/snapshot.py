@@ -188,7 +188,7 @@ class SnapshotManager:
         """
         if space.pool is not self.pool:
             raise ValueError("address space does not belong to this manager's pool")
-        frozen_space = space.fork_cow(name=f"snap-of-{space.name}")
+        frozen_space = space.fork_cow()
         frozen_files = files.fork_cow() if hasattr(files, "fork_cow") else files
         snap = Snapshot(regs, frozen_space, frozen_files, parent)
         self._note_take(snap)
@@ -219,7 +219,7 @@ class SnapshotManager:
         """
         if not snap.alive:
             raise SnapshotDiscardedError(snap.sid, "restore")
-        space = snap.space.fork_cow(name=f"restore-{snap.sid}")
+        space = snap.space.fork_cow()
         files = (
             snap.files.fork_cow() if hasattr(snap.files, "fork_cow") else snap.files
         )

@@ -84,7 +84,7 @@ class SnapshotBackend:
         self.stats = BackendStats()
 
     def new_memory(self) -> AddressSpace:
-        return AddressSpace(self.pool, name="symex")
+        return AddressSpace(self.pool)
 
     def map_region(self, mem: AddressSpace, base: int, size: int,
                    data: Optional[bytes] = None) -> None:

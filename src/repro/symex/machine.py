@@ -102,43 +102,15 @@ class StaticDecoder:
         self._cache: dict[int, tuple] = {}
 
     def decode(self, rip: int) -> tuple:
+        """Decode at *rip*; raises ``KeyError`` outside ``.text`` and
+        :class:`repro.cpu.isa.DecodeError` on a bad encoding."""
         cached = self._cache.get(rip)
-        if cached is not None:
-            return cached
-        text = self.program.text
-        base = self.program.text_base
-        offset = rip - base
-        if not (0 <= offset < len(text)):
-            raise KeyError(f"rip {rip:#x} outside .text")
-        opcode = text[offset]
-        spec = isa.OPCODES.get(opcode)
-        if spec is None:
-            raise KeyError(f"invalid opcode {opcode:#x} at {rip:#x}")
-        length = isa.insn_length(opcode)
-        raw = text[offset + 1 : offset + length]
-        next_rip = rip + length
-        fields: list[int] = [opcode]
-        pos = 0
-        for kind in spec.layout:
-            if kind in ("r", "c"):
-                fields.append(raw[pos])
-                pos += 1
-            elif kind == "i":
-                fields.append(int.from_bytes(raw[pos : pos + 8], "little"))
-                pos += 8
-            elif kind in ("s", "d"):
-                fields.append(
-                    int.from_bytes(raw[pos : pos + 4], "little", signed=True)
-                )
-                pos += 4
-            else:  # "t"
-                rel = int.from_bytes(raw[pos : pos + 4], "little", signed=True)
-                fields.append(next_rip + rel)
-                pos += 4
-        fields.append(next_rip)
-        decoded = tuple(fields)
-        self._cache[rip] = decoded
-        return decoded
+        if cached is None:
+            offset = rip - self.program.text_base
+            if not (0 <= offset < len(self.program.text)):
+                raise KeyError(f"rip {rip:#x} outside .text")
+            cached = self._cache[rip] = isa.decode(self.program.text, rip, offset)
+        return cached
 
 
 class SymMachine:
@@ -225,7 +197,7 @@ class SymMachine:
             return self._run(state, max_steps)
         except _Kill as kill:
             return Killed(str(kill))
-        except (KeyError, PageFaultError) as err:
+        except (KeyError, isa.DecodeError, PageFaultError) as err:
             return Killed(f"memory/decode error: {err}")
 
     def _run(self, state: SymState, max_steps: int) -> Event:

@@ -6,9 +6,9 @@ at root ring 0 (Figure 2).  This package models that control structure:
 
 * :class:`Vmcs` -- per-vCPU state the hardware would keep (guest
   registers live in the interpreter; the VMCS tracks rings and exit info);
-* :class:`VCpu` -- one virtual CPU: enters the guest, translates CPU
-  stops into typed :class:`VmExit` events, and counts exits per reason
-  (the F2 architecture-accounting benchmark reads these counters);
+* :class:`VCpu` -- one virtual CPU: enters the guest, returns the typed
+  :class:`VmExit` the interpreter stopped with, and counts exits per
+  reason (the F2 architecture-accounting benchmark reads these counters);
 * :class:`Ring` -- the privilege levels of Figure 2.
 
 The "hardware" here is :mod:`repro.cpu`; what this layer adds is the

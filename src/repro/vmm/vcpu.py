@@ -4,7 +4,10 @@ A :class:`VCpu` owns an interpreter and presents the libOS with the
 hardware-virtualization contract: call :meth:`VCpu.enter` (VMRESUME), get
 back a :class:`VmExit` naming why the guest stopped.  System calls, halts,
 page faults the MMU could not resolve, CPU exceptions and step-budget
-expiry all surface as exits; the libOS decides what happens next.
+expiry all surface as exits; the libOS decides what happens next.  The
+interpreter builds the exit record itself (:mod:`repro.cpu.interpreter`
+defines :class:`VmExit` and :class:`VmExitReason`, since this package
+imports the CPU); the vCPU counts it and hands it on unchanged.
 """
 
 from __future__ import annotations
@@ -14,16 +17,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cpu.interpreter import (
-    CpuExit,
-    DivideError,
-    ExitReason,
-    Interpreter,
-    InvalidOpcodeError,
-)
+from repro.cpu.interpreter import Interpreter, VmExit, VmExitReason
 from repro.cpu.registers import RegisterFile
 from repro.mem.addrspace import AddressSpace
-from repro.mem.faults import PageFaultError
+
+__all__ = ["Ring", "VCpu", "Vmcs", "VmExit", "VmExitReason"]
 
 
 class Ring(enum.Enum):
@@ -32,26 +30,6 @@ class Ring(enum.Enum):
     ROOT_RING0 = "root-ring0"          # host Linux kernel
     NON_ROOT_RING0 = "non-root-ring0"  # the backtracking libOS
     NON_ROOT_RING3 = "non-root-ring3"  # the guest application
-
-
-class VmExitReason(enum.Enum):
-    """Why control returned from the guest to the libOS."""
-
-    SYSCALL = "syscall"
-    HLT = "hlt"
-    PAGE_FAULT = "page_fault"
-    CPU_EXCEPTION = "cpu_exception"
-    STEP_LIMIT = "step_limit"
-
-
-@dataclass
-class VmExit:
-    """One VM exit event, with its qualification payload."""
-
-    reason: VmExitReason
-    steps: int
-    #: For PAGE_FAULT / CPU_EXCEPTION: the underlying exception object.
-    fault: Optional[Exception] = None
 
 
 @dataclass
@@ -94,25 +72,9 @@ class VCpu:
             raise RuntimeError("no address space attached")
         self.vmcs.entries += 1
         self.vmcs.current_ring = Ring.NON_ROOT_RING3
-        cpu_exit = self._interp.run(max_steps=max_steps)
+        vm_exit = self._interp.run(max_steps=max_steps)
         self.vmcs.current_ring = Ring.NON_ROOT_RING0
         self.vmcs.exits += 1
-        self.vmcs.guest_instructions += cpu_exit.steps
-        vm_exit = _translate(cpu_exit)
+        self.vmcs.guest_instructions += vm_exit.steps
         self.vmcs.exit_counts[vm_exit.reason] += 1
         return vm_exit
-
-
-def _translate(cpu_exit: CpuExit) -> VmExit:
-    if cpu_exit.reason is ExitReason.SYSCALL:
-        return VmExit(VmExitReason.SYSCALL, cpu_exit.steps)
-    if cpu_exit.reason is ExitReason.HLT:
-        return VmExit(VmExitReason.HLT, cpu_exit.steps)
-    if cpu_exit.reason is ExitReason.STEP_LIMIT:
-        return VmExit(VmExitReason.STEP_LIMIT, cpu_exit.steps)
-    fault = cpu_exit.fault
-    if isinstance(fault, PageFaultError):
-        return VmExit(VmExitReason.PAGE_FAULT, cpu_exit.steps, fault=fault)
-    if isinstance(fault, (DivideError, InvalidOpcodeError)):
-        return VmExit(VmExitReason.CPU_EXCEPTION, cpu_exit.steps, fault=fault)
-    raise AssertionError(f"unmapped CPU exit {cpu_exit!r}")  # pragma: no cover

@@ -65,3 +65,31 @@ def test_property_parallel_interleaving_safe(seed, workers, quantum):
         program.source
     )
     assert engine_solutions(result) == expected
+
+
+MMAP_AFTER_GUESS = """
+    mov rax, 9          ; mmap(0, 4096)
+    mov rdi, 0
+    mov rsi, 4096
+    syscall
+    mov rbx, rax
+    mov rax, 0x1000     ; guess(2)
+    mov rdi, 2
+    syscall
+    mov rax, 9          ; mmap(0, 4096) in the restored space
+    mov rdi, 0
+    mov rsi, 4096
+    syscall
+    sub rbx, rax        ; exit(first - second)
+    mov rdi, rbx
+    mov rax, 60
+    syscall
+"""
+
+
+@pytest.mark.parametrize("mode", ["cow", "eager", "dirty-eager"])
+def test_mmap_after_guess_in_every_snapshot_mode(mode):
+    """A restored space keeps its mmap cursor, whichever way it was
+    forked: the second region sits one page below the first."""
+    result = MachineEngine(snapshot_mode=mode).run(MMAP_AFTER_GUESS)
+    assert engine_solutions(result) == [((0,), 4096), ((1,), 4096)]

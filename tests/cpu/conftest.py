@@ -12,7 +12,7 @@ STACK_PAGES = 16
 def load(program, pool=None):
     """Map an assembled program into a fresh address space."""
     pool = pool or FramePool()
-    space = AddressSpace(pool, name="cputest")
+    space = AddressSpace(pool)
     space.map_region(
         program.text_base,
         max(len(program.text), 1),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.interpreter import DivideError, ExitReason, InvalidOpcodeError
+from repro.cpu.interpreter import DivideError, InvalidOpcodeError, VmExitReason
 from repro.cpu.registers import MASK64
 from repro.mem.faults import PageFaultError
 from repro.mem.layout import DATA_BASE
@@ -12,7 +12,7 @@ from tests.cpu.conftest import run_asm
 
 def final(source, reg="rax", **kw):
     exit_event, cpu, _ = run_asm(source + "\nhlt", **kw)
-    assert exit_event.reason is ExitReason.HLT, exit_event
+    assert exit_event.reason is VmExitReason.HLT, exit_event
     return cpu.regs[reg]
 
 
@@ -110,7 +110,7 @@ class TestArithmetic:
 
     def test_divide_by_zero_faults(self):
         exit_event, _, _ = run_asm("mov rax, 1\nmov rbx, 0\nudiv rax, rbx\nhlt")
-        assert exit_event.reason is ExitReason.FAULT
+        assert exit_event.reason is VmExitReason.CPU_EXCEPTION
         assert isinstance(exit_event.fault, DivideError)
 
 
@@ -185,7 +185,7 @@ class TestStackAndCalls:
         ret
         """
         exit_event, cpu, _ = run_asm(src)
-        assert exit_event.reason is ExitReason.HLT
+        assert exit_event.reason is VmExitReason.HLT
         assert cpu.regs.rax == 11
 
     def test_nested_calls(self):
@@ -230,38 +230,38 @@ class TestStackAndCalls:
 class TestExits:
     def test_syscall_exit(self):
         exit_event, cpu, _ = run_asm("mov rax, 60\nsyscall\nhlt")
-        assert exit_event.reason is ExitReason.SYSCALL
+        assert exit_event.reason is VmExitReason.SYSCALL
         assert cpu.regs.rax == 60
 
     def test_rip_points_after_syscall(self):
         exit_event, cpu, space = run_asm("syscall\nmov rax, 7\nhlt")
-        assert exit_event.reason is ExitReason.SYSCALL
+        assert exit_event.reason is VmExitReason.SYSCALL
         # Resuming runs the rest of the program.
         resumed = __import__("repro.cpu", fromlist=["Interpreter"])
         cont = cpu.run()
-        assert cont.reason is ExitReason.HLT
+        assert cont.reason is VmExitReason.HLT
         assert cpu.regs.rax == 7
 
     def test_step_limit(self):
         exit_event, cpu, _ = run_asm("loop: jmp loop", max_steps=50)
-        assert exit_event.reason is ExitReason.STEP_LIMIT
+        assert exit_event.reason is VmExitReason.STEP_LIMIT
         assert exit_event.steps == 50
 
     def test_unmapped_access_faults(self):
         exit_event, _, _ = run_asm("mov rbx, 0x123450000\nmov rax, [rbx]\nhlt")
-        assert exit_event.reason is ExitReason.FAULT
+        assert exit_event.reason is VmExitReason.PAGE_FAULT
         assert isinstance(exit_event.fault, PageFaultError)
 
     def test_write_to_code_faults(self):
         exit_event, _, _ = run_asm(
             "mov rbx, 0x400000\nmov rcx, 1\nmov [rbx], rcx\nhlt"
         )
-        assert exit_event.reason is ExitReason.FAULT
+        assert exit_event.reason is VmExitReason.PAGE_FAULT
 
     def test_execute_data_faults(self):
         exit_event, _, _ = run_asm("mov rbx, 0x600000\njmp next\nnext: hlt",
                                    setup=_jump_to_data)
-        assert exit_event.reason is ExitReason.FAULT
+        assert exit_event.reason is VmExitReason.PAGE_FAULT
 
     def test_invalid_opcode(self):
         def poke(cpu, space, program):
@@ -280,7 +280,7 @@ class TestExits:
         cpu2 = Interpreter(s)
         cpu2.regs.rip = 0x400000
         ev = cpu2.run()
-        assert ev.reason is ExitReason.FAULT
+        assert ev.reason is VmExitReason.CPU_EXCEPTION
         assert isinstance(ev.fault, InvalidOpcodeError)
 
     def test_instruction_count_accumulates(self):
@@ -304,13 +304,13 @@ class TestCowIntegration:
         hlt
         """
         exit_event, cpu, space = run_asm(src)
-        assert exit_event.reason is ExitReason.SYSCALL
+        assert exit_event.reason is VmExitReason.SYSCALL
         frozen = cpu.regs.frozen()
         snap_space = space.fork_cow()
 
         # Continue original: writes 222.
         cont = cpu.run()
-        assert cont.reason is ExitReason.HLT
+        assert cont.reason is VmExitReason.HLT
         assert space.read_u64(0x600000) == 222
         # Snapshot still sees 111.
         assert snap_space.read_u64(0x600000) == 111
@@ -323,6 +323,6 @@ class TestCowIntegration:
         cpu2 = Interpreter(replay_space)
         cpu2.regs.load(frozen)
         again = cpu2.run()
-        assert again.reason is ExitReason.HLT
+        assert again.reason is VmExitReason.HLT
         assert replay_space.read_u64(0x600000) == 222
         assert snap_space.read_u64(0x600000) == 111

@@ -231,10 +231,10 @@ class TestMmap:
         syscall
         """
         action, state, vcpu, _ = run_guest(src)
-        fork = state.space.fork_cow()
         base = vcpu.regs["rbx"]
-        assert fork.read_u64(base) == 42
-        assert fork.mmap_next == state.space.mmap_next
+        for fork in (state.space.fork_cow(), state.space.fork_eager()):
+            assert fork.read_u64(base) == 42
+            assert fork.mmap_next == state.space.mmap_next
 
 
 class TestFileSyscalls:

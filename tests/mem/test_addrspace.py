@@ -22,7 +22,7 @@ def pool():
 
 @pytest.fixture
 def space(pool):
-    s = AddressSpace(pool, name="t")
+    s = AddressSpace(pool)
     s.map_region(BASE, 16 * PAGE_SIZE, Permission.RW)
     return s
 
@@ -192,14 +192,19 @@ class TestForkCow:
         assert child.faults.cow_faults == before + 1
 
     def test_tlb_flushed_on_fork(self, space):
-        space.write(BASE, b"x")
-        flushes = space.tlb.stats.flushes
-        space.fork_cow()
-        assert space.tlb.stats.flushes == flushes + 1
-        # Parent write after fork must COW, not scribble on shared frame.
-        child_view = space.fork_cow()
-        space.write(BASE, b"y")
-        assert child_view.read(BASE, 1) == b"x"
+        # Each write caches a writable translation of its page.  The fork
+        # must drop them all, or the parent's next write through the cache
+        # would land on the frame it now shares with the clone.
+        pages = [BASE, BASE + PAGE_SIZE, BASE + 2 * PAGE_SIZE]
+        space.write(pages[0], b"x")
+        space.write_word(pages[1], 0x78)
+        space.write_byte(pages[2], 0x78)
+        clone = space.fork_cow()
+        space.write(pages[0], b"y")
+        space.write_word(pages[1], 0x79)
+        space.write_byte(pages[2], 0x79)
+        assert [clone.read_byte(p) for p in pages] == [0x78] * 3
+        assert [space.read_byte(p) for p in pages] == [0x79] * 3
 
     def test_fork_preserves_brk(self, pool):
         s = AddressSpace(pool)
@@ -254,8 +259,7 @@ class TestFree:
 class TestStats:
     def test_stats_shape(self, space):
         space.write(BASE, b"x")
-        st = space.stats()
-        assert st.mapped_pages == 16
-        assert st.demand_zero_faults == 1
-        assert st.pages_copied == 1
-        assert st.bytes_copied == PAGE_SIZE
+        assert space.mapped_pages() == 16
+        assert space.faults.demand_zero_faults == 1
+        assert space.faults.pages_copied == 1
+        assert space.faults.bytes_copied == PAGE_SIZE

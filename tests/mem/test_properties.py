@@ -29,7 +29,7 @@ class CowEquivalence(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        space = AddressSpace(self.pool, name="root")
+        space = AddressSpace(self.pool)
         space.map_region(BASE, REGION_SIZE, Permission.RW)
         self.spaces = [space]
         self.models = [bytearray(REGION_SIZE)]

@@ -199,16 +199,3 @@ class TestStatsViews:
         stats = SearchStats(candidates=3, evaluations=7, fails=2)
         assert stats.candidates == 3
         stats.fails += 1
-
-    def test_fault_stats_snapshot_and_delta_still_work(self):
-        from repro.mem.faults import FaultStats
-
-        live = FaultStats()
-        live.cow_faults += 3
-        live.bytes_copied += 4096
-        earlier = live.snapshot()
-        live.cow_faults += 2
-        delta = live.delta(earlier)
-        assert delta.cow_faults == 2
-        assert delta.bytes_copied == 0
-        assert earlier.cow_faults == 3  # detached copy

@@ -35,7 +35,7 @@ class SnapshotInvariants(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        space = AddressSpace(self.manager.pool, name="root")
+        space = AddressSpace(self.manager.pool)
         space.map_region(BASE, SIZE, Permission.RW)
         self.spaces = [(space, bytearray(SIZE))]
         self.snaps = []

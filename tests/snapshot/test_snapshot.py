@@ -16,7 +16,7 @@ def mgr():
 
 @pytest.fixture
 def space(mgr):
-    s = AddressSpace(mgr.pool, name="guest")
+    s = AddressSpace(mgr.pool)
     s.map_region(BASE, 8 * PAGE_SIZE, Permission.RW)
     return s
 
