@@ -27,14 +27,6 @@ from dataclasses import dataclass, field
 from repro.cpu import isa
 from repro.cpu.assembler import Program
 
-#: Conditional branches: taken edge + fall-through edge.
-CONDITIONAL_JUMPS = frozenset(
-    {isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE}
-)
-
-#: Opcodes after which execution never falls through to the next pc.
-_NO_FALLTHROUGH = frozenset({isa.JMP, isa.RET, isa.HLT})
-
 
 @dataclass(frozen=True)
 class Insn:
@@ -172,7 +164,7 @@ class ControlFlowGraph:
                     self.ret_sites.append(pc)
                     leaders.add(decoded.next_pc)
                     break
-                elif op == isa.JMP or op in CONDITIONAL_JUMPS:
+                elif op == isa.JMP or op in isa.CONDITIONAL_JUMPS:
                     target = decoded.fields[0]
                     if self._in_text(target):
                         leaders.add(target)
@@ -200,9 +192,7 @@ class ControlFlowGraph:
                 self.blocks[pc] = current
             current.insns.append(insn)
             self.block_of[pc] = current.start
-            if insn.opcode in _NO_FALLTHROUGH \
-                    or insn.opcode in CONDITIONAL_JUMPS \
-                    or insn.opcode in (isa.CALL, isa.SYSCALL):
+            if insn.opcode in isa.ENDS_BLOCK:
                 current = None
 
         return_sites = [self.insns[pc].next_pc for pc in self.call_sites]
@@ -214,7 +204,7 @@ class ControlFlowGraph:
         op = last.opcode
         if op == isa.JMP:
             self._edge(block, "jump", last.fields[0])
-        elif op in CONDITIONAL_JUMPS:
+        elif op in isa.CONDITIONAL_JUMPS:
             self._edge(block, "jump", last.fields[0])
             self._edge(block, "fall", last.next_pc)
         elif op == isa.CALL:

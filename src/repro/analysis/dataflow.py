@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import CONDITIONAL_JUMPS, ControlFlowGraph, Insn
+from repro.analysis.cfg import ControlFlowGraph, Insn
 from repro.core import sysno
 from repro.cpu import isa
 from repro.cpu.registers import MASK64, RAX, RDI, RSP
@@ -674,7 +674,7 @@ def _transfer_block(
     outs: list[tuple[int, AbsState]] = []
     if term.opcode == isa.SYSCALL and term.pc in noreturn:
         return outs
-    if term.opcode in CONDITIONAL_JUMPS:
+    if term.opcode in isa.CONDITIONAL_JUMPS:
         for kind, succ in block.edges:
             refined = refine_edge(
                 state, transfer.flag_src, term.opcode, taken=(kind == "jump")

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.analysis.cfg import CONDITIONAL_JUMPS, ControlFlowGraph
+from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dataflow import DataflowResult, Interval, _rpo
 from repro.core import sysno
 from repro.cpu import isa
@@ -737,7 +737,7 @@ def _linear_trace(
             else:
                 return None  # exit/crash/unknown before any guess
         term = cfg.blocks[block].terminator
-        if term.opcode in CONDITIONAL_JUMPS:
+        if term.opcode in isa.CONDITIONAL_JUMPS:
             return None
         succs = {succ for _k, succ in cfg.blocks[block].edges}
         if len(succs) != 1:

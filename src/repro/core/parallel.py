@@ -90,10 +90,9 @@ class ParallelMachineEngine:
         self.tree = SnapshotTree(self.manager)
         self.max_steps_per_extension = max_steps_per_extension
         self.max_solutions = max_solutions
-        icache: dict = {}
         self.workers = [
             _Worker(ExtensionStepper(
-                self.libos, VCpu(cpu_id=i, icache=icache), self.pool,
+                self.libos, VCpu(cpu_id=i), self.pool,
                 strategy, max_steps_per_extension, manager=self.manager,
                 tree=self.tree, quantum=quantum, tags={"worker": i},
             ))

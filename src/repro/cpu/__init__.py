@@ -11,10 +11,13 @@ spaces — so guest code takes real COW page faults.
 * :mod:`repro.cpu.isa` -- opcode definitions, encoding layout, and the
   one instruction decoder every consumer shares.
 * :mod:`repro.cpu.assembler` -- text assembly -> :class:`Program`.
-* :mod:`repro.cpu.interpreter` -- fetch/decode/execute with a decode
-  cache; stops with a typed :class:`VmExit` (syscall, halt, page fault,
-  CPU exception, step budget) that the VMM layer counts and the libOS
-  consumes.
+* :mod:`repro.cpu.semantics` -- what every opcode does, written once as
+  a Python source template with its flag and fault effects declared.
+* :mod:`repro.cpu.interpreter` -- fetch/decode/execute in two tiers over
+  that table (one handler per opcode; compiled hot basic blocks) and a
+  code cache owned by the program; stops with a typed :class:`VmExit`
+  (syscall, halt, page fault, CPU exception, step budget) that the VMM
+  layer counts and the libOS consumes.
 """
 
 from repro.cpu.assembler import AssemblyError, Program, assemble

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cpu import isa
+from repro.cpu.interpreter import CodeCache
 from repro.cpu.registers import REG_INDEX
 from repro.mem.layout import CODE_BASE, DATA_BASE
 
@@ -52,6 +53,10 @@ class Program:
     #: pc of each .text instruction -> 1-based source line (static
     #: analyzers cite these; empty for hand-built programs).
     lines: dict[int, int] = field(default_factory=dict)
+    #: The interpreter's decode cache and compiled blocks for this
+    #: program, shared by every space loaded from it.
+    code: CodeCache = field(default_factory=CodeCache, init=False,
+                            repr=False, compare=False)
 
     @property
     def entry(self) -> int:

@@ -1,4 +1,4 @@
-"""Fetch/decode/execute core.
+"""Fetch/decode/execute core: two tiers over one semantics table.
 
 The interpreter runs guest machine code against a :class:`AddressSpace`,
 so every load, store, push, pop and instruction fetch is translated by
@@ -10,23 +10,55 @@ instruction, a page fault the MMU could not resolve, a CPU exception, or
 the step budget.  The interpreter returns the :class:`VmExit` record the
 VMM layer (:mod:`repro.vmm`) counts and the libOS consumes.
 
-A decode cache (rip -> decoded tuple) makes re-execution cheap.  It stays
-valid across snapshot restore because .text is mapped read-execute: guest
-code physically cannot modify itself without taking a protection fault.
+Both tiers instantiate :data:`repro.cpu.semantics.SEMANTICS`:
+
+* The cold tier is one generic handler per opcode, compiled once per
+  process and dispatched by opcode.  It single-steps from a block head
+  to the end of the block.
+* The hot tier starts once a block head has been entered
+  :data:`HOT_THRESHOLD` times.  The templates of the already-decoded run
+  from the head up to the next instruction of :data:`isa.ENDS_BLOCK`
+  are joined into one compiled function, with registers as locals,
+  operands folded to constants, and each flag computed only where a
+  later reader, the block exit or a possibly-faulting instruction needs
+  it.
+
+Exits stay exact.  A block runs only if it fits the remaining step
+budget; otherwise the cold tier single-steps.  Before an instruction
+that can fault, a block stores the registers and flags written so far
+and the instruction's address, so a fault leaves registers, flags,
+``rip``, ``steps`` and ``instructions_executed`` as single-stepping
+would.
+
+Decoded instructions, head entry counts and compiled blocks live in a
+:class:`CodeCache` owned by the loaded program.  The loader hands the
+program's cache to the address space it builds and every fork of that
+space shares it, so the cache survives snapshot restores and serves
+every vCPU and every task that runs the program.  It stays valid because
+.text is mapped read-execute: guest code cannot modify itself without
+taking a protection fault.  Building a block reads only the decode
+cache, never guest memory.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.cpu import isa
 from repro.cpu.registers import MASK64, RegisterFile
+from repro.cpu.semantics import FLAGS, SEMANTICS, Semantics, register_effects, transfers
 from repro.mem.addrspace import AddressSpace
 from repro.mem.faults import PageFaultError
 
-_SIGN_BIT = 1 << 63
+#: Cold entries of a block head after which its block is compiled.  One
+#: compile costs as much as several hundred cold instructions, so only a
+#: block entered this often pays for it: a loop goes hot in its first
+#: iterations, while a guest that runs each of its few hundred
+#: instructions a handful of times (one crash search) stays cold.
+HOT_THRESHOLD = 64
 
 
 class DivideError(Exception):
@@ -62,47 +94,209 @@ class VmExit:
     fault: Optional[Exception] = None
 
 
-def _signed(value: int) -> int:
-    """Reinterpret an unsigned 64-bit value as signed."""
-    return value - (1 << 64) if value & _SIGN_BIT else value
+#: The instructions that leave the guest, and the exit each one makes.
+_EXIT_OF = {isa.SYSCALL: VmExitReason.SYSCALL, isa.HLT: VmExitReason.HLT}
+#: What an instruction that can fault may raise.
+_FAULTS = (PageFaultError, DivideError)
+#: The step budget of ``run(max_steps=None)``.
+_UNLIMITED = sys.maxsize
+
+
+# ----------------------------------------------------------------------
+# Instantiating the semantics table
+# ----------------------------------------------------------------------
+
+def _define(params: str, lines: list[str], name: str) -> Callable[..., Any]:
+    """Compile one generated function; *name* labels its code object.
+
+    The templates' two constants are spelled as literals, so that
+    ``compile()`` folds them into the operands they mask.
+    """
+    source = f"def f({params}):\n" + "".join(f"    {line}\n" for line in lines)
+    source = source.replace("MASK64", f"{MASK64:#x}").replace("SIGN", f"{1 << 63:#x}")
+    namespace: dict[str, Any] = {"DivideError": DivideError}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["f"]
+
+
+def _statements(sem: Semantics, operands: list[str], names: dict[str, str]) -> list[str]:
+    return sem.body.format(*operands, **names).splitlines()
+
+
+def _cold_handler(op: int) -> Callable[..., int]:
+    """The generic handler ``f(d, g, regs, space) -> next rip`` of *op*,
+    over a decoded tuple ``d``, the register list ``g`` and the flags in
+    ``regs``."""
+    sem = SEMANTICS[op]
+    layout = isa.OPCODES[op].layout
+    nxt = f"d[{len(layout) + 1}]"
+    operands = [f"g[d[{k}]]" if kind == "r" else f"d[{k}]"
+                for k, kind in enumerate(layout, 1)]
+    names = {"sp": "g[4]", "next": nxt, "pc": f"({nxt} - {isa.insn_length(op)})",
+             **{flag: f"regs.{flag}" for flag in FLAGS}}
+    lines = _statements(sem, operands, names)
+    lines += [f"regs.{flag} = {expr}" for flag, expr in sem.writes.items()]
+    lines.append("return rip" if transfers(sem.body) else f"return {nxt}")
+    return _define("d, g, regs, space", lines, f"<{isa.OPCODES[op].name} {op:#04x}>")
+
+
+#: opcode -> cold-tier handler, built once per process.
+_HANDLERS = {op: _cold_handler(op) for op in SEMANTICS}
+#: Register placeholders each template reads and writes.
+_REGISTER_EFFECTS = {op: register_effects(sem.body) for op, sem in SEMANTICS.items()}
+
+
+def _constant(value: int) -> str:
+    return f"{value:#x}" if value >= 0 else f"({value:#x})"
+
+
+class Block:
+    """One compiled basic block: ``run(g, regs, space) -> next rip``."""
+
+    __slots__ = ("size", "run", "exit", "pcs")
+
+    def __init__(self, run: Callable[..., int], pcs: list[int],
+                 exit: Optional[VmExitReason]):
+        self.size = len(pcs)
+        self.run = run
+        #: The exit its last instruction makes, if it leaves the guest.
+        self.exit = exit
+        #: Address of each instruction, in order.
+        self.pcs = pcs
+
+
+def _compile_block(insns: list[tuple[int, tuple[int, ...]]]) -> Block:
+    """Join the templates of ``(pc, decoded)`` pairs, a straight-line run,
+    into one function."""
+    sems = [SEMANTICS[d[0]] for _, d in insns]
+    # Flags that can be read after each instruction: at the block exit
+    # all of them, and at an instruction that can fault all of them too.
+    live_after: list[frozenset[str]] = []
+    live = frozenset(FLAGS)
+    for sem in reversed(sems):
+        live_after.append(live)
+        live = frozenset(FLAGS) if sem.faults else (
+            live - sem.writes.keys()) | sem.reads
+    live_after.reverse()
+
+    entry: list[str] = []    # loads of the registers and flags read first
+    lines: list[str] = []
+    local_regs: set[int] = set()
+    local_flags: set[str] = set()
+    dirty: set[int] = set()    # registers written since the last store
+    pending: set[str] = set()  # flags computed since the last store
+
+    def store() -> None:
+        lines.extend(f"g[{r}] = r{r}" for r in sorted(dirty))
+        lines.extend(f"regs.{flag} = {flag}" for flag in FLAGS if flag in pending)
+        dirty.clear()
+        pending.clear()
+
+    for (pc, d), sem, live in zip(insns, sems, live_after):
+        layout = isa.OPCODES[d[0]].layout
+        register = {str(k): d[k + 1] for k, kind in enumerate(layout) if kind == "r"}
+        register["sp"] = 4
+        reads, writes = _REGISTER_EFFECTS[d[0]]
+        for r in sorted(register[name] for name in reads if name in register):
+            if r not in local_regs:
+                entry.append(f"r{r} = g[{r}]")
+                local_regs.add(r)
+        for flag in sorted(sem.reads - local_flags):
+            entry.append(f"{flag} = regs.{flag}")
+            local_flags.add(flag)
+        if sem.faults:
+            store()
+            lines.append(f"regs.rip = {pc:#x}")
+        operands = [f"r{value}" if kind == "r" else _constant(value)
+                    for kind, value in zip(layout, d[1:-1])]
+        names = {"sp": "r4", "next": _constant(d[-1]), "pc": _constant(pc),
+                 **{flag: flag for flag in FLAGS}}
+        lines += _statements(sem, operands, names)
+        for name in writes:
+            dirty.add(register[name])
+            local_regs.add(register[name])
+        for flag, expr in sem.writes.items():
+            if flag in live:
+                lines.append(f"{flag} = {expr}")
+                local_flags.add(flag)
+                pending.add(flag)
+    store()
+    last = insns[-1][1]
+    lines.append("return rip" if transfers(sems[-1].body) else f"return {last[-1]:#x}")
+    run = _define("g, regs, space", entry + lines, f"<block {insns[0][0]:#x}>")
+    return Block(run, [pc for pc, _ in insns], _EXIT_OF.get(last[0]))
+
+
+class CodeCache:
+    """Decoded instructions, block-head entry counts and compiled blocks
+    of one program's text.
+
+    A pickled or copied cache arrives empty: compiled code stays in the
+    process that built it.
+    """
+
+    __slots__ = ("decoded", "counts", "blocks")
+
+    def __init__(self) -> None:
+        #: rip -> ``isa.decode`` tuple.
+        self.decoded: dict[int, tuple[int, ...]] = {}
+        #: block head -> cold entries so far.
+        self.counts: dict[int, int] = {}
+        #: block head -> compiled block.
+        self.blocks: dict[int, Block] = {}
+
+    def __reduce__(self) -> tuple[type, tuple[()]]:
+        return (CodeCache, ())
+
+    def compile(self, head: int) -> Optional[Block]:
+        """Compile the decoded run from *head* to the next block end (or
+        to the first instruction not decoded yet); None if *head* itself
+        was never decoded."""
+        insns: list[tuple[int, tuple[int, ...]]] = []
+        pc = head
+        while (d := self.decoded.get(pc)) is not None:
+            insns.append((pc, d))
+            if d[0] in isa.ENDS_BLOCK:
+                break
+            pc = d[-1]
+        if not insns:
+            return None
+        block = self.blocks[head] = _compile_block(insns)
+        return block
 
 
 class Interpreter:
-    """Executes decoded instructions over an address space.
+    """Executes guest code over an address space.
 
     Parameters
     ----------
     space:
         The guest address space (swappable via :meth:`attach_space` when
-        the scheduler restores a snapshot).
+        the scheduler restores a snapshot).  Its code cache is the
+        program's; a space the loader did not build gets its own on
+        first attach.
     regs:
         The mutable register file (default: fresh zeroed file).
-    icache:
-        Optional shared decode cache.  The machine engine passes one
-        cache across all snapshot restores of the same program.
     """
 
-    def __init__(
-        self,
-        space: AddressSpace,
-        regs: Optional[RegisterFile] = None,
-        icache: Optional[dict] = None,
-    ):
-        self.space = space
+    def __init__(self, space: AddressSpace, regs: Optional[RegisterFile] = None):
         self.regs = regs if regs is not None else RegisterFile()
-        self._icache: dict[int, tuple] = icache if icache is not None else {}
         #: Total instructions executed over this interpreter's lifetime.
         self.instructions_executed = 0
+        self.attach_space(space)
 
     def attach_space(self, space: AddressSpace) -> None:
         """Point the CPU at a different address space (snapshot restore)."""
+        if space.code is None:
+            space.code = CodeCache()
         self.space = space
+        self.code: CodeCache = space.code
 
     # ------------------------------------------------------------------
     # Decode
     # ------------------------------------------------------------------
 
-    def _decode(self, rip: int) -> tuple:
+    def _decode(self, rip: int) -> tuple[int, ...]:
         # Fetch the opcode byte alone first: an undefined opcode is #UD
         # even when the bytes after it are unmapped.
         space = self.space
@@ -129,239 +323,54 @@ class Interpreter:
         regs = self.regs
         g = regs.gprs
         space = self.space
-        icache = self._icache
-        read_word = space.read_word
-        write_word = space.write_word
-        read_byte = space.read_byte
-        write_byte = space.write_byte
+        code = self.code
+        blocks = code.blocks
+        counts = code.counts
+        decoded = code.decoded
+        handlers = _HANDLERS
+        ends_block = isa.ENDS_BLOCK
         rip = regs.rip
-        zf, sf, cf, of = regs.zf, regs.sf, regs.cf, regs.of
         steps = 0
-        budget = max_steps if max_steps is not None else -1
-
-        def sync_out() -> None:
-            regs.rip = rip
-            regs.zf, regs.sf, regs.cf, regs.of = zf, sf, cf, of
-            self.instructions_executed += steps
-
-        I = isa
+        budget = _UNLIMITED if max_steps is None else max_steps
         try:
             while True:
-                if steps == budget:
-                    sync_out()
-                    return VmExit(VmExitReason.STEP_LIMIT, steps)
-                d = icache.get(rip)
-                if d is None:
-                    d = self._decode(rip)
-                    icache[rip] = d
-                op = d[0]
-                steps += 1
-
-                if op == I.MOVI:
-                    g[d[1]] = d[2]
-                    rip = d[3]
-                elif op == I.MOVR:
-                    g[d[1]] = g[d[2]]
-                    rip = d[3]
-                elif op == I.LOAD:
-                    g[d[1]] = read_word((g[d[2]] + d[3]) & MASK64)
-                    rip = d[4]
-                elif op == I.STORE:
-                    write_word((g[d[1]] + d[2]) & MASK64, g[d[3]])
-                    rip = d[4]
-                elif op == I.LOADB:
-                    g[d[1]] = read_byte((g[d[2]] + d[3]) & MASK64)
-                    rip = d[4]
-                elif op == I.STOREB:
-                    write_byte((g[d[1]] + d[2]) & MASK64, g[d[3]])
-                    rip = d[4]
-                elif op == I.LOADX:
-                    addr = (g[d[2]] + g[d[3]] * d[4] + d[5]) & MASK64
-                    g[d[1]] = read_word(addr)
-                    rip = d[6]
-                elif op == I.STOREX:
-                    addr = (g[d[1]] + g[d[2]] * d[3] + d[4]) & MASK64
-                    write_word(addr, g[d[5]])
-                    rip = d[6]
-                elif op == I.LOADBX:
-                    addr = (g[d[2]] + g[d[3]] * d[4] + d[5]) & MASK64
-                    g[d[1]] = read_byte(addr)
-                    rip = d[6]
-                elif op == I.STOREBX:
-                    addr = (g[d[1]] + g[d[2]] * d[3] + d[4]) & MASK64
-                    write_byte(addr, g[d[5]])
-                    rip = d[6]
-                elif op == I.LEA:
-                    g[d[1]] = (g[d[2]] + d[3]) & MASK64
-                    rip = d[4]
-                elif op == I.LEAX:
-                    g[d[1]] = (g[d[2]] + g[d[3]] * d[4] + d[5]) & MASK64
-                    rip = d[6]
-
-                elif op == I.ADDRR or op == I.ADDRI:
-                    a = g[d[1]]
-                    b = g[d[2]] if op == I.ADDRR else d[2] & MASK64
-                    full = a + b
-                    res = full & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = full > MASK64
-                    of = bool(~(a ^ b) & (a ^ res) & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.SUBRR or op == I.SUBRI:
-                    a = g[d[1]]
-                    b = g[d[2]] if op == I.SUBRR else d[2] & MASK64
-                    res = (a - b) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = a < b
-                    of = bool((a ^ b) & (a ^ res) & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.CMPRR or op == I.CMPRI:
-                    a = g[d[1]]
-                    b = g[d[2]] if op == I.CMPRR else d[2] & MASK64
-                    res = (a - b) & MASK64
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = a < b
-                    of = bool((a ^ b) & (a ^ res) & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.TESTRR:
-                    res = g[d[1]] & g[d[2]]
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.IMULRR or op == I.IMULRI:
-                    a = _signed(g[d[1]])
-                    b = _signed(g[d[2]]) if op == I.IMULRR else d[2]
-                    res = (a * b) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.ANDRR or op == I.ANDRI:
-                    res = g[d[1]] & (g[d[2]] if op == I.ANDRR else d[2] & MASK64)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.ORRR or op == I.ORRI:
-                    res = g[d[1]] | (g[d[2]] if op == I.ORRR else d[2] & MASK64)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.XORRR or op == I.XORRI:
-                    res = g[d[1]] ^ (g[d[2]] if op == I.XORRR else d[2] & MASK64)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = of = False
-                    rip = d[3]
-                elif op == I.SHLI:
-                    res = (g[d[1]] << (d[2] & 63)) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.SHRI:
-                    res = g[d[1]] >> (d[2] & 63)
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[3]
-                elif op == I.NEG:
-                    res = (-g[d[1]]) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    cf = res != 0
-                    rip = d[2]
-                elif op == I.NOT:
-                    g[d[1]] = g[d[1]] ^ MASK64
-                    rip = d[2]
-                elif op == I.INC:
-                    res = (g[d[1]] + 1) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[2]
-                elif op == I.DEC:
-                    res = (g[d[1]] - 1) & MASK64
-                    g[d[1]] = res
-                    zf = res == 0
-                    sf = bool(res & _SIGN_BIT)
-                    rip = d[2]
-                elif op == I.UDIVRR or op == I.UMODRR:
-                    divisor = g[d[2]]
-                    if divisor == 0:
-                        raise DivideError(f"division by zero at {rip:#x}")
-                    if op == I.UDIVRR:
-                        g[d[1]] = g[d[1]] // divisor
-                    else:
-                        g[d[1]] = g[d[1]] % divisor
-                    rip = d[3]
-
-                elif op == I.JMP:
-                    rip = d[1]
-                elif op == I.JE:
-                    rip = d[1] if zf else d[2]
-                elif op == I.JNE:
-                    rip = d[2] if zf else d[1]
-                elif op == I.JL:
-                    rip = d[1] if sf != of else d[2]
-                elif op == I.JLE:
-                    rip = d[1] if zf or sf != of else d[2]
-                elif op == I.JG:
-                    rip = d[1] if not zf and sf == of else d[2]
-                elif op == I.JGE:
-                    rip = d[1] if sf == of else d[2]
-                elif op == I.JB:
-                    rip = d[1] if cf else d[2]
-                elif op == I.JAE:
-                    rip = d[2] if cf else d[1]
-
-                elif op == I.CALL:
-                    rsp = (g[4] - 8) & MASK64
-                    write_word(rsp, d[2])  # return address
-                    g[4] = rsp
-                    rip = d[1]
-                elif op == I.RET:
-                    rsp = g[4]
-                    rip = read_word(rsp)
-                    g[4] = (rsp + 8) & MASK64
-                elif op == I.PUSH:
-                    rsp = (g[4] - 8) & MASK64
-                    write_word(rsp, g[d[1]])
-                    g[4] = rsp
-                    rip = d[2]
-                elif op == I.POP:
-                    rsp = g[4]
-                    g[d[1]] = read_word(rsp)
-                    g[4] = (rsp + 8) & MASK64
-                    rip = d[2]
-
-                elif op == I.NOP:
-                    rip = d[1]
-                elif op == I.SYSCALL:
-                    rip = d[1]  # resume after the syscall instruction
-                    sync_out()
-                    return VmExit(VmExitReason.SYSCALL, steps)
-                elif op == I.HLT:
-                    rip = d[1]
-                    sync_out()
-                    return VmExit(VmExitReason.HLT, steps)
-                else:  # pragma: no cover - table and executor kept in sync
-                    raise InvalidOpcodeError(rip, op)
+                block = blocks.get(rip)
+                if block is not None and block.size <= budget - steps:
+                    try:
+                        rip = block.run(g, regs, space)
+                    except _FAULTS:
+                        # The block stored the faulting instruction's pc.
+                        rip = regs.rip
+                        steps += block.pcs.index(rip) + 1
+                        raise
+                    steps += block.size
+                    if block.exit is not None:
+                        return VmExit(block.exit, steps)
+                    continue
+                count = counts[rip] = counts.get(rip, 0) + 1
+                if count == HOT_THRESHOLD and block is None \
+                        and code.compile(rip) is not None:
+                    continue
+                # Cold tier: single-step to the end of the block.
+                while True:
+                    if steps == budget:
+                        return VmExit(VmExitReason.STEP_LIMIT, steps)
+                    d = decoded.get(rip)
+                    if d is None:
+                        d = decoded[rip] = self._decode(rip)
+                    steps += 1
+                    op = d[0]
+                    rip = handlers[op](d, g, regs, space)
+                    if op in ends_block:
+                        break
+                reason = _EXIT_OF.get(op)
+                if reason is not None:
+                    return VmExit(reason, steps)
         except PageFaultError as fault:
             # rip still points at the faulting instruction.
-            sync_out()
             return VmExit(VmExitReason.PAGE_FAULT, steps, fault)
         except (DivideError, InvalidOpcodeError) as fault:
-            sync_out()
             return VmExit(VmExitReason.CPU_EXCEPTION, steps, fault)
+        finally:
+            regs.rip = rip
+            self.instructions_executed += steps

@@ -145,6 +145,14 @@ OPCODES: dict[int, OpSpec] = {
     HLT: OpSpec("hlt", ""),
 }
 
+#: Conditional branches: a taken edge and a fall-through edge.
+CONDITIONAL_JUMPS = frozenset({JE, JNE, JL, JLE, JG, JGE, JB, JAE})
+
+#: Opcodes that end a basic block: every control transfer, and the two
+#: instructions that leave the guest.  The control-flow graph and the
+#: interpreter's block compiler both split code here.
+ENDS_BLOCK = CONDITIONAL_JUMPS | {JMP, CALL, RET, SYSCALL, HLT}
+
 #: Encoded byte width of each operand kind.
 _FIELD_WIDTH = {"r": 1, "c": 1, "i": 8, "s": 4, "d": 4, "t": 4}
 

@@ -82,6 +82,7 @@ def load_program(
     at the stack top.
     """
     space = AddressSpace(pool)
+    space.code = program.code
     segments = {
         seg.name: seg for seg in memory_map(program, stack_pages, bss_pages)
     }

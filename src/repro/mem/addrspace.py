@@ -17,7 +17,7 @@ snapshot-shared page take the same copy-on-write route.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.mem.faults import (
     AccessKind,
@@ -82,6 +82,10 @@ class AddressSpace:
         #: Bump pointer for anonymous mmap regions (grows downward from
         #: the mmap base the libOS configures).
         self.mmap_next = 0
+        #: The CPU's code cache for the text mapped here
+        #: (``repro.cpu.interpreter.CodeCache``): the loaded program's,
+        #: shared with every fork of this space.
+        self.code: Any = None
         self._freed = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -371,11 +375,13 @@ class AddressSpace:
 
     def _clone(self, table: Optional[PageTable] = None) -> "AddressSpace":
         """A new space over *table* that carries this space's brk and mmap
-        cursors, so a guest resumed in it allocates where it left off."""
+        cursors, so a guest resumed in it allocates where it left off, and
+        its code cache."""
         clone = AddressSpace(self.pool, _table=table)
         clone.brk_base = self.brk_base
         clone.brk_end = self.brk_end
         clone.mmap_next = self.mmap_next
+        clone.code = self.code
         return clone
 
     def fork_cow(self) -> "AddressSpace":

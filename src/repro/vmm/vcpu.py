@@ -46,17 +46,16 @@ class Vmcs:
 class VCpu:
     """One virtual CPU running a guest at non-root ring 3."""
 
-    def __init__(self, cpu_id: int = 0, icache: Optional[dict] = None):
+    def __init__(self, cpu_id: int = 0):
         self.cpu_id = cpu_id
         self.vmcs = Vmcs()
         self.regs = RegisterFile()
-        self._icache: dict = icache if icache is not None else {}
         self._interp: Optional[Interpreter] = None
 
     def attach(self, space: AddressSpace) -> None:
         """Point the vCPU at a guest address space (e.g. after restore)."""
         if self._interp is None:
-            self._interp = Interpreter(space, self.regs, self._icache)
+            self._interp = Interpreter(space, self.regs)
         else:
             self._interp.attach_space(space)
 
