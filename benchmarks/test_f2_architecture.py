@@ -4,9 +4,10 @@ Accounts for every layer of the Figure 2 stack on a real guest run:
 ring-3 guest instructions, VM exits by reason, libOS syscall dispatch
 counts, page-fault/COW activity in the virtual-memory subsystem, and
 snapshot-manager traffic driven by the search-strategy scheduler.  (The
-translation cache is flushed at every fork and free rather than counted;
+translation cache is downgraded to read-only at every fork and emptied
+at free rather than counted;
 ``tests/mem/test_addrspace.py::TestForkCow::test_tlb_flushed_on_fork``
-checks the flush.)
+checks the downgrade.)
 """
 
 from repro.bench import Table

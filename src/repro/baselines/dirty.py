@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.mem.addrspace import AddressSpace
+from repro.mem.layout import PAGE_SIZE
 from repro.snapshot.snapshot import Snapshot, SnapshotManager
 
 
@@ -57,7 +58,11 @@ class DirtyEagerSnapshotManager(SnapshotManager):
             before = pte.frame
             fresh = space.table.make_private(vpn)
             if fresh.frame is not before:
+                # Privatised behind the translation cache: drop the
+                # restored entry, which still names the shared frame.
+                space.tlb.pop(vpn, None)
                 self.eager_copies += 1
                 space.faults.pages_copied += 1
+                space.faults.bytes_copied += PAGE_SIZE
                 space.dirty_vpns.add(vpn)
         return regs, space, files

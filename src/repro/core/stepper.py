@@ -29,7 +29,7 @@ replay engine spills every fresh guess so that no snapshot is ever taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.core.errors import GuessError, ReplayDivergenceError
 from repro.core.result import SearchResult, SearchStats, Solution
@@ -55,8 +55,7 @@ from repro.vmm.vcpu import VCpu, VmExitReason
 _STEP_LIMIT = VmExitReason.STEP_LIMIT
 
 
-@dataclass(frozen=True)
-class PathOutput:
+class PathOutput(NamedTuple):
     """Console output of one finished path (completed, failed or killed)."""
 
     path: tuple[int, ...]

@@ -129,7 +129,9 @@ class FileStats:
 
 class FileData:
     """Refcounted *flushed* contents of one inode (copied when a
-    barrier must mutate a shared inode)."""
+    barrier must mutate a shared inode).  ``refcount`` counts the
+    container sets that hold it, not the tables: forks that have not
+    written yet share one set (:meth:`FileTable.fork_cow`)."""
 
     __slots__ = ("data", "refcount", "ino")
 
@@ -301,13 +303,25 @@ def chosen_records(dims: tuple, choices: list[int]) -> list[tuple]:
 # ----------------------------------------------------------------------
 
 
-class FileTable:
-    """A guest's view of its files, forkable in O(open files + dirty
-    blocks).
+class _Share:
+    """How many :class:`FileTable` forks read one set of containers."""
 
-    Forking copies the fd table, the name->ino namespace and the
-    volatile overlay, but shares every flushed :class:`FileData` inode;
-    a barrier that must mutate a shared inode copies it first.  The
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 1
+
+
+class FileTable:
+    """A guest's view of its files, forkable in O(1).
+
+    A fork shares every container of its parent -- the fd table, the
+    name->ino namespace, the volatile overlay, the log -- under one
+    share count, the way :meth:`PageTable.clone` shares its root.  The
+    first mutating call on either side copies the containers it holds
+    (:meth:`_unshare`), so a fork that never touches a file never copies
+    anything.  Flushed :class:`FileData` inodes stay shared even then: a
+    barrier that must mutate a shared inode copies it first.  The
     overlay copy is what keeps the paper's isolation property intact
     for *unflushed* state too: siblings never observe each other's
     pending blocks.
@@ -346,6 +360,8 @@ class FileTable:
         self._next_seq = 0
         #: Bytes physically copied by this table (cost accounting).
         self.cow_bytes = 0
+        #: Share count of the containers above (None once freed).
+        self._share: Optional[_Share] = _Share()
         # Materialise the backing store eagerly (sorted, so inode
         # numbering is a function of the store alone): backing files are
         # durable from the start, and crash images must include them
@@ -360,40 +376,57 @@ class FileTable:
     # ------------------------------------------------------------------
 
     def fork_cow(self) -> "FileTable":
-        """Logical copy: shared flushed inodes, private overlay/positions."""
-        clone = FileTable(self.hostfs, self.policy, self.audit, self.stats)
-        clone._next_fd = self._next_fd
-        clone._next_ino = self._next_ino
-        clone._next_seq = self._next_seq
-        clone._namespace = dict(self._namespace)
-        clone._base_ns = dict(self._base_ns)
-        clone._base = dict(self._base)  # immutable bytes, shared
-        for fdata in self._inodes.values():
-            fdata.refcount += 1
-        clone._inodes = dict(self._inodes)
-        for ino, work in self._working.items():
-            clone._working[ino] = bytearray(work)
-            clone.cow_bytes += len(work)
-            self.stats.cow_bytes += len(work)
-        clone._pending = {ino: list(recs)
-                          for ino, recs in self._pending.items()}
-        clone._oplog = list(self._oplog)
-        for fd, of in self._fds.items():
-            clone._fds[fd] = _OpenFile(of.path, of.ino, of.pos, of.writable)
-        if self._crash is not None:
-            clone._crash = self._crash.fork()
+        """Logical copy in O(1): the clone shares this table's containers
+        until either side mutates them.  The dirty overlay is charged to
+        ``cow_bytes`` here, at the fork, whether or not a copy follows."""
+        clone = object.__new__(type(self))
+        clone.__dict__ = self.__dict__.copy()
+        self._share.count += 1
+        clone.cow_bytes = 0
+        if self._working:
+            dirty = sum(map(len, self._working.values()))
+            clone.cow_bytes = dirty
+            self.stats.cow_bytes += dirty
         return clone
 
-    def free(self) -> None:
-        """Drop all references held by this table."""
+    def _unshare(self) -> None:
+        """Give this table its own containers if a fork still shares
+        them (every mutating call runs this first)."""
+        share = self._share
+        if share.count == 1:
+            return
+        share.count -= 1
+        self._share = _Share()
         for fdata in self._inodes.values():
-            fdata.refcount -= 1
-        self._inodes.clear()
-        self._fds.clear()
-        self._namespace.clear()
-        self._working.clear()
-        self._pending.clear()
-        self._oplog.clear()
+            fdata.refcount += 1
+        self._inodes = dict(self._inodes)
+        self._namespace = dict(self._namespace)
+        self._base_ns = dict(self._base_ns)
+        self._base = dict(self._base)  # immutable bytes, shared
+        self._working = {ino: bytearray(work)
+                         for ino, work in self._working.items()}
+        self._pending = {ino: list(recs)
+                         for ino, recs in self._pending.items()}
+        self._oplog = list(self._oplog)
+        self._fds = {fd: _OpenFile(of.path, of.ino, of.pos, of.writable)
+                     for fd, of in self._fds.items()}
+        if self._crash is not None:
+            self._crash = self._crash.fork()
+
+    def _drop_share(self) -> None:
+        """Release this table's share; the last holder releases the
+        flushed inodes."""
+        share = self._share
+        share.count -= 1
+        if share.count == 0:
+            for fdata in self._inodes.values():
+                fdata.refcount -= 1
+
+    def free(self) -> None:
+        """Drop all references held by this table (idempotent)."""
+        if self._share is not None:
+            self._drop_share()
+            self._share = None
 
     def _own(self, ino: int) -> FileData:
         """Make *ino*'s flushed block exclusive to this table (COW)."""
@@ -438,6 +471,7 @@ class FileTable:
     # ------------------------------------------------------------------
 
     def open(self, path: str, flags: int) -> int:
+        self._unshare()
         errno = self.policy.check_open(path, flags)
         if errno is not None:
             self.audit.note("open", path, Verdict.DENY)
@@ -469,6 +503,7 @@ class FileTable:
         return fd
 
     def close(self, fd: int) -> int:
+        self._unshare()
         of = self._fds.pop(fd, None)
         if of is None:
             return -EBADF
@@ -476,6 +511,7 @@ class FileTable:
         return 0
 
     def read(self, fd: int, n: int) -> bytes | int:
+        self._unshare()
         of = self._fds.get(fd)
         if of is None:
             return -EBADF
@@ -489,6 +525,7 @@ class FileTable:
         return data
 
     def write(self, fd: int, data: bytes) -> int:
+        self._unshare()
         of = self._fds.get(fd)
         if of is None:
             return -EBADF
@@ -528,6 +565,7 @@ class FileTable:
         return len(data)
 
     def lseek(self, fd: int, offset: int, whence: int) -> int:
+        self._unshare()
         of = self._fds.get(fd)
         if of is None:
             return -EBADF
@@ -576,6 +614,7 @@ class FileTable:
 
         Returns the number of data records flushed (>= 0), or -errno.
         """
+        self._unshare()
         of = self._fds.get(fd)
         if of is None:
             return -EBADF
@@ -592,6 +631,7 @@ class FileTable:
 
         Returns the number of data records flushed.
         """
+        self._unshare()
         flushed = 0
         for ino in sorted(self._pending):
             flushed += self._flush_ino(ino)
@@ -607,6 +647,7 @@ class FileTable:
     def rename(self, src: str, dst: str) -> int:
         """Move *src* to *dst* in the volatile namespace; durable only
         after ``sync`` (the classic rename-without-dir-sync hazard)."""
+        self._unshare()
         ino = self._namespace.get(src)
         if ino is None:
             self.audit.note("rename", f"{src} (ENOENT)", Verdict.DENY)
@@ -627,6 +668,7 @@ class FileTable:
         """Prepare a crash after the first *point* log records were
         issued.  Returns the number of persistence dimensions (each to
         be fixed with :meth:`crash_set`), or -EINVAL."""
+        self._unshare()
         if not 0 <= point <= len(self._oplog):
             return -EINVAL
         ns, data, pending = replay_durable(
@@ -651,6 +693,7 @@ class FileTable:
     def crash_set(self, i: int, k: int) -> int:
         """Fix dimension *i* to option *k* (how many of its pending
         records the crash image keeps), or -EINVAL."""
+        self._unshare()
         if self._crash is None or not 0 <= i < len(self._crash.dims):
             return -EINVAL
         if not 0 <= k < dimension_options(self._crash.dims[i]):
@@ -677,12 +720,13 @@ class FileTable:
                 apply_write(data, rec, self.block_size)
             else:
                 apply_ns(ns, rec)
-        for fdata in self._inodes.values():
-            fdata.refcount -= 1
+        # Rebase onto fresh containers: a fork may still share the old.
+        self._drop_share()
+        self._share = _Share()
         self._inodes = {}
-        self._fds.clear()
-        self._working.clear()
-        self._pending.clear()
+        self._fds = {}
+        self._working = {}
+        self._pending = {}
         self._oplog = []
         self._namespace = {}
         self._base_ns = {}

@@ -126,6 +126,7 @@ Action = Union[
 ]
 
 _CONTINUE = ContinueAction()
+_GUESS_FAIL = GuessFailAction()
 
 
 class SyscallDispatcher:
@@ -170,86 +171,86 @@ class SyscallDispatcher:
             return _CONTINUE
 
     def _dispatch(self, number, regs, space, files, console) -> Action:
-        if number == sysno.SYS_WRITE:
-            return self._write(regs, space, files, console)
-        if number == sysno.SYS_READ:
-            return self._read(regs, space, files)
-        if number == sysno.SYS_OPEN:
-            return self._open(regs, space, files)
-        if number == sysno.SYS_CLOSE:
-            regs.rax = files.close(regs.rdi)
-            return _CONTINUE
-        if number == sysno.SYS_LSEEK:
-            regs.rax = files.lseek(regs.rdi, _signed(regs.rsi), regs.rdx)
-            return _CONTINUE
-        if number == sysno.SYS_BRK:
-            return self._brk(regs, space, files)
-        if number == sysno.SYS_MMAP:
-            return self._mmap(regs, space, files)
-        if number == sysno.SYS_MUNMAP:
-            return self._munmap(regs, space, files)
-        if number == sysno.SYS_EXIT:
-            return ExitAction(status=_signed(regs.rdi))
-        if number == sysno.SYS_FSYNC:
-            return self._fsync(regs, files)
-        if number == sysno.SYS_RENAME:
-            src = space.read_cstr(regs.rdi).decode("utf-8", errors="replace")
-            dst = space.read_cstr(regs.rsi).decode("utf-8", errors="replace")
-            regs.rax = _errno64(files.rename(src, dst))
-            return _CONTINUE
-        if number == sysno.SYS_SYNC:
-            flushed = files.sync()
-            if _TRACER.enabled:
-                _TRACER.emit(_events.FILE_SYNC, records=flushed)
-            regs.rax = 0
-            return _CONTINUE
-        if number == sysno.SYS_CRASH_SELECT:
-            result = files.crash_select(_signed(regs.rdi))
-            if _TRACER.enabled and result >= 0:
-                _TRACER.emit(_events.CRASH_SELECT,
-                             point=_signed(regs.rdi), dims=result)
-            regs.rax = _errno64(result)
-            return _CONTINUE
-        if number == sysno.SYS_CRASH_OPTS:
-            regs.rax = _errno64(files.crash_opts(_signed(regs.rdi)))
-            return _CONTINUE
-        if number == sysno.SYS_CRASH_SET:
-            regs.rax = _errno64(
-                files.crash_set(_signed(regs.rdi), _signed(regs.rsi))
-            )
-            return _CONTINUE
-        if number == sysno.SYS_CRASH_COMMIT:
-            result = files.crash_commit()
-            if _TRACER.enabled and result >= 0:
-                _TRACER.emit(_events.CRASH_COMMIT, kept=result)
-            regs.rax = _errno64(result)
-            return _CONTINUE
-        if number == sysno.SYS_TIME:
-            return self._time(regs)
-        if number == sysno.SYS_GETRANDOM:
-            return self._getrandom(regs, space)
-        if number == sysno.SYS_GUESS:
-            return GuessAction(n=regs.rdi)
-        if number == sysno.SYS_GUESS_FAIL:
-            return GuessFailAction()
-        if number == sysno.SYS_GUESS_STRATEGY:
-            name = STRATEGY_NAMES.get(regs.rdi)
-            if name is None:
-                return KillAction(f"unknown strategy id {regs.rdi}")
-            regs.rax = 1
-            return StrategyAction(name)
-        if number == sysno.SYS_GUESS_HINT:
-            n = regs.rdi
-            ptr = regs.rsi
-            hints = tuple(
-                float(_signed(space.read_u64(ptr + 8 * i))) for i in range(n)
-            )
-            return GuessAction(n=n, hints=hints)
+        handler = self._handlers.get(number)
+        if handler is not None:
+            return handler(self, regs, space, files, console)
         # Unknown syscall: the §5 soundness rule decides.
         files.audit.note("syscall", f"#{number}", Verdict.DENY)
         if self.policy.check_unknown_syscall(number) == "kill":
             return KillAction(f"refused syscall #{number}")
         regs.rax = -ENOSYS & ((1 << 64) - 1)
+        return _CONTINUE
+
+    # -- one handler per syscall number (see ``_handlers`` below) --------
+
+    def _guess(self, regs, space, files, console) -> Action:
+        return GuessAction(n=regs.rdi)
+
+    def _guess_fail(self, regs, space, files, console) -> Action:
+        return _GUESS_FAIL
+
+    def _guess_strategy(self, regs, space, files, console) -> Action:
+        name = STRATEGY_NAMES.get(regs.rdi)
+        if name is None:
+            return KillAction(f"unknown strategy id {regs.rdi}")
+        regs.rax = 1
+        return StrategyAction(name)
+
+    def _guess_hint(self, regs, space, files, console) -> Action:
+        n = regs.rdi
+        ptr = regs.rsi
+        hints = tuple(
+            float(_signed(space.read_u64(ptr + 8 * i))) for i in range(n)
+        )
+        return GuessAction(n=n, hints=hints)
+
+    def _exit(self, regs, space, files, console) -> Action:
+        return ExitAction(status=_signed(regs.rdi))
+
+    def _close(self, regs, space, files, console) -> Action:
+        regs.rax = files.close(regs.rdi)
+        return _CONTINUE
+
+    def _lseek(self, regs, space, files, console) -> Action:
+        regs.rax = files.lseek(regs.rdi, _signed(regs.rsi), regs.rdx)
+        return _CONTINUE
+
+    def _rename(self, regs, space, files, console) -> Action:
+        src = space.read_cstr(regs.rdi).decode("utf-8", errors="replace")
+        dst = space.read_cstr(regs.rsi).decode("utf-8", errors="replace")
+        regs.rax = _errno64(files.rename(src, dst))
+        return _CONTINUE
+
+    def _sync(self, regs, space, files, console) -> Action:
+        flushed = files.sync()
+        if _TRACER.enabled:
+            _TRACER.emit(_events.FILE_SYNC, records=flushed)
+        regs.rax = 0
+        return _CONTINUE
+
+    def _crash_select(self, regs, space, files, console) -> Action:
+        result = files.crash_select(_signed(regs.rdi))
+        if _TRACER.enabled and result >= 0:
+            _TRACER.emit(_events.CRASH_SELECT,
+                         point=_signed(regs.rdi), dims=result)
+        regs.rax = _errno64(result)
+        return _CONTINUE
+
+    def _crash_opts(self, regs, space, files, console) -> Action:
+        regs.rax = _errno64(files.crash_opts(_signed(regs.rdi)))
+        return _CONTINUE
+
+    def _crash_set(self, regs, space, files, console) -> Action:
+        regs.rax = _errno64(
+            files.crash_set(_signed(regs.rdi), _signed(regs.rsi))
+        )
+        return _CONTINUE
+
+    def _crash_commit(self, regs, space, files, console) -> Action:
+        result = files.crash_commit()
+        if _TRACER.enabled and result >= 0:
+            _TRACER.emit(_events.CRASH_COMMIT, kept=result)
+        regs.rax = _errno64(result)
         return _CONTINUE
 
     # ------------------------------------------------------------------
@@ -266,7 +267,7 @@ class SyscallDispatcher:
             regs.rax = _errno64(files.write(fd, data))
         return _CONTINUE
 
-    def _read(self, regs, space, files) -> Action:
+    def _read(self, regs, space, files, console) -> Action:
         fd, buf, length = regs.rdi, regs.rsi, regs.rdx
         if fd == 0:
             data = self._nondet(
@@ -288,7 +289,7 @@ class SyscallDispatcher:
             regs.rax = len(result)
         return _CONTINUE
 
-    def _fsync(self, regs, files) -> Action:
+    def _fsync(self, regs, space, files, console) -> Action:
         result = files.fsync(regs.rdi)
         if result < 0:
             regs.rax = _errno64(result)
@@ -298,12 +299,12 @@ class SyscallDispatcher:
         regs.rax = 0  # POSIX: success is 0; the record count is trace-only
         return _CONTINUE
 
-    def _time(self, regs) -> Action:
+    def _time(self, regs, space, files, console) -> Action:
         payload = self._nondet("time", live_time_ns)
         regs.rax = int.from_bytes(payload[:8], "little")
         return _CONTINUE
 
-    def _getrandom(self, regs, space) -> Action:
+    def _getrandom(self, regs, space, files, console) -> Action:
         buf, length = regs.rdi, regs.rsi
         if length == 0 or length > self.MAX_GETRANDOM:
             regs.rax = -_EINVAL_ & ((1 << 64) - 1)
@@ -319,12 +320,12 @@ class SyscallDispatcher:
             return self.nondet.intercept(kind, self._pc, generate)
         return generate()
 
-    def _open(self, regs, space, files) -> Action:
+    def _open(self, regs, space, files, console) -> Action:
         path = space.read_cstr(regs.rdi).decode("utf-8", errors="replace")
         regs.rax = _errno64(files.open(path, regs.rsi))
         return _CONTINUE
 
-    def _mmap(self, regs, space, files) -> Action:
+    def _mmap(self, regs, space, files, console) -> Action:
         """Anonymous private mappings only: mmap(0, length) -> base.
 
         Address hints, file-backed mappings and protection flags beyond
@@ -347,7 +348,7 @@ class SyscallDispatcher:
         regs.rax = base
         return _CONTINUE
 
-    def _munmap(self, regs, space, files) -> Action:
+    def _munmap(self, regs, space, files, console) -> Action:
         addr, length = regs.rdi, regs.rsi
         if addr & 4095 or length == 0:
             regs.rax = -_EINVAL_ & ((1 << 64) - 1)
@@ -358,7 +359,7 @@ class SyscallDispatcher:
         regs.rax = 0
         return _CONTINUE
 
-    def _brk(self, regs, space, files) -> Action:
+    def _brk(self, regs, space, files, console) -> Action:
         target = regs.rdi
         current = space.brk_end
         if target == 0 or target < space.brk_base:
@@ -371,6 +372,32 @@ class SyscallDispatcher:
         )
         regs.rax = space.brk_end
         return _CONTINUE
+
+    #: Syscall number -> handler, looked up once per syscall.
+    _handlers = {
+        sysno.SYS_GUESS: _guess,
+        sysno.SYS_GUESS_FAIL: _guess_fail,
+        sysno.SYS_WRITE: _write,
+        sysno.SYS_READ: _read,
+        sysno.SYS_OPEN: _open,
+        sysno.SYS_CLOSE: _close,
+        sysno.SYS_LSEEK: _lseek,
+        sysno.SYS_BRK: _brk,
+        sysno.SYS_MMAP: _mmap,
+        sysno.SYS_MUNMAP: _munmap,
+        sysno.SYS_EXIT: _exit,
+        sysno.SYS_FSYNC: _fsync,
+        sysno.SYS_RENAME: _rename,
+        sysno.SYS_SYNC: _sync,
+        sysno.SYS_CRASH_SELECT: _crash_select,
+        sysno.SYS_CRASH_OPTS: _crash_opts,
+        sysno.SYS_CRASH_SET: _crash_set,
+        sysno.SYS_CRASH_COMMIT: _crash_commit,
+        sysno.SYS_TIME: _time,
+        sysno.SYS_GETRANDOM: _getrandom,
+        sysno.SYS_GUESS_STRATEGY: _guess_strategy,
+        sysno.SYS_GUESS_HINT: _guess_hint,
+    }
 
 
 def _signed(value: int) -> int:

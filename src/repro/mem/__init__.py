@@ -10,7 +10,8 @@ builds on via Dune.  It provides:
   structural sharing, the data structure that makes snapshot creation O(1);
 * :mod:`repro.mem.addrspace` -- :class:`AddressSpace`, the mutable
   process-facing view with copy-on-write fault handling and a
-  translation cache that every fork and free empties;
+  translation cache that every fork downgrades to read-only and every
+  free empties;
 * :mod:`repro.mem.faults` -- page-fault exception types and statistics.
 
 The cost model is explicit: every copy-on-write fault, copied page-table

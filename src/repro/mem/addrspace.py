@@ -68,8 +68,12 @@ class AddressSpace:
         #: Cached translations, ``vpn -> (frame, perms, writable)``.
         #: ``writable`` is False for a page that must still COW-fault on
         #: write although its PTE grants WRITE (its frame may be shared).
-        #: Emptied at every fork and at free.
+        #: A fork downgrades every entry to read-only and hands the clone
+        #: a copy; free empties it.
         self.tlb: dict[int, tuple[Frame, int, bool]] = {}
+        #: Pages whose cached translation may be writable (the only ones
+        #: a fork has to downgrade).
+        self._writable: list[int] = []
         self.faults = FaultStats()
         #: Pages written since the last snapshot point (cleared by the
         #: dirty-eager snapshot manager; maintained on the write-fault
@@ -247,6 +251,8 @@ class AddressSpace:
         # Only a write that ran make_private may cache writability: the
         # read path cannot tell a node-shared frame from an exclusive one.
         self.tlb[vpn] = (pte.frame, pte.perms, write)
+        if write:
+            self._writable.append(vpn)
         return pte.frame
 
     # ------------------------------------------------------------------
@@ -388,13 +394,24 @@ class AddressSpace:
         """Create a logical copy of this address space in O(1).
 
         Both this space and the copy become copy-on-write: the first write
-        either side makes to a shared page copies it.  This space's TLB is
-        flushed (the software equivalent of the TLB shootdown that
-        write-protecting the PTEs would require on hardware).
+        either side makes to a shared page copies it.  Cached translations
+        survive the fork downgraded to read-only (the software equivalent
+        of write-protecting the PTEs, which on hardware needs a TLB
+        shootdown), so a write through either side still takes the COW
+        path while reads and fetches stay warm.  Only the entries written
+        since the last fork need downgrading, so forking a space nothing
+        wrote through -- a snapshot being restored -- copies its cache
+        with one ``dict.copy()``.
         """
         clone = self._clone(self.table.clone())
         clone._zero_frame = self._zero_frame
-        self.tlb.clear()
+        tlb = self.tlb
+        for vpn in self._writable:
+            entry = tlb.get(vpn)
+            if entry is not None:
+                tlb[vpn] = (entry[0], entry[1], False)
+        self._writable.clear()
+        clone.tlb = tlb.copy()
         return clone
 
     def fork_eager(self) -> "AddressSpace":

@@ -10,13 +10,11 @@ break ties deterministically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 _seq = itertools.count()
 
 
-@dataclass(frozen=True)
 class Extension:
     """A deferred computation: evaluate extension *number* of *candidate*.
 
@@ -36,13 +34,24 @@ class Extension:
         for A*).
     seq:
         Global creation order; used as a deterministic tie-breaker.
+
+    One is built per extension, so it is a slotted record with a plain
+    constructor; nothing writes its fields after construction.
     """
 
-    candidate: Any
-    number: int
-    hint: Optional[float] = None
-    depth: int = 0
-    seq: int = field(default_factory=lambda: next(_seq))
+    __slots__ = ("candidate", "number", "hint", "depth", "seq")
+
+    def __init__(self, candidate: Any, number: int,
+                 hint: Optional[float] = None, depth: int = 0):
+        self.candidate = candidate
+        self.number = number
+        self.hint = hint
+        self.depth = depth
+        self.seq = next(_seq)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"Extension(number={self.number}, hint={self.hint}, "
+                f"depth={self.depth}, seq={self.seq})")
 
     def f_cost(self) -> float:
         """A* evaluation: path cost so far plus heuristic estimate."""

@@ -9,9 +9,13 @@ copies it away from the snapshot.
 
 Cost model (matching §4 of the paper):
 
-* ``take``    -- O(1): page-table root sharing + register copy.
-* ``restore`` -- O(1): fork the snapshot's space, copy registers, flush
-  the TLB.  Subsequent writes pay per-page COW faults.
+* ``take``    -- O(1): page-table root sharing + register copy; the
+  running space's translations written since its last fork are
+  downgraded to read-only, and the snapshot keeps a copy of them.
+* ``restore`` -- O(1): fork the snapshot's space (one copy of its
+  read-only translations, so loads and fetches start warm), copy
+  registers, fork the file table (shared until its first write).
+  Subsequent writes pay per-page COW faults.
 * ``discard`` -- O(private pages): releases only the frames the snapshot
   does not share with its relatives.
 """

@@ -16,6 +16,7 @@ from repro.workloads.nqueens import (
     boards_from_result,
     nqueens_asm,
 )
+from tests.mem.test_properties import assert_translations_match
 
 BASE = 0x40_0000
 
@@ -113,6 +114,34 @@ class TestDirtyEagerManager:
         faults_before = child.faults.cow_faults
         child.write(BASE, b"x")
         assert child.faults.cow_faults == faults_before
+
+    def test_restore_counts_precopied_bytes(self):
+        from repro.baselines.dirty import DirtyEagerSnapshotManager
+
+        mgr = DirtyEagerSnapshotManager()
+        space = AddressSpace(mgr.pool)
+        space.map_region(BASE, 4 * PAGE_SIZE, Permission.RW)
+        space.write(BASE, b"dirty")
+        space.write(BASE + 2 * PAGE_SIZE, b"dirty")
+        _, child, _ = mgr.restore(mgr.take(space))
+        assert child.faults.pages_copied == 2
+        assert child.faults.bytes_copied == 2 * PAGE_SIZE
+
+    def test_restore_drops_translations_of_precopied_pages(self):
+        from repro.baselines.dirty import DirtyEagerSnapshotManager
+
+        mgr = DirtyEagerSnapshotManager()
+        space = AddressSpace(mgr.pool)
+        space.map_region(BASE, 4 * PAGE_SIZE, Permission.RW)
+        for page in range(4):
+            space.write(BASE + page * PAGE_SIZE, b"dirty")
+            assert space.read(BASE + page * PAGE_SIZE, 5) == b"dirty"
+        _, child, _ = mgr.restore(mgr.take(space))
+        # The restore kept the snapshot's translations; the pages it
+        # privatised must not be served from the snapshot's frames.
+        assert_translations_match(child)
+        child.write_byte(BASE, ord("D"))
+        assert child.read(BASE, 5) == b"Dirty"
 
     def test_snapshot_still_immutable(self):
         from repro.baselines.dirty import DirtyEagerSnapshotManager

@@ -1,5 +1,7 @@
 """Unit tests for the copy-on-write file layer."""
 
+import tracemalloc
+
 import pytest
 
 from repro.interpose import PermissivePolicy, SoundMinimalPolicy
@@ -170,13 +172,19 @@ class TestForkCow:
         assert child.read(fd2, 4) == b"data"
 
     def test_free_releases_refs(self, table):
+        # Inode refcounts count the containers that hold an inode: a
+        # fork shares its parent's until it writes, then holds its own.
         fd = table.open("/out", O_RDWR | O_CREAT)
         table.write(fd, b"x")
+        inodes = list(table._inodes.values())
         child = table.fork_cow()
+        child.write(fd, b"y")
         fdata = child._inodes[child._fds[fd].ino]
         before = fdata.refcount
         child.free()
         assert fdata.refcount < before
+        table.free()
+        assert [f.refcount for f in inodes] == [0] * len(inodes)
 
     def test_siblings_never_see_unflushed_blocks(self, table):
         """The page-cache isolation property: pending (unflushed) writes
@@ -190,6 +198,22 @@ class TestForkCow:
         a.fsync(fd)  # flushing stays private too (COW of the inode)
         assert b.contents("/data/input") == b"0123456789"
         assert a.contents("/data/input") == b"AAAA456789"
+
+
+class TestForkCost:
+    def test_fork_copies_nothing_from_the_hostfs(self):
+        # A fork shares its parent's containers, so a megabyte backing
+        # file is never materialised again, however often a snapshot
+        # takes and restores the table.
+        table = FileTable(HostFS({"/big": bytes(1 << 20)}), PermissivePolicy())
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                table.fork_cow().free()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def small_table(files=None, block_size=4):

@@ -193,8 +193,9 @@ class TestForkCow:
 
     def test_tlb_flushed_on_fork(self, space):
         # Each write caches a writable translation of its page.  The fork
-        # must drop them all, or the parent's next write through the cache
-        # would land on the frame it now shares with the clone.
+        # must downgrade them all to read-only, or the parent's next write
+        # through the cache would land on the frame it now shares with
+        # the clone.
         pages = [BASE, BASE + PAGE_SIZE, BASE + 2 * PAGE_SIZE]
         space.write(pages[0], b"x")
         space.write_word(pages[1], 0x78)

@@ -4,64 +4,191 @@ byte-array copies, and frame accounting never leaks.
 The model: every logical address space (original or fork) is simulated by
 a plain ``bytearray``.  After any interleaving of writes and forks, every
 space must read back exactly its own model's bytes — i.e. copy-on-write is
-observationally equivalent to eager copying.
+observationally equivalent to eager copying.  Every cached translation
+must also agree with the page table, since forks keep them.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.mem import AddressSpace, FramePool, PAGE_SIZE, Permission
+from repro.mem import AddressSpace, FramePool, PAGE_SIZE, Permission, ProtectionError
+from repro.mem.layout import LEVELS
+from repro.mem.pagetable import _index_at
 
 BASE = 0x40_0000
 REGION_PAGES = 8
 REGION_SIZE = REGION_PAGES * PAGE_SIZE
 
 
+def path_nodes(table, vpn):
+    """The radix nodes from *table*'s root down to *vpn*'s leaf node."""
+    node = table._root
+    nodes = [node]
+    for level in range(LEVELS - 1, 0, -1):
+        node = node.entries[_index_at(vpn, level)]
+        nodes.append(node)
+    return nodes
+
+
+def assert_translations_match(space):
+    """Every cached translation names the frame and permission bits the
+    page table maps, and a writable one is exclusively owned: its frame
+    and every node on its path have refcount 1."""
+    for vpn, (frame, perms, writable) in space.tlb.items():
+        pte = space.table.lookup(vpn)
+        assert pte is not None, f"stale translation of unmapped {vpn:#x}"
+        assert pte.frame is frame, f"translation of {vpn:#x} names another frame"
+        assert pte.perms == perms, f"translation of {vpn:#x} has stale perms"
+        if writable:
+            assert frame.refcount == 1, f"writable {vpn:#x} maps a shared frame"
+            assert [n.refcount for n in path_nodes(space.table, vpn)] == (
+                [1] * LEVELS), f"writable {vpn:#x} sits under a shared node"
+
+
+offsets = st.integers(min_value=0, max_value=REGION_SIZE - 1)
+word_offsets = st.integers(min_value=0, max_value=REGION_SIZE - 8)
+pages = st.integers(min_value=0, max_value=REGION_PAGES - 1)
+spaces = st.integers(min_value=0, max_value=63)
+
+
 class CowEquivalence(RuleBasedStateMachine):
-    """Random writes/forks/frees over a family of spaces vs byte models."""
+    """Random accesses, region changes, forks and frees over a family of
+    spaces vs byte models (the region is the heap, grown by ``sbrk``)."""
 
     def __init__(self):
         super().__init__()
         self.pool = FramePool()
         self.spaces = []
         self.models = []
+        #: Per space: the region's pages currently protected read-only.
+        self.readonly = []
 
     @initialize()
     def setup(self):
         space = AddressSpace(self.pool)
-        space.map_region(BASE, REGION_SIZE, Permission.RW)
+        space.set_brk_base(BASE)
+        space.sbrk(REGION_SIZE)
         self.spaces = [space]
         self.models = [bytearray(REGION_SIZE)]
+        self.readonly = [set()]
 
-    @rule(
-        idx=st.integers(min_value=0, max_value=63),
-        offset=st.integers(min_value=0, max_value=REGION_SIZE - 1),
-        data=st.binary(min_size=1, max_size=300),
-    )
-    def write(self, idx, offset, data):
+    def live(self, idx):
+        """Index of space *idx* (mod the family), or None once freed."""
         i = idx % len(self.spaces)
-        if self.spaces[i] is None:
+        return i if self.spaces[i] is not None else None
+
+    def store(self, i, offset, data, op):
+        """Run *op*, a store of *data* at *offset* in space *i*: it stops
+        with a protection fault at the first read-only page it reaches,
+        after the bytes before that page have landed."""
+        end = offset + len(data)
+        touched = range(offset // PAGE_SIZE, (end - 1) // PAGE_SIZE + 1)
+        blocked = [p for p in touched if p in self.readonly[i]]
+        if blocked:
+            with pytest.raises(ProtectionError):
+                op()
+            end = max(offset, blocked[0] * PAGE_SIZE)
+        else:
+            op()
+        self.models[i][offset:end] = data[: end - offset]
+
+    @rule(idx=spaces, offset=offsets, data=st.binary(min_size=1, max_size=300))
+    def write(self, idx, offset, data):
+        i = self.live(idx)
+        if i is None:
             return
         data = data[: REGION_SIZE - offset]
-        self.spaces[i].write(BASE + offset, data)
-        self.models[i][offset : offset + len(data)] = data
+        self.store(i, offset, data,
+                   lambda: self.spaces[i].write(BASE + offset, data))
 
-    @rule(idx=st.integers(min_value=0, max_value=63))
-    def fork(self, idx):
-        if len(self.spaces) >= 12:
+    @rule(idx=spaces, offset=word_offsets,
+          value=st.integers(min_value=0, max_value=2**64 - 1))
+    def write_word(self, idx, offset, value):
+        i = self.live(idx)
+        if i is None:
             return
-        i = idx % len(self.spaces)
-        if self.spaces[i] is None:
+        self.store(i, offset, value.to_bytes(8, "little"),
+                   lambda: self.spaces[i].write_word(BASE + offset, value))
+
+    @rule(idx=spaces, offset=offsets, value=st.integers(0, 255))
+    def write_byte(self, idx, offset, value):
+        i = self.live(idx)
+        if i is None:
+            return
+        self.store(i, offset, bytes([value]),
+                   lambda: self.spaces[i].write_byte(BASE + offset, value))
+
+    @rule(idx=spaces, offset=word_offsets)
+    def read_word(self, idx, offset):
+        i = self.live(idx)
+        if i is None:
+            return
+        want = int.from_bytes(self.models[i][offset : offset + 8], "little")
+        assert self.spaces[i].read_word(BASE + offset) == want
+
+    @rule(idx=spaces, offset=offsets)
+    def read_byte(self, idx, offset):
+        i = self.live(idx)
+        if i is None:
+            return
+        assert self.spaces[i].read_byte(BASE + offset) == self.models[i][offset]
+
+    @rule(idx=spaces, page=pages)
+    def remap(self, idx, page):
+        i = self.live(idx)
+        if i is None:
+            return
+        addr = BASE + page * PAGE_SIZE
+        self.spaces[i].unmap_region(addr, PAGE_SIZE)
+        self.spaces[i].map_region(addr, PAGE_SIZE, Permission.RW)
+        off = page * PAGE_SIZE
+        self.models[i][off : off + PAGE_SIZE] = bytes(PAGE_SIZE)
+        self.readonly[i].discard(page)
+
+    @rule(idx=spaces, page=pages)
+    def protect_readonly(self, idx, page):
+        i = self.live(idx)
+        if i is None:
+            return
+        self.spaces[i].protect_region(BASE + page * PAGE_SIZE, PAGE_SIZE,
+                                      Permission.READ)
+        self.readonly[i].add(page)
+
+    @rule(idx=spaces, page=pages)
+    def protect_writable(self, idx, page):
+        i = self.live(idx)
+        if i is None:
+            return
+        self.spaces[i].protect_region(BASE + page * PAGE_SIZE, PAGE_SIZE,
+                                      Permission.RW)
+        self.readonly[i].discard(page)
+
+    @rule(idx=spaces, count=st.integers(min_value=1, max_value=3))
+    def shrink_and_grow(self, idx, count):
+        i = self.live(idx)
+        if i is None:
+            return
+        space = self.spaces[i]
+        space.sbrk(-count * PAGE_SIZE)
+        space.sbrk(count * PAGE_SIZE)
+        top = REGION_SIZE - count * PAGE_SIZE
+        self.models[i][top:] = bytes(REGION_SIZE - top)
+        self.readonly[i] -= set(range(REGION_PAGES - count, REGION_PAGES))
+
+    @rule(idx=spaces)
+    def fork(self, idx):
+        i = self.live(idx)
+        if i is None or len(self.spaces) >= 12:
             return
         self.spaces.append(self.spaces[i].fork_cow())
         self.models.append(bytearray(self.models[i]))
+        self.readonly.append(set(self.readonly[i]))
 
-    @rule(idx=st.integers(min_value=0, max_value=63))
+    @rule(idx=spaces)
     def free(self, idx):
-        i = idx % len(self.spaces)
-        live = [s for s in self.spaces if s is not None]
-        if self.spaces[i] is None or len(live) <= 1:
+        i = self.live(idx)
+        if i is None or sum(s is not None for s in self.spaces) <= 1:
             return
         self.spaces[i].free()
         self.spaces[i] = None
@@ -78,6 +205,12 @@ class CowEquivalence(RuleBasedStateMachine):
                 assert space.read(BASE + off, PAGE_SIZE) == bytes(
                     model[off : off + PAGE_SIZE]
                 )
+
+    @invariant()
+    def translations_match_page_tables(self):
+        for space in self.spaces:
+            if space is not None:
+                assert_translations_match(space)
 
     @invariant()
     def frame_accounting_sane(self):
