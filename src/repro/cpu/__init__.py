@@ -8,9 +8,11 @@ spaces — so guest code takes real COW page faults.
 
 * :mod:`repro.cpu.registers` -- the register file (the immutable half of
   a snapshot together with the address space).
-* :mod:`repro.cpu.isa` -- opcode definitions, encoding layout, and the
-  one instruction decoder every consumer shares.
-* :mod:`repro.cpu.assembler` -- text assembly -> :class:`Program`.
+* :mod:`repro.cpu.isa` -- opcode definitions, the one layout table the
+  assembler packs and the decoder unpacks with, and the one instruction
+  decoder every consumer shares.
+* :mod:`repro.cpu.assembler` -- text assembly -> :class:`Program`, one
+  lexing pass per line.
 * :mod:`repro.cpu.semantics` -- what every opcode does, written once as
   a Python source template with its flag and fault effects declared.
 * :mod:`repro.cpu.interpreter` -- fetch/decode/execute in two tiers over

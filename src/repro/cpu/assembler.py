@@ -21,14 +21,31 @@ Supports an AT&T-free, Intel-ish syntax::
 Sections: ``.text`` assembles at *text_base* (RX), ``.data`` at
 *data_base* (RW).  Directives: ``.quad``, ``.byte``, ``.zero``,
 ``.ascii``, ``.asciz``.  Labels may be used as immediates (``mov rax,
-label``), as ``.quad`` values, and as branch/call targets.
+label``), as ``.quad`` values, as displacements (``[rsi + label]``) and
+as branch/call targets.  Immediates are integers as Python writes them
+(``-8``, ``0x1F``) or character literals (``'A'``, ``'\\n'``).
+Mnemonics and register names are case-insensitive, inside brackets
+too; labels are case-sensitive everywhere.
+
+Each line is lexed once.  Its comment starts at the first ``;`` or
+``#`` outside a double- or single-quoted span (a backslash escapes the
+next character in one).  Then come any ``label:`` prefixes, then a
+directive or a mnemonic with its operands, split at the commas outside
+brackets and quotes.  The opcode is one dict lookup keyed on the
+mnemonic and the operand kinds; a miss is an error, explained by
+:func:`_no_opcode`.  Every item is laid out as it is read,
+and packed with its opcode's :data:`repro.cpu.isa.ENCODINGS` entry at
+once; an item that names a label is packed after the last line, when
+every label is known.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from repro.cpu import isa
 from repro.cpu.interpreter import CodeCache
@@ -64,56 +81,90 @@ class Program:
         return self.symbols.get("_start", self.text_base)
 
 
-# --- operand model -------------------------------------------------------
+# --- lexing ----------------------------------------------------------------
+
+#: A quoted span: a backslash escapes the next character, and a quote
+#: left open runs to the end of the line.
+_QUOTED = r""""(?:[^"\\]|\\.)*"?|'(?:[^'\\]|\\.)*'?"""
+#: A line up to its comment.
+_CODE = re.compile(rf"""(?:[^;#"']+|{_QUOTED})*""")
+#: What operand splitting looks at: commas, brackets and quoted spans.
+_DELIMITER = re.compile(rf"[,\[\]]|{_QUOTED}")
+_LABEL = re.compile(r"([A-Za-z_.$][\w.$]*):\s*")
+_SCALED_RE = re.compile(r"^([A-Za-z0-9]+)\*([1248])$")
+_STRING = re.compile(r'^"(.*)"$')
 
 
-@dataclass
-class _Mem:
-    base: str
-    index: Optional[str] = None
-    scale: int = 1
-    disp: int | str = 0  # int or unresolved label
-
-
-_MEM_RE = re.compile(r"^\[(.+)\]$")
-_SCALED_RE = re.compile(r"^([a-z0-9]+)\*([1248])$")
+def _split_operands(rest: str) -> list[str]:
+    """Split on commas not inside brackets or quotes."""
+    out = []
+    depth = start = 0
+    for match in _DELIMITER.finditer(rest):
+        token = match.group()
+        if token == ",":
+            if not depth:
+                out.append(rest[start : match.start()].strip())
+                start = match.end()
+        elif token == "[":
+            depth += 1
+        elif token == "]" and depth:
+            depth -= 1
+    tail = rest[start:].strip()
+    if tail:
+        out.append(tail)
+    return out
 
 
 def _parse_int(tok: str) -> Optional[int]:
+    """The value of an integer or character literal, else None."""
     tok = tok.strip()
-    if len(tok) >= 3 and tok.startswith("'") and tok.endswith("'"):
-        body = tok[1:-1]
-        unescaped = body.encode().decode("unicode_escape")
-        if len(unescaped) != 1:
-            return None
-        return ord(unescaped)
-    try:
-        return int(tok, 0)
-    except ValueError:
-        return None
+    if len(tok) >= 3 and tok[0] == "'" and tok[-1] == "'":
+        unescaped = tok[1:-1].encode().decode("unicode_escape")
+        return ord(unescaped) if len(unescaped) == 1 else None
+    # int() reads nothing that starts otherwise; a label skips its raise.
+    if tok[:1].isdecimal() or tok[:1] in ("+", "-"):
+        try:
+            return int(tok, 0)
+        except ValueError:
+            pass
+    return None
+
+
+class _Mem(NamedTuple):
+    """A memory operand ``[base + index*scale + disp]``; a label
+    displacement stays a name until pass 2."""
+
+    base: str
+    index: Optional[str]
+    scale: int
+    disp: Union[int, str]
 
 
 def _parse_mem(body: str, lineno: int) -> _Mem:
     """Parse the inside of ``[...]``: base [+ idx*scale] [+/- disp]."""
     # Whitespace is insignificant inside brackets; normalise "a - b" to
     # "a + -b" so we can split on '+'.
-    body = body.replace(" ", "").replace("\t", "")
-    body = body.replace("-", "+-")
-    parts = [p.strip() for p in body.split("+") if p.strip()]
-    mem = _Mem(base="")
-    for part in parts:
-        scaled = _SCALED_RE.match(part)
-        if scaled and scaled.group(1) in REG_INDEX:
-            if mem.index is not None:
+    body = body.replace(" ", "").replace("\t", "").replace("-", "+-")
+    base: Optional[str] = None
+    index: Optional[str] = None
+    scale = 1
+    disp: Union[int, str] = 0
+    for part in body.split("+"):
+        part = part.strip()
+        if not part:
+            continue
+        scaled = _SCALED_RE.match(part) if "*" in part else None
+        if scaled and scaled.group(1).lower() in REG_INDEX:
+            if index is not None:
                 raise AssemblyError(f"line {lineno}: two index registers")
-            mem.index = scaled.group(1)
-            mem.scale = int(scaled.group(2))
-        elif part in REG_INDEX:
-            if not mem.base:
-                mem.base = part
-            elif mem.index is None:
-                mem.index = part
-                mem.scale = 1
+            index = scaled.group(1).lower()
+            scale = int(scaled.group(2))
+        elif part.lower() in REG_INDEX:
+            if base is None:
+                base = part.lower()
+            elif index is None:
+                index = part.lower()
+                scale = 1
             else:
                 raise AssemblyError(f"line {lineno}: three registers in address")
         else:
@@ -121,56 +172,231 @@ def _parse_mem(body: str, lineno: int) -> _Mem:
             if value is None:
                 if part.startswith("-"):
                     raise AssemblyError(f"line {lineno}: bad displacement {part!r}")
-                if mem.disp != 0:
+                if disp != 0:
                     raise AssemblyError(f"line {lineno}: two displacements")
-                mem.disp = part  # label, resolved in pass 2
+                disp = part  # label, resolved in pass 2
             else:
-                mem.disp = (mem.disp if isinstance(mem.disp, int) else 0) + value
-    if not mem.base:
+                disp = (disp if isinstance(disp, int) else 0) + value
+    if base is None:
         raise AssemblyError(f"line {lineno}: memory operand needs a base register")
-    return mem
+    return _Mem(base, index, scale, disp)
 
 
-def _split_operands(rest: str) -> list[str]:
-    """Split on commas not inside brackets or quotes."""
-    out, depth, quote, cur = [], 0, False, []
-    for ch in rest:
-        if ch == '"':
-            quote = not quote
-        elif ch == "[" and not quote:
-            depth += 1
-        elif ch == "]" and not quote:
-            depth -= 1
-        if ch == "," and depth == 0 and not quote:
-            out.append("".join(cur).strip())
-            cur = []
+def _operands(rest: str, lineno: int) -> tuple[
+        str, list[int], list[tuple[int, str]], Optional[_Mem]]:
+    """Lex an instruction's operands into ``(kinds, fields, labels, mem)``.
+
+    *kinds* has one character per operand: ``r`` register, ``i``
+    immediate or label, ``m`` memory, ``x`` indexed memory.  *fields*
+    holds their encoded fields in order, so that an opcode's layout
+    reads them as they stand.  A field that names a label holds 0, and
+    *labels* lists its position and the name.  *mem* is the last memory
+    operand, if any.
+    """
+    kinds = ""
+    fields: list[int] = []
+    labels: list[tuple[int, str]] = []
+    mem: Optional[_Mem] = None
+    for tok in _split_operands(rest):
+        reg = REG_INDEX.get(tok.lower())
+        if reg is not None:
+            kinds += "r"
+            fields.append(reg)
+            continue
+        if len(tok) >= 3 and tok[0] == "[" and tok[-1] == "]":
+            mem = _parse_mem(tok[1:-1], lineno)
+            fields.append(REG_INDEX[mem.base])
+            if mem.index is None:
+                kinds += "m"
+            else:
+                kinds += "x"
+                fields += (REG_INDEX[mem.index], mem.scale)
+            value: Union[int, str] = mem.disp
         else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        out.append(tail)
-    return out
+            kinds += "i"
+            parsed = _parse_int(tok)
+            value = tok if parsed is None else parsed
+        if isinstance(value, str):
+            labels.append((len(fields), value))
+            value = 0
+        fields.append(value)
+    return kinds, fields, labels, mem
 
 
-# --- the assembler -------------------------------------------------------
+# --- picking the opcode --------------------------------------------------
 
 _ALIASES = {"jz": "je", "jnz": "jne", "movq": "mov"}
 
 _I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
+_MASK64 = (1 << 64) - 1
+
+_NO_OPERANDS = {"ret", "syscall", "nop", "hlt"}
+_ONE_REGISTER = {"push", "pop", "neg", "not", "inc", "dec"}
+_BRANCHES = {"jmp", "je", "jne", "jl", "jle", "jg", "jge", "jb", "jae", "call"}
+_ALU = {"add", "sub", "imul", "and", "or", "xor", "cmp"}
 
 
-class _Item:
-    """One assembled item: an instruction or a data blob."""
+def _operand_kinds(layout: str) -> str:
+    """The operand kinds an opcode's layout encodes: a base and a disp
+    (``rd``) are one memory operand, and with an index and a scale
+    (``rrcd``) one indexed memory operand."""
+    return (layout.replace("rrcd", "x").replace("rd", "m")
+            .replace("s", "i").replace("t", "i"))
 
-    __slots__ = ("kind", "opcode", "operands", "length", "lineno", "blob")
 
-    def __init__(self, kind, lineno, opcode=None, operands=None, length=0, blob=b""):
-        self.kind = kind  # "insn" | "blob"
-        self.opcode = opcode
-        self.operands = operands or []
-        self.length = length or len(blob)
-        self.lineno = lineno
-        self.blob = blob
+#: (mnemonic, operand kinds) -> opcode, for every form the ISA encodes.
+_OPCODE_OF = {
+    (spec.name, _operand_kinds(spec.layout)): op
+    for op, spec in isa.OPCODES.items()
+}
+_OPCODE_OF.update({
+    (alias, kinds): op
+    for (name, kinds), op in list(_OPCODE_OF.items())
+    for alias, target in _ALIASES.items() if target == name
+})
+
+
+def _no_opcode(mnemonic: str, kinds: str, lineno: int) -> None:
+    """Raise the error that explains why no opcode encodes *mnemonic*
+    over operands of *kinds*.  Return only for an ALU operation over
+    memory: it is laid out as reg, imm, and fails in pass 2."""
+    if mnemonic in _NO_OPERANDS:
+        msg = f"{mnemonic} takes no operands"
+    elif mnemonic in _ONE_REGISTER:
+        msg = f"{mnemonic} needs one register operand"
+    elif mnemonic in _BRANCHES:
+        msg = f"{mnemonic} needs a label or address"
+    elif mnemonic in _ALU:
+        if len(kinds) == 2 and kinds[0] == "r":
+            return
+        msg = f"{mnemonic} needs reg, reg/imm"
+    elif mnemonic in ("shl", "shr"):
+        msg = f"{mnemonic} needs reg, imm"
+    elif mnemonic in ("udiv", "umod", "test"):
+        msg = f"{mnemonic} needs reg, reg"
+    elif mnemonic in ("mov", "movb"):
+        if len(kinds) != 2:
+            msg = f"{mnemonic} needs two operands"
+        elif mnemonic == "movb":
+            msg = "movb needs a memory operand"
+        else:
+            msg = "unsupported mov form"
+    elif mnemonic == "lea":
+        msg = "lea needs reg, [mem]"
+    else:
+        msg = f"unknown mnemonic {mnemonic!r}"
+    raise AssemblyError(f"line {lineno}: {msg}")
+
+
+# --- encoding ------------------------------------------------------------
+
+
+def _symbol(name: str, symbols: dict[str, int], lineno: int) -> int:
+    if name not in symbols:
+        raise AssemblyError(f"line {lineno}: unknown symbol {name!r}")
+    return symbols[name]
+
+
+def _pack(opcode: int, values: list[int], addr: int, lineno: int) -> bytes:
+    """Encode one instruction at *addr* from its fields in layout order."""
+    size, pack, _, _, relative = isa.ENCODINGS[opcode]
+    if relative:
+        values = [values[0] - (addr + size)]
+    elif opcode == isa.MOVI:
+        reg, imm = values
+        if not -(1 << 63) <= imm < (1 << 64):
+            raise AssemblyError(f"line {lineno}: imm64 out of range")
+        values = [reg, imm & _MASK64]
+    try:
+        return pack(opcode, *values)
+    except struct.error:
+        # Register and scale bytes always fit: the 32-bit field did not.
+        wide = next(v for v in values if not _I32_MIN <= v <= _I32_MAX)
+        raise AssemblyError(
+            f"line {lineno}: 32-bit field out of range ({wide})"
+        ) from None
+
+
+def _resolve(opcode: int, fields: list[int], labels: list[tuple[int, str]],
+             addr: int, lineno: int, symbols: dict[str, int]) -> bytes:
+    """Pass 2 of an instruction: fill in the labels its fields name."""
+    values = list(fields)
+    for k, name in labels:
+        values[k] = _symbol(name, symbols, lineno)
+    return _pack(opcode, values, addr, lineno)
+
+
+def _not_immediate(mem: Optional[_Mem], lineno: int,
+                   symbols: dict[str, int]) -> bytes:
+    """Pass 2 of an ALU operation over memory: it is laid out as reg,
+    imm, and its memory operand is not an immediate."""
+    raise AssemblyError(f"line {lineno}: expected immediate, got {mem!r}")
+
+
+def _quads(tokens: list[str], lineno: int, symbols: dict[str, int]) -> bytes:
+    """Pass 2 of a ``.quad``: each value modulo 2**64."""
+    out = bytearray()
+    for tok in tokens:
+        value = _parse_int(tok)
+        if value is None:
+            value = _symbol(tok, symbols, lineno)
+        out += (value & _MASK64).to_bytes(8, "little")
+    return bytes(out)
+
+
+def _data(name: str, rest: str, lineno: int) -> bytes:
+    """The bytes of a ``.byte``, ``.zero``, ``.ascii`` or ``.asciz``."""
+    if name == ".byte":
+        values: list[int] = []
+        for tok in _split_operands(rest):
+            val = _parse_int(tok)
+            if val is None or not (0 <= val <= 255):
+                raise AssemblyError(f"line {lineno}: bad byte {tok!r}")
+            values.append(val)
+        return bytes(values)
+    if name == ".zero":
+        n = _parse_int(rest)
+        if n is None or n < 0:
+            raise AssemblyError(f"line {lineno}: bad .zero size {rest!r}")
+        return bytes(n)
+    if name in (".ascii", ".asciz"):
+        match = _STRING.match(rest.strip())
+        if not match:
+            raise AssemblyError(f"line {lineno}: {name} needs a quoted string")
+        text = match.group(1).encode().decode("unicode_escape").encode("latin-1")
+        if name == ".asciz":
+            text += b"\x00"
+        return text
+    raise AssemblyError(f"line {lineno}: unknown directive {name!r}")
+
+
+class _Section:
+    """One section's bytes as they are laid out: packed chunks, and the
+    items that wait for pass 2 to learn a label."""
+
+    __slots__ = ("pc", "chunks", "fixups")
+
+    def __init__(self, base: int) -> None:
+        self.pc = base
+        self.chunks: list[bytes] = []
+        self.fixups: list[tuple[int, Callable[[dict[str, int]], bytes]]] = []
+
+    def put(self, blob: bytes) -> None:
+        self.chunks.append(blob)
+        self.pc += len(blob)
+
+    def defer(self, size: int, fixup: Callable[[dict[str, int]], bytes]) -> None:
+        self.fixups.append((len(self.chunks), fixup))
+        self.chunks.append(b"")
+        self.pc += size
+
+    def finish(self, symbols: dict[str, int]) -> bytes:
+        for k, fixup in self.fixups:
+            self.chunks[k] = fixup(symbols)
+        return b"".join(self.chunks)
+
+
+# --- the assembler -------------------------------------------------------
 
 
 def assemble(
@@ -181,325 +407,75 @@ def assemble(
     """Assemble *source* into a :class:`Program`.
 
     Raises :class:`AssemblyError` with a line number on any syntax,
-    range, or unknown-symbol problem.
+    range, or unknown-symbol problem: the first line that fails to
+    parse, else the first duplicate label, else the first item that
+    fails to encode, .text before .data.
     """
-    sections: dict[str, list[_Item]] = {"text": [], "data": []}
-    label_at: list[tuple[str, str, int]] = []  # (label, section, item index)
-    current = "text"
+    text = _Section(text_base)
+    data = _Section(data_base)
+    section = text
+    symbols: dict[str, int] = {}
+    lines: dict[int, int] = {}
+    duplicate: Optional[str] = None
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split(";")[0].split("#")[0].strip()
+        code = _CODE.match(raw)
+        assert code is not None  # the pattern matches the empty string
+        line = code.group().strip()
+        if ":" in line:
+            while (label := _LABEL.match(line)) is not None:
+                name = label.group(1)
+                if name not in symbols:
+                    symbols[name] = section.pc
+                elif duplicate is None:
+                    duplicate = name
+                line = line[label.end() :]
         if not line:
             continue
-        while True:
-            match = re.match(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$", line)
-            if not match:
-                break
-            label_at.append((match.group(1), current, len(sections[current])))
-            line = match.group(2).strip()
-        if not line:
-            continue
-        if line.startswith("."):
-            directive = line.split(None, 1)
-            name = directive[0]
-            rest = directive[1] if len(directive) > 1 else ""
-            if name == ".text":
-                current = "text"
-            elif name == ".data":
-                current = "data"
+        parts = line.split(None, 1)
+        head = parts[0]
+        rest = parts[1] if len(parts) > 1 else ""
+        if head[0] == ".":
+            if head == ".text":
+                section = text
+            elif head == ".data":
+                section = data
+            elif head == ".quad":
+                tokens = _split_operands(rest)
+                section.defer(8 * len(tokens), partial(_quads, tokens, lineno))
             else:
-                sections[current].append(_directive(name, rest, lineno))
+                section.put(_data(head, rest, lineno))
             continue
-        sections[current].append(_instruction(line, lineno))
 
-    # Pass 1: lay out addresses.
-    symbols: dict[str, int] = {}
-    offsets = {"text": [], "data": []}
-    bases = {"text": text_base, "data": data_base}
-    for section in ("text", "data"):
-        pos = bases[section]
-        for item in sections[section]:
-            offsets[section].append(pos)
-            pos += item.length
-    for label, section, index in label_at:
-        if label in symbols:
-            raise AssemblyError(f"duplicate label {label!r}")
-        if index < len(offsets[section]):
-            symbols[label] = offsets[section][index]
-        else:  # label at end of section
-            base = bases[section]
-            items = sections[section]
-            symbols[label] = (
-                offsets[section][-1] + items[-1].length if items else base
-            )
+        mnemonic = head.lower()
+        kinds, fields, labels, mem = _operands(rest, lineno)
+        opcode = _OPCODE_OF.get((mnemonic, kinds))
+        addr = section.pc
+        if section is text:
+            lines[addr] = lineno
+        if opcode is None:
+            _no_opcode(_ALIASES.get(mnemonic, mnemonic), kinds, lineno)
+            # An ALU operation over memory: pass 2 rejects the operand.
+            section.defer(isa.insn_length(_OPCODE_OF[mnemonic, "ri"]),
+                          partial(_not_immediate, mem, lineno))
+            continue
+        if not labels:
+            try:
+                section.put(_pack(opcode, fields, addr, lineno))
+                continue
+            except AssemblyError:
+                pass  # raised again in pass 2, in item order
+        section.defer(isa.insn_length(opcode),
+                      partial(_resolve, opcode, fields, labels, addr, lineno))
 
-    # Pass 2: encode.
-    blobs = {}
-    for section in ("text", "data"):
-        out = bytearray()
-        for item, addr in zip(sections[section], offsets[section]):
-            if item.kind == "blob":
-                out += _resolve_blob(item, symbols)
-            else:
-                out += _encode(item, addr, symbols)
-        blobs[section] = bytes(out)
-
-    lines = {
-        addr: item.lineno
-        for item, addr in zip(sections["text"], offsets["text"])
-        if item.kind == "insn"
-    }
-
+    if duplicate is not None:
+        raise AssemblyError(f"duplicate label {duplicate!r}")
     return Program(
-        text=blobs["text"],
-        data=blobs["data"],
+        text=text.finish(symbols),
+        data=data.finish(symbols),
         text_base=text_base,
         data_base=data_base,
         symbols=symbols,
         source=source,
         lines=lines,
     )
-
-
-def _directive(name: str, rest: str, lineno: int) -> _Item:
-    if name == ".quad":
-        values = _split_operands(rest)
-        return _Item(
-            "blob", lineno, blob=b"", length=8 * len(values),
-            operands=[("quads", values)],
-        )
-    if name == ".byte":
-        values = []
-        for tok in _split_operands(rest):
-            val = _parse_int(tok)
-            if val is None or not (0 <= val <= 255):
-                raise AssemblyError(f"line {lineno}: bad byte {tok!r}")
-            values.append(val)
-        return _Item("blob", lineno, blob=bytes(values))
-    if name == ".zero":
-        n = _parse_int(rest)
-        if n is None or n < 0:
-            raise AssemblyError(f"line {lineno}: bad .zero size {rest!r}")
-        return _Item("blob", lineno, blob=bytes(n))
-    if name in (".ascii", ".asciz"):
-        match = re.match(r'^"(.*)"$', rest.strip())
-        if not match:
-            raise AssemblyError(f"line {lineno}: {name} needs a quoted string")
-        text = match.group(1).encode().decode("unicode_escape").encode("latin-1")
-        if name == ".asciz":
-            text += b"\x00"
-        return _Item("blob", lineno, blob=text)
-    raise AssemblyError(f"line {lineno}: unknown directive {name!r}")
-
-
-def _resolve_blob(item: _Item, symbols: dict[str, int]) -> bytes:
-    if not item.operands:
-        return item.blob
-    kind, values = item.operands[0]
-    assert kind == "quads"
-    out = bytearray()
-    for tok in values:
-        val = _parse_int(tok)
-        if val is None:
-            if tok not in symbols:
-                raise AssemblyError(f"line {item.lineno}: unknown symbol {tok!r}")
-            val = symbols[tok]
-        out += ((val + (1 << 64)) % (1 << 64)).to_bytes(8, "little")
-    return bytes(out)
-
-
-def _instruction(line: str, lineno: int) -> _Item:
-    parts = line.split(None, 1)
-    mnemonic = _ALIASES.get(parts[0].lower(), parts[0].lower())
-    rest = parts[1] if len(parts) > 1 else ""
-    operands = []
-    for tok in _split_operands(rest):
-        mem_match = _MEM_RE.match(tok)
-        if mem_match:
-            operands.append(_parse_mem(mem_match.group(1).lower(), lineno))
-        elif tok.lower() in REG_INDEX:
-            operands.append(tok.lower())
-        else:
-            value = _parse_int(tok)
-            operands.append(value if value is not None else ("sym", tok))
-    opcode = _pick_opcode(mnemonic, operands, lineno)
-    return _Item(
-        "insn", lineno, opcode=opcode, operands=operands,
-        length=isa.insn_length(opcode),
-    )
-
-
-def _is_reg(op) -> bool:
-    return isinstance(op, str)
-
-
-def _is_imm(op) -> bool:
-    return isinstance(op, int) or (isinstance(op, tuple) and op[0] == "sym")
-
-
-_SIMPLE = {
-    "ret": isa.RET, "syscall": isa.SYSCALL, "nop": isa.NOP, "hlt": isa.HLT,
-}
-_UNARY_R = {
-    "push": isa.PUSH, "pop": isa.POP, "neg": isa.NEG, "not": isa.NOT,
-    "inc": isa.INC, "dec": isa.DEC,
-}
-_BRANCH = {
-    "jmp": isa.JMP, "je": isa.JE, "jne": isa.JNE, "jl": isa.JL,
-    "jle": isa.JLE, "jg": isa.JG, "jge": isa.JGE, "jb": isa.JB,
-    "jae": isa.JAE, "call": isa.CALL,
-}
-_ALU_RR_RI = {
-    "add": (isa.ADDRR, isa.ADDRI), "sub": (isa.SUBRR, isa.SUBRI),
-    "imul": (isa.IMULRR, isa.IMULRI), "and": (isa.ANDRR, isa.ANDRI),
-    "or": (isa.ORRR, isa.ORRI), "xor": (isa.XORRR, isa.XORRI),
-    "cmp": (isa.CMPRR, isa.CMPRI),
-}
-
-
-def _pick_opcode(mnemonic: str, operands: list, lineno: int) -> int:
-    def err(msg: str):
-        return AssemblyError(f"line {lineno}: {msg}")
-
-    if mnemonic in _SIMPLE:
-        if operands:
-            raise err(f"{mnemonic} takes no operands")
-        return _SIMPLE[mnemonic]
-    if mnemonic in _UNARY_R:
-        if len(operands) != 1 or not _is_reg(operands[0]):
-            raise err(f"{mnemonic} needs one register operand")
-        return _UNARY_R[mnemonic]
-    if mnemonic in _BRANCH:
-        if len(operands) != 1 or not _is_imm(operands[0]):
-            raise err(f"{mnemonic} needs a label or address")
-        return _BRANCH[mnemonic]
-    if mnemonic in _ALU_RR_RI:
-        rr, ri = _ALU_RR_RI[mnemonic]
-        if len(operands) != 2 or not _is_reg(operands[0]):
-            raise err(f"{mnemonic} needs reg, reg/imm")
-        return rr if _is_reg(operands[1]) else ri
-    if mnemonic in ("shl", "shr"):
-        if len(operands) != 2 or not _is_reg(operands[0]) or not _is_imm(operands[1]):
-            raise err(f"{mnemonic} needs reg, imm")
-        return isa.SHLI if mnemonic == "shl" else isa.SHRI
-    if mnemonic in ("udiv", "umod"):
-        if len(operands) != 2 or not all(_is_reg(o) for o in operands):
-            raise err(f"{mnemonic} needs reg, reg")
-        return isa.UDIVRR if mnemonic == "udiv" else isa.UMODRR
-    if mnemonic == "test":
-        if len(operands) != 2 or not all(_is_reg(o) for o in operands):
-            raise err("test needs reg, reg")
-        return isa.TESTRR
-    if mnemonic in ("mov", "movb"):
-        if len(operands) != 2:
-            raise err(f"{mnemonic} needs two operands")
-        dst, src = operands
-        byte = mnemonic == "movb"
-        if _is_reg(dst) and isinstance(src, _Mem):
-            if src.index is not None:
-                return isa.LOADBX if byte else isa.LOADX
-            return isa.LOADB if byte else isa.LOAD
-        if isinstance(dst, _Mem) and _is_reg(src):
-            if dst.index is not None:
-                return isa.STOREBX if byte else isa.STOREX
-            return isa.STOREB if byte else isa.STORE
-        if byte:
-            raise err("movb needs a memory operand")
-        if _is_reg(dst) and _is_reg(src):
-            return isa.MOVR
-        if _is_reg(dst) and _is_imm(src):
-            return isa.MOVI
-        raise err("unsupported mov form")
-    if mnemonic == "lea":
-        if len(operands) != 2 or not _is_reg(operands[0]) \
-                or not isinstance(operands[1], _Mem):
-            raise err("lea needs reg, [mem]")
-        return isa.LEAX if operands[1].index is not None else isa.LEA
-    raise err(f"unknown mnemonic {mnemonic!r}")
-
-
-def _sym_value(op, symbols: dict[str, int], lineno: int) -> int:
-    if isinstance(op, int):
-        return op
-    if isinstance(op, tuple) and op[0] == "sym":
-        name = op[1]
-        if name not in symbols:
-            raise AssemblyError(f"line {lineno}: unknown symbol {name!r}")
-        return symbols[name]
-    raise AssemblyError(f"line {lineno}: expected immediate, got {op!r}")
-
-
-def _encode(item: _Item, addr: int, symbols: dict[str, int]) -> bytes:
-    """Encode one instruction according to its opcode's layout."""
-    opcode = item.opcode
-    spec = isa.OPCODES[opcode]
-    lineno = item.lineno
-    out = bytearray([opcode])
-
-    # Flatten operands into layout fields.
-    fields: list[tuple[str, int]] = []
-    ops = list(item.operands)
-
-    def reg(name: str) -> int:
-        return REG_INDEX[name]
-
-    def disp_value(disp) -> int:
-        if isinstance(disp, str):
-            if disp not in symbols:
-                raise AssemblyError(f"line {lineno}: unknown symbol {disp!r}")
-            return symbols[disp]
-        return disp
-
-    if spec.layout == "ri":  # MOVI
-        fields = [("r", reg(ops[0])), ("i", _sym_value(ops[1], symbols, lineno))]
-    elif spec.layout == "rr":
-        fields = [("r", reg(ops[0])), ("r", reg(ops[1]))]
-    elif spec.layout == "rs":
-        fields = [("r", reg(ops[0])), ("s", _sym_value(ops[1], symbols, lineno))]
-    elif spec.layout == "r":
-        fields = [("r", reg(ops[0]))]
-    elif spec.layout == "t":
-        target = _sym_value(ops[0], symbols, lineno)
-        rel = target - (addr + item.length)
-        fields = [("t", rel)]
-    elif spec.layout == "rrd":  # LOAD/LOADB/LEA: dst, [base+disp]
-        if opcode in (isa.STORE, isa.STOREB):
-            raise AssemblyError("internal: store uses rdr")
-        mem = ops[1]
-        fields = [("r", reg(ops[0])), ("r", reg(mem.base)),
-                  ("d", disp_value(mem.disp))]
-    elif spec.layout == "rdr":  # STORE/STOREB: [base+disp], src
-        mem = ops[0]
-        fields = [("r", reg(mem.base)), ("d", disp_value(mem.disp)),
-                  ("r", reg(ops[1]))]
-    elif spec.layout == "rrrcd":  # LOADX/LEAX: dst, [base+idx*scale+disp]
-        mem = ops[1]
-        fields = [("r", reg(ops[0])), ("r", reg(mem.base)), ("r", reg(mem.index)),
-                  ("c", mem.scale), ("d", disp_value(mem.disp))]
-    elif spec.layout == "rrcdr":  # STOREX: [base+idx*scale+disp], src
-        mem = ops[0]
-        fields = [("r", reg(mem.base)), ("r", reg(mem.index)), ("c", mem.scale),
-                  ("d", disp_value(mem.disp)), ("r", reg(ops[1]))]
-    elif spec.layout == "":
-        fields = []
-    else:  # pragma: no cover - table and encoder kept in sync
-        raise AssemblyError(f"line {lineno}: unhandled layout {spec.layout!r}")
-
-    for kind, value in fields:
-        if kind == "r":
-            out.append(value)
-        elif kind == "c":
-            out.append(value)
-        elif kind == "i":
-            if not (-(1 << 63) <= value < (1 << 64)):
-                raise AssemblyError(f"line {lineno}: imm64 out of range")
-            out += (value & ((1 << 64) - 1)).to_bytes(8, "little")
-        elif kind in ("s", "d", "t"):
-            if not (_I32_MIN <= value <= _I32_MAX):
-                raise AssemblyError(
-                    f"line {lineno}: 32-bit field out of range ({value})"
-                )
-            out += (value & 0xFFFFFFFF).to_bytes(4, "little")
-    if len(out) != item.length:  # pragma: no cover - encoder invariant
-        raise AssemblyError(f"line {lineno}: encoding length mismatch")
-    return bytes(out)

@@ -30,6 +30,13 @@ and the instruction's address, so a fault leaves registers, flags,
 ``rip``, ``steps`` and ``instructions_executed`` as single-stepping
 would.
 
+Fetch translates once per decode.  An instruction that lies within one
+page is decoded in place from the frame's bytes after one translation
+with the EXEC check; one that runs into the next page is fetched whole
+after its opcode byte, so a fault on the second page, or #UD for an
+undefined opcode before it, is taken exactly as with two fetches.  Each
+instruction is decoded once per program, on its first fetch.
+
 Decoded instructions, head entry counts and compiled blocks live in a
 :class:`CodeCache` owned by the loaded program.  The loader hands the
 program's cache to the address space it builds and every fork of that
@@ -52,6 +59,7 @@ from repro.cpu.registers import MASK64, RegisterFile
 from repro.cpu.semantics import FLAGS, SEMANTICS, Semantics, register_effects, transfers
 from repro.mem.addrspace import AddressSpace
 from repro.mem.faults import PageFaultError
+from repro.mem.layout import PAGE_MASK
 
 #: Cold entries of a block head after which its block is compiled.  One
 #: compile costs as much as several hundred cold instructions, so only a
@@ -297,17 +305,23 @@ class Interpreter:
     # ------------------------------------------------------------------
 
     def _decode(self, rip: int) -> tuple[int, ...]:
-        # Fetch the opcode byte alone first: an undefined opcode is #UD
-        # even when the bytes after it are unmapped.
+        # One translation, with the EXEC check, serves an instruction that
+        # lies within its page: it is decoded in place.
         space = self.space
-        opcode = space.fetch(rip, 1)[0]
-        if opcode not in isa.OPCODES:
-            raise InvalidOpcodeError(rip, opcode)
+        try:
+            return isa.decode(space.fetch_page(rip), rip, rip & PAGE_MASK)
+        except isa.DecodeError as err:
+            opcode = err.opcode
+            if err.kind != "truncated":
+                # An undefined opcode, or a register operand outside
+                # r0..r15, is an invalid encoding, not a host error.
+                raise InvalidOpcodeError(rip, opcode) from None
+        # It runs into the next page.  Fetch it whole: a fault there comes
+        # only after its opcode byte proved valid, so an undefined opcode
+        # is #UD even when the bytes after it are unmapped.
         try:
             return isa.decode(space.fetch(rip, isa.insn_length(opcode)), rip)
         except isa.DecodeError:
-            # A register operand outside r0..r15 is an invalid encoding,
-            # not a host error.
             raise InvalidOpcodeError(rip, opcode) from None
 
     # ------------------------------------------------------------------

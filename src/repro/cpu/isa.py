@@ -12,7 +12,8 @@ with *machine code whose memory traffic goes through a paged MMU*.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from struct import Struct
+from typing import Callable, NamedTuple
 
 # --- opcode space ------------------------------------------------------
 
@@ -89,8 +90,8 @@ class OpSpec(NamedTuple):
     layout: str
 
 
-#: opcode byte -> operand spec.  The assembler and :func:`decode` both
-#: derive operand sizes from this single table.
+#: opcode byte -> operand spec.  :data:`ENCODINGS` derives every
+#: opcode's length and byte layout from this single table.
 OPCODES: dict[int, OpSpec] = {
     MOVI: OpSpec("mov", "ri"),
     MOVR: OpSpec("mov", "rr"),
@@ -153,14 +154,46 @@ CONDITIONAL_JUMPS = frozenset({JE, JNE, JL, JLE, JG, JGE, JB, JAE})
 #: interpreter's block compiler both split code here.
 ENDS_BLOCK = CONDITIONAL_JUMPS | {JMP, CALL, RET, SYSCALL, HLT}
 
-#: Encoded byte width of each operand kind.
-_FIELD_WIDTH = {"r": 1, "c": 1, "i": 8, "s": 4, "d": 4, "t": 4}
+#: The :mod:`struct` format of each operand kind: register and scale
+#: bytes unsigned, imm64 unsigned, imm32, disp32 and rel32 signed.
+_FIELD_FORMAT = {"r": "B", "c": "B", "i": "Q", "s": "i", "d": "i", "t": "i"}
+
+
+class Encoding(NamedTuple):
+    """The byte layout of one opcode, derived from its layout string: the
+    whole instruction, opcode byte first, little-endian."""
+
+    #: Encoded length in bytes.
+    size: int
+    #: ``pack(opcode, *fields)`` and ``unpack_from(code, offset)`` of
+    #: that layout (:class:`struct.Struct` methods).
+    pack: Callable[..., bytes]
+    unpack_from: Callable[..., tuple[int, ...]]
+    #: Position of each register field in the unpacked tuple.
+    registers: tuple[int, ...]
+    #: True for a branch: its one operand is relative to the next pc.
+    relative: bool
+
+
+def _encoding(layout: str) -> Encoding:
+    shape = Struct("<B" + "".join(_FIELD_FORMAT[kind] for kind in layout))
+    return Encoding(
+        shape.size, shape.pack, shape.unpack_from,
+        tuple(k for k, kind in enumerate(layout, 1) if kind == "r"),
+        layout == "t",
+    )
+
+
+#: opcode byte -> its encoding.  The assembler packs and :func:`decode`
+#: unpacks with this one table.
+ENCODINGS: dict[int, Encoding] = {
+    op: _encoding(spec.layout) for op, spec in OPCODES.items()
+}
 
 
 def insn_length(opcode: int) -> int:
     """Total encoded length (opcode byte + operands) of *opcode*."""
-    spec = OPCODES[opcode]
-    return 1 + sum(_FIELD_WIDTH[f] for f in spec.layout)
+    return ENCODINGS[opcode].size
 
 
 class DecodeError(Exception):
@@ -188,28 +221,17 @@ def decode(code: bytes, pc: int, offset: int = 0) -> tuple[int, ...]:
     through here.  Raises :class:`DecodeError`.
     """
     opcode = code[offset]
-    spec = OPCODES.get(opcode)
-    if spec is None:
+    encoding = ENCODINGS.get(opcode)
+    if encoding is None:
         raise DecodeError(pc, "invalid-opcode", opcode)
-    length = insn_length(opcode)
-    if offset + length > len(code):
+    size, _, unpack_from, registers, relative = encoding
+    if offset + size > len(code):
         raise DecodeError(pc, "truncated", opcode)
-    next_pc = pc + length
-    pos = offset + 1
-    fields = [opcode]
-    for kind in spec.layout:
-        width = _FIELD_WIDTH[kind]
-        if kind == "r" or kind == "c":
-            value = code[pos]
-            if kind == "r" and value >= 16:
-                raise DecodeError(pc, "bad-register", opcode)
-        elif kind == "i":
-            value = int.from_bytes(code[pos : pos + width], "little")
-        else:
-            value = int.from_bytes(code[pos : pos + width], "little", signed=True)
-            if kind == "t":
-                value += next_pc
-        fields.append(value)
-        pos += width
-    fields.append(next_pc)
-    return tuple(fields)
+    fields = unpack_from(code, offset)
+    for k in registers:
+        if fields[k] >= 16:
+            raise DecodeError(pc, "bad-register", opcode)
+    next_pc = pc + size
+    if relative:
+        return (opcode, fields[1] + next_pc, next_pc)
+    return fields + (next_pc,)

@@ -42,10 +42,11 @@ _as_ids = itertools.count()
 #: The permission bit each access needs, as a plain int.
 _READ = int(Permission.READ)
 _WRITE = int(Permission.WRITE)
+_EXEC = int(Permission.EXEC)
 _NEEDED_BIT = {
     AccessKind.READ: _READ,
     AccessKind.WRITE: _WRITE,
-    AccessKind.EXECUTE: int(Permission.EXEC),
+    AccessKind.EXECUTE: _EXEC,
 }
 _ACCESS_OF = {bit: access for access, bit in _NEEDED_BIT.items()}
 
@@ -135,10 +136,9 @@ class AddressSpace:
                 pages=npages,
                 kind="data" if data is not None else ("eager" if eager else "zero"),
             )
-        for i in range(npages):
-            vpn = (base >> PAGE_SHIFT) + i
-            if self.table.is_mapped(vpn):
-                raise ValueError(f"page {vpn << PAGE_SHIFT:#x} already mapped")
+        first = base >> PAGE_SHIFT
+
+        def frame_of(i: int) -> Frame:
             if data is not None:
                 # Initial contents are loaded directly into fresh frames,
                 # bypassing permission checks (a loader writing code into
@@ -151,8 +151,10 @@ class AddressSpace:
             else:
                 frame = self._zero()
                 frame.refcount += 1
-            self.table.map(vpn, frame, perms)
-            self.tlb.pop(vpn, None)
+            self.tlb.pop(first + i, None)
+            return frame
+
+        self.table.map_run(first, npages, perms, frame_of)
 
     def unmap_region(self, base: int, size: int) -> None:
         """Unmap every page intersecting ``[base, base+size)``."""
@@ -361,19 +363,34 @@ class AddressSpace:
         self.write_int(addr, value, 8)
 
     def read_cstr(self, addr: int, max_len: int = 4096) -> bytes:
-        """Read a NUL-terminated byte string (NUL not included)."""
+        """Read a NUL-terminated byte string (NUL not included).
+
+        Translates each page the string reaches once, for READ, and
+        looks for the NUL in the frame.  Raises ``ValueError`` if the
+        first *max_len* bytes hold no NUL.
+        """
         out = bytearray()
         while len(out) < max_len:
-            byte = self.read_u8(addr)
-            if byte == 0:
+            off = addr & PAGE_MASK
+            end = off + min(PAGE_SIZE - off, max_len - len(out))
+            data = self._frame_for(addr >> PAGE_SHIFT, _READ).data
+            nul = data.find(0, off, end)
+            if nul >= 0:
+                out += data[off:nul]
                 return bytes(out)
-            out.append(byte)
-            addr += 1
+            out += data[off:end]
+            addr += end - off
         raise ValueError("unterminated string")
 
     def fetch(self, addr: int, n: int) -> bytes:
         """Read *n* bytes for instruction fetch (EXEC permission)."""
         return self.read(addr, n, AccessKind.EXECUTE)
+
+    def fetch_page(self, addr: int) -> bytearray:
+        """The bytes of the page holding *addr*, translated once for
+        instruction fetch (EXEC permission).  The caller reads them in
+        place and never writes them."""
+        return self._frame_for(addr >> PAGE_SHIFT, _EXEC).data
 
     # ------------------------------------------------------------------
     # Snapshot support

@@ -26,10 +26,10 @@ Ownership protocol
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from repro.mem.frames import Frame, FramePool
-from repro.mem.layout import LEVEL_BITS, LEVELS
+from repro.mem.layout import LEVEL_BITS, LEVELS, PAGE_SHIFT
 
 _INDEX_MASK = (1 << LEVEL_BITS) - 1
 _TOP_LEVEL = LEVELS - 1
@@ -220,6 +220,34 @@ class PageTable:
         leaf.entries[idx] = PTE(frame, int(perms))
         if old is not None:
             self.pool.put(old.frame)
+
+    def map_run(self, first: int, count: int, perms: int,
+                frame_of: Callable[[int], Frame]) -> None:
+        """Map the *count* pages from *first* in order, page ``first + i``
+        to the frame ``frame_of(i)`` returns, with *perms*, consuming
+        each frame ref.
+
+        Walks to each level-0 node once rather than once per page.  Every
+        page must be unmapped: the first one that is not raises
+        ``ValueError`` before *frame_of* runs for it, with the pages
+        before it mapped.
+        """
+        perms = int(perms)
+        leaf: Optional[_Node] = None
+        for vpn in range(first, first + count):
+            idx = vpn & _INDEX_MASK
+            if leaf is None or idx == 0:
+                # A new level-0 node: check before copying shared nodes.
+                leaf = None
+                mapped = self.lookup(vpn) is not None
+            else:
+                mapped = idx in leaf.entries
+            if mapped:
+                raise ValueError(f"page {vpn << PAGE_SHIFT:#x} already mapped")
+            frame = frame_of(vpn - first)
+            if leaf is None:
+                leaf = self._leaf_exclusive(vpn, create=True)
+            leaf.entries[idx] = PTE(frame, perms)
 
     def unmap(self, vpn: int) -> bool:
         """Remove the mapping for *vpn*.  Returns False if it was absent."""

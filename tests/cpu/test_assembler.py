@@ -159,6 +159,67 @@ class TestComments:
         assert assemble("\n\n  \n").text == b""
 
 
+def movi(reg, value):
+    return bytes([isa.MOVI, reg]) + value.to_bytes(8, "little")
+
+
+class TestQuoting:
+    """Comments start, and operands split, only outside quotes."""
+
+    @pytest.mark.parametrize("text", ["a;b", "a#b", "a, b", "[x]", "';'"])
+    def test_comment_characters_inside_a_string(self, text):
+        prog = assemble(f'.data\n.asciz "{text}" ; a comment, "quoted"\n.ascii "!"')
+        assert prog.data == text.encode() + b"\x00!"
+
+    @pytest.mark.parametrize("char", [";", "#", ",", "[", "]", '"'])
+    def test_char_literal_of_a_delimiter(self, char):
+        prog = assemble(f"mov rax, '{char}' # {char}\nmov rbx, 1")
+        assert prog.text == movi(0, ord(char)) + movi(3, 1)
+
+    def test_escaped_quotes(self):
+        prog = assemble(".data\n.asciz \"a\\\";\" ; x\n.byte '\\'', ','")
+        assert prog.data == b'a";\x00\x27,'
+
+    def test_unmatched_close_bracket_does_not_stop_splitting(self):
+        with pytest.raises(AssemblyError, match=r"unknown symbol 'x\]'"):
+            assemble(".data\n.quad x], 7")
+        prog = assemble(".data\n.byte ']', 7, '['")
+        assert prog.data == b"]\x07["
+
+
+class TestLabelCase:
+    """Registers are case-insensitive everywhere; labels are
+    case-sensitive, inside brackets too."""
+
+    def test_mixed_case_label_in_brackets(self):
+        prog = assemble("mov rax, [rsp + MyVar]\nMyVar: hlt")
+        target = CODE_BASE + isa.insn_length(isa.LOAD)
+        assert prog.text == bytes([isa.LOAD, 0, 4]) + target.to_bytes(4, "little") \
+            + bytes([isa.HLT])
+
+    def test_label_case_is_not_folded_in_brackets(self):
+        with pytest.raises(AssemblyError, match="line 2: unknown symbol 'MyVar'"):
+            assemble("myvar: nop\nmov rax, [rsp + MyVar]")
+        with pytest.raises(AssemblyError, match="line 2: unknown symbol 'MyVar'"):
+            assemble("myvar: nop\nmov rsi, MyVar")
+
+    def test_registers_fold_case_in_brackets(self):
+        prog = assemble("LEA RAX, [RSP + Rcx*8 + Buf]\nmov [rBX - 8], R9\nBuf: nop")
+        buf = CODE_BASE + isa.insn_length(isa.LEAX) + isa.insn_length(isa.STORE)
+        assert prog.text == (
+            bytes([isa.LEAX, 0, 4, 1, 8]) + buf.to_bytes(4, "little")
+            + bytes([isa.STORE, 3]) + (-8 & 0xFFFFFFFF).to_bytes(4, "little")
+            + bytes([9, isa.NOP]))
+
+    def test_char_literal_case_in_brackets(self):
+        prog = assemble("mov rax, [rbx + 'A']")
+        assert prog.text == bytes([isa.LOAD, 0, 3]) + (65).to_bytes(4, "little")
+
+    def test_bad_displacement_is_quoted_as_written(self):
+        with pytest.raises(AssemblyError, match="line 1: bad displacement '-Rax'"):
+            assemble("mov [rax - Rax], rax")
+
+
 class TestErrors:
     def test_unknown_mnemonic(self):
         with pytest.raises(AssemblyError, match="unknown mnemonic"):

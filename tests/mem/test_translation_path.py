@@ -11,8 +11,9 @@ import sys
 from repro.core.machine import MachineEngine
 from repro.workloads.nqueens import nqueens_asm
 
-#: AddressSpace methods every guest load and store runs through.
-ACCESSORS = {"_frame_for", "read_word", "write_word", "read_byte", "write_byte"}
+#: AddressSpace methods every guest fetch, load and store runs through.
+ACCESSORS = {"_frame_for", "fetch_page", "read_word", "write_word", "read_byte",
+             "write_byte"}
 
 
 def on_translation_path(code) -> bool:
