@@ -247,12 +247,6 @@ class AnalysisReport:
     fs: FsSummary | None = None
 
     @property
-    def max_severity(self) -> Severity | None:
-        if not self.findings:
-            return None
-        return max(f.severity for f in self.findings)
-
-    @property
     def errors(self) -> list[Finding]:
         return [f for f in self.findings if f.severity == Severity.ERROR]
 

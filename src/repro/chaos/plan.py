@@ -7,24 +7,27 @@ which is what lets a CI sweep assert solution-set invariance across
 dozens of seeds and still reproduce any failure locally from its seed
 alone.
 
-The plan plugs into three seams:
+The plan is the engine's one fault-injection seam
+(``ProcessParallelEngine(chaos=plan)``); its methods serve three points:
 
-* ``worker_hook`` — the cluster's pre-task ``fault_hook``: kills the
-  worker (``os._exit``) or stalls it past the task timeout;
-* ``pipe_hook`` — the result-pipe seam in ``_worker_main``: writes
-  garbage bytes into the coordinator's result pipe before the real
-  result, exercising the protocol-corruption path;
+* ``worker_hook`` — in the worker, before each task: kills the worker
+  (``os._exit``) or stalls it past the task timeout;
+* ``pipe_hook`` — in the worker, before each task result is sent:
+  writes garbage bytes into the coordinator's result pipe first,
+  exercising the protocol-corruption path;
 * ``journal_hook`` — the journal writer's fault seam: kills the
   coordinator at a chosen epoch, tears the write at that epoch (partial
   line then kill), or flips a bit in the record (silent corruption the
   recovery scan must skip and count).
 
-Fault decisions are made only for ``task.attempt <= max_faulted_attempt``
+Rate faults are rolled only for ``task.attempt <= max_faulted_attempt``
 (default: first attempt only), so every faulted task eventually
 succeeds on retry and a chaos run remains *solution-complete* — the
-invariant the differential sweep checks.  ``poison_prefixes`` opts
-specific subtrees out of that guarantee (they crash on every attempt)
-to exercise the circuit breaker's quarantine path instead.
+invariant the differential sweep checks.  ``targets`` name single
+subtrees instead: each ``(prefix, kind, attempts)`` entry injects
+*kind* into the task with exactly that prefix for every attempt below
+*attempts* (``None``: every attempt), which is how tests fault one
+known subtree and how a poisoned subtree feeds the circuit breaker.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ GARBAGE = b"\xde\xad\xbe\xef" * 16
 #: Worker fault kinds a plan can choose per task.
 WORKER_FAULTS = ("exit", "stall", "garbage")
 
+#: The plan's probability fields, each checked to lie in [0, 1].
+_RATES = (
+    "crash_rate", "stall_rate", "garbage_rate", "net_drop_rate",
+    "net_delay_rate", "net_dup_rate", "net_reorder_rate",
+    "partition_rate", "half_open_rate",
+)
+
 
 def _roll(*key) -> float:
     """Deterministic uniform [0, 1) from a hashable key."""
@@ -58,9 +68,9 @@ def _roll(*key) -> float:
 class FaultPlan:
     """A seeded, picklable schedule of injected faults.
 
-    Rates are per *task attempt* and mutually exclusive (one roll
-    decides the kind), so ``crash_rate + stall_rate + garbage_rate``
-    must stay <= 1.
+    Rates are probabilities in [0, 1].  Worker rates are per *task
+    attempt* and mutually exclusive (one roll decides the kind), so
+    ``crash_rate + stall_rate + garbage_rate`` must stay <= 1.
     """
 
     seed: int = 0
@@ -70,12 +80,15 @@ class FaultPlan:
     #: How long a stall fault sleeps; must exceed the engine's
     #: task_timeout for the stall to be detected and recovered.
     stall_seconds: float = 30.0
-    #: Inject worker faults only for attempts <= this (termination: a
-    #: retried task runs fault-free).
+    #: Roll the worker fault rates only for attempts <= this
+    #: (termination: a retried task runs fault-free).
     max_faulted_attempt: int = 0
-    #: Decision prefixes that crash the worker on *every* attempt —
-    #: guaranteed circuit-breaker food.
-    poison_prefixes: tuple = ()
+    #: ``(prefix, kind, attempts)`` entries: inject worker fault *kind*
+    #: into the task whose prefix is exactly *prefix*, for attempts
+    #: ``< attempts`` (``None``: every attempt — circuit-breaker food).
+    #: Checked before the rate roll; ``max_faulted_attempt`` does not
+    #: apply.
+    targets: tuple = ()
     #: Kill the coordinator when the journal reaches this epoch.
     coordinator_kill_epoch: Optional[int] = None
     #: Tear the journal write at this epoch (partial record, then kill).
@@ -107,11 +120,29 @@ class FaultPlan:
     half_open_rate: float = 0.0
 
     def __post_init__(self):
+        for name in _RATES:
+            rate = getattr(self, name)
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         total = self.crash_rate + self.stall_rate + self.garbage_rate
         if total > 1.0 + 1e-9:
             raise ValueError(
                 f"fault rates must sum to <= 1, got {total}"
             )
+        for name in ("stall_seconds", "net_delay_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        targets = tuple(
+            (tuple(prefix), kind, attempts)
+            for prefix, kind, attempts in self.targets
+        )
+        for prefix, kind, _attempts in targets:
+            if kind not in WORKER_FAULTS:
+                raise ValueError(
+                    f"target {prefix}: fault kind must be one of "
+                    f"{WORKER_FAULTS}, got {kind!r}"
+                )
+        object.__setattr__(self, "targets", targets)
 
     # -- decisions -----------------------------------------------------
 
@@ -121,13 +152,14 @@ class FaultPlan:
         Pure and deterministic: same plan + same (prefix, attempt) →
         same answer, in any process.
         """
-        if tuple(task.prefix) in tuple(
-            tuple(p) for p in self.poison_prefixes
-        ):
-            return "exit"
+        prefix = tuple(task.prefix)
+        for target, kind, attempts in self.targets:
+            if target == prefix and (attempts is None
+                                     or task.attempt < attempts):
+                return kind
         if task.attempt > self.max_faulted_attempt:
             return None
-        r = _roll(self.seed, tuple(task.prefix), task.attempt)
+        r = _roll(self.seed, prefix, task.attempt)
         if r < self.crash_rate:
             return "exit"
         if r < self.crash_rate + self.stall_rate:
@@ -149,13 +181,6 @@ class FaultPlan:
             coordinator_kill_epoch=None,
             journal_tear_epoch=None,
             journal_bitflip_epoch=None,
-        )
-
-    @property
-    def has_worker_faults(self) -> bool:
-        return bool(
-            self.crash_rate or self.stall_rate or self.garbage_rate
-            or self.poison_prefixes
         )
 
     @property
@@ -210,7 +235,7 @@ class FaultPlan:
     # -- hooks (the seams the engine wires these into) -----------------
 
     def worker_hook(self, task) -> None:
-        """ClusterConfig.fault_hook: runs in the worker before a task."""
+        """Runs in the worker before a task."""
         kind = self.worker_fault(task)
         if kind == "exit":
             if _TRACER.enabled:
@@ -224,7 +249,7 @@ class FaultPlan:
             time.sleep(self.stall_seconds)
 
     def pipe_hook(self, conn, task) -> None:
-        """ClusterConfig.pipe_hook: runs before a result is sent."""
+        """Runs in the worker before a task's result is sent."""
         if self.worker_fault(task) == "garbage":
             if _TRACER.enabled:
                 _TRACER.emit(_events.CHAOS_WORKER_FAULT, kind="garbage",

@@ -51,11 +51,11 @@ import functools
 import itertools
 import multiprocessing
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+from repro.chaos.plan import FaultPlan
 from repro.core.errors import ReplayDivergenceError
 from repro.core.lease import LeaseTable
 from repro.core.transport import (
@@ -121,7 +121,8 @@ class WorkerError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Picklable knobs shipped to every worker process."""
+    """The plain data shipped to every worker process (pickled into the
+    welcome frame over TCP): no field holds a callable."""
 
     strategy: str = "dfs"
     max_steps_per_extension: int = 5_000_000
@@ -131,19 +132,15 @@ class ClusterConfig:
     #: Guest instructions of *new* exploration per task before the local
     #: frontier is spilled back (replay of the prefix is not charged).
     task_step_budget: Optional[int] = 25_000
-    #: Test hook, called as ``fault_hook(task)`` in the worker before
-    #: each task — fault-injection tests and the chaos harness crash or
-    #: stall here.
-    fault_hook: Optional[Callable[[PrefixTask], None]] = None
-    #: Chaos seam in the pipe protocol, called as ``pipe_hook(conn,
-    #: task)`` in the worker just before a task result is sent — the
-    #: chaos harness writes garbage bytes into the result pipe here to
-    #: exercise the coordinator's protocol-corruption handling.
-    pipe_hook: Optional[Callable] = None
+    #: The run's fault plan: the worker runs its worker hook before each
+    #: task (crash, stall) and its pipe hook just before sending the
+    #: result (garbage bytes into the result pipe).  None injects
+    #: nothing.
+    chaos: Optional[FaultPlan] = None
     #: Workers buffer their trace events per task and ship the segment
     #: back with the result, so the coordinator can merge one causally
-    #: ordered trace.  Off by default; the engine switches it on for a
-    #: run whenever the coordinator's tracer has a sink attached.
+    #: ordered trace.  The coordinator sets it for each run: on exactly
+    #: when its tracer has a sink attached at run start.
     collect_trace: bool = False
     #: ``(pc, lint_id)`` sites the static analyzer flagged as sources of
     #: nondeterminism; ``None`` when the engine ran with ``verify="off"``
@@ -171,8 +168,9 @@ class ClusterConfig:
     #: the coordinator's, or crash-dimension numbering would diverge).
     hostfs_block_size: int = 4096
     #: Seconds between worker heartbeat records shipped over the result
-    #: pipe alongside task results (None disables heartbeats — the
-    #: engine enables them whenever any live-telemetry surface is on).
+    #: pipe alongside task results (None disables heartbeats).  The
+    #: engine derives it: ``min(0.25, status_interval)`` whenever any
+    #: live-telemetry surface is on.
     heartbeat_interval: Optional[float] = None
     #: Capacity of the per-worker flight-recorder ring of recent trace
     #: events, shipped inside heartbeats (0 disables the ring).
@@ -407,7 +405,7 @@ def _serve_batch(worker: _SubtreeWorker, conn, work: tuple,
     :func:`_worker_main` and degraded mode's in-process endpoint.
     Exceptions propagate to the caller."""
     _, batch, solutions_budget, shipped_events = work
-    config = worker.config
+    chaos = worker.config.chaos
     if worker.recorder is not None and shipped_events:
         worker.recorder.log.merge(shipped_events)
     for task in batch:
@@ -418,15 +416,15 @@ def _serve_batch(worker: _SubtreeWorker, conn, work: tuple,
                 span=task.span, attempt=task.attempt,
             )
         if emitter is not None:
-            # Force a beat before the fault hook can kill us: the
+            # Force a beat before an injected fault can kill us: the
             # shipped ring (with task.begin) is what the flight
             # recorder dumps for this death.
             worker.heartbeat = (
                 lambda t=task: emitter.beat(task=t.prefix, span=t.span)
             )
             emitter.beat(task=task.prefix, span=task.span, force=True)
-        if config.fault_hook is not None:
-            config.fault_hook(task)
+        if chaos is not None:
+            chaos.worker_hook(task)
         solutions, spilled = worker.explore(task, solutions_budget)
         if solutions_budget is not None:
             solutions_budget = max(0, solutions_budget - len(solutions))
@@ -440,8 +438,8 @@ def _serve_batch(worker: _SubtreeWorker, conn, work: tuple,
             worker.recorder.drain_fresh()
             if worker.recorder is not None else []
         )
-        if config.pipe_hook is not None:
-            config.pipe_hook(conn, task)
+        if chaos is not None:
+            chaos.pipe_hook(conn, task)
         conn.send(
             ("task", worker.worker_id, task.key(), task.fence, solutions,
              spilled, state, segment, fresh_events)
@@ -592,22 +590,12 @@ class ProcessParallelEngine:
         How much of a subtree a worker explores before spilling the
         remainder back (see :class:`ClusterConfig`).
     task_timeout:
-        Per-task wall-clock limit in seconds.  A worker that makes no
-        progress for this long is killed and its unreported tasks are
+        Per-task wall-clock limit in seconds (> 0).  A worker that makes
+        no progress for this long is killed and its unreported tasks are
         retried elsewhere (None disables the timeout).
     max_task_retries:
         How many times a task lost to a crash or timeout is re-dispatched
         before being dropped (a drop marks the result not exhausted).
-    fault_hook:
-        Test-only fault injector run in workers (see :class:`ClusterConfig`).
-    collect_trace:
-        Whether workers buffer their trace events and ship them back for
-        merging into the coordinator's trace.  ``None`` (the default)
-        follows the coordinator's tracer: collection is on exactly when
-        a sink is attached at :meth:`run` time.  Passing ``False`` while
-        the coordinator traces drops every worker-side event — the
-        engine then warns and counts the losses in
-        ``parallel.trace_dropped`` rather than losing them silently.
     verify:
         Static-analysis gate run on each guest before sharding: ``"off"``
         (default), ``"warn"`` or ``"strict"``.  Strict mode refuses
@@ -640,10 +628,11 @@ class ProcessParallelEngine:
         finishes the frontier on an in-process endpoint instead of
         aborting the run.
     chaos:
-        A :class:`~repro.chaos.FaultPlan` wired into the three
-        injection seams (worker fault hook, result-pipe hook, journal
-        writer hook).  An explicitly passed *fault_hook* keeps
-        precedence over the plan's worker faults.
+        A :class:`~repro.chaos.FaultPlan`, the one way to inject faults:
+        it rides :class:`ClusterConfig` to the workers (crash or stall
+        before a task, garbage before a result) and feeds the journal
+        writer's and the TCP transport's hooks.  Degraded mode's
+        in-process endpoint never runs it.
     replay_mode:
         Record/replay of nondeterministic syscall outcomes: ``"off"``
         (default), ``"record"`` (record fresh outcomes, replay known
@@ -679,14 +668,13 @@ class ProcessParallelEngine:
         status snapshot each) to this path, consumable by
         ``repro.tools.top --status-log`` and ``trace_report``.
     status_interval:
-        Seconds between status-log samples (and the floor of the
-        coordinator's internal status refresh cadence).
-    heartbeat_interval:
-        Seconds between worker heartbeats.  ``None`` (default) means
-        0.25 whenever any telemetry surface above is enabled, else off.
-        Heartbeats also defer the per-task timeout while a worker's
-        step counter demonstrably grows — a stalled worker cannot beat,
-        so stalls still time out.
+        Seconds between status-log samples.  Workers beat, and the
+        coordinator refreshes its status, every
+        ``min(0.25, status_interval)`` seconds whenever a telemetry
+        surface (*status_port*, *status_log*, *flight_dir*) is on; with
+        none on, workers send no heartbeats.  Heartbeats also defer the
+        per-task timeout while a worker's step counter demonstrably
+        grows — a stalled worker cannot beat, so stalls still time out.
     flight_dir:
         Directory for flight-recorder post-mortems: each worker's 256
         most recent trace events (shipped inside heartbeats, so they
@@ -730,14 +718,12 @@ class ProcessParallelEngine:
         max_solutions: Optional[int] = None,
         task_timeout: Optional[float] = 30.0,
         max_task_retries: int = 2,
-        fault_hook: Optional[Callable[[PrefixTask], None]] = None,
-        collect_trace: Optional[bool] = None,
         verify: str = "off",
         journal: Optional[str] = None,
         resume: bool = False,
         fsync: str = "batch",
         supervisor: Optional[SupervisorPolicy] = None,
-        chaos=None,
+        chaos: Optional[FaultPlan] = None,
         replay_mode: str = "off",
         replay_log: Optional[NondetLog] = None,
         input_script: Optional[bytes] = None,
@@ -745,7 +731,6 @@ class ProcessParallelEngine:
         status_port: Optional[int] = None,
         status_log: Optional[str] = None,
         status_interval: float = 0.5,
-        heartbeat_interval: Optional[float] = None,
         flight_dir: Optional[str] = None,
         transport: str = "pipe",
         listen: Optional[tuple] = None,
@@ -762,6 +747,10 @@ class ProcessParallelEngine:
             )
         if listen is not None and transport != "tcp":
             raise ValueError("listen requires transport='tcp'")
+        if task_timeout is not None and task_timeout <= 0:
+            raise ValueError("task_timeout must be > 0 or None")
+        if max_task_retries < 0:
+            raise ValueError("max_task_retries must be >= 0")
         if lease_timeout is not None and lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
         if heartbeat_timeout <= 0:
@@ -781,8 +770,6 @@ class ProcessParallelEngine:
             raise ValueError("resume=True requires a journal path")
         if status_interval <= 0:
             raise ValueError("status_interval must be > 0")
-        if heartbeat_interval is not None and heartbeat_interval < 0:
-            raise ValueError("heartbeat_interval must be >= 0")
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
@@ -804,7 +791,6 @@ class ProcessParallelEngine:
         self.max_solutions = max_solutions
         self.task_timeout = task_timeout
         self.max_task_retries = max_task_retries
-        self.collect_trace = collect_trace
         self.journal_path = journal
         self.resume = resume
         self.fsync = fsync
@@ -828,11 +814,7 @@ class ProcessParallelEngine:
         #: coordinator's refresh work so telemetry-off runs pay nothing.
         self._telemetry = (
             status_port is not None or status_log is not None
-            or flight_dir is not None or heartbeat_interval is not None
-        )
-        hb_interval = (
-            heartbeat_interval if heartbeat_interval is not None
-            else (0.25 if self._telemetry else None)
+            or flight_dir is not None
         )
         #: Live model of the current/last :meth:`run` (always set by
         #: run; finalized to the exact end-of-run registry state).
@@ -842,15 +824,12 @@ class ProcessParallelEngine:
         #: The flight recorder of the current run (``flight_dir`` only);
         #: ``flight_recorder.dumps`` lists post-mortems written.
         self.flight_recorder: Optional[FlightRecorder] = None
-        if chaos is not None and fault_hook is None:
-            fault_hook = chaos.worker_hook
         self.config = ClusterConfig(
             strategy=strategy,
             max_steps_per_extension=max_steps_per_extension,
             subtree_depth=subtree_depth,
             task_step_budget=task_step_budget,
-            fault_hook=fault_hook,
-            pipe_hook=chaos.pipe_hook if chaos is not None else None,
+            chaos=chaos,
             replay_mode=replay_mode,
             input_script=input_script,
             hostfs_files=(
@@ -861,11 +840,10 @@ class ProcessParallelEngine:
                 hostfs.block_size if hostfs is not None
                 else ClusterConfig.hostfs_block_size
             ),
-            heartbeat_interval=hb_interval,
-            flight_events=(
-                _FLIGHT_EVENTS
-                if flight_dir is not None and hb_interval is not None else 0
+            heartbeat_interval=(
+                min(0.25, status_interval) if self._telemetry else None
             ),
+            flight_events=_FLIGHT_EVENTS if flight_dir is not None else 0,
             steal_batch=batch_size,
         )
         # fork where available: fast worker startup.
@@ -938,24 +916,11 @@ class _Coordinator:
         self.c_joins = reg.counter("parallel.worker_joins")
         self.g_workers = reg.gauge("parallel.workers")
 
-        # Trace propagation: workers collect iff the coordinator traces,
-        # unless explicitly overridden.  An override to False while a
-        # sink is attached means worker events are lost — make that loud.
-        collect = (
-            _TRACER.enabled if engine.collect_trace is None
-            else engine.collect_trace
-        )
+        # Trace propagation: workers collect iff the coordinator traces
+        # when the run starts.
         self.config = dataclasses.replace(
-            engine.config, collect_trace=collect, nondet_sites=sites
+            engine.config, collect_trace=_TRACER.enabled, nondet_sites=sites
         )
-        if _TRACER.enabled and not collect:
-            warnings.warn(
-                "tracing is enabled on the coordinator but workers are not "
-                "collecting (collect_trace=False): worker-side trace events "
-                "will be dropped",
-                RuntimeWarning,
-                stacklevel=3,  # the caller of ProcessParallelEngine.run
-            )
 
         self.span = next(_run_spans)
         self.status = engine.status = RunStatus(
@@ -1034,7 +999,7 @@ class _Coordinator:
         if e.status_port is not None:
             self.server = StatusServer(self.status, port=e.status_port).start()
         e.status_server = self.server
-        if e.flight_dir is not None and self.config.flight_events > 0:
+        if e.flight_dir is not None:
             self.flight = FlightRecorder(
                 e.flight_dir, capacity=self.config.flight_events,
             )
@@ -1085,9 +1050,7 @@ class _Coordinator:
             )
             net_hook = (
                 e.chaos.net_hook
-                if e.chaos is not None
-                and getattr(e.chaos, "has_net_faults", False)
-                else None
+                if e.chaos is not None and e.chaos.has_net_faults else None
             )
             transport = TcpTransport(
                 e._ctx, host=host, port=port,
@@ -1242,8 +1205,8 @@ class _Coordinator:
     def _degrade(self) -> None:
         """Close the collapsed pool and finish on an in-process endpoint
         that serves batches with the workers' own :func:`_serve_batch`
-        (minus the fault and pipe hooks: an injected worker fault would
-        kill the coordinator), in a slot the supervisor never respawns.
+        (without the fault plan: an injected worker fault would kill the
+        coordinator), in a slot the supervisor never respawns.
         """
         self._close_transport()
         # Requeue in-flight tasks untouched and fence off every live
@@ -1261,9 +1224,8 @@ class _Coordinator:
         if _TRACER.enabled:
             _TRACER.emit(_events.PARALLEL_DEGRADED, pending=len(self.frontier))
         self._journal("degraded", pending=len(self.frontier))
-        local = _SubtreeWorker(self.program, dataclasses.replace(
-            self.config, fault_hook=None, pipe_hook=None,
-        ))
+        local = _SubtreeWorker(self.program,
+                               dataclasses.replace(self.config, chaos=None))
         # The in-process worker emits straight into this tracer; the
         # unattached sink drains an empty segment, which says that no
         # worker-side event was lost.
@@ -1611,8 +1573,9 @@ class _Coordinator:
         if not self.engine._telemetry:
             return
         now = time.monotonic()
+        # The status refreshes as often as the workers beat.
         if (not force and now - self.last_refresh
-                < min(0.25, self.engine.status_interval)):
+                < self.config.heartbeat_interval):
             return
         self.last_refresh = now
         self.status.refresh(

@@ -55,8 +55,6 @@ class MachineEngine:
         Instruction budget for a single extension step (runaway guard).
     max_evaluations / max_solutions / max_total_steps:
         Optional global exploration budgets.
-    pool_limit:
-        Optional bound on live physical frames (simulated RAM size).
     verify:
         Static-analysis gate run on each guest before execution:
         ``"off"`` (default, pre-verifier behaviour), ``"warn"``
@@ -85,7 +83,6 @@ class MachineEngine:
         max_evaluations: Optional[int] = None,
         max_solutions: Optional[int] = None,
         max_total_steps: Optional[int] = None,
-        pool_limit: Optional[int] = None,
         snapshot_mode: str = "cow",
         verify: str = "off",
         replay_mode: str = "off",
@@ -121,7 +118,7 @@ class MachineEngine:
         self.max_evaluations = max_evaluations
         self.max_solutions = max_solutions
         self.max_total_steps = max_total_steps
-        self.pool = FramePool(limit=pool_limit)
+        self.pool = FramePool()
         #: The snapshot lifecycle and search counters of the last run,
         #: copied in when it ends, so one ``as_dict()`` captures it.
         self.registry = MetricsRegistry("machine-engine")
@@ -242,10 +239,6 @@ class MachineEngine:
     @property
     def strategy_name(self) -> str:
         return self.stepper.strategy.name
-
-    def solutions_text(self, result: SearchResult) -> list[str]:
-        """Console text of each completed path (convenience accessor)."""
-        return [value[1] for value in result.solution_values]
 
     def failed_output(self) -> list[str]:
         """Output of failed paths (Figure 1's print-then-fail boards)."""

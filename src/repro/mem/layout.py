@@ -57,16 +57,6 @@ def page_align_up(addr: int) -> int:
     return (addr + PAGE_MASK) & ~PAGE_MASK
 
 
-def vpn_of(addr: int) -> int:
-    """Return the virtual page number containing *addr*."""
-    return addr >> PAGE_SHIFT
-
-
-def offset_of(addr: int) -> int:
-    """Return the offset of *addr* within its page."""
-    return addr & PAGE_MASK
-
-
 def is_canonical(addr: int) -> bool:
     """True if *addr* lies in the simulated canonical address range."""
     return 0 <= addr < VA_LIMIT

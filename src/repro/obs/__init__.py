@@ -6,8 +6,8 @@ to report costs in one schema, and cross-subsystem causality ("this
 restore caused these COW faults") needs an ordered event trace.  This
 package provides both:
 
-* :mod:`repro.obs.registry` — named counters, gauges, monotonic timers
-  and fixed-bucket histograms.  The per-subsystem stats objects
+* :mod:`repro.obs.registry` — named counters, gauges and monotonic
+  timers.  The per-subsystem stats objects
   (``SnapshotStats``, ``FaultStats``, ``StrategyStats``, ``SearchStats``)
   are plain records of ints; :func:`record_into` copies one into a
   registry where a run's counts are read as a set.
@@ -53,7 +53,6 @@ from repro.obs.profile import (
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     Timer,
     get_registry,
@@ -77,7 +76,6 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Timer",
     "get_registry",

@@ -1,4 +1,4 @@
-"""The metrics registry: named counters, gauges, timers, histograms.
+"""The metrics registry: named counters, gauges and timers.
 
 Design constraints (in priority order):
 
@@ -24,7 +24,7 @@ process-wide default for code without a natural owner.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator
 
 
 class Counter:
@@ -139,63 +139,7 @@ class _TimerContext:
         self._timer.record(self._timer._clock() - self._start)
 
 
-class Histogram:
-    """Fixed-bucket histogram of observed values.
-
-    *bounds* are the inclusive upper edges of the first ``len(bounds)``
-    buckets; one implicit overflow bucket catches everything above the
-    last edge.  Bucketing is a linear scan — bound lists are short (the
-    point of *fixed* buckets is a cheap, allocation-free observe path).
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total")
-    kind = "histogram"
-
-    def __init__(self, name: str, bounds: Sequence[float]):
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        ordered = list(bounds)
-        if ordered != sorted(ordered):
-            raise ValueError("histogram bounds must be sorted ascending")
-        self.name = name
-        self.bounds = tuple(ordered)
-        self.counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def value(self) -> float:
-        """Total of observed values (the scalar ``as_dict`` exposes)."""
-        return self.total
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def bucket_pairs(self) -> list[tuple[str, int]]:
-        """``[("<=bound", count), ..., (">last", count)]`` for reports."""
-        labels = [f"<={b:g}" for b in self.bounds] + [f">{self.bounds[-1]:g}"]
-        return list(zip(labels, self.counts))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name!r}, n={self.count})"
-
-
-Metric = Any  # Counter | Gauge | Timer | Histogram
+Metric = Any  # Counter | Gauge | Timer
 
 
 class MetricsRegistry:
@@ -220,22 +164,6 @@ class MetricsRegistry:
 
     def timer(self, name: str) -> Timer:
         return self._get_or_create(name, Timer)
-
-    def histogram(self, name: str, bounds: Optional[Sequence[float]] = None) -> Histogram:
-        existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, Histogram):
-                raise TypeError(
-                    f"metric {name!r} already registered as {existing.kind}"
-                )
-            if bounds is not None and tuple(bounds) != existing.bounds:
-                raise ValueError(f"metric {name!r} re-registered with new bounds")
-            return existing
-        if bounds is None:
-            raise ValueError(f"first registration of histogram {name!r} needs bounds")
-        metric = Histogram(name, bounds)
-        self._metrics[name] = metric
-        return metric
 
     def _get_or_create(self, name: str, cls: type) -> Any:
         metric = self._metrics.get(name)
@@ -276,12 +204,12 @@ class MetricsRegistry:
             out[name] = metric.value
             if isinstance(metric, Gauge):
                 out[f"{name}.peak"] = metric.peak
-            elif isinstance(metric, (Timer, Histogram)):
+            elif isinstance(metric, Timer):
                 out[f"{name}.count"] = metric.count
         return out
 
     def reset(self) -> None:
-        """Zero every metric (keeps registrations and bounds)."""
+        """Zero every metric (keeps registrations)."""
         for metric in self._metrics.values():
             metric.reset()
 
@@ -310,14 +238,6 @@ class MetricsRegistry:
                     "count": metric.count,
                     "total_s": metric.total_s,
                 }
-            elif isinstance(metric, Histogram):
-                out[name] = {
-                    "kind": "histogram",
-                    "bounds": metric.bounds,
-                    "counts": list(metric.counts),
-                    "count": metric.count,
-                    "total": metric.total,
-                }
         return out
 
     def merge_state(self, state: dict[str, dict[str, Any]]) -> None:
@@ -329,8 +249,7 @@ class MetricsRegistry:
           processes);
         * gauges add their *values* (live levels across workers sum) but
           take the max of *peaks* — concurrent high-water marks are not
-          additive, so the merged peak is a lower bound;
-        * histograms add bucket-wise (bounds must match).
+          additive, so the merged peak is a lower bound.
 
         Metrics missing on this side are created on the fly.
         """
@@ -346,14 +265,6 @@ class MetricsRegistry:
                 timer = self.timer(name)
                 timer.count += data["count"]
                 timer.total_s += data["total_s"]
-            elif kind == "histogram":
-                # histogram() raises on a bounds mismatch with an
-                # existing registration, so merged buckets always align.
-                hist = self.histogram(name, bounds=data["bounds"])
-                for i, c in enumerate(data["counts"]):
-                    hist.counts[i] += c
-                hist.count += data["count"]
-                hist.total += data["total"]
             else:
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
 

@@ -37,13 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
+from repro.obs.registry import Counter, Gauge, MetricsRegistry, Timer
 
 #: Counter names whose committed+uncommitted sum is the run's retired
 #: guest instructions (exploration plus rehydration replay).
@@ -92,19 +86,11 @@ class HeartbeatRecord:
 
     def to_record(self) -> dict:
         """JSON-safe encoding (tuples become lists)."""
-        state: dict[str, dict] = {}
-        for name, data in self.state.items():
-            data = dict(data)
-            if "bounds" in data:
-                data["bounds"] = list(data["bounds"])
-            if "counts" in data:
-                data["counts"] = list(data["counts"])
-            state[name] = data
         return {
             "worker": self.worker,
             "seq": self.seq,
             "ts": self.ts,
-            "state": state,
+            "state": {name: dict(data) for name, data in self.state.items()},
             "task": list(self.task) if self.task is not None else None,
             "span": self.span,
             "steps": self.steps,
@@ -118,20 +104,13 @@ class HeartbeatRecord:
     @classmethod
     def from_record(cls, record: dict) -> "HeartbeatRecord":
         """Inverse of :meth:`to_record` (restores the tuple fields)."""
-        state: dict[str, dict] = {}
-        for name, data in record.get("state", {}).items():
-            data = dict(data)
-            if "bounds" in data:
-                data["bounds"] = tuple(data["bounds"])
-            if "counts" in data:
-                data["counts"] = list(data["counts"])
-            state[name] = data
         task = record.get("task")
         return cls(
             worker=int(record["worker"]),
             seq=int(record["seq"]),
             ts=float(record["ts"]),
-            state=state,
+            state={name: dict(data)
+                   for name, data in record.get("state", {}).items()},
             task=tuple(task) if task is not None else None,
             span=record.get("span"),
             steps=int(record.get("steps", 0)),
@@ -426,8 +405,7 @@ def render_prometheus(registry: MetricsRegistry,
 
     Counters map to ``repro_<name>_total``, gauges to ``repro_<name>``
     (+ ``_peak``), timers to ``repro_<name>_seconds_total`` and
-    ``_seconds_count``, histograms to the conventional cumulative
-    ``_bucket{le=...}`` / ``_sum`` / ``_count`` triple.
+    ``_seconds_count``.
     """
     lines: list[str] = []
     for metric in sorted(registry, key=lambda m: m.name):
@@ -445,17 +423,6 @@ def render_prometheus(registry: MetricsRegistry,
             lines.append(f"{name}_seconds_total {_prom_num(metric.total_s)}")
             lines.append(f"# TYPE {name}_seconds_count counter")
             lines.append(f"{name}_seconds_count {_prom_num(metric.count)}")
-        elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, count in zip(metric.bounds, metric.counts):
-                cumulative += count
-                lines.append(
-                    f'{name}_bucket{{le="{bound:g}"}} {cumulative}'
-                )
-            lines.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
-            lines.append(f"{name}_sum {_prom_num(metric.total)}")
-            lines.append(f"{name}_count {_prom_num(metric.count)}")
     if snapshot is not None:
         run_gauges = [
             ("repro_run_elapsed_seconds", snapshot["elapsed_s"]),

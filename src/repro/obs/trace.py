@@ -203,10 +203,6 @@ class Tracer:
                 context[key] = value
         self._context = context or None
 
-    def clear_context(self) -> None:
-        """Drop every emit-time context field."""
-        self._context = None
-
     @contextmanager
     def capture(self) -> Iterator[MemorySink]:
         """Collect events into a MemorySink for the duration of a block."""

@@ -294,7 +294,3 @@ class SnapshotManager:
     @property
     def live_snapshots(self) -> int:
         return self.stats.live
-
-    def footprint_frames(self) -> int:
-        """Total live frames in the shared pool (all snapshots + spaces)."""
-        return self.pool.live_frames

@@ -169,9 +169,8 @@ def _build_workload(args):
     return guest, baseline, seq.recorder.log
 
 
-def run_seed(args, seed: int, guest, baseline, journal_dir,
-             replay_log=None) -> dict:
-    """One sweep iteration; returns its report row."""
+def _plan(args, seed: int) -> FaultPlan:
+    """The fault plan of one seed (ValueError on out-of-range rates)."""
     net = dict(
         net_drop_rate=0.08,
         net_delay_rate=0.10,
@@ -182,7 +181,7 @@ def run_seed(args, seed: int, guest, baseline, journal_dir,
         partition_frames=6,
         half_open_rate=0.03,
     ) if args.net else {}
-    plan = FaultPlan(
+    return FaultPlan(
         seed=seed,
         crash_rate=args.crash_rate,
         stall_rate=args.stall_rate,
@@ -191,6 +190,12 @@ def run_seed(args, seed: int, guest, baseline, journal_dir,
         coordinator_kill_epoch=(15 + seed % 25) if args.kill else None,
         **net,
     )
+
+
+def run_seed(args, seed: int, guest, baseline, journal_dir,
+             replay_log=None) -> dict:
+    """One sweep iteration; returns its report row."""
+    plan = _plan(args, seed)
     row: dict = {"seed": seed, "kill_epoch": plan.coordinator_kill_epoch}
     journal = (
         os.path.join(journal_dir, f"seed{seed}.journal")
@@ -245,6 +250,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.net and args.transport != "tcp":
         print("error: --net requires --transport tcp", file=sys.stderr)
+        return 2
+    if args.task_timeout <= 0:
+        print("error: --task-timeout must be > 0", file=sys.stderr)
+        return 2
+    try:
+        _plan(args, args.seed_base)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     try:
         guest, baseline, replay_log = _build_workload(args)

@@ -255,6 +255,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.lease_ms is not None and args.lease_ms <= 0:
         print("error: --lease-ms must be > 0", file=sys.stderr)
         return 2
+    if args.task_timeout <= 0:
+        print("error: --task-timeout must be > 0", file=sys.stderr)
+        return 2
     digest = program_digest(program)
     seed_log = None
     if args.replay_log:

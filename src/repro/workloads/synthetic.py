@@ -144,11 +144,6 @@ def stdin_sum_asm(depth: int) -> str:
     """
 
 
-def scratch_region_size(pages: int) -> int:
-    """Bytes of scratch the guest dirties (mapped by the caller)."""
-    return max(pages, 1) * 4096
-
-
 def synthetic_handcoded(depth: int, fanout: int, work: int,
                         pages: int) -> int:
     """The hand-coded native baseline: same tree, explicit state array,

@@ -6,7 +6,10 @@ coordinators actually killed) are covered by ``test_resume.py`` and the
 chaos-sweep CLI.
 """
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos import GARBAGE, WORKER_FAULTS, FaultPlan
 from repro.core.errors import CoordinatorKilled
@@ -55,14 +58,37 @@ class TestDecisions:
         assert deeper.worker_fault(task(attempt=2)) is None
 
     def test_poison_prefixes_crash_every_attempt(self):
-        plan = FaultPlan(seed=0, poison_prefixes=((0, 2),))
+        plan = FaultPlan(seed=0, targets=(((0, 2), "exit", None),))
         assert plan.worker_fault(task((0, 2), attempt=5)) == "exit"
         assert plan.worker_fault(task((0, 3), attempt=0)) is None
-        assert plan.has_worker_faults
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             FaultPlan(crash_rate=0.6, stall_rate=0.5)
+
+    @pytest.mark.parametrize("fields", [
+        {"crash_rate": -0.1},
+        {"garbage_rate": 1.01},
+        {"crash_rate": float("nan")},
+        {"net_drop_rate": 2.0},
+        {"net_delay_rate": -0.5},
+        {"net_dup_rate": 1.5},
+        {"net_reorder_rate": -1.0},
+        {"partition_rate": 3.0},
+        {"half_open_rate": -0.01},
+        {"stall_seconds": -1.0},
+        {"net_delay_s": -0.05},
+        {"targets": (((0, 2), "explode", None),)},
+    ], ids=lambda fields: "-".join(fields))
+    def test_out_of_range_fields_are_rejected(self, fields):
+        with pytest.raises(ValueError):
+            FaultPlan(**fields)
+
+    def test_a_negative_rate_cannot_offset_another(self):
+        # The sum check alone passed this plan, which then stalled about
+        # half of all tasks and crashed none.
+        with pytest.raises(ValueError, match="crash_rate"):
+            FaultPlan(crash_rate=-1.0, stall_rate=1.5)
 
     def test_sterile_strips_coordinator_faults_only(self):
         plan = FaultPlan(seed=9, crash_rate=0.2, coordinator_kill_epoch=5,
@@ -73,6 +99,82 @@ class TestDecisions:
         assert sterile.journal_bitflip_epoch is None
         assert sterile.seed == 9
         assert sterile.crash_rate == 0.2  # worker faults survive resume
+
+
+class TestTargets:
+    def test_target_fires_below_its_attempt_bound_only(self):
+        plan = FaultPlan(targets=(((0, 2), "stall", 2),))
+        assert plan.worker_fault(task((0, 2), attempt=0)) == "stall"
+        assert plan.worker_fault(task((0, 2), attempt=1)) == "stall"
+        assert plan.worker_fault(task((0, 2), attempt=2)) is None
+        assert plan.worker_fault(task((0, 2), attempt=3)) is None
+        # Exactly that prefix: neither its parent nor its children.
+        assert plan.worker_fault(task((0,), attempt=0)) is None
+        assert plan.worker_fault(task((0, 2, 1), attempt=0)) is None
+
+    def test_unbounded_target_fires_on_every_attempt(self):
+        plan = FaultPlan(targets=(((1, 3), "garbage", None),))
+        assert all(
+            plan.worker_fault(task((1, 3), attempt=a)) == "garbage"
+            for a in range(20)
+        )
+
+    def test_target_wins_over_the_rate_roll(self):
+        plan = FaultPlan(crash_rate=1.0,
+                         targets=(((0, 2), "garbage", None),))
+        assert plan.worker_fault(task((0, 2), attempt=0)) == "garbage"
+        assert plan.worker_fault(task((0, 3), attempt=0)) == "exit"
+
+    def test_target_ignores_max_faulted_attempt(self):
+        plan = FaultPlan(crash_rate=1.0, max_faulted_attempt=0,
+                         targets=(((0, 2), "stall", 4),))
+        assert plan.worker_fault(task((0, 2), attempt=3)) == "stall"
+        # Past the target's own bound the rate roll applies again, and
+        # max_faulted_attempt keeps it off.
+        assert plan.worker_fault(task((0, 2), attempt=4)) is None
+        assert plan.worker_fault(task((0, 3), attempt=1)) is None
+
+    def test_target_prefixes_are_normalised_to_tuples(self):
+        listed = FaultPlan(targets=[([0, 2], "exit", 1)])
+        assert listed.targets == (((0, 2), "exit", 1),)
+        assert listed == FaultPlan(targets=(((0, 2), "exit", 1),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        rates=st.lists(st.floats(0.0, 1 / 3), min_size=3, max_size=3),
+        max_faulted=st.integers(0, 3),
+        targets=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), max_size=3),
+                st.sampled_from(WORKER_FAULTS),
+                st.one_of(st.none(), st.integers(0, 4)),
+            ),
+            max_size=3,
+        ),
+        probes=st.lists(
+            st.tuples(st.lists(st.integers(0, 3), max_size=3),
+                      st.integers(0, 6)),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_equal_plans_decide_alike(self, seed, rates, max_faulted,
+                                      targets, probes):
+        fields = dict(
+            seed=seed, crash_rate=rates[0], stall_rate=rates[1],
+            garbage_rate=rates[2], max_faulted_attempt=max_faulted,
+        )
+        a = FaultPlan(targets=tuple(
+            (tuple(p), kind, n) for p, kind, n in targets
+        ), **fields)
+        b = FaultPlan(targets=[(list(p), kind, n) for p, kind, n in targets],
+                      **fields)
+        shipped = pickle.loads(pickle.dumps(a))  # what a worker receives
+        assert a == b == shipped
+        for prefix, attempt in probes:
+            t = task(prefix, attempt)
+            assert a.worker_fault(t) == b.worker_fault(t) \
+                == shipped.worker_fault(t)
 
 
 class TestJournalHook:

@@ -1,22 +1,19 @@
 """Fault injection for the process-parallel engine.
 
-The fault hook runs inside worker processes just before a task is
-explored, so these tests exercise the real failure paths: a worker dying
-mid-batch (``os._exit``), a task stalling past its timeout, and a task
-that fails on every retry.  The invariant under test is the paper's
-correctness claim restated for distribution: no solution is lost and
-none is duplicated, no matter which worker dies when.
-
-Hooks must be module-level functions (they are pickled into workers
-under the spawn start method).
+Each test hands the engine a :class:`~repro.chaos.FaultPlan`, whose
+worker hook runs inside worker processes just before a task is explored,
+so these tests exercise the real failure paths: a worker dying mid-batch
+(``os._exit``), a task stalling past its timeout, and a task that fails
+on every retry.  The invariant under test is the paper's correctness
+claim restated for distribution: no solution is lost and none is
+duplicated, no matter which worker dies when.
 """
 
 import multiprocessing
-import os
-import time
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.journal import scan
 from repro.core.machine import MachineEngine
@@ -39,33 +36,23 @@ def sequential_5():
 # contains exactly one 5-queens solution, (0, 2, 4, 1, 3).
 _POISON = (0, 2)
 
+#: Kill the worker the first time it is handed the poison subtree; the
+#: retry (attempt >= 1) passes through.
+_crash_first_attempt = FaultPlan(targets=((_POISON, "exit", 1),))
 
-def _crash_first_attempt(task):
-    """Kill the worker the first time it is handed the poison subtree;
-    the retry (attempt >= 1) passes through."""
-    if task.attempt == 0 and task.prefix == _POISON:
-        os._exit(1)
+_stall_first_attempt = FaultPlan(targets=((_POISON, "stall", 1),),
+                                 stall_seconds=60.0)
 
+_crash_always = FaultPlan(targets=((_POISON, "exit", None),))
 
-def _stall_first_attempt(task):
-    if task.attempt == 0 and task.prefix == _POISON:
-        time.sleep(60.0)
+#: Every attempt of every task crashes, up to the highest retry budget
+#: any test below sets (5).
+_crash_every_task = FaultPlan(crash_rate=1.0, max_faulted_attempt=5)
 
-
-def _crash_always(task):
-    if task.prefix == _POISON:
-        os._exit(1)
-
-
-def _crash_every_task(task):
-    os._exit(1)
-
-
-def _outlive_lease_first_attempt(task):
-    """Hold the poison subtree's first attempt past a 0.3 s lease; the
-    worker then finishes it and delivers a result under a dead fence."""
-    if task.attempt == 0 and task.prefix == _POISON:
-        time.sleep(1.0)
+#: Hold the poison subtree's first attempt past a 0.3 s lease; the worker
+#: then finishes it and delivers a result under a dead fence.
+_outlive_lease_first_attempt = FaultPlan(targets=((_POISON, "stall", 1),),
+                                         stall_seconds=1.0)
 
 
 class TestWorkerCrash:
@@ -75,7 +62,7 @@ class TestWorkerCrash:
             subtree_depth=1,  # guarantees subtree (0,) exists as a task
             task_step_budget=None,
             max_task_retries=2,
-            fault_hook=_crash_first_attempt,
+            chaos=_crash_first_attempt,
         )
         result = engine.run(nqueens_asm(5))
         # The full solution set survives: nothing lost, nothing doubled.
@@ -92,7 +79,7 @@ class TestWorkerCrash:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=1,
-            fault_hook=_crash_always,
+            chaos=_crash_always,
         )
         result = engine.run(nqueens_asm(5))
         assert not result.exhausted
@@ -115,7 +102,7 @@ class TestTaskTimeout:
             task_step_budget=None,
             task_timeout=1.0,
             max_task_retries=2,
-            fault_hook=_stall_first_attempt,
+            chaos=_stall_first_attempt,
         )
         result = engine.run(nqueens_asm(5))
         assert solution_set(result) == solution_set(sequential_5)
@@ -136,7 +123,7 @@ class TestTaskTimeout:
             task_step_budget=None,
             task_timeout=1.0,
             max_task_retries=2,
-            fault_hook=_stall_first_attempt,
+            chaos=_stall_first_attempt,
         )
         result = engine.run(nqueens_asm(5))
         assert result.stats.extra["task_timeouts"] == 1
@@ -153,7 +140,7 @@ class TestSupervision:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=5,  # generous: poisoning must win first
-            fault_hook=_crash_always,
+            chaos=_crash_always,
             supervisor=SupervisorPolicy(
                 poison_threshold=2, backoff_base=0.01, max_slot_failures=10,
             ),
@@ -182,7 +169,7 @@ class TestSupervision:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=2,
-            fault_hook=_crash_first_attempt,
+            chaos=_crash_first_attempt,
             supervisor=SupervisorPolicy(backoff_base=0.01),
         )
         result = engine.run(nqueens_asm(5))
@@ -198,7 +185,7 @@ class TestSupervision:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=5,
-            fault_hook=_crash_every_task,
+            chaos=_crash_every_task,
             supervisor=SupervisorPolicy(max_slot_failures=1),
         )
         result = engine.run(nqueens_asm(5))
@@ -217,7 +204,7 @@ class TestSupervision:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=5,
-            fault_hook=_crash_every_task,
+            chaos=_crash_every_task,
             supervisor=SupervisorPolicy(max_slot_failures=1),
             journal=journal,
         )
@@ -252,7 +239,7 @@ class TestLeaseExpiry:
             task_timeout=None,
             lease_timeout=0.3,
             max_task_retries=10,
-            fault_hook=_outlive_lease_first_attempt,
+            chaos=_outlive_lease_first_attempt,
         )
         result = engine.run(nqueens_asm(5))
         extra = result.stats.extra
@@ -301,7 +288,7 @@ class TestNondetWorkloadFaults:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=2,
-            fault_hook=_crash_first_attempt,
+            chaos=_crash_first_attempt,
             verify="warn",
             replay_mode="strict",
             replay_log=log,
@@ -318,7 +305,7 @@ class TestNondetWorkloadFaults:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=5,
-            fault_hook=_crash_every_task,
+            chaos=_crash_every_task,
             supervisor=SupervisorPolicy(max_slot_failures=1),
             verify="warn",
             replay_mode="strict",
@@ -339,7 +326,7 @@ class TestNondetWorkloadFaults:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=2,
-            fault_hook=_crash_first_attempt,
+            chaos=_crash_first_attempt,
             verify="warn",
             replay_mode="record",
         )
@@ -359,7 +346,7 @@ class TestNoZombies:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=2,
-            fault_hook=_crash_first_attempt,
+            chaos=_crash_first_attempt,
             supervisor=SupervisorPolicy(backoff_base=0.01),
         )
         engine.run(nqueens_asm(5))
@@ -373,7 +360,7 @@ class TestNoZombies:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=5,
-            fault_hook=_crash_every_task,
+            chaos=_crash_every_task,
             supervisor=SupervisorPolicy(max_slot_failures=1),
         )
         engine.run(nqueens_asm(5))

@@ -11,18 +11,19 @@ Three acceptance properties from the observability work:
   that worker's last trace events, shipped via heartbeats before the
   kill (no worker-side flush could survive ``os._exit``).
 
-Fault hooks are module-level (pickled into spawned workers).
+Fault plans are module-level (pickled into spawned workers).
 """
 
-import functools
 import json
 import os
 import threading
 import time
 import urllib.request
+from dataclasses import dataclass
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.machine import MachineEngine
 from repro.workloads.nqueens import nqueens_asm
@@ -41,21 +42,24 @@ def sequential_5():
 # deterministically a first-generation task of the 5-queens tree.
 _POISON = (0, 2)
 
-
-def _crash_first_attempt(task):
-    if task.attempt == 0 and task.prefix == _POISON:
-        os._exit(1)
+_crash_first_attempt = FaultPlan(targets=((_POISON, "exit", 1),))
 
 
-def _hold_until_probed(flag_path, task):
-    """Hold one first-generation task until the probe has scraped a
-    mid-run ``/metrics`` body carrying the step counter, so the run
-    cannot finish (and stop its server) first.  Bounded well under the
-    task timeout."""
-    if task.attempt == 0 and task.prefix == _POISON:
-        deadline = time.monotonic() + 10.0
-        while not os.path.exists(flag_path) and time.monotonic() < deadline:
-            time.sleep(0.01)
+@dataclass(frozen=True)
+class _HoldUntilProbed(FaultPlan):
+    """A test fake on the plan's worker seam: hold one first-generation
+    task until the probe has scraped a mid-run ``/metrics`` body carrying
+    the step counter (it touches *flag_path*), so the run cannot finish
+    (and stop its server) first.  Bounded well under the task timeout."""
+
+    flag_path: str = ""
+
+    def worker_hook(self, task) -> None:
+        if task.attempt == 0 and task.prefix == _POISON:
+            deadline = time.monotonic() + 10.0
+            while (not os.path.exists(self.flag_path)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
 
 
 class _MidRunProbe(threading.Thread):
@@ -100,8 +104,7 @@ class TestLiveEndpoints:
             status_port=0,
             status_log=log_path,
             status_interval=0.05,
-            heartbeat_interval=0.02,
-            fault_hook=functools.partial(_hold_until_probed, probed),
+            chaos=_HoldUntilProbed(flag_path=probed),
         )
 
         probe_holder = {}
@@ -173,8 +176,7 @@ class TestFlightRecorder:
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=2,
-            fault_hook=_crash_first_attempt,
-            heartbeat_interval=0.02,
+            chaos=_crash_first_attempt,
             flight_dir=flight_dir,
         )
         result = engine.run(nqueens_asm(5))

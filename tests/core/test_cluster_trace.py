@@ -8,14 +8,16 @@ contract on the merged trace.
 """
 
 import warnings
+from dataclasses import dataclass, field
 
 import pytest
 
+from repro.chaos import FaultPlan
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.machine import MachineEngine
 from repro.obs import events as ev
 from repro.obs.profile import TERMINAL_TYPES, build_profile
-from repro.obs.trace import TRACER
+from repro.obs.trace import TRACER, MemorySink
 from repro.workloads.nqueens import nqueens_asm
 
 
@@ -113,19 +115,42 @@ class TestMergedTrace:
             sequential.root.cum["solutions"]
 
 
+@dataclass(frozen=True)
+class _AttachSinkMidRun(FaultPlan):
+    """Attaches a sink to the coordinator's tracer from the journal
+    writer's seam, after the first dispatch: the run started untraced,
+    so its workers are not collecting."""
+
+    sinks: list = field(default_factory=list)
+
+    def journal_hook(self, epoch, line):
+        if epoch == 1:
+            self.sinks.append(TRACER.attach(MemorySink()))
+        return None
+
+
 class TestCollectionControl:
-    def test_collect_trace_off_warns_and_counts_drops(self):
+    def test_sink_attached_mid_run_counts_drops(self, tmp_path):
+        plan = _AttachSinkMidRun()
         engine = ProcessParallelEngine(
-            workers=2, task_step_budget=800, collect_trace=False,
+            workers=2, task_step_budget=800, chaos=plan,
+            journal=str(tmp_path / "run.journal"),
         )
-        with TRACER.capture() as sink:
-            with pytest.warns(RuntimeWarning, match="collect_trace"):
-                result = engine.run(nqueens_asm(4))
-        assert result.stats.extra["trace_dropped"] > 0
-        assert result.stats.extra["trace_events_merged"] == 0
+        try:
+            result = engine.run(nqueens_asm(4))
+        finally:
+            for sink in plan.sinks:
+                TRACER.detach(sink)
+        [sink] = plan.sinks
+        extra = result.stats.extra
+        # Collection is decided when the run starts: every segment that
+        # settled after the attach is missing, and counted.
+        assert extra["trace_dropped"] == extra["tasks_completed"] > 0
+        assert extra["trace_events_merged"] == 0
         assert not any("wseq" in e for e in sink.events)
         # Coordinator-side events still flow.
         assert any(e["type"] == ev.PARALLEL_RESULT for e in sink.events)
+        assert len(result.solutions) == 2
 
     def test_untraced_run_collects_nothing(self):
         engine = ProcessParallelEngine(workers=2, task_step_budget=800)

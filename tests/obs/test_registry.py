@@ -5,7 +5,6 @@ import pytest
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     Timer,
     get_registry,
@@ -76,42 +75,12 @@ class TestTimer:
         assert Timer("t").mean_s == 0.0
 
 
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram("h", bounds=[1, 10, 100])
-        for v in (0, 1, 5, 50, 1000):
-            h.observe(v)
-        assert h.counts == [2, 1, 1, 1]  # <=1, <=10, <=100, overflow
-        assert h.count == 5
-        assert h.mean == pytest.approx(1056 / 5)
-
-    def test_bucket_pairs_labels(self):
-        h = Histogram("h", bounds=[2, 4])
-        h.observe(3)
-        assert h.bucket_pairs() == [("<=2", 0), ("<=4", 1), (">4", 0)]
-
-    def test_needs_sorted_nonempty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=[])
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=[3, 1])
-
-    def test_reset(self):
-        h = Histogram("h", bounds=[1])
-        h.observe(0)
-        h.reset()
-        assert h.counts == [0, 0]
-        assert h.count == 0
-
-
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_object(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.timer("t") is reg.timer("t")
-        h = reg.histogram("h", bounds=[1, 2])
-        assert reg.histogram("h") is h
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
@@ -119,15 +88,7 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError, match="already registered"):
             reg.gauge("a")
         with pytest.raises(TypeError, match="already registered"):
-            reg.histogram("a", bounds=[1])
-
-    def test_histogram_needs_bounds_first_time(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="bounds"):
-            reg.histogram("h")
-        reg.histogram("h", bounds=[1])
-        with pytest.raises(ValueError, match="bounds"):
-            reg.histogram("h", bounds=[1, 2])
+            reg.timer("a")
 
     def test_enumeration(self):
         reg = MetricsRegistry("test")
@@ -146,15 +107,12 @@ class TestMetricsRegistry:
         reg.counter("c").inc(3)
         reg.gauge("g").set(5)
         reg.timer("t").record(1.0)
-        reg.histogram("h", bounds=[10]).observe(4)
         flat = reg.as_dict()
         assert flat["c"] == 3
         assert flat["g"] == 5
         assert flat["g.peak"] == 5
         assert flat["t"] == pytest.approx(1.0)
         assert flat["t.count"] == 1
-        assert flat["h"] == pytest.approx(4)
-        assert flat["h.count"] == 1
 
     def test_reset_keeps_registrations(self):
         reg = MetricsRegistry()
@@ -164,6 +122,11 @@ class TestMetricsRegistry:
         assert reg.counter("c").value == 0
         assert reg.gauge("g").peak == 0
         assert len(reg) == 2
+
+    def test_merge_state_refuses_an_unknown_kind(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            reg.merge_state({"h": {"kind": "histogram", "count": 1}})
 
     def test_global_registry_is_a_singleton(self):
         assert get_registry() is get_registry()

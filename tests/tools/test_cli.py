@@ -4,7 +4,7 @@ import pytest
 
 from repro.sat import to_dimacs
 from repro.sat.gen import pigeonhole, random_ksat
-from repro.tools import run_guest, solve_cnf
+from repro.tools import chaos, run_guest, solve_cnf
 from repro.workloads.nqueens import nqueens_asm
 
 
@@ -51,6 +51,14 @@ class TestRunGuest:
         out = capsys.readouterr().out
         assert "10 solution(s)" in out
         assert "degraded" in out
+
+    def test_process_engine_rejects_a_zero_task_timeout(self, queens_file,
+                                                        capsys):
+        assert run_guest.main(
+            [queens_file, "--engine", "process", "--workers", "1",
+             "--task-timeout", "0", "--lease-ms", "1000"]
+        ) == 2
+        assert "--task-timeout must be > 0" in capsys.readouterr().err
 
     def test_snapshot_modes(self, queens_file, capsys):
         for mode in ("cow", "eager", "dirty-eager"):
@@ -123,3 +131,18 @@ class TestSolveCnf:
 
     def test_missing_file(self, capsys):
         assert solve_cnf.main(["/nope.cnf"]) == 2
+
+
+class TestChaosSweep:
+    @pytest.mark.parametrize("rates", [
+        ["--crash-rate", "-1", "--stall-rate", "1.5"],
+        ["--garbage-rate", "2"],
+    ])
+    def test_out_of_range_rates_are_refused_before_any_run(self, rates,
+                                                           capsys):
+        assert chaos.main(["--seeds", "0", *rates]) == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+
+    def test_a_zero_task_timeout_is_refused(self, capsys):
+        assert chaos.main(["--seeds", "0", "--task-timeout", "0"]) == 2
+        assert "--task-timeout must be > 0" in capsys.readouterr().err

@@ -296,7 +296,6 @@ class TestLiveSummary:
         log_path = str(tmp_path / "status.jsonl")
         engine = ProcessParallelEngine(
             workers=2, status_log=log_path, status_interval=0.05,
-            heartbeat_interval=0.02,
         )
         engine.run(nqueens_asm(4))
         assert trace_report.main([log_path]) == 0
