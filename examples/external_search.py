@@ -40,7 +40,7 @@ def main() -> None:
 
         print(f"\nexplored {steps} extension steps under external control")
         print(f"solutions found: {len(search.solutions)} (expected 10)")
-        live = search._engine.manager.live_snapshots
+        live = search._engine.manager.stats.live
         print(f"live snapshots at the end: {live}")
 
 

@@ -34,6 +34,8 @@ class DirtyEagerSnapshotManager(SnapshotManager):
         super().__init__(pool)
         #: Pages privatised eagerly at restore time (vs on a later fault).
         self.eager_copies = 0
+        #: Snapshot id -> the working set its creator had dirtied.
+        self.dirty: dict[int, frozenset[int]] = {}
 
     def take(
         self,
@@ -41,17 +43,19 @@ class DirtyEagerSnapshotManager(SnapshotManager):
         regs: Any = None,
         files: Any = None,
         parent: Optional[Snapshot] = None,
+        **guess: Any,
     ) -> Snapshot:
-        snap = super().take(space, regs=regs, files=files, parent=parent)
+        snap = super().take(space, regs=regs, files=files, parent=parent,
+                            **guess)
         # Record the creator's working set; children will likely rewrite
         # exactly these pages.
-        snap.meta["dirty"] = frozenset(space.dirty_vpns)
+        self.dirty[snap.sid] = frozenset(space.dirty_vpns)
         space.dirty_vpns.clear()
         return snap
 
     def restore(self, snap: Snapshot) -> tuple[Any, AddressSpace, Any]:
         regs, space, files = super().restore(snap)
-        for vpn in snap.meta.get("dirty", ()):
+        for vpn in self.dirty[snap.sid]:
             pte = space.table.lookup(vpn)
             if pte is None:
                 continue
@@ -66,3 +70,7 @@ class DirtyEagerSnapshotManager(SnapshotManager):
                 space.faults.bytes_copied += PAGE_SIZE
                 space.dirty_vpns.add(vpn)
         return regs, space, files
+
+    def discard(self, snap: Snapshot) -> None:
+        super().discard(snap)
+        del self.dirty[snap.sid]

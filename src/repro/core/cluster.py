@@ -100,7 +100,6 @@ from repro.obs.trace import TRACER as _TRACER, MemorySink
 from repro.search import get_strategy
 from repro.search.shard import PrefixTask, TaskFrontier, spill_extension
 from repro.snapshot.snapshot import SnapshotManager, SnapshotStats
-from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
 
 
@@ -236,7 +235,7 @@ class _SubtreeWorker:
             self.libos, self.vcpu, self.pool, get_strategy(config.strategy),
             config.max_steps_per_extension, manager=self.manager,
             allow_guest_strategy=False, spill=self._spill,
-            prefix_replay=True, nondet_sites=config.nondet_sites,
+            nondet_sites=config.nondet_sites,
         )
         # The running task, read by the spill hook.
         self._task = PrefixTask()
@@ -294,7 +293,6 @@ class _SubtreeWorker:
     def _explore(self, task: PrefixTask, solutions_budget: Optional[int]):
         stepper = self.stepper
         stepper.strategy = get_strategy(self.config.strategy)
-        stepper.tree = tree = SnapshotTree(self.manager)
         stepper.solutions = solutions = []
         self._task = task
         self._solutions_budget = solutions_budget
@@ -318,16 +316,16 @@ class _SubtreeWorker:
             ext = stepper.strategy.next()
             if ext is None:
                 break
-            cand = ext.candidate
+            snap = ext.candidate
             spilled.append(
                 PrefixTask(
-                    prefix=cand.path + (ext.number,),
-                    fanouts=cand.fanouts,
+                    prefix=snap.path + (ext.number,),
+                    fanouts=snap.fanouts,
                     hint=ext.hint,
                     span=task.span,
                 )
             )
-            tree.unpin(cand.snapshot)
+            stepper.tree.unpin(snap)
         # Worker-local frontier peaks are per-task numbers; summing them
         # through the gauge merge would be meaningless, so the engine's
         # peak_frontier reports the coordinator task frontier instead.

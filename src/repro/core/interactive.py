@@ -19,7 +19,6 @@ from typing import Optional, Union
 
 from repro.core.machine import MachineEngine
 from repro.core.result import SearchStats, Solution
-from repro.core.stepper import Candidate
 from repro.cpu.assembler import Program, assemble
 from repro.interpose.policy import InterpositionPolicy
 from repro.libos.files import HostFS
@@ -101,10 +100,9 @@ class InteractiveSearch:
         views = []
         for seq in sorted(self._external.pending):
             ext = self._external.pending[seq]
-            cand: Candidate = ext.candidate
             views.append(
                 PendingExtension(
-                    seq=seq, path=cand.path, number=ext.number,
+                    seq=seq, path=ext.candidate.path, number=ext.number,
                     depth=ext.depth, hint=ext.hint,
                 )
             )
@@ -154,9 +152,7 @@ class InteractiveSearch:
         self._closed = True
         # Unpin by draining: each parked extension holds one pin.
         for seq in sorted(self._external.pending):
-            ext = self._external.pending[seq]
-            cand: Candidate = ext.candidate
-            self._engine.tree.unpin(cand.snapshot)
+            self._stepper.tree.unpin(self._external.pending[seq].candidate)
         self._external.pending.clear()
         self._external.drain()
 

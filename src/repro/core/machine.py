@@ -37,7 +37,6 @@ from repro.mem.frames import FramePool
 from repro.obs.registry import MetricsRegistry, record_into
 from repro.search import Strategy, get_strategy
 from repro.snapshot.snapshot import SnapshotManager
-from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
 
 
@@ -106,9 +105,7 @@ class MachineEngine:
             from repro.search import CoverageStrategy
 
             strategy = CoverageStrategy(
-                coverage_key=lambda ext: (
-                    ext.candidate.snapshot.regs.rip, ext.number
-                )
+                coverage_key=lambda ext: (ext.candidate.regs.rip, ext.number)
             )
         elif not isinstance(strategy, Strategy):
             strategy = get_strategy(strategy)
@@ -138,7 +135,6 @@ class MachineEngine:
         else:
             raise ValueError(f"unknown snapshot_mode {snapshot_mode!r}")
         self.snapshot_mode = snapshot_mode
-        self.tree = SnapshotTree(self.manager)
         self.vcpu = VCpu()
         #: Console output of every finished path, in finish order.  This
         #: is the "stdout transcript": Figure 1's print-then-fail pattern
@@ -146,7 +142,7 @@ class MachineEngine:
         self.transcript: list[PathOutput] = []
         self.stepper = ExtensionStepper(
             self.libos, self.vcpu, self.pool, strategy,
-            max_steps_per_extension, manager=self.manager, tree=self.tree,
+            max_steps_per_extension, manager=self.manager,
             transcript=self.transcript, kill_reasons=True,
         )
 

@@ -36,7 +36,6 @@ from repro.obs.registry import MetricsRegistry, record_into
 from repro.obs.trace import TRACER as _TRACER
 from repro.search import Strategy, get_strategy
 from repro.snapshot.snapshot import SnapshotManager
-from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu
 
 
@@ -87,14 +86,13 @@ class ParallelMachineEngine:
         self.pool = FramePool()
         self.registry = MetricsRegistry("parallel-engine")
         self.manager = SnapshotManager(self.pool)
-        self.tree = SnapshotTree(self.manager)
         self.max_steps_per_extension = max_steps_per_extension
         self.max_solutions = max_solutions
         self.workers = [
             _Worker(ExtensionStepper(
                 self.libos, VCpu(cpu_id=i), self.pool,
                 strategy, max_steps_per_extension, manager=self.manager,
-                tree=self.tree, quantum=quantum, tags={"worker": i},
+                quantum=quantum, tags={"worker": i},
             ))
             for i in range(workers)
         ]
@@ -139,7 +137,7 @@ class ParallelMachineEngine:
                         _events.PARALLEL_SCHEDULE,
                         worker=worker.stepper.vcpu.cpu_id,
                         ext=ext.number,
-                        depth=len(ext.candidate.path),
+                        depth=ext.depth,
                     )
 
             busy = [w for w in self.workers if w.busy]

@@ -17,13 +17,13 @@ from typing import Optional, Union
 
 from repro.core.recorder import NondetLog, recorder_for
 from repro.core.result import SearchResult, SearchStats, Solution
-from repro.core.stepper import Candidate, ExtensionStepper, Pending
+from repro.core.stepper import ExtensionStepper, Pending
 from repro.cpu.assembler import Program, assemble
 from repro.interpose.policy import InterpositionPolicy
 from repro.libos.files import HostFS
 from repro.libos.libos import LibOS
 from repro.mem.frames import FramePool
-from repro.search import Strategy, get_strategy
+from repro.search import PrefixTask, Strategy, get_strategy
 from repro.vmm.vcpu import VCpu
 
 
@@ -57,7 +57,7 @@ class ReplayMachineEngine:
         # replays that prefix from the program entry.
         self._stepper = ExtensionStepper(
             self.libos, self.vcpu, self.pool, strategy, max_steps_per_path,
-            spill=self._spill, prefix_replay=True,
+            spill=self._spill,
         )
 
     def run(self, guest: Union[str, Program]) -> SearchResult:
@@ -83,9 +83,9 @@ class ReplayMachineEngine:
             ext = stepper.strategy.next()
             if ext is None:
                 break
-            cand: Candidate = ext.candidate
-            stepper.step(stepper.boot(program, cand.path + (ext.number,),
-                                      cand.fanouts))
+            task: PrefixTask = ext.candidate
+            stepper.step(stepper.boot(program, task.prefix + (ext.number,),
+                                      task.fanouts))
         result = stepper.result(stop_reason)
         stats.extra["guest_instructions"] = self.vcpu.vmcs.guest_instructions
         stats.extra["vm_exits"] = self.vcpu.vmcs.exits
@@ -97,8 +97,10 @@ class ReplayMachineEngine:
     def _spill(self, pending: Pending, n: int,
                hints: Optional[tuple[float, ...]]) -> bool:
         """Queue a fresh choice point's extensions; their candidate is the
-        decision prefix alone, with no snapshot."""
+        decision prefix alone, with no snapshot (its ``fanouts`` end with
+        the choice point's own fan-out)."""
         self._stepper.fan_out(
-            Candidate(None, pending.path, pending.fanouts + (n,), None), hints
+            PrefixTask(pending.path, pending.fanouts + (n,)),
+            len(pending.path), n, hints,
         )
         return True

@@ -5,12 +5,15 @@ implementation.  An extension step enters the guest, lets the libOS turn
 each VM exit into an action, and dispatches it:
 
 * ``sys_guess(n)`` takes a snapshot (chained to the snapshot the path was
-  restored from while that one is still alive), forks the console, pins
-  the snapshot once per extension and hands the *n* extensions to the
-  search strategy.  A zero fan-out is a dead end, like ``sys_guess_fail``.
+  restored from while that one is still alive).  The snapshot is the
+  partial candidate: it records the path, the fan-outs and a fork of the
+  console, is pinned once per extension, and each of the *n* extensions
+  the search strategy receives is that snapshot plus an extension number.
+  A zero fan-out is a dead end, like ``sys_guess_fail``.
 * ``sys_guess_fail`` and ``exit`` end the path; a libOS kill (fault,
   exhausted step budget) ends it too.  Every ended path frees its state
-  and unpins its parent snapshot.
+  and unpins its parent snapshot, and a run cut short by a budget unpins
+  the snapshots of the extensions it drops.
 
 A path can also start from the program entry instead of a snapshot and
 replay a decision prefix first -- the record/replay lever of user-space
@@ -23,7 +26,9 @@ Engines differ only in what they plug in (see :class:`ExtensionStepper`):
 the sequential engine adds global budgets and a transcript, the parallel
 engine runs one stepper per vCPU a quantum at a time, cluster workers
 replay task prefixes and spill choice points past their budgets, and the
-replay engine spills every fresh guess so that no snapshot is ever taken.
+replay engine spills every fresh guess so that no snapshot is ever taken
+(its partial candidates are :class:`~repro.search.shard.PrefixTask`
+records).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from typing import Callable, NamedTuple, Optional
 from repro.core.errors import GuessError, ReplayDivergenceError
 from repro.core.result import SearchResult, SearchStats, Solution
 from repro.cpu.assembler import Program
-from repro.libos.console import Console
 from repro.libos.libos import STEP_BUDGET_EXHAUSTED, ExecState, LibOS
 from repro.libos.syscalls import (
     ContinueAction,
@@ -69,23 +73,6 @@ class PathOutput(NamedTuple):
 
 
 @dataclass(slots=True, eq=False)
-class Candidate:
-    """A partial candidate: snapshot + the decision path that reached it.
-
-    ``fanouts`` holds the fan-out of every guess on the path, this one's
-    included, so any unevaluated extension can be turned back into a
-    replayable prefix task: local snapshot state is always rebuildable.
-    (The replay engine's candidates are that prefix alone: no snapshot,
-    no console.)
-    """
-
-    snapshot: Optional[Snapshot]
-    path: tuple[int, ...]
-    fanouts: tuple[int, ...]
-    console: Optional[Console]
-
-
-@dataclass(slots=True, eq=False)
 class Pending:
     """The extension step currently executing.
 
@@ -96,7 +83,7 @@ class Pending:
     state: ExecState
     path: tuple[int, ...]
     fanouts: tuple[int, ...]
-    parent: Optional[Candidate]
+    parent: Optional[Snapshot]
     replay_end: int
     steps_used: int = 0
     #: Guest instructions of ``steps_used`` spent replaying the prefix
@@ -121,10 +108,9 @@ class ExtensionStepper:
     spill:
         Called at every fresh (non-replayed) guess with a non-zero
         fan-out.  Returning True means the hook took the choice point as
-        prefix tasks of its own, so no snapshot is taken.
-    prefix_replay:
-        Trace events split ``steps`` into fresh steps and
-        ``replay_steps`` (engines that rehydrate paths by replay).
+        prefix tasks of its own, so no snapshot is taken.  Engines with a
+        spill hook rehydrate paths by replay, so their trace events split
+        ``steps`` into fresh steps and ``replay_steps``.
     nondet_sites:
         ``(pc, lint_id)`` sites the analyzer flagged, cited by
         divergence errors; ``None`` when no analysis ran.
@@ -148,12 +134,10 @@ class ExtensionStepper:
         max_steps: int,
         *,
         manager: Optional[SnapshotManager] = None,
-        tree: Optional[SnapshotTree] = None,
         quantum: Optional[int] = None,
         allow_guest_strategy: bool = True,
         spill: Optional[Callable[[Pending, int, Optional[tuple]],
                                  bool]] = None,
-        prefix_replay: bool = False,
         nondet_sites: Optional[tuple[tuple[int, str], ...]] = None,
         tags: Optional[dict] = None,
         transcript: Optional[list[PathOutput]] = None,
@@ -165,11 +149,11 @@ class ExtensionStepper:
         self.strategy = strategy
         self.max_steps = max_steps
         self.manager = manager
-        self.tree = tree
+        #: Pins and prunes the manager's snapshots (it keeps no state).
+        self.tree = SnapshotTree(manager)
         self.quantum = quantum
         self.allow_guest_strategy = allow_guest_strategy
         self.spill = spill
-        self.prefix_replay = prefix_replay
         self.nondet_sites = nondet_sites
         self.tags = tags or {}
         self.transcript = transcript
@@ -196,17 +180,17 @@ class ExtensionStepper:
 
     def resume(self, ext: Extension) -> Pending:
         """Restore *ext*'s snapshot and prime ``%rax`` with its number."""
-        cand: Candidate = ext.candidate
-        regs, space, files = self.manager.restore(cand.snapshot)
+        snap: Snapshot = ext.candidate
+        regs, space, files = self.manager.restore(snap)
         vregs = self.vcpu.regs
         vregs.load(regs)
         vregs.rax = ext.number
-        path = cand.path + (ext.number,)
+        path = snap.path + (ext.number,)
         if self.recorder is not None:
             self.recorder.begin_segment(path)
         self.stats.evaluations += 1
-        state = ExecState(space, files, cand.console.fork_cow())
-        return Pending(state, path, cand.fanouts, cand, 0)
+        state = ExecState(space, files, snap.console.fork_cow())
+        return Pending(state, path, snap.fanouts, snap, 0)
 
     # -- the loop ------------------------------------------------------
 
@@ -265,9 +249,16 @@ class ExtensionStepper:
                 return None
 
     def result(self, stop_reason: Optional[str]) -> SearchResult:
-        """Close the run: drain the frontier and report what was found."""
+        """Close the run: drain the frontier and report what was found.
+
+        A run cut short by a budget drops the extensions still queued;
+        each one releases its pin, so the snapshots it kept alive die.
+        """
         strategy = self.strategy
-        strategy.drain()
+        dropped = strategy.drain()
+        if self.manager is not None:
+            for ext in dropped:
+                self.tree.unpin(ext.candidate)
         self.stats.peak_frontier = strategy.stats.peak_frontier
         return SearchResult(
             solutions=self.solutions,
@@ -281,7 +272,7 @@ class ExtensionStepper:
         """Free *p*'s state and release its pin on its parent snapshot."""
         p.state.free()
         if p.parent is not None:
-            self.tree.unpin(p.parent.snapshot)
+            self.tree.unpin(p.parent)
 
     def verdict(self, pc: int) -> Optional[str]:
         """The static analyzer's take on a replay divergence at *pc*."""
@@ -319,32 +310,30 @@ class ExtensionStepper:
             self.retire(p)
             return "spill"
         state = p.state
-        parent = p.parent.snapshot if p.parent is not None else None
+        parent = p.parent
         snap = self.manager.take(
             state.space,
             regs=self.vcpu.regs.frozen(),
             files=state.files,
             parent=parent if parent is not None and parent.alive else None,
+            path=p.path,
+            fanouts=p.fanouts + (n,),
+            console=state.console.fork_cow(),
         )
-        cand = Candidate(snap, p.path, p.fanouts + (n,),
-                         state.console.fork_cow())
-        snap.meta["fanout"] = n
-        snap.meta["path"] = p.path
-        self.tree.add(snap)
         self.tree.pin(snap, n)
         if _TRACER.enabled:
             self._emit(_events.SEARCH_GUESS, p, n=n, sid=snap.sid)
-        self.fan_out(cand, hints)
+        self.fan_out(snap, len(p.path), n, hints)
         # The pre-guess execution is abandoned; the strategy decides
         # which extension (not necessarily one of these) runs next.
         self.retire(p)
         return "guess"
 
-    def fan_out(self, cand: Candidate,
+    def fan_out(self, cand: object, depth: int, n: int,
                 hints: Optional[tuple[float, ...]]) -> None:
-        """Count *cand* and queue its extensions with the strategy."""
+        """Count the partial candidate *cand*, reached by *depth*
+        guesses, and queue its *n* extensions with the strategy."""
         self.stats.candidates += 1
-        depth = len(cand.path)
         self.strategy.add(
             Extension(
                 cand,
@@ -352,7 +341,7 @@ class ExtensionStepper:
                 hint=hints[i] if hints is not None else None,
                 depth=depth,
             )
-            for i in range(cand.fanouts[-1])
+            for i in range(n)
         )
 
     def _replay(self, p: Pending, n: int) -> bool:
@@ -428,7 +417,7 @@ class ExtensionStepper:
         self.strategy = get_strategy(name)
 
     def _emit(self, etype: str, p: Pending, **fields) -> None:
-        if self.prefix_replay:
+        if self.spill is not None:
             fields["steps"] = p.steps_used - p.replay_steps
             fields["replay_steps"] = p.replay_steps
         else:

@@ -25,7 +25,10 @@ label``), as ``.quad`` values, as displacements (``[rsi + label]``) and
 as branch/call targets.  Immediates are integers as Python writes them
 (``-8``, ``0x1F``) or character literals (``'A'``, ``'\\n'``).
 Mnemonics and register names are case-insensitive, inside brackets
-too; labels are case-sensitive everywhere.
+too; labels are case-sensitive everywhere.  Strings and character
+literals are UTF-8 text with byte escapes (``\\n``, ``\\xhh``,
+``\\ooo`` up to ``\\377``, ...; docs/GUEST_ABI.md lists them); any
+other backslash is an error.
 
 Each line is lexed once.  Its comment starts at the first ``;`` or
 ``#`` outside a double- or single-quoted span (a backslash escapes the
@@ -93,6 +96,35 @@ _DELIMITER = re.compile(rf"[,\[\]]|{_QUOTED}")
 _LABEL = re.compile(r"([A-Za-z_.$][\w.$]*):\s*")
 _SCALED_RE = re.compile(r"^([A-Za-z0-9]+)\*([1248])$")
 _STRING = re.compile(r'^"(.*)"$')
+#: The one-character escapes, by the byte each stands for.
+_ESCAPES = {"\\": 0x5C, "'": 0x27, '"': 0x22, "a": 0x07, "b": 0x08,
+            "f": 0x0C, "n": 0x0A, "r": 0x0D, "t": 0x09, "v": 0x0B}
+#: A backslash and what follows it: two hex digits, one to three octal
+#: digits, or any one character (the end of the text too).
+_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|([0-7]{1,3})|(.?))", re.S)
+
+
+def _unescape(body: str, lineno: int) -> bytes:
+    """The bytes of a quoted literal's *body*: its text in UTF-8, with
+    each escape replaced by the byte it names."""
+    if "\\" not in body:
+        return body.encode()
+    out = bytearray()
+    pos = 0
+    for match in _ESCAPE.finditer(body):
+        out += body[pos : match.start()].encode()
+        hex_digits, octal, char = match.groups()
+        if hex_digits is not None:
+            out.append(int(hex_digits, 16))
+        elif octal is not None and int(octal, 8) <= 0xFF:
+            out.append(int(octal, 8))
+        elif char in _ESCAPES:
+            out.append(_ESCAPES[char])
+        else:
+            raise AssemblyError(f"line {lineno}: bad escape {match.group()}")
+        pos = match.end()
+    out += body[pos:].encode()
+    return bytes(out)
 
 
 def _split_operands(rest: str) -> list[str]:
@@ -115,12 +147,12 @@ def _split_operands(rest: str) -> list[str]:
     return out
 
 
-def _parse_int(tok: str) -> Optional[int]:
+def _parse_int(tok: str, lineno: int) -> Optional[int]:
     """The value of an integer or character literal, else None."""
     tok = tok.strip()
     if len(tok) >= 3 and tok[0] == "'" and tok[-1] == "'":
-        unescaped = tok[1:-1].encode().decode("unicode_escape")
-        return ord(unescaped) if len(unescaped) == 1 else None
+        unescaped = _unescape(tok[1:-1], lineno)
+        return unescaped[0] if len(unescaped) == 1 else None
     # int() reads nothing that starts otherwise; a label skips its raise.
     if tok[:1].isdecimal() or tok[:1] in ("+", "-"):
         try:
@@ -168,7 +200,7 @@ def _parse_mem(body: str, lineno: int) -> _Mem:
             else:
                 raise AssemblyError(f"line {lineno}: three registers in address")
         else:
-            value = _parse_int(part)
+            value = _parse_int(part, lineno)
             if value is None:
                 if part.startswith("-"):
                     raise AssemblyError(f"line {lineno}: bad displacement {part!r}")
@@ -214,7 +246,7 @@ def _operands(rest: str, lineno: int) -> tuple[
             value: Union[int, str] = mem.disp
         else:
             kinds += "i"
-            parsed = _parse_int(tok)
+            parsed = _parse_int(tok, lineno)
             value = tok if parsed is None else parsed
         if isinstance(value, str):
             labels.append((len(fields), value))
@@ -337,7 +369,7 @@ def _quads(tokens: list[str], lineno: int, symbols: dict[str, int]) -> bytes:
     """Pass 2 of a ``.quad``: each value modulo 2**64."""
     out = bytearray()
     for tok in tokens:
-        value = _parse_int(tok)
+        value = _parse_int(tok, lineno)
         if value is None:
             value = _symbol(tok, symbols, lineno)
         out += (value & _MASK64).to_bytes(8, "little")
@@ -349,13 +381,13 @@ def _data(name: str, rest: str, lineno: int) -> bytes:
     if name == ".byte":
         values: list[int] = []
         for tok in _split_operands(rest):
-            val = _parse_int(tok)
+            val = _parse_int(tok, lineno)
             if val is None or not (0 <= val <= 255):
                 raise AssemblyError(f"line {lineno}: bad byte {tok!r}")
             values.append(val)
         return bytes(values)
     if name == ".zero":
-        n = _parse_int(rest)
+        n = _parse_int(rest, lineno)
         if n is None or n < 0:
             raise AssemblyError(f"line {lineno}: bad .zero size {rest!r}")
         return bytes(n)
@@ -363,7 +395,7 @@ def _data(name: str, rest: str, lineno: int) -> bytes:
         match = _STRING.match(rest.strip())
         if not match:
             raise AssemblyError(f"line {lineno}: {name} needs a quoted string")
-        text = match.group(1).encode().decode("unicode_escape").encode("latin-1")
+        text = _unescape(match.group(1), lineno)
         if name == ".asciz":
             text += b"\x00"
         return text

@@ -80,7 +80,6 @@ class AddressSpace:
         #: dirty-eager snapshot manager; maintained on the write-fault
         #: slow path, which every first-write-per-page takes).
         self.dirty_vpns: set[int] = set()
-        self._zero_frame: Optional[Frame] = None
         #: Current program break (heap end); managed via :meth:`sbrk`.
         self.brk_base = 0
         self.brk_end = 0
@@ -99,12 +98,6 @@ class AddressSpace:
     # ------------------------------------------------------------------
     # Region management
     # ------------------------------------------------------------------
-
-    def _zero(self) -> Frame:
-        """The shared demand-zero frame (lazily created, never writable)."""
-        if self._zero_frame is None:
-            self._zero_frame = self.pool.alloc()
-        return self._zero_frame
 
     def map_region(
         self,
@@ -149,7 +142,7 @@ class AddressSpace:
             elif eager:
                 frame = self.pool.alloc()
             else:
-                frame = self._zero()
+                frame = self.pool.zero()
                 frame.refcount += 1
             self.tlb.pop(first + i, None)
             return frame
@@ -238,7 +231,7 @@ class AddressSpace:
             old_frame = pte.frame
             pte = self.table.make_private(vpn)
             if pte.frame is not old_frame:
-                if old_frame is self._zero_frame:
+                if old_frame is self.pool.zero_frame:
                     self.faults.demand_zero_faults += 1
                     kind = "zero"
                 else:
@@ -421,7 +414,6 @@ class AddressSpace:
         with one ``dict.copy()``.
         """
         clone = self._clone(self.table.clone())
-        clone._zero_frame = self._zero_frame
         tlb = self.tlb
         for vpn in self._writable:
             entry = tlb.get(vpn)

@@ -88,6 +88,8 @@ class FramePool:
     def __init__(self, limit: Optional[int] = None):
         self._next_pfn = 0
         self.stats = PoolStats(limit=limit)
+        #: The demand-zero frame (None until :meth:`zero` first runs).
+        self.zero_frame: Optional[Frame] = None
 
     def alloc(self, data: Optional[bytearray] = None) -> Frame:
         """Allocate a fresh frame (zero-filled unless *data* is given)."""
@@ -102,6 +104,14 @@ class FramePool:
         self.stats.live += 1
         self.stats.peak_live = max(self.stats.peak_live, self.stats.live)
         return frame
+
+    def zero(self) -> Frame:
+        """The pool's demand-zero frame: every space maps fresh pages to
+        it, and the first write to such a page copies it away.  Allocated
+        on first use and never freed, so it counts as one live frame."""
+        if self.zero_frame is None:
+            self.zero_frame = self.alloc()
+        return self.zero_frame
 
     def copy(self, frame: Frame) -> Frame:
         """Allocate a new frame containing a copy of *frame*'s bytes.

@@ -77,10 +77,14 @@ class Strategy(ABC):
             self.stats.popped += 1
         return ext
 
-    def drain(self) -> None:
-        """Drop all pending extensions (used when a search is cut short)."""
-        while self._pop() is not None:
-            self.stats.dropped += 1
+    def drain(self) -> list[Extension]:
+        """Drop all pending extensions (used when a search is cut short)
+        and return them, so the caller can release what they hold."""
+        dropped = []
+        while (ext := self._pop()) is not None:
+            dropped.append(ext)
+        self.stats.dropped += len(dropped)
+        return dropped
 
 
 class DFSStrategy(Strategy):

@@ -6,11 +6,12 @@ space, and immutable logical copies of open files (§3.1).  Snapshots form
 a tree (each has an immutable relationship with its parent) and are
 designed to be taken and restored at very high frequency.
 
-* :class:`Snapshot` -- one immutable partial candidate.
+* :class:`Snapshot` -- one immutable partial candidate: the frozen state
+  plus the guess's path, fan-outs, console and pin count.
 * :class:`SnapshotManager` -- takes, restores and discards snapshots
   against a shared frame pool, with full accounting.
-* :class:`SnapshotTree` -- the bookkeeping structure for the search graph
-  of partial candidates.
+* :class:`SnapshotTree` -- pin counting and pruning over the snapshots'
+  own parent/children links.
 """
 
 from repro.snapshot.snapshot import Snapshot, SnapshotManager, SnapshotStats

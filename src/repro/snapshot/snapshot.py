@@ -1,11 +1,14 @@
-"""Snapshot objects and the snapshot manager.
+"""Snapshots -- the partial candidates of a search -- and their manager.
 
-A :class:`Snapshot` owns a *frozen* logical copy of an address space (plus
-register file and file-table copies).  Nothing ever writes through a
+A :class:`Snapshot` is one partial candidate (§4): a *frozen* logical copy
+of an address space plus register file and file table, and the facts of
+the guess that took it -- the decision path that reached it, the fan-out
+of every guess on that path, the console output so far, and how many
+unevaluated extensions still need it.  Nothing ever writes through a
 snapshot's address space, so its immutability is a protocol invariant on
-top of the page-level copy-on-write machinery: executing extensions write
-through their own forked space, and the first write to any shared page
-copies it away from the snapshot.
+top of the page-level copy-on-write machinery: executing extensions
+write through their own forked space, and the first write to any shared
+page copies it away from the snapshot.
 
 Cost model (matching §4 of the paper):
 
@@ -74,7 +77,7 @@ class SnapshotStats:
 
 
 class Snapshot:
-    """One lightweight immutable execution snapshot (a partial candidate).
+    """One lightweight immutable execution snapshot: a partial candidate.
 
     Attributes
     ----------
@@ -89,10 +92,21 @@ class Snapshot:
     files:
         An immutable file-table value (opaque; forked via ``fork_cow`` if
         it provides one).
-    parent:
-        The parent snapshot, or None for a root.
-    meta:
-        Free-form metadata (e.g. the guess fan-out recorded at creation).
+    parent / children / depth:
+        The snapshot tree: the parent (None for a root), the live
+        snapshots taken with this one as parent, and the distance from
+        the root.
+    path:
+        The guess outcomes that led from the program start to this guess.
+    fanouts:
+        The fan-out of every guess on ``path``, this one's included, so
+        any unevaluated extension can be turned back into a replayable
+        prefix task: local snapshot state is always rebuildable.
+    console:
+        The console at the guess; each extension starts from a fork.
+    pins:
+        Pending uses -- unevaluated extensions and running evaluations --
+        counted by :class:`~repro.snapshot.tree.SnapshotTree`.
     """
 
     __slots__ = (
@@ -103,8 +117,11 @@ class Snapshot:
         "parent",
         "children",
         "depth",
-        "meta",
         "alive",
+        "path",
+        "fanouts",
+        "console",
+        "pins",
     )
 
     def __init__(
@@ -113,6 +130,9 @@ class Snapshot:
         space: AddressSpace,
         files: Any = None,
         parent: Optional["Snapshot"] = None,
+        path: tuple[int, ...] = (),
+        fanouts: tuple[int, ...] = (),
+        console: Any = None,
     ):
         self.sid = next(_snapshot_ids)
         self.regs = regs
@@ -121,45 +141,17 @@ class Snapshot:
         self.parent = parent
         self.children: list[Snapshot] = []
         self.depth = 0 if parent is None else parent.depth + 1
-        self.meta: dict = {}
         self.alive = True
+        self.path = path
+        self.fanouts = fanouts
+        self.console = console
+        self.pins = 0
         if parent is not None:
             parent.children.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "live" if self.alive else "dead"
         return f"Snapshot(sid={self.sid}, depth={self.depth}, {state})"
-
-    def private_pages(self) -> int:
-        """Pages whose frame no other space or snapshot references."""
-        return self.space.resident_private_pages()
-
-    def delta_pages(self, other: "Snapshot") -> int:
-        """Pages whose physical frame differs from *other*'s mapping.
-
-        The paper's §3.1 notes the parent relationship "can be leveraged
-        to encode the state in a space-efficient manner"; this measures
-        that encoding directly: a child's cost over its parent is its
-        delta, not its size.
-        """
-        other_frames = {vpn: pte.frame for vpn, pte in other.space.table.items()}
-        delta = 0
-        for vpn, pte in self.space.table.items():
-            if other_frames.get(vpn) is not pte.frame:
-                delta += 1
-        delta += sum(1 for vpn in other_frames
-                     if not self.space.table.is_mapped(vpn))
-        return delta
-
-    def ancestry(self) -> list["Snapshot"]:
-        """Return the path from the root snapshot down to this one."""
-        path: list[Snapshot] = []
-        node: Optional[Snapshot] = self
-        while node is not None:
-            path.append(node)
-            node = node.parent
-        path.reverse()
-        return path
 
 
 class SnapshotManager:
@@ -174,6 +166,11 @@ class SnapshotManager:
         self.pool = pool if pool is not None else FramePool()
         self.stats = SnapshotStats()
 
+    def _copy(self, space: AddressSpace) -> AddressSpace:
+        """The copy of *space* that take and restore make: an O(1)
+        copy-on-write fork (the eager baseline overrides this alone)."""
+        return space.fork_cow()
+
     # ------------------------------------------------------------------
 
     def take(
@@ -182,35 +179,43 @@ class SnapshotManager:
         regs: Any = None,
         files: Any = None,
         parent: Optional[Snapshot] = None,
+        *,
+        path: tuple[int, ...] = (),
+        fanouts: tuple[int, ...] = (),
+        console: Any = None,
     ) -> Snapshot:
         """Snapshot the current execution state.
 
         *space* remains the mutable, running address space; the snapshot
         receives an O(1) copy-on-write fork of it.  If *files* provides a
         ``fork_cow`` method it is forked the same way, otherwise it is
-        stored as-is (callers pass immutable values).
+        stored as-is (callers pass immutable values).  *path*, *fanouts*
+        and *console* record the guess (see :class:`Snapshot`).
         """
         if space.pool is not self.pool:
             raise ValueError("address space does not belong to this manager's pool")
-        frozen_space = space.fork_cow()
-        frozen_files = files.fork_cow() if hasattr(files, "fork_cow") else files
-        snap = Snapshot(regs, frozen_space, frozen_files, parent)
-        self._note_take(snap)
-        return snap
-
-    def _note_take(self, snap: Snapshot) -> None:
-        """Account one successful take (shared with the baselines)."""
-        self.stats.taken += 1
-        self.stats.live += 1
-        self.stats.peak_live = max(self.stats.peak_live, self.stats.live)
+        snap = Snapshot(
+            regs,
+            self._copy(space),
+            files.fork_cow() if hasattr(files, "fork_cow") else files,
+            parent,
+            path,
+            fanouts,
+            console,
+        )
+        stats = self.stats
+        stats.taken += 1
+        stats.live += 1
+        stats.peak_live = max(stats.peak_live, stats.live)
         if TRACER.enabled:
             TRACER.emit(
                 events.SNAPSHOT_TAKE,
                 sid=snap.sid,
-                parent=snap.parent.sid if snap.parent is not None else None,
-                live=self.stats.live,
+                parent=parent.sid if parent is not None else None,
+                live=stats.live,
                 depth=snap.depth,
             )
+        return snap
 
     def restore(self, snap: Snapshot) -> tuple[Any, AddressSpace, Any]:
         """Materialise a fresh mutable execution state from *snap*.
@@ -220,29 +225,22 @@ class SnapshotManager:
         fork of the snapshot's address space, and a fork of its file
         table.  The snapshot itself is untouched and may be restored any
         number of times.
-        """
-        if not snap.alive:
-            raise SnapshotDiscardedError(snap.sid, "restore")
-        space = snap.space.fork_cow()
-        files = (
-            snap.files.fork_cow() if hasattr(snap.files, "fork_cow") else snap.files
-        )
-        self._note_restore(snap, space)
-        return snap.regs, space, files
-
-    def _note_restore(self, snap: Snapshot, space: AddressSpace) -> None:
-        """Account one successful restore (shared with the baselines).
 
         The restore event records the fresh space's asid: later
         ``mem.cow_fault`` events carry the same asid, which is how a
         trace report attributes COW work back to the restore that
         incurred it.
         """
+        if not snap.alive:
+            raise SnapshotDiscardedError(snap.sid, "restore")
+        space = self._copy(snap.space)
+        files = (
+            snap.files.fork_cow() if hasattr(snap.files, "fork_cow") else snap.files
+        )
         self.stats.restored += 1
         if TRACER.enabled:
-            TRACER.emit(
-                events.SNAPSHOT_RESTORE, sid=snap.sid, asid=space.asid
-            )
+            TRACER.emit(events.SNAPSHOT_RESTORE, sid=snap.sid, asid=space.asid)
+        return snap.regs, space, files
 
     def discard(self, snap: Snapshot) -> None:
         """Release *snap*'s resources.
@@ -276,21 +274,3 @@ class SnapshotManager:
                 private_pages=private,
                 live=self.stats.live,
             )
-
-    def discard_subtree(self, snap: Snapshot) -> int:
-        """Discard *snap* and every live descendant; returns the count."""
-        count = 0
-        stack = [snap]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            if node.alive:
-                self.discard(node)
-                count += 1
-        return count
-
-    # ------------------------------------------------------------------
-
-    @property
-    def live_snapshots(self) -> int:
-        return self.stats.live

@@ -105,7 +105,7 @@ class TestDirtyEagerManager:
         space.write(BASE, b"dirty")
         space.write(BASE + 3 * PAGE_SIZE, b"dirty")
         snap = mgr.take(space)
-        assert snap.meta["dirty"] == {BASE >> 12, (BASE >> 12) + 3}
+        assert mgr.dirty[snap.sid] == {BASE >> 12, (BASE >> 12) + 3}
         assert space.dirty_vpns == set()
         before = mgr.eager_copies
         _, child, _ = mgr.restore(snap)

@@ -86,7 +86,7 @@ class TestInteractiveSearch:
         search = InteractiveSearch(nqueens_asm(4))
         search.run(search.pending()[0].seq)
         search.close()
-        assert search._engine.manager.live_snapshots == 0
+        assert search._engine.manager.stats.live == 0
         assert search._engine.pool.live_frames <= 1
 
     def test_closed_session_rejects_run(self):

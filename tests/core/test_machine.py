@@ -112,7 +112,16 @@ class TestNQueens:
         engine.run(nqueens_asm(5))
         # After an exhaustive search only the zero frame may survive.
         assert engine.pool.live_frames <= 1
-        assert engine.manager.live_snapshots == 0
+        assert engine.manager.stats.live == 0
+
+    def test_reused_engine_keeps_one_zero_frame(self):
+        # Every load maps demand-zero pages to the pool's one zero frame,
+        # so a reused engine ends each run as it ended the first.
+        engine = MachineEngine()
+        for _ in range(3):
+            result = engine.run(nqueens_asm(5))
+            assert engine.pool.live_frames == 1
+            assert result.stats.extra["frames_peak"] == 8
 
 
 class TestIsolation:
@@ -210,6 +219,19 @@ class TestBudgets:
     def test_max_evaluations(self):
         result = MachineEngine(max_evaluations=3).run(TWO_BITS)
         assert not result.exhausted
+
+    def test_budget_stop_releases_the_dropped_frontier(self):
+        # The extensions a budget drops unpin their snapshots, so a
+        # stopped run ends like an exhausted one: no live snapshot, only
+        # the zero frame; and a second run on the same engine too.
+        engine = MachineEngine(max_solutions=1)
+        for _ in range(2):
+            result = engine.run(nqueens_asm(6))
+            assert result.stop_reason == "max_solutions"
+            assert result.stats.extra["frames_live"] == 1
+            assert engine.manager.stats.live == 0
+            assert engine.pool.live_frames == 1
+            assert engine.stepper.strategy.stats.dropped > 0
 
     def test_runaway_extension_killed(self):
         src = f"""

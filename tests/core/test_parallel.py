@@ -51,7 +51,7 @@ class TestCorrectness:
         engine = ParallelMachineEngine(workers=4, quantum=50)
         engine.run(nqueens_asm(5))
         assert engine.pool.live_frames <= 1
-        assert engine.manager.live_snapshots == 0
+        assert engine.manager.stats.live == 0
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
@@ -101,6 +101,13 @@ class TestConcurrencyProperties:
                                        max_solutions=2).run(nqueens_asm(5))
         assert len(result.solutions) >= 2
         assert not result.exhausted
+
+    def test_budget_stop_releases_the_dropped_frontier(self):
+        engine = ParallelMachineEngine(max_solutions=1)
+        result = engine.run(nqueens_asm(6))
+        assert result.stop_reason == "max_solutions"
+        assert engine.manager.stats.live == 0
+        assert engine.pool.live_frames == 1
 
     def test_runaway_extension_killed(self):
         src = f"""

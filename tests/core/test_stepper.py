@@ -8,13 +8,16 @@
 
 import pytest
 
-from repro.core.cluster import ProcessParallelEngine
+from repro.core.cluster import ClusterConfig, ProcessParallelEngine, _SubtreeWorker
 from repro.core.errors import ReplayDivergenceError
 from repro.core.machine import MachineEngine
 from repro.core.parallel import ParallelMachineEngine
 from repro.core.replay_machine import ReplayMachineEngine
 from repro.core.sysno import SYS_EXIT, SYS_GUESS, SYS_READ, SYS_WRITE
+from repro.cpu.assembler import assemble
 from repro.libos.console import InputSource
+from repro.search.shard import PrefixTask
+from repro.workloads.nqueens import nqueens_asm
 
 #: ``write(1, 0, 0)`` forever: six instructions per iteration, the fifth
 #: a syscall, so budgets of 5 + 6k run out exactly on a syscall exit.
@@ -107,3 +110,23 @@ def test_path_ending_during_replay_diverges(make):
     with pytest.raises(ReplayDivergenceError, match="path ended during "
                        "replay of a prefix of length 1"):
         make().run(GUESS_IF_G)
+
+
+def test_every_load_maps_the_pools_one_zero_frame():
+    """A pool's demand-zero pages share one frame however many times a
+    program is loaded into it: 895 boots of one replay run, a cluster
+    worker serving many tasks."""
+    replay = ReplayMachineEngine()
+    result = replay.run(nqueens_asm(6))
+    assert result.stats.evaluations == 895
+    assert (replay.pool.live_frames, replay.pool.peak_live_frames) == (1, 3)
+
+    worker = _SubtreeWorker(assemble(nqueens_asm(6)),
+                            ClusterConfig(task_step_budget=800))
+    frontier, tasks = [PrefixTask()], 0
+    while frontier:
+        _solutions, spilled = worker.explore(frontier.pop(), None)
+        frontier.extend(spilled)
+        tasks += 1
+    assert tasks > 50
+    assert worker.pool.live_frames == 1

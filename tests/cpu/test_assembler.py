@@ -141,6 +141,15 @@ class TestDirectives:
         prog = assemble('.data\n.asciz "hi\\n"')
         assert prog.data == b"hi\n\x00"
 
+    def test_every_accepted_escape(self):
+        prog = assemble(
+            '.data\n.ascii "' + r"\\\'\"\a\b\f\n\r\t\v\x41\x7e\0\101\377é" + '"'
+        )
+        assert prog.data == b'\\\'"\a\b\f\n\r\t\vA~\x00A\xff\xc3\xa9'
+        prog = assemble(r"mov rax, '\x41'" "\n" r"mov rbx, '\377'" "\n"
+                        r"mov rcx, '\\'")
+        assert prog.text == movi(0, 0x41) + movi(3, 0xFF) + movi(1, 0x5C)
+
     def test_sections_interleave(self):
         prog = assemble(".data\na: .quad 1\n.text\nnop\n.data\nb: .quad 2")
         assert prog.symbols["b"] == DATA_BASE + 8
@@ -244,3 +253,23 @@ class TestErrors:
     def test_mem_needs_base(self):
         with pytest.raises(AssemblyError):
             assemble("mov rax, [8]")
+
+    @pytest.mark.parametrize("literal", [
+        '.ascii "\\u1234"',        # a code point, not a byte
+        '.asciz "\\N{BULLET}"',
+        '.ascii "\\x"',            # malformed
+        '.ascii "\\x4g"',
+        '.ascii "a\\,b"',          # unknown
+        '.ascii "\\q"',
+        '.ascii "\\8"',
+        '.ascii "\\400"',          # more than one byte
+        '.ascii "ab\\"',           # a backslash ending the string
+        "mov rax, '\\x'",
+        "mov rax, '\\u1234'",
+        "mov rax, [rbx + '\\777']",
+        ".byte '\\c'",
+        ".quad '\\x1'",
+    ])
+    def test_bad_escape_names_its_line(self, literal):
+        with pytest.raises(AssemblyError, match=r"^line 2: bad escape \\"):
+            assemble(f".data\n{literal}" if literal[0] == "." else f"nop\n{literal}")

@@ -3,9 +3,9 @@ code, kept in :mod:`tests.cpu.reference_assembler`.
 
 Every guest generator must assemble to the same :class:`Program` on both
 assemblers.  Random source lines must give the same program or the same
-error, except on the lines where the old lexer's two known defects show
-(:func:`lexes_differently`); those have their own tests in
-``test_assembler.py``.  Random instruction bytes must decode to the same
+error, except on the lines where the old lexer's known defects show
+(:func:`lexes_differently`): its quoting, and string escapes it handed to
+Python's codec; those have their own tests in ``test_assembler.py``.  Random instruction bytes must decode to the same
 tuple or fail with the same error.
 """
 
@@ -107,6 +107,12 @@ def test_every_operand_kinds_assemble_alike(mnemonic):
 #: What the old lexer read as syntax inside a quoted span: it knew no
 #: single quotes, and no escapes inside double quotes.
 OLD_SYNTAX = {"'": ';#,[]"', '"': ';#"'}
+#: An escape both assemblers read as one byte (octal only up to \377).
+#: The old code gave any other to Python's ``unicode_escape`` codec,
+#: which warned and kept it, or raised its own error, where the
+#: assembler raises an ``AssemblyError``.
+GOOD_ESCAPE = re.compile(
+    r"""\\(?:x[0-9A-Fa-f]{2}|[0-3][0-7]{0,2}|[4-7][0-7]?(?![0-7])|[\\'"abfnrtv])""")
 LABELS = re.compile(r"\s*(?:[A-Za-z_.$][\w.$]*:\s*)*\S*")
 
 
@@ -129,8 +135,8 @@ def lexes_differently(line: str) -> bool:
 
     It started a comment at a ``;`` or ``#`` inside quotes, split
     operands at a comma inside single quotes or after an unmatched
-    ``]``, and lower-cased labels and character literals inside
-    brackets.
+    ``]``, lower-cased labels and character literals inside brackets,
+    and let a bad escape in a quoted span through to Python's codec.
     """
     quote = ""
     escaped = unmatched = False
@@ -142,6 +148,8 @@ def lexes_differently(line: str) -> bool:
                 escaped = False
             elif ch == "\\":
                 escaped = True
+                if not GOOD_ESCAPE.match(line, k):
+                    return True
                 continue
             elif ch == quote:
                 quote = ""

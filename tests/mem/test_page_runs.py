@@ -81,7 +81,7 @@ def map_page_by_page(space, base, size, perms=Permission.RW, data=None, eager=Fa
         elif eager:
             frame = space.pool.alloc()
         else:
-            frame = space._zero()
+            frame = space.pool.zero()
             frame.refcount += 1
         space.table.map(vpn, frame, perms)
         space.tlb.pop(vpn, None)

@@ -70,7 +70,6 @@ class TestSnapshotEvents:
         space.map_region(BASE, PAGE_SIZE, Permission.RW)
         with TRACER.capture() as sink:
             snap = mgr.take(space)
-            tree.add(snap)
             tree.pin(snap, 1)
             tree.unpin(snap)  # zero pins, no children -> pruned
         (prune,) = events_of(sink, ev.SNAPSHOT_PRUNE)

@@ -199,6 +199,7 @@ class TestStats:
     def test_drain_counts_dropped(self):
         s = DFSStrategy()
         s.add(batch("c", 4))
-        s.drain()
+        dropped = s.drain()
+        assert [ext.number for ext in dropped] == [0, 1, 2, 3]
         assert s.stats.dropped == 4
         assert len(s) == 0

@@ -40,6 +40,15 @@ class TestTake:
         assert child in parent.children
         assert child.depth == parent.depth + 1
 
+    def test_take_records_the_guess(self, mgr, space):
+        bare = mgr.take(space)
+        assert (bare.path, bare.fanouts, bare.console, bare.pins) == ((), (), None, 0)
+        console = object()
+        snap = mgr.take(space, parent=bare, path=(1, 0), fanouts=(2, 3, 4),
+                        console=console)
+        assert snap.path == (1, 0) and snap.fanouts == (2, 3, 4)
+        assert snap.console is console and snap.pins == 0
+
     def test_foreign_pool_rejected(self, mgr):
         other = AddressSpace(FramePool())
         with pytest.raises(ValueError, match="pool"):
@@ -161,43 +170,14 @@ class TestDiscard:
         mgr.discard(parent)
         assert child.space.read(BASE, 4) == b"keep"
 
-    def test_discard_subtree(self, mgr, space):
-        root = mgr.take(space)
-        a = mgr.take(space, parent=root)
-        b = mgr.take(space, parent=root)
-        aa = mgr.take(space, parent=a)
-        count = mgr.discard_subtree(root)
-        assert count == 4
-        assert not any(s.alive for s in (root, a, b, aa))
-
 
 class TestAncestry:
-    def test_ancestry_path(self, mgr, space):
-        root = mgr.take(space)
-        mid = mgr.take(space, parent=root)
-        leaf = mgr.take(space, parent=mid)
-        assert leaf.ancestry() == [root, mid, leaf]
-
-    def test_delta_pages_measures_divergence(self, mgr, space):
-        parent = mgr.take(space)
-        space.write(BASE, b"one page changed")
-        child = mgr.take(space, parent=parent)
-        assert child.delta_pages(parent) == 1
-        assert parent.delta_pages(child) == 1
-        # Identical snapshots have zero delta.
-        twin = mgr.take(space)
-        assert twin.delta_pages(child) == 0
-
-    def test_delta_counts_unmapped_divergence(self, mgr, space):
-        parent = mgr.take(space)
-        space.unmap_region(BASE, PAGE_SIZE)
-        child = mgr.take(space, parent=parent)
-        assert child.delta_pages(parent) == 1
+    """What a snapshot shares with its relatives."""
 
     def test_private_pages_counts_unshared(self, mgr, space):
         space.write(BASE, b"x")
         snap = mgr.take(space)
         # The snapshot shares its single dirty page with `space`.
-        assert snap.private_pages() == 0
+        assert snap.space.resident_private_pages() == 0
         space.write(BASE, b"y")  # space privatises; snapshot's copy now exclusive
-        assert snap.private_pages() == 1
+        assert snap.space.resident_private_pages() == 1

@@ -20,78 +20,58 @@ def space(mgr):
     return s
 
 
-def build_chain(mgr, tree, space, depth):
+def build_chain(mgr, space, depth):
     snaps = []
     parent = None
     for _ in range(depth):
         snap = mgr.take(space, parent=parent)
-        tree.add(snap)
         snaps.append(snap)
         parent = snap
     return snaps
 
 
 class TestStructure:
+    """The tree is the snapshots' own parent/children links."""
+
     def test_first_parentless_snapshot_is_root(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        snap = mgr.take(space)
-        tree.add(snap)
-        assert tree.root is snap
-
-    def test_duplicate_add_rejected(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        snap = mgr.take(space)
-        tree.add(snap)
-        with pytest.raises(ValueError):
-            tree.add(snap)
-
-    def test_get_by_id(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        snap = mgr.take(space)
-        tree.add(snap)
-        assert tree.get(snap.sid) is snap
+        root = mgr.take(space)
+        child = mgr.take(space, parent=root)
+        assert root.parent is None and root.depth == 0
+        assert child.parent is root and root.children == [child]
 
     def test_walk_preorder(self, mgr, space):
-        tree = SnapshotTree(mgr)
         root = mgr.take(space)
         a = mgr.take(space, parent=root)
         b = mgr.take(space, parent=root)
         aa = mgr.take(space, parent=a)
-        for s in (root, a, b, aa):
-            tree.add(s)
-        assert [s.sid for s in tree.walk()] == [root.sid, a.sid, aa.sid, b.sid]
+        order, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(reversed(node.children))
+        assert order == [root, a, aa, b]
 
     def test_max_depth(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        build_chain(mgr, tree, space, 5)
-        assert tree.max_depth() == 4
-
-    def test_empty_tree(self, mgr):
-        tree = SnapshotTree(mgr)
-        assert tree.max_depth() == -1
-        assert len(tree) == 0
-        assert list(tree.walk()) == []
+        snaps = build_chain(mgr, space, 5)
+        assert [s.depth for s in snaps] == [0, 1, 2, 3, 4]
 
 
 class TestPinning:
     def test_unpin_to_zero_prunes_leaf(self, mgr, space):
         tree = SnapshotTree(mgr)
         snap = mgr.take(space)
-        tree.add(snap)
         tree.pin(snap, 2)
         tree.unpin(snap)
         assert snap.alive
         tree.unpin(snap)
         assert not snap.alive
-        assert len(tree) == 0
+        assert mgr.stats.live == 0
 
     def test_prune_cascades_to_parent(self, mgr, space):
         tree = SnapshotTree(mgr)
         parent = mgr.take(space)
-        tree.add(parent)
         tree.pin(parent, 1)
         child = mgr.take(space, parent=parent)
-        tree.add(child)
         tree.pin(child, 1)
         # Parent's only pending work was creating the child.
         tree.unpin(parent)
@@ -103,10 +83,8 @@ class TestPinning:
     def test_pinned_parent_survives_child_pruning(self, mgr, space):
         tree = SnapshotTree(mgr)
         parent = mgr.take(space)
-        tree.add(parent)
         tree.pin(parent, 2)
         child = mgr.take(space, parent=parent)
-        tree.add(child)
         tree.pin(child, 1)
         tree.unpin(child)
         assert not child.alive
@@ -119,62 +97,48 @@ class TestPinning:
         tree = SnapshotTree(mgr)
         space.write(BASE, b"x")
         snap = mgr.take(space)
-        tree.add(snap)
         tree.pin(snap, 1)
         space.write(BASE, b"y")  # snapshot's page becomes private
         live = mgr.pool.live_frames
         tree.unpin(snap)
         assert mgr.pool.live_frames == live - 1
 
-
-class TestStats:
-    def test_total_private_pages(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        space.write(BASE, b"a")
-        snap = mgr.take(space)
-        tree.add(snap)
-        assert tree.total_private_pages() == 0
-        space.write(BASE, b"b")
-        assert tree.total_private_pages() == 1
-
-    def test_apply(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        build_chain(mgr, tree, space, 3)
-        seen = []
-        tree.apply(lambda s: seen.append(s.sid))
-        assert len(seen) == 3
-
-
-class TestDotExport:
-    def test_dot_structure(self, mgr, space):
-        tree = SnapshotTree(mgr)
-        root = mgr.take(space)
-        child = mgr.take(space, parent=root)
-        tree.add(root)
-        tree.add(child)
-        dot = tree.to_dot()
-        assert dot.startswith("digraph snapshots {")
-        assert f"n{root.sid} -> n{child.sid};" in dot
-        assert dot.count("[label=") == 2
-
-    def test_pinned_nodes_highlighted(self, mgr, space):
+    def test_pins_live_on_the_snapshot(self, mgr, space):
         tree = SnapshotTree(mgr)
         snap = mgr.take(space)
-        tree.add(snap)
-        tree.pin(snap, 2)
-        assert "fillcolor" in tree.to_dot()
+        assert snap.pins == 0
+        tree.pin(snap, 3)
+        tree.unpin(snap)
+        assert snap.pins == 2
+        # The tree keeps no state: another one over the manager agrees.
+        other = SnapshotTree(mgr)
+        other.unpin(snap)
+        other.unpin(snap)
+        assert snap.pins == 0 and not snap.alive
 
-    def test_custom_label(self, mgr, space):
+    def test_unpin_never_goes_negative(self, mgr, space):
         tree = SnapshotTree(mgr)
-        tree.add(mgr.take(space))
-        dot = tree.to_dot(label=lambda s: f"CUSTOM-{s.sid}")
-        assert "CUSTOM-" in dot
+        parent = mgr.take(space)
+        child = mgr.take(space, parent=parent)
+        tree.unpin(parent)  # nothing pinned it; its live child keeps it
+        assert parent.pins == 0 and parent.alive
+        tree.unpin(child)
+        assert child.pins == 0
+        assert not child.alive and not parent.alive
+        assert mgr.stats.pruned == 2
 
-    def test_dead_snapshots_excluded(self, mgr, space):
+    def test_prune_cascade_waits_for_every_child(self, mgr, space):
         tree = SnapshotTree(mgr)
         root = mgr.take(space)
-        child = mgr.take(space, parent=root)
-        tree.add(root)
-        tree.add(child)
-        mgr.discard(child)
-        assert f"n{child.sid}" not in tree.to_dot()
+        tree.pin(root, 2)
+        a = mgr.take(space, parent=root)
+        b = mgr.take(space, parent=root)
+        tree.pin(a, 1)
+        tree.pin(b, 1)
+        tree.unpin(root)
+        tree.unpin(root)
+        tree.unpin(a)
+        assert not a.alive and root.alive and root.children == [b]
+        tree.unpin(b)
+        assert not b.alive and not root.alive
+        assert mgr.stats.live == 0 and mgr.stats.pruned == 3
