@@ -55,12 +55,15 @@ class DirtyEagerSnapshotManager(SnapshotManager):
 
     def restore(self, snap: Snapshot) -> tuple[Any, AddressSpace, Any]:
         regs, space, files = super().restore(snap)
+        # The restored space holds the snapshot's table until it changes
+        # it: privatising behind the space takes its own table first.
+        table = space.own_table()
         for vpn in self.dirty[snap.sid]:
-            pte = space.table.lookup(vpn)
+            pte = table.lookup(vpn)
             if pte is None:
                 continue
             before = pte.frame
-            fresh = space.table.make_private(vpn)
+            fresh = table.make_private(vpn)
             if fresh.frame is not before:
                 # Privatised behind the translation cache: drop the
                 # restored entry, which still names the shared frame.

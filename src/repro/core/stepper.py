@@ -6,14 +6,17 @@ each VM exit into an action, and dispatches it:
 
 * ``sys_guess(n)`` takes a snapshot (chained to the snapshot the path was
   restored from while that one is still alive).  The snapshot is the
-  partial candidate: it records the path, the fan-outs and a fork of the
-  console, is pinned once per extension, and each of the *n* extensions
-  the search strategy receives is that snapshot plus an extension number.
+  partial candidate: it records the path, the fan-outs and the console,
+  is pinned once per extension, and each of the *n* extensions the
+  search strategy receives is that snapshot plus an extension number.
+  A restored extension borrows its snapshot's file table and console
+  until a syscall first changes them (:class:`ExecState`).
   A zero fan-out is a dead end, like ``sys_guess_fail``.
 * ``sys_guess_fail`` and ``exit`` end the path; a libOS kill (fault,
   exhausted step budget) ends it too.  Every ended path frees its state
-  and unpins its parent snapshot, and a run cut short by a budget unpins
-  the snapshots of the extensions it drops.
+  and unpins its parent snapshot, and the snapshots of extensions the
+  strategy drops -- to bound its frontier, or because a budget cut the
+  run short -- are unpinned too.
 
 A path can also start from the program entry instead of a snapshot and
 replay a decision prefix first -- the record/replay lever of user-space
@@ -189,7 +192,9 @@ class ExtensionStepper:
         if self.recorder is not None:
             self.recorder.begin_segment(path)
         self.stats.evaluations += 1
-        state = ExecState(space, files, snap.console.fork_cow())
+        # The step borrows the snapshot's file table and console until a
+        # syscall first changes them; the lend is charged as a fork.
+        state = ExecState(space, files.lend(), snap.console, lent=True)
         return Pending(state, path, snap.fanouts, snap, 0)
 
     # -- the loop ------------------------------------------------------
@@ -255,10 +260,7 @@ class ExtensionStepper:
         each one releases its pin, so the snapshots it kept alive die.
         """
         strategy = self.strategy
-        dropped = strategy.drain()
-        if self.manager is not None:
-            for ext in dropped:
-                self.tree.unpin(ext.candidate)
+        self._release(strategy.drain())
         self.stats.peak_frontier = strategy.stats.peak_frontier
         return SearchResult(
             solutions=self.solutions,
@@ -318,7 +320,9 @@ class ExtensionStepper:
             parent=parent if parent is not None and parent.alive else None,
             path=p.path,
             fanouts=p.fanouts + (n,),
-            console=state.console.fork_cow(),
+            # As it is: a console holds no frames, and the state is
+            # abandoned after the take.
+            console=state.console,
         )
         self.tree.pin(snap, n)
         if _TRACER.enabled:
@@ -332,9 +336,10 @@ class ExtensionStepper:
     def fan_out(self, cand: object, depth: int, n: int,
                 hints: Optional[tuple[float, ...]]) -> None:
         """Count the partial candidate *cand*, reached by *depth*
-        guesses, and queue its *n* extensions with the strategy."""
+        guesses, and queue its *n* extensions with the strategy, which
+        may drop some (these or older ones) to bound its frontier."""
         self.stats.candidates += 1
-        self.strategy.add(
+        dropped = self.strategy.add(
             Extension(
                 cand,
                 number=i,
@@ -343,6 +348,15 @@ class ExtensionStepper:
             )
             for i in range(n)
         )
+        if dropped:
+            self._release(dropped)
+
+    def _release(self, dropped: list[Extension]) -> None:
+        """Unpin the snapshots of extensions the strategy dropped, so the
+        snapshots only they kept alive die."""
+        if self.manager is not None:
+            for ext in dropped:
+                self.tree.unpin(ext.candidate)
 
     def _replay(self, p: Pending, n: int) -> bool:
         """Answer a guess from *p*'s prefix; True while replay goes on."""

@@ -2,8 +2,9 @@
 
 Guest writes to stdout/stderr are part of the *path's* state: two sibling
 extensions must each see only their own output (Figure 1 prints one board
-per solution path).  The console is therefore forked together with the
-address space and file table on every snapshot.
+per solution path).  A snapshot keeps the console of the path that took
+it, and each extension restored from it forks that console at its first
+write, the way the address space and the file table copy on write.
 
 Console *input* (:class:`InputSource`) is the opposite: a stream from
 outside the search, consumed in execution order across the whole tree.

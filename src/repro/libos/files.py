@@ -105,7 +105,10 @@ class FileStats:
     (like the audit log): accounting, not per-path state, so it is not
     rolled back with snapshots."""
 
-    cow_bytes: int = 0          #: bytes physically copied (COW + overlay)
+    #: Bytes physically copied: flushed inodes copied on write, plus
+    #: the dirty overlay, charged at each fork and each lend (the fork
+    #: that ends a lend is not charged again).
+    cow_bytes: int = 0
     records: int = 0            #: oplog records appended
     fsyncs: int = 0
     syncs: int = 0
@@ -320,7 +323,8 @@ class FileTable:
     share count, the way :meth:`PageTable.clone` shares its root.  The
     first mutating call on either side copies the containers it holds
     (:meth:`_unshare`), so a fork that never touches a file never copies
-    anything.  Flushed :class:`FileData` inodes stay shared even then: a
+    anything.  A restore does not even fork: it lends the snapshot's own
+    table (:meth:`lend`), and the borrower forks it at its first change.  Flushed :class:`FileData` inodes stay shared even then: a
     barrier that must mutate a shared inode copies it first.  The
     overlay copy is what keeps the paper's isolation property intact
     for *unflushed* state too: siblings never observe each other's
@@ -375,10 +379,12 @@ class FileTable:
     # Forking
     # ------------------------------------------------------------------
 
-    def fork_cow(self) -> "FileTable":
+    def fork_cow(self, lent: bool = False) -> "FileTable":
         """Logical copy in O(1): the clone shares this table's containers
         until either side mutates them.  The dirty overlay is charged to
-        ``cow_bytes`` here, at the fork, whether or not a copy follows."""
+        ``cow_bytes`` at the fork, whether or not a copy follows -- or,
+        when the fork ends a lend (*lent*), at the lend, which
+        :meth:`lend` charged already."""
         clone = object.__new__(type(self))
         clone.__dict__ = self.__dict__.copy()
         self._share.count += 1
@@ -386,8 +392,18 @@ class FileTable:
         if self._working:
             dirty = sum(map(len, self._working.values()))
             clone.cow_bytes = dirty
-            self.stats.cow_bytes += dirty
+            if not lent:
+                self.stats.cow_bytes += dirty
         return clone
+
+    def lend(self) -> "FileTable":
+        """This table itself, lent to a borrower that reads it in place
+        and forks it (``fork_cow(lent=True)``) before its first change.
+        The dirty overlay is charged to ``cow_bytes`` here, as the fork
+        the lend stands in for would charge it."""
+        if self._working:
+            self.stats.cow_bytes += sum(map(len, self._working.values()))
+        return self
 
     def _unshare(self) -> None:
         """Give this table its own containers if a fork still shares

@@ -8,7 +8,6 @@ search strategy and consumes the typed actions produced here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.cpu.assembler import Program
@@ -36,17 +35,46 @@ from repro.vmm.vcpu import VCpu, VmExit, VmExitReason
 STEP_BUDGET_EXHAUSTED = "extension step budget exhausted"
 
 
-@dataclass
 class ExecState:
-    """The mutable state of one executing extension step."""
+    """The mutable state of one executing extension step.
 
-    space: AddressSpace
-    files: FileTable
-    console: Console
+    The address space is the step's own (a fork is a header until its
+    first change, see :meth:`AddressSpace.fork_cow`).  The file table and
+    the console are either owned or *lent*: a step resumed from a
+    snapshot reads the snapshot's own until a syscall first changes one,
+    and :meth:`own_files` / :meth:`own_console` fork it then, in O(1).
+    A lent part belongs to the snapshot, which outlives the step (the
+    step holds a pin on it), so :meth:`free` leaves it alone.
+    """
+
+    __slots__ = ("space", "files", "console", "files_lent", "console_lent")
+
+    def __init__(self, space: AddressSpace, files: FileTable,
+                 console: Console, lent: bool = False):
+        self.space = space
+        self.files = files
+        self.console = console
+        self.files_lent = lent
+        self.console_lent = lent
+
+    def own_files(self) -> FileTable:
+        """The file table to change, forked first if it is lent."""
+        if self.files_lent:
+            self.files = self.files.fork_cow(lent=True)
+            self.files_lent = False
+        return self.files
+
+    def own_console(self) -> Console:
+        """The console to write, forked first if it is lent."""
+        if self.console_lent:
+            self.console = self.console.fork_cow()
+            self.console_lent = False
+        return self.console
 
     def free(self) -> None:
         self.space.free()
-        self.files.free()
+        if not self.files_lent:
+            self.files.free()
 
 
 class LibOS:
@@ -97,8 +125,7 @@ class LibOS:
         """
         reason = exit_event.reason
         if reason is VmExitReason.SYSCALL:
-            return self.dispatcher.dispatch(vcpu, state.space, state.files,
-                                            state.console)
+            return self.dispatcher.dispatch(vcpu, state)
         if reason is VmExitReason.HLT:
             return ExitAction(status=_low32(vcpu.regs.rax))
         if reason is VmExitReason.PAGE_FAULT:

@@ -52,7 +52,7 @@ Without a recorder they read the live host clock/entropy/input source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core import sysno
 from repro.core.recorder import live_random, live_time_ns
@@ -65,11 +65,11 @@ from repro.interpose.policy import (
     Verdict,
     ENOSYS,
 )
-from repro.libos.console import Console
-from repro.libos.files import FileTable
-from repro.mem.addrspace import AddressSpace
 from repro.mem.faults import PageFaultError
 from repro.vmm.vcpu import VCpu
+
+if TYPE_CHECKING:
+    from repro.libos.libos import ExecState
 
 _EFAULT = 14
 _EBADF = 9
@@ -147,14 +147,12 @@ class SyscallDispatcher:
         self.nondet = None
         self._pc: Optional[int] = None
 
-    def dispatch(
-        self,
-        vcpu: VCpu,
-        space: AddressSpace,
-        files: FileTable,
-        console: Console,
-    ) -> Action:
-        """Service the syscall encoded in the vCPU's registers."""
+    def dispatch(self, vcpu: VCpu, state: ExecState) -> Action:
+        """Service the syscall encoded in the vCPU's registers against
+        *state*.  A handler that changes the file table or the console
+        takes it from ``state.own_files()`` / ``state.own_console()``,
+        which forks a lent one first; the guess family and ``exit``
+        change neither, and audit notes go to the libOS's shared log."""
         regs = vcpu.regs
         number = regs.rax
         self._pc = regs.rip
@@ -164,18 +162,18 @@ class SyscallDispatcher:
                 _events.LIBOS_SYSCALL, nr=number, name=syscall_name(number)
             )
         try:
-            return self._dispatch(number, regs, space, files, console)
+            return self._dispatch(number, regs, state)
         except PageFaultError:
             # Guest passed a bad pointer; mirror Linux and return -EFAULT.
             regs.rax = -_EFAULT & ((1 << 64) - 1)
             return _CONTINUE
 
-    def _dispatch(self, number, regs, space, files, console) -> Action:
+    def _dispatch(self, number, regs, state) -> Action:
         handler = self._handlers.get(number)
         if handler is not None:
-            return handler(self, regs, space, files, console)
+            return handler(self, regs, state)
         # Unknown syscall: the §5 soundness rule decides.
-        files.audit.note("syscall", f"#{number}", Verdict.DENY)
+        state.files.audit.note("syscall", f"#{number}", Verdict.DENY)
         if self.policy.check_unknown_syscall(number) == "kill":
             return KillAction(f"refused syscall #{number}")
         regs.rax = -ENOSYS & ((1 << 64) - 1)
@@ -183,71 +181,74 @@ class SyscallDispatcher:
 
     # -- one handler per syscall number (see ``_handlers`` below) --------
 
-    def _guess(self, regs, space, files, console) -> Action:
+    def _guess(self, regs, state) -> Action:
         return GuessAction(n=regs.rdi)
 
-    def _guess_fail(self, regs, space, files, console) -> Action:
+    def _guess_fail(self, regs, state) -> Action:
         return _GUESS_FAIL
 
-    def _guess_strategy(self, regs, space, files, console) -> Action:
+    def _guess_strategy(self, regs, state) -> Action:
         name = STRATEGY_NAMES.get(regs.rdi)
         if name is None:
             return KillAction(f"unknown strategy id {regs.rdi}")
         regs.rax = 1
         return StrategyAction(name)
 
-    def _guess_hint(self, regs, space, files, console) -> Action:
+    def _guess_hint(self, regs, state) -> Action:
         n = regs.rdi
         ptr = regs.rsi
         hints = tuple(
-            float(_signed(space.read_u64(ptr + 8 * i))) for i in range(n)
+            float(_signed(state.space.read_u64(ptr + 8 * i)))
+            for i in range(n)
         )
         return GuessAction(n=n, hints=hints)
 
-    def _exit(self, regs, space, files, console) -> Action:
+    def _exit(self, regs, state) -> Action:
         return ExitAction(status=_signed(regs.rdi))
 
-    def _close(self, regs, space, files, console) -> Action:
-        regs.rax = files.close(regs.rdi)
+    def _close(self, regs, state) -> Action:
+        regs.rax = state.own_files().close(regs.rdi)
         return _CONTINUE
 
-    def _lseek(self, regs, space, files, console) -> Action:
-        regs.rax = files.lseek(regs.rdi, _signed(regs.rsi), regs.rdx)
+    def _lseek(self, regs, state) -> Action:
+        regs.rax = state.own_files().lseek(regs.rdi, _signed(regs.rsi),
+                                           regs.rdx)
         return _CONTINUE
 
-    def _rename(self, regs, space, files, console) -> Action:
+    def _rename(self, regs, state) -> Action:
+        space = state.space
         src = space.read_cstr(regs.rdi).decode("utf-8", errors="replace")
         dst = space.read_cstr(regs.rsi).decode("utf-8", errors="replace")
-        regs.rax = _errno64(files.rename(src, dst))
+        regs.rax = _errno64(state.own_files().rename(src, dst))
         return _CONTINUE
 
-    def _sync(self, regs, space, files, console) -> Action:
-        flushed = files.sync()
+    def _sync(self, regs, state) -> Action:
+        flushed = state.own_files().sync()
         if _TRACER.enabled:
             _TRACER.emit(_events.FILE_SYNC, records=flushed)
         regs.rax = 0
         return _CONTINUE
 
-    def _crash_select(self, regs, space, files, console) -> Action:
-        result = files.crash_select(_signed(regs.rdi))
+    def _crash_select(self, regs, state) -> Action:
+        result = state.own_files().crash_select(_signed(regs.rdi))
         if _TRACER.enabled and result >= 0:
             _TRACER.emit(_events.CRASH_SELECT,
                          point=_signed(regs.rdi), dims=result)
         regs.rax = _errno64(result)
         return _CONTINUE
 
-    def _crash_opts(self, regs, space, files, console) -> Action:
-        regs.rax = _errno64(files.crash_opts(_signed(regs.rdi)))
+    def _crash_opts(self, regs, state) -> Action:
+        regs.rax = _errno64(state.files.crash_opts(_signed(regs.rdi)))
         return _CONTINUE
 
-    def _crash_set(self, regs, space, files, console) -> Action:
+    def _crash_set(self, regs, state) -> Action:
         regs.rax = _errno64(
-            files.crash_set(_signed(regs.rdi), _signed(regs.rsi))
+            state.own_files().crash_set(_signed(regs.rdi), _signed(regs.rsi))
         )
         return _CONTINUE
 
-    def _crash_commit(self, regs, space, files, console) -> Action:
-        result = files.crash_commit()
+    def _crash_commit(self, regs, state) -> Action:
+        result = state.own_files().crash_commit()
         if _TRACER.enabled and result >= 0:
             _TRACER.emit(_events.CRASH_COMMIT, kept=result)
         regs.rax = _errno64(result)
@@ -255,19 +256,19 @@ class SyscallDispatcher:
 
     # ------------------------------------------------------------------
 
-    def _write(self, regs, space, files, console) -> Action:
+    def _write(self, regs, state) -> Action:
         fd, buf, length = regs.rdi, regs.rsi, regs.rdx
-        data = space.read(buf, length)
+        data = state.space.read(buf, length)
         if fd in (1, 2):
-            files.audit.note(
+            state.files.audit.note(
                 "write", f"fd{fd} {length}B", Verdict.ALLOW, Containment.OUTPUT
             )
-            regs.rax = console.write(data)
+            regs.rax = state.own_console().write(data)
         else:
-            regs.rax = _errno64(files.write(fd, data))
+            regs.rax = _errno64(state.own_files().write(fd, data))
         return _CONTINUE
 
-    def _read(self, regs, space, files, console) -> Action:
+    def _read(self, regs, state) -> Action:
         fd, buf, length = regs.rdi, regs.rsi, regs.rdx
         if fd == 0:
             data = self._nondet(
@@ -275,22 +276,22 @@ class SyscallDispatcher:
                 if self.input is not None else b""
             )
             if data:
-                space.write(buf, data[:length])
+                state.space.write(buf, data[:length])
             regs.rax = min(len(data), length)
             return _CONTINUE
         if fd in (1, 2):
             regs.rax = 0  # reading the output console makes no sense
             return _CONTINUE
-        result = files.read(fd, length)
+        result = state.own_files().read(fd, length)
         if isinstance(result, int):
             regs.rax = _errno64(result)
         else:
-            space.write(buf, result)
+            state.space.write(buf, result)
             regs.rax = len(result)
         return _CONTINUE
 
-    def _fsync(self, regs, space, files, console) -> Action:
-        result = files.fsync(regs.rdi)
+    def _fsync(self, regs, state) -> Action:
+        result = state.own_files().fsync(regs.rdi)
         if result < 0:
             regs.rax = _errno64(result)
             return _CONTINUE
@@ -299,18 +300,18 @@ class SyscallDispatcher:
         regs.rax = 0  # POSIX: success is 0; the record count is trace-only
         return _CONTINUE
 
-    def _time(self, regs, space, files, console) -> Action:
+    def _time(self, regs, state) -> Action:
         payload = self._nondet("time", live_time_ns)
         regs.rax = int.from_bytes(payload[:8], "little")
         return _CONTINUE
 
-    def _getrandom(self, regs, space, files, console) -> Action:
+    def _getrandom(self, regs, state) -> Action:
         buf, length = regs.rdi, regs.rsi
         if length == 0 or length > self.MAX_GETRANDOM:
             regs.rax = -_EINVAL_ & ((1 << 64) - 1)
             return _CONTINUE
         payload = self._nondet("random", lambda: live_random(length))
-        space.write(buf, payload[:length])
+        state.space.write(buf, payload[:length])
         regs.rax = min(len(payload), length)
         return _CONTINUE
 
@@ -320,12 +321,12 @@ class SyscallDispatcher:
             return self.nondet.intercept(kind, self._pc, generate)
         return generate()
 
-    def _open(self, regs, space, files, console) -> Action:
-        path = space.read_cstr(regs.rdi).decode("utf-8", errors="replace")
-        regs.rax = _errno64(files.open(path, regs.rsi))
+    def _open(self, regs, state) -> Action:
+        path = state.space.read_cstr(regs.rdi).decode("utf-8", errors="replace")
+        regs.rax = _errno64(state.own_files().open(path, regs.rsi))
         return _CONTINUE
 
-    def _mmap(self, regs, space, files, console) -> Action:
+    def _mmap(self, regs, state) -> Action:
         """Anonymous private mappings only: mmap(0, length) -> base.
 
         Address hints, file-backed mappings and protection flags beyond
@@ -337,36 +338,38 @@ class SyscallDispatcher:
         if hint != 0 or length == 0:
             regs.rax = -_EINVAL_ & ((1 << 64) - 1)
             return _CONTINUE
+        space = state.space
         size = (length + 4095) & ~4095
         base = (space.mmap_next - size) & ~4095
         space.map_region(base, size, _RW_PERM)
         space.mmap_next = base
-        files.audit.note(
+        state.files.audit.note(
             "mmap", f"{size // 1024}KiB at {base:#x}", Verdict.ALLOW,
             Containment.COW,
         )
         regs.rax = base
         return _CONTINUE
 
-    def _munmap(self, regs, space, files, console) -> Action:
+    def _munmap(self, regs, state) -> Action:
         addr, length = regs.rdi, regs.rsi
         if addr & 4095 or length == 0:
             regs.rax = -_EINVAL_ & ((1 << 64) - 1)
             return _CONTINUE
-        space.unmap_region(addr, length)
-        files.audit.note("munmap", f"{addr:#x}", Verdict.ALLOW,
-                         Containment.COW)
+        state.space.unmap_region(addr, length)
+        state.files.audit.note("munmap", f"{addr:#x}", Verdict.ALLOW,
+                               Containment.COW)
         regs.rax = 0
         return _CONTINUE
 
-    def _brk(self, regs, space, files, console) -> Action:
+    def _brk(self, regs, state) -> Action:
         target = regs.rdi
+        space = state.space
         current = space.brk_end
         if target == 0 or target < space.brk_base:
             regs.rax = current
             return _CONTINUE
         space.sbrk(target - current)
-        files.audit.note(
+        state.files.audit.note(
             "brk", f"{current:#x} -> {target:#x}", Verdict.ALLOW,
             Containment.LOGGED,
         )

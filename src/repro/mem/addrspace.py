@@ -8,10 +8,16 @@ locality effects are real consequences of guest behaviour rather than
 modelled numbers.
 
 Snapshots are built on :meth:`AddressSpace.fork_cow`, which produces a
-logical copy in O(1) by sharing the page-table root.  Demand-zero pages
-are implemented as COW mappings of a single pool-wide zero frame, which
-unifies the fault path: first write to a fresh page and first write to a
-snapshot-shared page take the same copy-on-write route.
+logical copy in O(1): a new header (asid, brk and mmap cursors, code
+cache, fault counters) over the parent's own page table and translation
+cache, shared under one count.  Most forks -- a restored extension that
+fails before it writes -- die that way, having copied nothing.  The first
+change made through a space that still shares (a write fault, or a
+region change) gives it its own table, by the O(1) root-sharing
+:meth:`PageTable.clone`, and its own copy of the cache.  Demand-zero
+pages are implemented as COW mappings of a single pool-wide zero frame,
+which unifies the fault path: first write to a fresh page and first
+write to a snapshot-shared page take the same copy-on-write route.
 """
 
 from __future__ import annotations
@@ -51,6 +57,15 @@ _NEEDED_BIT = {
 _ACCESS_OF = {bit: access for access, bit in _NEEDED_BIT.items()}
 
 
+class _Share:
+    """How many spaces hold one page table and its translation cache."""
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 1
+
+
 class AddressSpace:
     """A mutable virtual address space with COW fault handling.
 
@@ -62,16 +77,24 @@ class AddressSpace:
         snapshots) must share a pool.
     """
 
-    def __init__(self, pool: FramePool, _table: Optional[PageTable] = None):
+    def __init__(self, pool: FramePool, _fork_of: Optional["AddressSpace"] = None):
         self.pool = pool
         self.asid = next(_as_ids)
-        self.table = _table if _table is not None else PageTable(pool)
-        #: Cached translations, ``vpn -> (frame, perms, writable)``.
-        #: ``writable`` is False for a page that must still COW-fault on
-        #: write although its PTE grants WRITE (its frame may be shared).
-        #: A fork downgrades every entry to read-only and hands the clone
-        #: a copy; free empties it.
-        self.tlb: dict[int, tuple[Frame, int, bool]] = {}
+        #: The page table and the cached translations (``tlb``), ``vpn ->
+        #: (frame, perms, writable)``.  ``writable`` is False for a page
+        #: that must still COW-fault on write although its PTE grants
+        #: WRITE (its frame may be shared).  A fork (*_fork_of*) holds its
+        #: parent's table and cache under one count (``_share``), and a
+        #: shared cache holds no writable entry.
+        if _fork_of is None:
+            self.table = PageTable(pool)
+            self.tlb: dict[int, tuple[Frame, int, bool]] = {}
+            self._share = _Share()
+        else:
+            self.table = _fork_of.table
+            self.tlb = _fork_of.tlb
+            self._share = _fork_of._share
+            self._share.count += 1
         #: Pages whose cached translation may be writable (the only ones
         #: a fork has to downgrade).
         self._writable: list[int] = []
@@ -130,6 +153,7 @@ class AddressSpace:
                 kind="data" if data is not None else ("eager" if eager else "zero"),
             )
         first = base >> PAGE_SHIFT
+        table = self.own_table()
 
         def frame_of(i: int) -> Frame:
             if data is not None:
@@ -147,25 +171,27 @@ class AddressSpace:
             self.tlb.pop(first + i, None)
             return frame
 
-        self.table.map_run(first, npages, perms, frame_of)
+        table.map_run(first, npages, perms, frame_of)
 
     def unmap_region(self, base: int, size: int) -> None:
         """Unmap every page intersecting ``[base, base+size)``."""
         if base & PAGE_MASK:
             raise ValueError(f"base {base:#x} is not page-aligned")
         npages = page_align_up(size) >> PAGE_SHIFT
+        table = self.own_table()
         for i in range(npages):
             vpn = (base >> PAGE_SHIFT) + i
-            if self.table.unmap(vpn):
+            if table.unmap(vpn):
                 self.tlb.pop(vpn, None)
 
     def protect_region(self, base: int, size: int, perms: Permission) -> None:
         """Change permissions for every mapped page in the region."""
         npages = page_align_up(size) >> PAGE_SHIFT
+        table = self.own_table()
         for i in range(npages):
             vpn = (base >> PAGE_SHIFT) + i
-            if self.table.is_mapped(vpn):
-                self.table.set_perms(vpn, perms)
+            if table.is_mapped(vpn):
+                table.set_perms(vpn, perms)
                 self.tlb.pop(vpn, None)
 
     def set_brk_base(self, base: int) -> None:
@@ -224,12 +250,13 @@ class AddressSpace:
         if write:
             # Sharing is tracked at *node* granularity (a snapshot shares
             # whole page-table subtrees), so every first write walks the
-            # exclusive path; make_private copies shared nodes — which
-            # bumps the refcounts of the frames they reference — and then
-            # copies the frame itself if it ended up shared.
+            # exclusive path of the space's own table; make_private copies
+            # shared nodes — which bumps the refcounts of the frames they
+            # reference — and then copies the frame itself if it ended up
+            # shared.
             self.dirty_vpns.add(vpn)
             old_frame = pte.frame
-            pte = self.table.make_private(vpn)
+            pte = self.own_table().make_private(vpn)
             if pte.frame is not old_frame:
                 if old_frame is self.pool.zero_frame:
                     self.faults.demand_zero_faults += 1
@@ -245,6 +272,8 @@ class AddressSpace:
                     )
         # Only a write that ran make_private may cache writability: the
         # read path cannot tell a node-shared frame from an exclusive one.
+        # A read fills a shared cache, which every holder of the table
+        # can use.
         self.tlb[vpn] = (pte.frame, pte.perms, write)
         if write:
             self._writable.append(vpn)
@@ -389,11 +418,12 @@ class AddressSpace:
     # Snapshot support
     # ------------------------------------------------------------------
 
-    def _clone(self, table: Optional[PageTable] = None) -> "AddressSpace":
-        """A new space over *table* that carries this space's brk and mmap
-        cursors, so a guest resumed in it allocates where it left off, and
-        its code cache."""
-        clone = AddressSpace(self.pool, _table=table)
+    def _clone(self, share: bool) -> "AddressSpace":
+        """A new space that carries this space's brk and mmap cursors, so
+        a guest resumed in it allocates where it left off, and its code
+        cache: over this space's table and cache if *share*, else over an
+        empty table."""
+        clone = AddressSpace(self.pool, self if share else None)
         clone.brk_base = self.brk_base
         clone.brk_end = self.brk_end
         clone.mmap_next = self.mmap_next
@@ -403,25 +433,40 @@ class AddressSpace:
     def fork_cow(self) -> "AddressSpace":
         """Create a logical copy of this address space in O(1).
 
-        Both this space and the copy become copy-on-write: the first write
-        either side makes to a shared page copies it.  Cached translations
-        survive the fork downgraded to read-only (the software equivalent
-        of write-protecting the PTEs, which on hardware needs a TLB
+        The copy is a header: its own asid, cursors and fault counters
+        over this space's page table and translation cache, which both
+        spaces then hold under one share count.  The first change either
+        side makes -- a write fault or a region change -- first gives it
+        its own table (:meth:`own_table`), and the first write either side
+        makes to a shared page copies it.  Cached translations survive
+        the fork downgraded to read-only (the software equivalent of
+        write-protecting the PTEs, which on hardware needs a TLB
         shootdown), so a write through either side still takes the COW
         path while reads and fetches stay warm.  Only the entries written
-        since the last fork need downgrading, so forking a space nothing
-        wrote through -- a snapshot being restored -- copies its cache
-        with one ``dict.copy()``.
+        since the last fork need downgrading, and a space that shares its
+        cache has none.
         """
-        clone = self._clone(self.table.clone())
         tlb = self.tlb
         for vpn in self._writable:
             entry = tlb.get(vpn)
             if entry is not None:
                 tlb[vpn] = (entry[0], entry[1], False)
         self._writable.clear()
-        clone.tlb = tlb.copy()
-        return clone
+        return self._clone(share=True)
+
+    def own_table(self) -> PageTable:
+        """This space's page table, made its own first if a fork still
+        shares it: an O(1) :meth:`PageTable.clone` and a copy of the
+        cache, which holds no writable entry.  Every change to the table
+        goes through here, also one made behind the space (which must pop
+        the cached translations of the pages it changes)."""
+        share = self._share
+        if share.count > 1:
+            share.count -= 1
+            self._share = _Share()
+            self.table = self.table.clone()
+            self.tlb = self.tlb.copy()
+        return self.table
 
     def fork_eager(self) -> "AddressSpace":
         """Create a physical copy of this address space in O(pages).
@@ -429,19 +474,23 @@ class AddressSpace:
         This is the naive-``fork`` baseline from §3 of the paper: every
         mapped page is duplicated up front.
         """
-        clone = self._clone()
+        clone = self._clone(share=False)
         for vpn, pte in self.table.items():
             frame = self.pool.copy(pte.frame)
             clone.table.map(vpn, frame, pte.perms)
         return clone
 
     def free(self) -> None:
-        """Release all frames and page-table nodes held by this space."""
+        """Drop this space's hold on its table: the last holder releases
+        the table's frames and page-table nodes and empties the cache."""
         if self._freed:
             return
         self._freed = True
-        self.table.free()
-        self.tlb.clear()
+        share = self._share
+        share.count -= 1
+        if not share.count:
+            self.table.free()
+            self.tlb.clear()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -453,7 +502,10 @@ class AddressSpace:
 
     def resident_private_pages(self) -> int:
         """Pages whose frame this space does not share with anyone
-        (accounting for page-table node sharing, not just frame refs)."""
+        (accounting for page-table node sharing, not just frame refs);
+        none while a fork shares its table."""
+        if self._share.count > 1:
+            return 0
         return self.table.private_entry_count()
 
     def iter_pages(self) -> Iterator[tuple[int, bytes]]:

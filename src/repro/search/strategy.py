@@ -52,8 +52,9 @@ class Strategy(ABC):
         self.stats = StrategyStats()
 
     @abstractmethod
-    def _push(self, ext: Extension) -> None:
-        """Insert one extension into the frontier."""
+    def _push(self, ext: Extension) -> Optional[Extension]:
+        """Insert one extension into the frontier; return the extension a
+        bounded frontier dropped to make room, if any."""
 
     @abstractmethod
     def _pop(self) -> Optional[Extension]:
@@ -63,12 +64,22 @@ class Strategy(ABC):
     def __len__(self) -> int:
         """Number of unevaluated extensions in the frontier."""
 
-    def add(self, extensions: Iterable[Extension]) -> None:
-        """Enqueue a batch of sibling extensions (one ``sys_guess``)."""
+    def add(self, extensions: Iterable[Extension]) -> list[Extension]:
+        """Enqueue a batch of sibling extensions (one ``sys_guess``).
+
+        Returns the extensions a bounded frontier dropped on the way
+        (``[]`` for the unbounded strategies), so the caller can release
+        what they hold, as with :meth:`drain`."""
+        stats = self.stats
+        dropped = []
         for ext in extensions:
-            self._push(ext)
-            self.stats.added += 1
-        self.stats.peak_frontier = max(self.stats.peak_frontier, len(self))
+            gone = self._push(ext)
+            stats.added += 1
+            if gone is not None:
+                dropped.append(gone)
+        stats.dropped += len(dropped)
+        stats.peak_frontier = max(stats.peak_frontier, len(self))
+        return dropped
 
     def next(self) -> Optional[Extension]:
         """Dequeue the extension to evaluate next (None = search done)."""
@@ -100,10 +111,10 @@ class DFSStrategy(Strategy):
         super().__init__()
         self._stack: list[Extension] = []
 
-    def add(self, extensions: Iterable[Extension]) -> None:
+    def add(self, extensions: Iterable[Extension]) -> list[Extension]:
         # Push siblings in reverse so extension 0 pops first.
         batch = list(extensions)
-        super().add(reversed(batch))
+        return super().add(reversed(batch))
 
     def _push(self, ext: Extension) -> None:
         self._stack.append(ext)
@@ -193,15 +204,16 @@ class SMAStarStrategy(Strategy):
         #: Parent candidate -> best forgotten f-value among dropped kids.
         self.forgotten: dict[Any, float] = {}
 
-    def _push(self, ext: Extension) -> None:
+    def _push(self, ext: Extension) -> Optional[Extension]:
         heapq.heappush(self._heap, (ext.f_cost(), ext.seq, ext))
-        if len(self._heap) > self.capacity:
-            worst_idx = max(range(len(self._heap)), key=lambda i: self._heap[i][0])
-            f, _seq, dropped = self._heap.pop(worst_idx)
-            heapq.heapify(self._heap)
-            prev = self.forgotten.get(dropped.candidate)
-            self.forgotten[dropped.candidate] = f if prev is None else min(prev, f)
-            self.stats.dropped += 1
+        if len(self._heap) <= self.capacity:
+            return None
+        worst_idx = max(range(len(self._heap)), key=lambda i: self._heap[i][0])
+        f, _seq, dropped = self._heap.pop(worst_idx)
+        heapq.heapify(self._heap)
+        prev = self.forgotten.get(dropped.candidate)
+        self.forgotten[dropped.candidate] = f if prev is None else min(prev, f)
+        return dropped
 
     def _pop(self) -> Optional[Extension]:
         if not self._heap:
@@ -231,12 +243,12 @@ class BeamStrategy(Strategy):
         self.width = width
         self._by_depth: dict[int, list[tuple[float, int, Extension]]] = {}
 
-    def _push(self, ext: Extension) -> None:
+    def _push(self, ext: Extension) -> Optional[Extension]:
         bucket = self._by_depth.setdefault(ext.depth, [])
         heapq.heappush(bucket, (-_hint_or_zero(ext), ext.seq, ext))
         if len(bucket) > self.width:
-            heapq.heappop(bucket)  # drop the worst (largest hint)
-            self.stats.dropped += 1
+            return heapq.heappop(bucket)[2]  # the worst (largest hint)
+        return None
 
     def _pop(self) -> Optional[Extension]:
         if not self._by_depth:

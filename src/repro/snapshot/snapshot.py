@@ -12,15 +12,19 @@ page copies it away from the snapshot.
 
 Cost model (matching §4 of the paper):
 
-* ``take``    -- O(1): page-table root sharing + register copy; the
-  running space's translations written since its last fork are
-  downgraded to read-only, and the snapshot keeps a copy of them.
-* ``restore`` -- O(1): fork the snapshot's space (one copy of its
-  read-only translations, so loads and fetches start warm), copy
-  registers, fork the file table (shared until its first write).
-  Subsequent writes pay per-page COW faults.
+* ``take``    -- O(1): the snapshot's space is a fork of the running one,
+  a header over the same page table and translation cache (the running
+  space's translations written since its last fork are downgraded to
+  read-only first); register copy; file-table fork (shared until its
+  first write).
+* ``restore`` -- O(1) and copies nothing: a header over the snapshot's
+  page table and translation cache, so loads and fetches start warm,
+  and the snapshot's own file table, lent.  The restored space's first
+  change clones the table (O(1), root sharing) and copies the cache;
+  subsequent writes pay per-page COW faults.
 * ``discard`` -- O(private pages): releases only the frames the snapshot
-  does not share with its relatives.
+  does not share with its relatives (none while a restored space still
+  holds its table).
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ class Snapshot:
         any unevaluated extension can be turned back into a replayable
         prefix task: local snapshot state is always rebuildable.
     console:
-        The console at the guess; each extension starts from a fork.
+        The console at the guess; each extension reads it in place and
+        forks it at its first write.
     pins:
         Pending uses -- unevaluated extensions and running evaluations --
         counted by :class:`~repro.snapshot.tree.SnapshotTree`.
@@ -222,9 +227,12 @@ class SnapshotManager:
 
         Returns ``(regs, space, files)``: the register value (immutable —
         callers copy into their own mutable register file), a mutable COW
-        fork of the snapshot's address space, and a fork of its file
-        table.  The snapshot itself is untouched and may be restored any
-        number of times.
+        fork of the snapshot's address space, and the snapshot's own file
+        table, lent: the caller reads it in place, forks it before its
+        first change (:class:`repro.libos.libos.ExecState` does both) and
+        never frees it, and the snapshot must outlive the loan.  The
+        snapshot itself is untouched and may be restored any number of
+        times.
 
         The restore event records the fresh space's asid: later
         ``mem.cow_fault`` events carry the same asid, which is how a
@@ -234,13 +242,10 @@ class SnapshotManager:
         if not snap.alive:
             raise SnapshotDiscardedError(snap.sid, "restore")
         space = self._copy(snap.space)
-        files = (
-            snap.files.fork_cow() if hasattr(snap.files, "fork_cow") else snap.files
-        )
         self.stats.restored += 1
         if TRACER.enabled:
             TRACER.emit(events.SNAPSHOT_RESTORE, sid=snap.sid, asid=space.asid)
-        return snap.regs, space, files
+        return snap.regs, space, snap.files
 
     def discard(self, snap: Snapshot) -> None:
         """Release *snap*'s resources.

@@ -221,7 +221,8 @@ class SymbolicExplorer:
                     exts.append(
                         Extension(child, number=len(exts), depth=child.depth)
                     )
-                self._strategy.add(exts)
+                for dropped in self._strategy.add(exts):
+                    self.backend.release(dropped.candidate)
             elif isinstance(event, Exited):
                 example = solve_assignment(state.constraints)
                 if isinstance(event.status, int):

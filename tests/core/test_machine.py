@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.machine import MachineEngine
 from repro.core.sysno import SYS_EXIT, SYS_GUESS, SYS_GUESS_FAIL
+from repro.search import BeamStrategy, DFSStrategy, SMAStarStrategy
 from repro.workloads.nqueens import (
     KNOWN_SOLUTION_COUNTS,
     boards_from_result,
@@ -232,6 +233,20 @@ class TestBudgets:
             assert engine.manager.stats.live == 0
             assert engine.pool.live_frames == 1
             assert engine.stepper.strategy.stats.dropped > 0
+
+    @pytest.mark.parametrize("strategy", [
+        BeamStrategy(width=2), SMAStarStrategy(capacity=4), DFSStrategy()],
+        ids=lambda s: s.name)
+    def test_a_bounded_frontier_releases_what_it_drops(self, strategy):
+        # An extension the strategy drops to make room unpins its
+        # snapshot, so the run ends like DFS's: no live snapshot, only
+        # the zero frame.
+        engine = MachineEngine(strategy=strategy)
+        engine.allow_guest_strategy = False
+        engine.run(nqueens_asm(6))
+        assert (strategy.stats.dropped > 0) == (strategy.name != "dfs")
+        assert engine.manager.stats.live == 0
+        assert engine.pool.live_frames == 1
 
     def test_runaway_extension_killed(self):
         src = f"""

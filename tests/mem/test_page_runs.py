@@ -68,11 +68,12 @@ def test_read_cstr_faults_at_the_unmapped_page_base():
 
 def map_page_by_page(space, base, size, perms=Permission.RW, data=None, eager=False):
     """``map_region``'s page loop as it was: a lookup and a walk from the
-    root for every page."""
+    root for every page, in the space's own table."""
+    table = space.own_table()
     npages = -(-size // PAGE_SIZE)
     for i in range(npages):
         vpn = (base >> PAGE_SHIFT) + i
-        if space.table.is_mapped(vpn):
+        if table.is_mapped(vpn):
             raise ValueError(f"page {vpn << PAGE_SHIFT:#x} already mapped")
         if data is not None:
             frame = space.pool.alloc()
@@ -83,7 +84,7 @@ def map_page_by_page(space, base, size, perms=Permission.RW, data=None, eager=Fa
         else:
             frame = space.pool.zero()
             frame.refcount += 1
-        space.table.map(vpn, frame, perms)
+        table.map(vpn, frame, perms)
         space.tlb.pop(vpn, None)
 
 

@@ -5,12 +5,24 @@ The model: every logical address space (original or fork) is simulated by
 a plain ``bytearray``.  After any interleaving of writes and forks, every
 space must read back exactly its own model's bytes — i.e. copy-on-write is
 observationally equivalent to eager copying.  Every cached translation
-must also agree with the page table, since forks keep them.
+must also agree with the page table, since forks keep them.  A fork
+shares its parent's page table and translation cache until its first
+change, so spaces that share a table must share its cache, a writable
+translation may sit only in a cache its space holds alone, and no live
+space may read a table that was freed.  Two seeded mutants -- a write
+fault that skips the unshare, and a free that releases a table another
+space still shares -- must make the machine fail.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.mem import AddressSpace, FramePool, PAGE_SIZE, Permission, ProtectionError
 from repro.mem.layout import LEVELS
@@ -44,6 +56,23 @@ def assert_translations_match(space):
             assert frame.refcount == 1, f"writable {vpn:#x} maps a shared frame"
             assert [n.refcount for n in path_nodes(space.table, vpn)] == (
                 [1] * LEVELS), f"writable {vpn:#x} sits under a shared node"
+
+
+def assert_table_held(space):
+    """A live space's page table was not freed under it."""
+    assert space.table._root is not None, f"space {space.asid} holds a freed table"
+
+
+def assert_sharing_sound(space, live):
+    """Among the *live* spaces, those that share *space*'s page table are
+    exactly those that share its translation cache, and if there are
+    others, the cache holds no writable translation."""
+    holders = [s for s in live if s.table is space.table]
+    assert holders == [s for s in live if s.tlb is space.tlb], (
+        "spaces share a page table without its cache, or the reverse")
+    if len(holders) > 1:
+        assert not any(w for _frame, _perms, w in space.tlb.values()), (
+            f"a cache {len(holders)} spaces share holds a writable translation")
 
 
 offsets = st.integers(min_value=0, max_value=REGION_SIZE - 1)
@@ -199,6 +228,7 @@ class CowEquivalence(RuleBasedStateMachine):
         for space, model in zip(self.spaces, self.models):
             if space is None:
                 continue
+            assert_table_held(space)
             # Check a few whole pages rather than the full region per step.
             for page in (0, REGION_PAGES // 2, REGION_PAGES - 1):
                 off = page * PAGE_SIZE
@@ -208,9 +238,11 @@ class CowEquivalence(RuleBasedStateMachine):
 
     @invariant()
     def translations_match_page_tables(self):
-        for space in self.spaces:
-            if space is not None:
-                assert_translations_match(space)
+        live = [s for s in self.spaces if s is not None]
+        for space in live:
+            assert_table_held(space)
+            assert_translations_match(space)
+            assert_sharing_sound(space, live)
 
     @invariant()
     def frame_accounting_sane(self):
@@ -231,6 +263,49 @@ CowEquivalence.TestCase.settings = settings(
     max_examples=30, stateful_step_count=30, deadline=None
 )
 TestCowEquivalence = CowEquivalence.TestCase
+
+
+# -- seeded mutants: the machine must catch each -------------------------
+
+
+def write_fault_without_unshare(monkeypatch):
+    """Mutant: a write fault changes the table a fork still shares."""
+    frame_for = AddressSpace._frame_for
+
+    def mutant(self, vpn, needed):
+        self.own_table = lambda: self.table
+        try:
+            return frame_for(self, vpn, needed)
+        finally:
+            del self.own_table
+
+    monkeypatch.setattr(AddressSpace, "_frame_for", mutant)
+
+
+def free_releasing_a_shared_table(monkeypatch):
+    """Mutant: a free releases the table although a fork still holds it."""
+
+    def mutant(self):
+        if self._freed:
+            return
+        self._freed = True
+        self._share.count -= 1
+        self.table.free()
+        self.tlb.clear()
+
+    monkeypatch.setattr(AddressSpace, "free", mutant)
+
+
+@pytest.mark.parametrize(
+    "seed_mutant", [write_fault_without_unshare, free_releasing_a_shared_table])
+def test_the_machine_catches_a_seeded_mutant(seed_mutant, monkeypatch):
+    seed_mutant(monkeypatch)
+    with pytest.raises(AssertionError):
+        # No shrinking: finding the failure is the point, not its minimum.
+        run_state_machine_as_test(CowEquivalence, settings=settings(
+            max_examples=200, stateful_step_count=30, deadline=None,
+            database=None, derandomize=True, phases=[Phase.generate],
+        ))
 
 
 @given(

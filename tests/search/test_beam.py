@@ -26,9 +26,11 @@ def drain(strategy):
 class TestBeamStrategy:
     def test_width_enforced_per_depth(self):
         beam = BeamStrategy(width=2)
-        beam.add(batch("a", 5, depth=0, hints=[5.0, 1.0, 4.0, 0.5, 3.0]))
+        dropped = beam.add(batch("a", 5, depth=0, hints=[5.0, 1.0, 4.0, 0.5, 3.0]))
         assert len(beam) == 2
         assert beam.stats.dropped == 3
+        # add() hands back what it dropped, so the caller can release it.
+        assert sorted(e.number for e in dropped) == [0, 2, 4]
         kept = sorted(e.number for e in drain(beam))
         assert kept == [1, 3]  # the two best hints
 

@@ -98,9 +98,11 @@ class TestBestFirst:
 class TestSMAStar:
     def test_respects_capacity(self):
         s = SMAStarStrategy(capacity=3)
-        s.add(batch("c", 10, hints=list(range(10))))
+        dropped = s.add(batch("c", 10, hints=list(range(10))))
         assert len(s) == 3
         assert s.stats.dropped == 7
+        # add() hands back what it dropped, so the caller can release it.
+        assert sorted(e.number for e in dropped) == list(range(3, 10))
 
     def test_keeps_best(self):
         s = SMAStarStrategy(capacity=2)

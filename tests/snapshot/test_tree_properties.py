@@ -2,7 +2,12 @@
 
 Random interleavings of take (under a live parent or none), pin, unpin,
 restore-write-free and discard run against a small reference model of
-the snapshot tree.  After every step:
+the snapshot tree.  Restored spaces can also be kept across later steps,
+written and snapshotted again, the way the symbolic-execution backend
+takes, restores n times and discards: a restored space holds its
+snapshot's page table until its first change, so ``unpin`` and
+``discard`` can prune a snapshot whose table a kept space still holds.
+After every step:
 
 * a snapshot is live exactly when it was taken and not discarded;
 * the tree discards a snapshot exactly when its pins reach zero while it
@@ -10,12 +15,18 @@ the snapshot tree.  After every step:
 * pins never go negative, and ``stats.pruned`` counts the model's prunes;
 * no live snapshot's ``children`` holds a discarded snapshot -- the shape
   of Silhouette's NOVA bug 8 (SNIPPETS.md: traversing snapshots fails
-  after a snapshot is removed).
+  after a snapshot is removed);
+* every live snapshot maps the frames it mapped at its take and reads
+  the bytes it held then, whatever its restored spaces wrote; every kept
+  space reads its own writes and no sibling's; and no live snapshot or
+  kept space maps a freed frame.
 
-Teardown unpins everything; then nothing is live and the pool holds only
-the base space's frames.  Two seeded mutants of ``unpin`` -- a prune that
-ignores live children and an unpin that does not cascade -- must make
-the machine fail.
+Teardown frees the kept spaces and unpins everything; then nothing is
+live and the pool holds only the base space's frames.  The machine also
+runs over the dirty-eager manager, whose restore privatises pages
+behind the restored space.  Two seeded mutants of ``unpin`` -- a prune
+that ignores live children and an unpin that does not cascade -- must
+make the machine fail.
 """
 
 import pytest
@@ -28,11 +39,20 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.baselines.dirty import DirtyEagerSnapshotManager
 from repro.mem import AddressSpace, PAGE_SIZE, Permission
 from repro.snapshot import SnapshotManager, SnapshotTree
 
 BASE = 0x40_0000
 PAGES = 4
+SIZE = PAGES * PAGE_SIZE
+#: At most this many restored spaces are kept at once.
+KEPT = 6
+
+
+def frames_of(space):
+    """The frames *space*'s page table maps, by page."""
+    return [(vpn, pte.frame) for vpn, pte in space.table.items()]
 
 
 class PinModel:
@@ -63,17 +83,30 @@ class PinModel:
 
 class PinPruneMachine(RuleBasedStateMachine):
     tree_class = SnapshotTree
+    manager_class = SnapshotManager
 
     @initialize()
     def setup(self):
-        self.manager = SnapshotManager()
+        self.manager = self.manager_class()
         self.tree = self.tree_class(self.manager)
         self.base = AddressSpace(self.manager.pool)
-        self.base.map_region(BASE, PAGES * PAGE_SIZE, Permission.RW)
+        self.base.map_region(BASE, SIZE, Permission.RW)
         self.base.write(BASE, b"base")
         self.base_frames = self.manager.pool.live_frames
         self.snaps = []
         self.model = PinModel()
+        #: sid -> (the bytes, the frames) the snapshot held at its take.
+        self.taken = {}
+        #: Restored spaces kept across steps, with their byte models.
+        self.kept = []
+
+    def _take(self, space, parent=None):
+        image = (space.read(BASE, SIZE), frames_of(space))
+        snap = self.manager.take(space, parent=parent)
+        self.taken[snap.sid] = image
+        self.snaps.append(snap)
+        self.model.take(snap.sid, parent.sid if parent is not None else None)
+        return snap
 
     def _live(self, idx):
         live = [s for s in self.snaps if s.alive]
@@ -88,14 +121,12 @@ class PinPruneMachine(RuleBasedStateMachine):
             return
         parent = self._live(idx) if under_parent else None
         if parent is None:
-            snap = self.manager.take(self.base)
+            self._take(self.base)
         else:
             _regs, space, _files = self.manager.restore(parent)
             space.write(BASE + page * PAGE_SIZE, bytes([len(self.snaps)]))
-            snap = self.manager.take(space, parent=parent)
+            self._take(space, parent)
             space.free()
-        self.snaps.append(snap)
-        self.model.take(snap.sid, parent.sid if parent is not None else None)
 
     @rule(idx=st.integers(0, 63), count=st.integers(1, 3))
     def pin(self, idx, count):
@@ -120,6 +151,34 @@ class PinPruneMachine(RuleBasedStateMachine):
             space.free()
 
     @rule(idx=st.integers(0, 63))
+    def restore_and_keep(self, idx):
+        snap = self._live(idx)
+        if snap is not None and len(self.kept) < KEPT:
+            _regs, space, _files = self.manager.restore(snap)
+            self.kept.append((space, bytearray(self.taken[snap.sid][0])))
+
+    @rule(idx=st.integers(0, 63), offset=st.integers(0, SIZE - 1),
+          data=st.binary(min_size=1, max_size=64))
+    def write_kept(self, idx, offset, data):
+        if self.kept:
+            space, model = self.kept[idx % len(self.kept)]
+            data = data[: SIZE - offset]
+            space.write(BASE + offset, data)
+            model[offset : offset + len(data)] = data
+
+    @rule(idx=st.integers(0, 63))
+    def take_from_kept(self, idx):
+        """The caller keeps its space: it may write on after the take."""
+        if self.kept and len(self.snaps) < 12:
+            self._take(self.kept[idx % len(self.kept)][0])
+
+    @rule(idx=st.integers(0, 63))
+    def free_kept(self, idx):
+        if self.kept:
+            space, _model = self.kept.pop(idx % len(self.kept))
+            space.free()
+
+    @rule(idx=st.integers(0, 63))
     def discard(self, idx):
         snap = self._live(idx)
         if snap is not None:
@@ -140,9 +199,30 @@ class PinPruneMachine(RuleBasedStateMachine):
         assert stats.pruned == model.prunes
         assert stats.live == len(model.live)
 
+    @invariant()
+    def snapshots_keep_what_they_took(self):
+        for snap in self.snaps:
+            if snap.alive:
+                data, frames = self.taken[snap.sid]
+                assert frames_of(snap.space) == frames, "a snapshot's table changed"
+                assert snap.space.read(BASE, SIZE) == data
+
+    @invariant()
+    def kept_spaces_read_their_own_writes(self):
+        for space, model in self.kept:
+            assert space.read(BASE, SIZE) == model
+
+    @invariant()
+    def no_live_space_maps_a_freed_frame(self):
+        live = [s.space for s in self.snaps if s.alive]
+        for space in live + [space for space, _model in self.kept]:
+            assert all(frame.refcount > 0 for _vpn, frame in frames_of(space))
+
     def teardown(self):
         if not hasattr(self, "snaps"):
             return
+        for space, _model in self.kept:
+            space.free()
         # Children were taken after their parents: unpin newest first.
         for snap in reversed(self.snaps):
             while snap.alive:
@@ -156,6 +236,14 @@ PinPruneMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
 TestPinPrune = PinPruneMachine.TestCase
+
+
+class DirtyEagerPinPruneMachine(PinPruneMachine):
+    manager_class = DirtyEagerSnapshotManager
+
+
+DirtyEagerPinPruneMachine.TestCase.settings = PinPruneMachine.TestCase.settings
+TestDirtyEagerPinPrune = DirtyEagerPinPruneMachine.TestCase
 
 
 # -- seeded mutants: the machine must catch each -------------------------
@@ -189,6 +277,6 @@ def test_the_machine_catches_a_seeded_mutant(mutant):
     with pytest.raises(AssertionError):
         # No shrinking: finding the failure is the point, not its minimum.
         run_state_machine_as_test(machine, settings=settings(
-            max_examples=200, stateful_step_count=30, deadline=None,
+            max_examples=200, stateful_step_count=50, deadline=None,
             database=None, derandomize=True, phases=[Phase.generate],
         ))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.search import BeamStrategy, DFSStrategy, SMAStarStrategy
 from repro.symex import SnapshotBackend, SWCowBackend, SymbolicExplorer
 from repro.symex.expr import SymVar
 from repro.symex.programs import (
@@ -160,6 +161,18 @@ class TestMemoryReclamation:
         SymbolicExplorer(src, sym, backend=backend).run()
         # All states released: only the shared zero frame may remain.
         assert backend.pool.live_frames <= 1
+
+    @pytest.mark.parametrize("strategy", [
+        BeamStrategy(width=1), SMAStarStrategy(capacity=2), DFSStrategy()],
+        ids=lambda s: s.name)
+    def test_a_bounded_frontier_releases_what_it_drops(self, strategy):
+        # A state the strategy drops to make room is released like any
+        # other, so the run ends like DFS's: only the zero frame.
+        backend = SnapshotBackend()
+        SymbolicExplorer(*branch_tree(4), backend=backend,
+                         strategy=strategy).run()
+        assert (strategy.stats.dropped > 0) == (strategy.name != "dfs")
+        assert backend.pool.live_frames == 1
 
     def test_swcow_backend_releases_pages(self):
         src, sym = branch_tree(5)
