@@ -262,10 +262,6 @@ class ControlFlowGraph:
     def insn_count(self) -> int:
         return len(self.insns)
 
-    @property
-    def decoded_bytes(self) -> int:
-        return sum(insn.length for insn in self.insns.values())
-
 
 def build_cfg(program: Program) -> ControlFlowGraph:
     """Decode *program* and build its control-flow graph."""

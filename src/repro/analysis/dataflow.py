@@ -763,9 +763,6 @@ class DataflowResult:
             if s.number == sysno.SYS_WRITE
         )
 
-    def feasible_blocks(self) -> set[int]:
-        return set(self.block_in)
-
     # -- guess-scope reachability --------------------------------------
 
     def blocks_before_first_guess(self) -> set[int]:

@@ -272,9 +272,6 @@ class AnalysisReport:
             return 1
         return 0
 
-    def by_lint(self, lint_id: str) -> list[Finding]:
-        return [f for f in self.findings if f.lint_id == lint_id]
-
     # -- rendering -----------------------------------------------------
 
     def render_human(self) -> str:

@@ -225,9 +225,11 @@ class _SubtreeWorker:
         self._frames_copied = self.registry.counter("mem.frames_copied")
         self._spills_counter = self.registry.counter("parallel.worker_spills")
         self._last_copied = 0
-        #: Heartbeat hook called between VM exits (set by
+        #: Heartbeat hook called at every path boundary (set by
         #: ``_worker_main`` when live telemetry is on; it is rate-limited
-        #: internally, so calling it often is cheap).
+        #: internally, so calling it often is cheap).  The live step
+        #: counters it ships grow when a path ends, so a beat shows
+        #: progress once a path has ended since the previous beat.
         self.heartbeat: Optional[Callable[[], None]] = None
         # Guest strategy selection is coordinator policy in the cluster
         # engine: the stepper acknowledges and ignores it.
@@ -299,8 +301,16 @@ class _SubtreeWorker:
         self._spilled = spilled = []
         self._explored = 0
 
-        self._run(stepper.boot(self.program, task.prefix, task.fanouts))
+        pending = stepper.boot(self.program, task.prefix, task.fanouts)
         while True:
+            # One call runs the path to its boundary; its steps count
+            # when it ends.
+            stepper.step(pending)
+            replayed = pending.replay_steps
+            fresh = pending.steps_used - replayed
+            self._replay_counter.inc(replayed)
+            self._steps_counter.inc(fresh)
+            self._explored += fresh
             if self.heartbeat is not None:
                 self.heartbeat()
             if self._over_budget(0):
@@ -308,7 +318,7 @@ class _SubtreeWorker:
             ext = stepper.strategy.next()
             if ext is None:
                 break
-            self._run(stepper.resume(ext))
+            pending = stepper.resume(ext)
 
         # Convert whatever local frontier remains into replayable tasks
         # and unwind its pins so the snapshot tree (and its frames) die.
@@ -333,24 +343,6 @@ class _SubtreeWorker:
         if spilled:
             self._spills_counter.inc(len(spilled))
         return [(s.path, *s.value) for s in solutions], spilled
-
-    def _run(self, pending: Pending) -> None:
-        """Step *pending* to its boundary one VM exit at a time, keeping
-        the live step counters and the heartbeat current."""
-        step = self.stepper.step
-        while True:
-            used, replayed = pending.steps_used, pending.replay_steps
-            outcome = step(pending, once=True)
-            replay = pending.replay_steps - replayed
-            if replay:
-                self._replay_counter.inc(replay)
-            else:
-                self._steps_counter.inc(pending.steps_used - used)
-            if outcome is not None:
-                break
-            if self.heartbeat is not None:
-                self.heartbeat()
-        self._explored += pending.steps_used - pending.replay_steps
 
     def _over_budget(self, fresh: int) -> bool:
         """Whether the task is out of budget once *fresh* more explored
@@ -540,34 +532,22 @@ def tcp_worker(host: str, port: int) -> None:
 
 
 class _WorkerHandle:
-    __slots__ = ("ep", "slot", "pending", "last_progress", "want")
+    """A worker's endpoint and slot; what it owes and when it last made
+    progress live in the coordinator's :class:`LeaseTable`."""
+
+    __slots__ = ("ep", "slot", "want")
 
     def __init__(self, ep, slot: WorkerSlot):
         #: The transport endpoint this worker is reached through.
         self.ep = ep
         #: The supervisor slot this worker occupies.
         self.slot = slot
-        #: Leased tasks dispatched and not yet settled, in worker order
-        #: (each carries the fence it travelled under).
-        self.pending: list[PrefixTask] = []
-        self.last_progress = time.monotonic()
         #: Outstanding steal capacity (0 = no unfulfilled steal).
         self.want = 0
 
     @property
     def wid(self) -> int:
         return self.ep.wid
-
-    @property
-    def busy(self) -> bool:
-        return bool(self.pending)
-
-    def take(self, key: tuple, fence: int) -> Optional[PrefixTask]:
-        """Remove and return the pending task granted as (key, fence)."""
-        for i, task in enumerate(self.pending):
-            if task.key() == key and task.fence == fence:
-                return self.pending.pop(i)
-        return None
 
 
 class ProcessParallelEngine:
@@ -589,8 +569,9 @@ class ProcessParallelEngine:
         remainder back (see :class:`ClusterConfig`).
     task_timeout:
         Per-task wall-clock limit in seconds (> 0).  A worker that makes
-        no progress for this long is killed and its unreported tasks are
-        retried elsewhere (None disables the timeout).
+        no progress (as :mod:`repro.core.lease` defines it) for this
+        long is killed and its unreported tasks are retried elsewhere
+        (None disables the timeout).
     max_task_retries:
         How many times a task lost to a crash or timeout is re-dispatched
         before being dropped (a drop marks the result not exhausted).
@@ -692,8 +673,8 @@ class ProcessParallelEngine:
         :attr:`transport_address` once :meth:`run` is underway.
     lease_timeout:
         Seconds a dispatched task's lease lives without observed
-        progress before the coordinator re-dispatches it (the late
-        result, if any, is fenced off and discarded).  ``None``
+        progress by its worker before the coordinator re-dispatches it
+        (the late result, if any, is fenced off and discarded).  ``None``
         (default) derives 1.5 × *task_timeout* — the stall detector
         fires first and remains the primary recovery path; the lease is
         the backstop for results lost in flight and for partitioned
@@ -1106,14 +1087,11 @@ class _Coordinator:
                             _events.PARALLEL_RESPAWN, worker=handle.wid,
                             slot=slot.index, failures=slot.failures,
                         )
-                if self.sup.collapsed() and (
-                    self.frontier
-                    or any(h.busy for h in self.handles.values())
-                ):
+                if self.sup.collapsed() and (self.frontier or self.leases):
                     self._degrade()
             self._dispatch()
 
-            busy = any(h.busy for h in self.handles.values())
+            busy = bool(self.leases)
             if not busy and not self.frontier:
                 break  # frontier exhausted, nothing in flight
             timeout = poll
@@ -1127,7 +1105,6 @@ class _Coordinator:
                 if due is not None:
                     timeout = min(poll, max(0.0, due - time.monotonic()))
             events = self.transport.poll(max(0.0, timeout))
-            now = time.monotonic()
             while self.wire_events:
                 kind, f = self.wire_events.popleft()
                 if kind == "net_fault" and _TRACER.enabled:
@@ -1137,28 +1114,25 @@ class _Coordinator:
                         worker=f.get("worker"), seq=f.get("seq"),
                     )
             for ev in events:
-                self._on_event(ev, now)
+                self._on_event(ev)
             for slot in self.sup.slots:
                 handle = self.handles.get(slot.index)
-                if handle is None or not handle.busy:
+                if handle is None or not self.leases.busy(handle.wid):
                     continue  # failed or drained earlier this sweep
                 if not handle.ep.alive():
                     self._fail(handle, "crash", "worker process died")
                 elif (
                     e.task_timeout is not None
-                    and now - handle.last_progress > e.task_timeout
+                    and self.leases.quiet(handle.wid) > e.task_timeout
                 ):
                     self._fail(handle, "timeout",
                                f"no progress for {e.task_timeout:.1f}s")
             # Lease expiry is the *backstop* behind the stall detector
             # above (leases outlive the task timeout by design): it
             # fires when results were lost in flight or a partitioned
-            # worker still looks alive.  The expired fence is retired;
+            # worker still looks alive.  The expired fences are retired;
             # whatever the old holder eventually delivers settles stale.
-            for lease in self.leases.expired(now):
-                holder = self.by_wid.get(lease.wid)
-                if holder is not None:
-                    holder.take(lease.key, lease.fence)
+            for lease in self.leases.expired():
                 self._expire(lease.task, lease.wid, "lease expired")
 
         if self.stop_reason is None and self.poisoned:
@@ -1196,7 +1170,7 @@ class _Coordinator:
         construction); the transport's close poisons the idle ones and
         reaps every local process."""
         for handle in self.handles.values():
-            if handle.busy:
+            if self.leases.busy(handle.wid):
                 handle.ep.kill()
         self.transport.close()
 
@@ -1209,10 +1183,8 @@ class _Coordinator:
         self._close_transport()
         # Requeue in-flight tasks untouched and fence off every live
         # lease: nothing the old pool still delivers can count.
-        for handle in self.handles.values():
-            for task in handle.pending:
-                self._lose(task, suspect=False)
-        self.leases.drain()
+        for lease in self.leases.drain():
+            self._lose(lease.task, suspect=False)
         self.handles.clear()
         self.by_wid.clear()
         self.steal_queue.clear()
@@ -1252,7 +1224,7 @@ class _Coordinator:
         e = self.engine
         while self.steal_queue and self.frontier:
             handle = self.by_wid.get(self.steal_queue.popleft())
-            if handle is None or handle.busy:
+            if handle is None or self.leases.busy(handle.wid):
                 continue  # died or was re-dispatched meanwhile
             if handle.slot.state is not SlotState.RUNNING:
                 continue
@@ -1265,8 +1237,6 @@ class _Coordinator:
                 self.leases.grant(task, handle.wid).task
                 for task in self.frontier.take_batch(want)
             ]
-            handle.pending = list(granted)
-            handle.last_progress = time.monotonic()
             try:
                 handle.ep.send(("work", granted, self._remaining(),
                                 self._batch_events(granted)))
@@ -1297,7 +1267,7 @@ class _Coordinator:
                 picked[event.key()] = event
         return list(picked.values())
 
-    def _on_event(self, ev, now: float) -> None:
+    def _on_event(self, ev) -> None:
         """Account one transport event."""
         if ev.kind == "join":
             # An external (or resurfaced) worker completed the
@@ -1335,8 +1305,8 @@ class _Coordinator:
                        f"malformed result message {msg!r}"[:200])
             return
         if msg[0] == "steal":
-            if handle.busy:
-                if now - handle.last_progress < _STEAL_REANNOUNCE_S:
+            if self.leases.busy(handle.wid):
+                if self.leases.quiet(handle.wid) < _STEAL_REANNOUNCE_S:
                     # Sent before our latest dispatch reached the worker
                     # (the two crossed in flight): it will steal again
                     # once that batch is done.
@@ -1346,12 +1316,9 @@ class _Coordinator:
                 # (dropped frames, a reconnect).  Reclaim eagerly — the
                 # requeue re-executes, and the revoked fences turn any
                 # late duplicate delivery into a discarded stale.
-                tasks, handle.pending = handle.pending, []
-                for task in tasks:
-                    lease = self.leases.revoke(task.key())
-                    if lease is not None and lease.fence == task.fence:
-                        self._expire(task, handle.wid,
-                                     "steal while leases held")
+                for lease in self.leases.revoke_worker(handle.wid):
+                    self._expire(lease.task, handle.wid,
+                                 "steal while leases held")
             handle.want = msg[2]
             if handle.wid not in self.steal_queue:
                 self.steal_queue.append(handle.wid)
@@ -1365,13 +1332,11 @@ class _Coordinator:
             progressed = self.status.observe_heartbeat(record)
             if self.flight is not None and record.events:
                 self.flight.extend(handle.wid, record.events)
-            if progressed and handle.busy:
-                # The worker's step counter grew: its task is alive,
-                # defer the stall timeout.  (A stalled worker cannot
-                # beat, so real stalls still trip it.)  Leases ride the
-                # same signal — observed progress renews ownership.
-                handle.last_progress = now
-                self.leases.extend_worker(handle.wid, now)
+            if progressed:
+                # The worker's step counter grew: its task is alive, so
+                # the stall timeout and its leases start over.  (A
+                # stalled worker cannot beat, so real stalls still trip.)
+                self.leases.progress(handle.wid)
         elif msg[0] == "error":
             if str(msg[2]).startswith("ReplayDivergenceError:"):
                 # Surface a worker's replay divergence as itself: callers
@@ -1380,17 +1345,17 @@ class _Coordinator:
                 raise ReplayDivergenceError(f"worker {msg[1]}: {msg[2]}")
             raise WorkerError(msg[1], msg[2])
         else:
-            self._settle(handle, msg, now)
+            self._settle(handle, msg)
 
-    def _settle(self, handle: _WorkerHandle, msg: tuple, now: float) -> None:
+    def _settle(self, handle: _WorkerHandle, msg: tuple) -> None:
         """Account one ``task`` result: fence check, registry merge,
         status, spills, nondet events, the ``complete`` record,
         solutions and the trace splice."""
         (_kind, _wid, key, fence, task_solutions, spilled,
          state, segment, fresh_events) = msg
         key = tuple(key)
-        handle.last_progress = now
-        if self.leases.settle(key, fence) == "stale":
+        completed = self.leases.settle(key, fence, handle.wid)
+        if completed is None:
             # A fenced-off result: the lease expired (or the worker was
             # declared down) and the task was re-dispatched, or this is
             # a duplicated delivery.  Discard it *wholesale* — no
@@ -1403,17 +1368,15 @@ class _Coordinator:
             if _TRACER.enabled:
                 _TRACER.emit(_events.PARALLEL_FENCED_STALE,
                              worker=handle.wid, task=list(key), fence=fence)
-            handle.take(key, fence)
             return
-        completed = handle.take(key, fence)
         self.completed_keys.add(key)
         self.sup.record_success(handle.slot)
         self.c_done.inc()
         self.c_spilled.inc(len(spilled))
         self.reg.merge_state(state)
         self.status.on_task_complete(
-            handle.wid, completed.fanouts if completed is not None else (),
-            len(task_solutions), [t.fanouts for t in spilled],
+            handle.wid, completed.task.fanouts, len(task_solutions),
+            [t.fanouts for t in spilled],
         )
         for child in spilled:
             if child.key() in self.completed_keys:
@@ -1432,12 +1395,7 @@ class _Coordinator:
                 "nondet", events=[e.to_record() for e in fresh_events]
             )
         self._journal(
-            "complete",
-            task=(
-                completed.to_record() if completed is not None
-                else {"prefix": list(key), "fanouts": []}
-            ),
-            worker=handle.wid,
+            "complete", task=completed.task.to_record(), worker=handle.wid,
             solutions=[[list(path), status, text]
                        for path, status, text in task_solutions],
             spilled=[t.to_record() for t in spilled],
@@ -1466,10 +1424,12 @@ class _Coordinator:
     def _fail(self, handle: _WorkerHandle, kind: str,
               detail: str = "") -> None:
         """Account one worker death: blame, requeue, schedule respawn."""
-        # Workers run their batch in dispatch order and report per task,
-        # so the first unreported task is the one that was executing:
-        # the suspect.
-        suspect = handle.pending[0] if handle.pending else None
+        # Fence off everything the worker still owed us: whatever it
+        # delivers from here on settles as stale.  Workers run their
+        # batch in grant order and report per task, so the first lease
+        # owed is the task that was executing: the suspect.
+        owed = [lease.task for lease in self.leases.revoke_worker(handle.wid)]
+        suspect = owed[0] if owed else None
         if self.flight is not None:
             self.flight.record_failure(
                 handle.wid, kind, detail,
@@ -1491,9 +1451,6 @@ class _Coordinator:
         # now-stale fences) is exactly the case the lease table exists
         # for.  Either way the transport's close reaps the process.
         handle.ep.kill()
-        # Fence off everything the worker still owed us: whatever it
-        # delivers from here on settles as stale.
-        self.leases.revoke_worker(handle.wid)
         decision = self.sup.record_failure(
             handle.slot, handle.wid, kind,
             suspect.key() if suspect is not None else None, detail,
@@ -1513,9 +1470,8 @@ class _Coordinator:
                     )
             else:
                 requeued += self._lose(suspect)
-            for task in handle.pending[1:]:
+            for task in owed[1:]:
                 requeued += self._lose(task, suspect=False)
-        handle.pending = []
         self.handles.pop(handle.slot.index, None)
         if self.by_wid.get(handle.wid) is handle:
             del self.by_wid[handle.wid]
@@ -1564,7 +1520,8 @@ class _Coordinator:
         for entry in health:
             handle = self.handles.get(entry["slot"])
             entry["worker"] = handle.wid if handle is not None else None
-            entry["busy"] = bool(handle is not None and handle.busy)
+            entry["busy"] = (handle is not None
+                             and self.leases.busy(handle.wid))
         return health
 
     def _refresh(self, force: bool = False) -> None:
@@ -1579,7 +1536,7 @@ class _Coordinator:
         self.status.refresh(
             self.reg.state_dict(),
             pending=len(self.frontier),
-            in_flight=sum(len(h.pending) for h in self.handles.values()),
+            in_flight=len(self.leases),
             solutions=len(self.solutions),
             health=self._health(),
         )

@@ -13,16 +13,27 @@ The classic fix (Chubby/GFS lineage) is leases plus fencing:
 * every dispatched task carries a **fencing token** drawn from one
   strictly monotonic counter; the :class:`LeaseTable` remembers which
   token is the *live* one per task key;
-* a lease that sees no progress for its duration **expires**: the task
-  is requeued and its next grant gets a higher token;
+* a worker that makes no progress for the lease duration loses every
+  lease it holds (**expiry**): the tasks are requeued and their next
+  grants get higher tokens;
 * a result is accepted only if its token matches the live lease
-  (:meth:`settle` → ``"ok"``).  Anything else — expired lease, earlier
-  grant, duplicated delivery, already-settled key — is **stale** and the
-  engine discards it wholesale: no registry merge, no solutions, no
-  spills, no journal ``complete``.  The re-execution elsewhere is the
-  only accounting of that subtree, so the solution multiset and step
-  counts match the sequential run exactly even when a presumed-dead
-  worker resurfaces.
+  (:meth:`settle` returns the lease it consumed).  Anything else —
+  expired lease, earlier grant, duplicated delivery, already-settled
+  key — is **stale** and the engine discards it wholesale: no registry
+  merge, no solutions, no spills, no journal ``complete``.  The
+  re-execution elsewhere is the only accounting of that subtree, so the
+  solution multiset and step counts match the sequential run exactly
+  even when a presumed-dead worker resurfaces.
+
+The table is also the coordinator's one record of each worker's
+progress: which tasks the worker owes, in grant order, and when it last
+made **progress**: a grant, any task result it delivers (a stale one
+too: the worker has moved on through its batch), or a heartbeat whose
+step counter grew.  Every per-worker decision reads it: busy or idle,
+the stall timeout, expiry, the steal re-announce window, and the
+suspect of a failure (the first lease owed, which is the task the
+worker was running, since workers run a batch in grant order and report
+per task).
 
 The table is pure bookkeeping over an injected clock (deterministic
 tests); it never talks to workers or timers itself.
@@ -32,32 +43,32 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.search.shard import PrefixTask
 
 
 @dataclass
 class Lease:
-    """One live grant: *task* owned by *wid* until *expires_at*."""
+    """One live grant: *task*, stamped with *fence*, owed by *wid*."""
 
     key: tuple
     fence: int
     wid: int
     task: PrefixTask
-    granted_at: float
-    expires_at: Optional[float]  # None = no expiry (leases disabled)
 
 
 class LeaseTable:
-    """Ownership registry: one live lease per task key, fenced.
+    """Ownership registry: one live lease per task key, fenced, and each
+    worker's leases in grant order with the time of its last progress.
 
     Parameters
     ----------
     duration:
-        Lease lifetime in seconds; ``None`` disables expiry (fencing
-        still applies — late results from failed workers are still
-        refused, they just are not *timed* out).
+        Seconds a worker may go without progress before its leases
+        expire; ``None`` disables expiry (fencing still applies — late
+        results from failed workers are still refused, they just are not
+        *timed* out).
     start_fence:
         First token to hand out; a resumed coordinator seeds this past
         the journal's highest recorded fence so tokens stay monotonic
@@ -77,6 +88,10 @@ class LeaseTable:
         self._clock = clock
         self._next_fence = start_fence
         self._live: dict[tuple, Lease] = {}
+        #: wid -> its live leases by key, in grant order.
+        self._owed: dict[int, dict[tuple, Lease]] = {}
+        #: wid -> clock reading of its last progress.
+        self._progress: dict[int, float] = {}
 
     # -- queries -------------------------------------------------------
 
@@ -92,9 +107,24 @@ class LeaseTable:
         return lease.wid if lease is not None else None
 
     def owned_by(self, wid: int) -> list[Lease]:
-        return [l for l in self._live.values() if l.wid == wid]
+        """*wid*'s live leases in grant order."""
+        return list(self._owed.get(wid, {}).values())
+
+    def busy(self, wid: int) -> bool:
+        """Whether *wid* owes any task."""
+        return wid in self._owed
+
+    def quiet(self, wid: int) -> float:
+        """Seconds since *wid* last made progress (0 for a worker the
+        table holds no record of)."""
+        now = self._clock()
+        return now - self._progress.get(wid, now)
 
     # -- transitions ---------------------------------------------------
+
+    def progress(self, wid: int) -> None:
+        """Record progress by *wid*: all its leases start a new duration."""
+        self._progress[wid] = self._clock()
 
     def grant(self, task: PrefixTask, wid: int) -> Lease:
         """Lease *task* to *wid* under a fresh fencing token.
@@ -102,76 +132,69 @@ class LeaseTable:
         Returns the lease; ``lease.task`` is the task with its ``fence``
         field stamped — that copy is what travels to the worker and what
         the journal records.  Granting a key that is already live
-        supersedes the old lease (its token is fenced off).
+        supersedes the old lease (its token is fenced off) and puts the
+        new one last in *wid*'s grant order.  A grant is progress.
         """
         fence = self._next_fence
         self._next_fence += 1
-        now = self._clock()
-        lease = Lease(
-            key=task.key(),
-            fence=fence,
-            wid=wid,
-            task=task._replace(fence=fence),
-            granted_at=now,
-            expires_at=(None if self.duration is None
-                        else now + self.duration),
-        )
+        lease = Lease(key=task.key(), fence=fence, wid=wid,
+                      task=task._replace(fence=fence))
+        self._drop(lease.key)
         self._live[lease.key] = lease
+        self._owed.setdefault(wid, {})[lease.key] = lease
+        self.progress(wid)
         return lease
 
-    def settle(self, key: tuple, fence: int) -> str:
-        """Account a result for (*key*, *fence*): ``"ok"`` or ``"stale"``.
+    def settle(self, key: tuple, fence: int, wid: int) -> Optional[Lease]:
+        """Account a result *wid* delivered for (*key*, *fence*).
 
-        ``"ok"`` consumes the lease; any later settle of the same key is
-        stale by construction (no live lease), so a duplicated result
-        delivery can never double-count.
+        Any result is progress for *wid*.  Returns the lease the result
+        consumed, or ``None`` when it is stale; once consumed, any later
+        settle of the same key is stale by construction (no live lease),
+        so a duplicated result delivery can never double-count.
         """
+        self.progress(wid)
         key = tuple(key)
         lease = self._live.get(key)
         if lease is None or lease.fence != fence:
-            return "stale"
-        del self._live[key]
-        return "ok"
-
-    def revoke(self, key: tuple) -> Optional[Lease]:
-        """Drop the live lease for *key* (its token becomes stale)."""
-        return self._live.pop(tuple(key), None)
+            return None
+        self._drop(key)
+        return lease
 
     def revoke_worker(self, wid: int) -> list[Lease]:
-        """Drop every live lease owned by *wid* (worker declared down)."""
-        mine = [l for l in self._live.values() if l.wid == wid]
-        for lease in mine:
-            del self._live[lease.key]
-        return mine
+        """Drop every lease *wid* owes, returned in grant order (worker
+        declared down, its results lost, or its leases expired)."""
+        owed = self._owed.pop(wid, {})
+        for key in owed:
+            del self._live[key]
+        self._progress.pop(wid, None)
+        return list(owed.values())
 
-    def extend_worker(self, wid: int,
-                      now: Optional[float] = None) -> None:
-        """Push out expiry for *wid*'s leases (observed progress)."""
-        if self.duration is None:
-            return
-        if now is None:
-            now = self._clock()
-        deadline = now + self.duration
-        for lease in self._live.values():
-            if lease.wid == wid:
-                lease.expires_at = deadline
-
-    def expired(self, now: Optional[float] = None) -> list[Lease]:
-        """Pop and return every lease past its deadline."""
+    def expired(self) -> list[Lease]:
+        """Pop and return the leases of every worker that has gone the
+        lease duration without progress."""
         if self.duration is None:
             return []
-        if now is None:
-            now = self._clock()
-        out = [
-            l for l in self._live.values()
-            if l.expires_at is not None and now >= l.expires_at
+        now = self._clock()
+        stalled = [
+            wid for wid in self._owed
+            if now - self._progress[wid] >= self.duration
         ]
-        for lease in out:
-            del self._live[lease.key]
-        return out
+        return [lease for wid in stalled
+                for lease in self.revoke_worker(wid)]
 
-    def drain(self) -> Iterable[Lease]:
+    def drain(self) -> list[Lease]:
         """Pop every live lease (coordinator shutdown/degrade path)."""
         leases = list(self._live.values())
         self._live.clear()
+        self._owed.clear()
+        self._progress.clear()
         return leases
+
+    def _drop(self, key: tuple) -> None:
+        lease = self._live.pop(key, None)
+        if lease is not None:
+            owed = self._owed[lease.wid]
+            del owed[key]
+            if not owed:
+                del self._owed[lease.wid]

@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 from repro.core.recorder import NondetLog, recorder_for
 from repro.core.result import SearchResult, SearchStats, Solution
-from repro.core.stepper import ExtensionStepper, PathOutput
+from repro.core.stepper import ExtensionStepper
 from repro.cpu.assembler import Program, assemble
 from repro.libos.files import HostFS
 from repro.libos.libos import LibOS
@@ -136,10 +136,11 @@ class MachineEngine:
             raise ValueError(f"unknown snapshot_mode {snapshot_mode!r}")
         self.snapshot_mode = snapshot_mode
         self.vcpu = VCpu()
-        #: Console output of every finished path, in finish order.  This
-        #: is the "stdout transcript": Figure 1's print-then-fail pattern
-        #: lands here even though failed paths produce no Solution.
-        self.transcript: list[PathOutput] = []
+        #: Console output of every failed path that printed, in finish
+        #: order.  This is the "stdout transcript": Figure 1's
+        #: print-then-fail pattern lands here even though failed paths
+        #: produce no Solution.
+        self.transcript: list[str] = []
         self.stepper = ExtensionStepper(
             self.libos, self.vcpu, self.pool, strategy,
             max_steps_per_extension, manager=self.manager,
@@ -238,4 +239,4 @@ class MachineEngine:
 
     def failed_output(self) -> list[str]:
         """Output of failed paths (Figure 1's print-then-fail boards)."""
-        return [p.text for p in self.transcript if p.outcome == "fail" and p.text]
+        return list(self.transcript)

@@ -168,7 +168,7 @@ class ParallelMachineEngine:
     def _turn(self, worker: _Worker) -> None:
         """Run one quantum on *worker*, handling at most one VM exit."""
         pending = worker.pending
-        outcome = worker.stepper.step(pending, once=True)
+        outcome = worker.stepper.step(pending)
         if outcome == "preempt":
             # End of timeslice, not a runaway guest: the extension stays
             # in flight and resumes on the worker's next turn.

@@ -171,9 +171,6 @@ class NondetLog:
             self._events.values(), key=lambda e: (e.path, e.seq)
         )
 
-    def to_records(self) -> list[dict]:
-        return [event.to_record() for event in self.events()]
-
     def events_for_task(self, prefix: tuple[int, ...]) -> list[NondetEvent]:
         """Every event a worker needs to explore the subtree at *prefix*.
 

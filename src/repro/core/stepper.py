@@ -37,7 +37,7 @@ records).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from repro.core.errors import GuessError, ReplayDivergenceError
 from repro.core.result import SearchResult, SearchStats, Solution
@@ -60,19 +60,6 @@ from repro.snapshot.tree import SnapshotTree
 from repro.vmm.vcpu import VCpu, VmExitReason
 
 _STEP_LIMIT = VmExitReason.STEP_LIMIT
-
-
-class PathOutput(NamedTuple):
-    """Console output of one finished path (completed, failed or killed)."""
-
-    path: tuple[int, ...]
-    data: bytes
-    outcome: str  # "exit" | "fail" | "kill"
-
-    @property
-    def text(self) -> str:
-        """Output decoded as UTF-8 (lazy: most paths are never read)."""
-        return self.data.decode("utf-8", errors="replace")
 
 
 @dataclass(slots=True, eq=False)
@@ -102,8 +89,10 @@ class ExtensionStepper:
 
     quantum:
         Time slicing: each VM entry runs at most this many instructions,
-        and a step-limit exit below ``max_steps`` is a preemption, not a
-        kill.  ``None`` lets an entry run to the end of the budget.
+        a step-limit exit below ``max_steps`` is a preemption, not a
+        kill, and :meth:`step` returns after every VM exit.  ``None``
+        lets an entry run to the end of the budget and a step run to
+        its boundary.
     allow_guest_strategy:
         Whether ``sys_guess_strategy`` may replace :attr:`strategy`
         (only before the first candidate exists); otherwise it is
@@ -120,7 +109,8 @@ class ExtensionStepper:
     tags:
         Extra fields for every ``search.*`` trace event.
     transcript:
-        A list that receives every finished path's output.
+        A list that receives the output of every failed path that
+        printed, decoded as text.
     kill_reasons:
         Record each kill's reason in ``stats.extra["kill_reasons"]`` and
         in its trace event.
@@ -143,7 +133,7 @@ class ExtensionStepper:
                                  bool]] = None,
         nondet_sites: Optional[tuple[tuple[int, str], ...]] = None,
         tags: Optional[dict] = None,
-        transcript: Optional[list[PathOutput]] = None,
+        transcript: Optional[list[str]] = None,
         kill_reasons: bool = False,
     ):
         self.libos = libos
@@ -199,13 +189,13 @@ class ExtensionStepper:
 
     # -- the loop ------------------------------------------------------
 
-    def step(self, p: Pending, once: bool = False) -> Optional[str]:
+    def step(self, p: Pending) -> Optional[str]:
         """Run *p* to its next boundary and say what it was.
 
         ``"guess"``, ``"spill"``, ``"exit"``, ``"fail"`` and ``"kill"``
-        end the step (its state is freed).  With *once*, return after a
-        single VM exit instead: ``None`` while *p* is still in flight,
-        ``"preempt"`` when the quantum ran out.
+        end the step (its state is freed).  A stepper with a quantum
+        returns after a single VM exit instead: ``None`` while *p* is
+        still in flight, ``"preempt"`` when the quantum ran out.
         """
         vcpu = self.vcpu
         libos = self.libos
@@ -250,7 +240,7 @@ class ExtensionStepper:
                     p, action.reason if kind is KillAction
                     else STEP_BUDGET_EXHAUSTED
                 )
-            if once:
+            if quantum is not None:
                 return None
 
     def result(self, stop_reason: Optional[str]) -> SearchResult:
@@ -391,7 +381,11 @@ class ExtensionStepper:
         self.stats.fails += 1
         if _TRACER.enabled:
             self._emit(_events.SEARCH_FAIL, p)
-        return self._finish(p, "fail")
+        console = p.state.console
+        if self.transcript is not None and len(console):
+            self.transcript.append(console.text)
+        self.retire(p)
+        return "fail"
 
     def _exit(self, p: Pending, status: int) -> str:
         self.stats.completions += 1
@@ -400,7 +394,8 @@ class ExtensionStepper:
         self.solutions.append(
             Solution(value=(status, p.state.console.text), path=p.path)
         )
-        return self._finish(p, "exit")
+        self.retire(p)
+        return "exit"
 
     def _kill(self, p: Pending, reason: str) -> str:
         self.stats.kills += 1
@@ -410,15 +405,8 @@ class ExtensionStepper:
                 self._emit(_events.SEARCH_KILL, p, reason=reason)
         elif _TRACER.enabled:
             self._emit(_events.SEARCH_KILL, p)
-        return self._finish(p, "kill")
-
-    def _finish(self, p: Pending, outcome: str) -> str:
-        if self.transcript is not None:
-            self.transcript.append(
-                PathOutput(p.path, p.state.console.data, outcome)
-            )
         self.retire(p)
-        return outcome
+        return "kill"
 
     def _select_strategy(self, name: str) -> None:
         if not self.allow_guest_strategy or name == self.strategy.name:

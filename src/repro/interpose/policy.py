@@ -80,13 +80,9 @@ class InterpositionPolicy:
     refuse with ``-errno``.
     """
 
-    #: Paths with these prefixes are never regular files.
     name = "permissive"
 
     def check_open(self, path: str, flags: int) -> Optional[int]:
-        return None
-
-    def check_write(self, fd: int, is_console: bool) -> Optional[int]:
         return None
 
     def check_unknown_syscall(self, number: int) -> str:

@@ -137,8 +137,3 @@ class IncrementalSolverService:
             node = node.parent
         out.reverse()
         return out
-
-    # ------------------------------------------------------------------
-
-    def live_references(self) -> int:
-        return sum(1 for n in self._nodes.values() if n.alive)

@@ -185,11 +185,10 @@ class SMAStarStrategy(Strategy):
     """Simplified memory-bounded A* (SM-A*).
 
     Keeps at most *capacity* extensions in the frontier, ordered by f.
-    When full, the worst extension is dropped and its f-value backed up
-    into ``forgotten`` keyed by its parent candidate, so a caller can
-    regenerate dropped work by re-expanding the parent (the classic SMA*
-    recovery path).  This simplification drops the full SMA* ancestor
-    back-up chain but preserves the property the paper needs from it:
+    When full, the worst extension is dropped for good and handed back
+    to the caller, which releases its snapshot.  This simplification
+    leaves out SMA*'s backed-up f-values and the regeneration of dropped
+    work they allow, but keeps the property the paper needs from it:
     best-first search under a hard frontier-memory bound.
     """
 
@@ -201,18 +200,14 @@ class SMAStarStrategy(Strategy):
             raise ValueError("SM-A* needs capacity >= 2")
         self.capacity = capacity
         self._heap: list[tuple[float, int, Extension]] = []
-        #: Parent candidate -> best forgotten f-value among dropped kids.
-        self.forgotten: dict[Any, float] = {}
 
     def _push(self, ext: Extension) -> Optional[Extension]:
         heapq.heappush(self._heap, (ext.f_cost(), ext.seq, ext))
         if len(self._heap) <= self.capacity:
             return None
         worst_idx = max(range(len(self._heap)), key=lambda i: self._heap[i][0])
-        f, _seq, dropped = self._heap.pop(worst_idx)
+        dropped = self._heap.pop(worst_idx)[2]
         heapq.heapify(self._heap)
-        prev = self.forgotten.get(dropped.candidate)
-        self.forgotten[dropped.candidate] = f if prev is None else min(prev, f)
         return dropped
 
     def _pop(self) -> Optional[Extension]:

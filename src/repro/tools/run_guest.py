@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lease-ms", type=float, default=None,
                         metavar="MS",
                         help="task lease duration in milliseconds: a "
-                        "dispatched task whose lease sees no progress for "
+                        "dispatched task whose worker shows no progress for "
                         "this long is re-dispatched and the late result "
                         "fenced off (default: 1.5 x --task-timeout)")
     parser.add_argument("--journal", metavar="PATH", default=None,

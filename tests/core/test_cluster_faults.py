@@ -253,6 +253,30 @@ class TestLeaseExpiry:
         assert extra["tasks_dropped"] == 0
 
 
+    def test_a_healthy_worker_keeps_the_tail_of_a_long_batch(
+            self, sequential_5):
+        """Every result renews all the worker's leases.  Each task of an
+        eight-task batch stalls 0.15 s, a quarter of the stall timeout,
+        so the batch takes longer than the 0.9 s lease while the worker
+        never goes 0.9 s without delivering a result: no lease may
+        expire and no result may be fenced."""
+        engine = ProcessParallelEngine(
+            workers=1,
+            batch_size=8,
+            task_step_budget=1000,
+            task_timeout=0.6,
+            chaos=FaultPlan(stall_rate=1.0, stall_seconds=0.15),
+        )
+        result = engine.run(nqueens_asm(5))
+        extra = result.stats.extra
+        assert result.exhausted
+        assert solution_set(result) == solution_set(sequential_5)
+        assert extra["leases_expired"] == 0
+        assert extra["fenced_stale"] == 0
+        assert extra["task_timeouts"] == 0
+        assert extra["tasks_dispatched"] == extra["tasks_completed"]
+
+
 class TestNondetWorkloadFaults:
     """Fault injection while the guest itself is nondeterministic.
 

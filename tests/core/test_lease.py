@@ -1,10 +1,12 @@
-"""Lease table: fenced ownership, expiry, and the stale-result rules.
+"""Lease table: fenced ownership, expiry, the stale-result rules, and
+the per-worker record of what each worker owes and when it last made
+progress.
 
 Every test injects a fake clock — the table never sleeps, so neither do
 the tests.  The invariants exercised here are the ones the distributed
-engine's exactness rests on: a (key, fence) pair settles ``"ok"`` at
-most once, tokens are strictly monotonic, and every revocation path
-(expiry, worker death, re-grant) fences off the old token.
+engine's exactness rests on: a (key, fence) pair settles at most once,
+tokens are strictly monotonic, and every revocation path (expiry, worker
+death, re-grant) fences off the old token.
 """
 
 import pytest
@@ -36,28 +38,28 @@ class TestGrantSettle:
         assert lease.task.fence == 1
         assert lease.task.key() == (1, 2)
         assert table.holder((1, 2)) == 7
-        assert table.settle((1, 2), 1) == "ok"
+        assert table.settle((1, 2), 1, wid=7) is lease
         assert len(table) == 0
 
     def test_duplicate_settle_is_never_ok_twice(self):
         table = LeaseTable(duration=None)
         lease = table.grant(task(3), wid=0)
-        assert table.settle((3,), lease.fence) == "ok"
+        assert table.settle((3,), lease.fence, wid=0) is lease
         # A duplicated delivery of the very same result is stale: the
         # lease was consumed by the first settle.
-        assert table.settle((3,), lease.fence) == "stale"
+        assert table.settle((3,), lease.fence, wid=0) is None
 
     def test_wrong_fence_is_stale_and_leaves_live_lease(self):
         table = LeaseTable(duration=None)
         lease = table.grant(task(3), wid=0)
-        assert table.settle((3,), lease.fence + 5) == "stale"
-        assert table.settle((3,), 0) == "stale"
+        assert table.settle((3,), lease.fence + 5, wid=0) is None
+        assert table.settle((3,), 0, wid=0) is None
         # The live lease survived the stale attempts.
-        assert table.settle((3,), lease.fence) == "ok"
+        assert table.settle((3,), lease.fence, wid=0) is lease
 
     def test_unknown_key_is_stale(self):
         table = LeaseTable(duration=None)
-        assert table.settle((9, 9), 1) == "stale"
+        assert table.settle((9, 9), 1, wid=0) is None
 
     def test_regrant_fences_off_earlier_token(self):
         table = LeaseTable(duration=None)
@@ -66,8 +68,8 @@ class TestGrantSettle:
         assert second.fence > first.fence
         assert table.holder((5,)) == 2
         # The partitioned first worker reports late: refused.
-        assert table.settle((5,), first.fence) == "stale"
-        assert table.settle((5,), second.fence) == "ok"
+        assert table.settle((5,), first.fence, wid=1) is None
+        assert table.settle((5,), second.fence, wid=2) is second
 
     def test_fences_strictly_monotonic_across_keys(self):
         table = LeaseTable(duration=None, start_fence=40)
@@ -79,7 +81,7 @@ class TestGrantSettle:
         table = LeaseTable(duration=None)
         lease = table.grant(task(1, 2, 3), wid=0)
         assert table.holder([1, 2, 3]) == 0
-        assert table.settle([1, 2, 3], lease.fence) == "ok"
+        assert table.settle([1, 2, 3], lease.fence, wid=0) is lease
 
 
 class TestExpiry:
@@ -92,16 +94,16 @@ class TestExpiry:
         clock.advance(5.0)  # t=111: early (deadline 110) is out
         out = table.expired()
         assert [l.key for l in out] == [(1,)]
-        assert table.settle((1,), early.fence) == "stale"
-        assert table.settle((2,), late.fence) == "ok"
+        assert table.settle((1,), early.fence, wid=0) is None
+        assert table.settle((2,), late.fence, wid=1) is late
 
-    def test_extend_worker_pushes_out_only_that_workers_leases(self):
+    def test_progress_pushes_out_only_that_workers_leases(self):
         clock = FakeClock()
         table = LeaseTable(duration=10.0, clock=clock)
         table.grant(task(1), wid=0)
         table.grant(task(2), wid=1)
         clock.advance(8.0)
-        table.extend_worker(0)  # heartbeat/progress from wid 0
+        table.progress(0)  # a heartbeat showing progress from wid 0
         clock.advance(4.0)  # wid 1's lease (deadline 110) is past
         out = table.expired()
         assert [l.wid for l in out] == [1]
@@ -113,10 +115,10 @@ class TestExpiry:
         lease = table.grant(task(1), wid=0)
         clock.advance(1e9)
         assert table.expired() == []
-        table.extend_worker(0)  # no-op, must not raise
+        table.progress(0)  # no expiry to push out, must not raise
         superseded = table.grant(task(1), wid=1)
-        assert table.settle((1,), lease.fence) == "stale"
-        assert table.settle((1,), superseded.fence) == "ok"
+        assert table.settle((1,), lease.fence, wid=0) is None
+        assert table.settle((1,), superseded.fence, wid=1) is superseded
 
     def test_expiry_exactly_at_deadline(self):
         clock = FakeClock()
@@ -134,17 +136,10 @@ class TestRevocation:
         c = table.grant(task(3), wid=4)
         dropped = table.revoke_worker(3)
         assert sorted(l.key for l in dropped) == [(1,), (2,)]
-        assert table.settle((1,), a.fence) == "stale"
-        assert table.settle((2,), b.fence) == "stale"
-        assert table.settle((3,), c.fence) == "ok"
+        assert table.settle((1,), a.fence, wid=3) is None
+        assert table.settle((2,), b.fence, wid=3) is None
+        assert table.settle((3,), c.fence, wid=4) is c
         assert table.owned_by(3) == []
-
-    def test_revoke_single_key(self):
-        table = LeaseTable(duration=None)
-        lease = table.grant(task(7), wid=0)
-        assert table.revoke((7,)).fence == lease.fence
-        assert table.revoke((7,)) is None
-        assert table.settle((7,), lease.fence) == "stale"
 
     def test_drain_empties_table(self):
         table = LeaseTable(duration=None)
@@ -159,6 +154,76 @@ class TestRevocation:
         table.grant(task(1), wid=5)
         table.grant(task(2), wid=5)
         assert sorted(l.key for l in table.owned_by(5)) == [(1,), (2,)]
+
+
+class TestWorkerRecord:
+    """What a worker owes, in grant order, and when it last made
+    progress: the one record the coordinator's per-worker decisions
+    read."""
+
+    def test_a_result_renews_the_workers_other_leases(self):
+        clock = FakeClock()
+        table = LeaseTable(duration=10.0, clock=clock)
+        first = table.grant(task(1), wid=0)
+        table.grant(task(2), wid=0)
+        table.grant(task(3), wid=0)
+        clock.advance(8.0)
+        assert table.settle((1,), first.fence, wid=0) is first
+        clock.advance(8.0)  # t=116: 16 s after the grants, 8 s quiet
+        assert table.expired() == []
+        clock.advance(2.0)  # 10 s without progress: they go together
+        assert [l.key for l in table.expired()] == [(2,), (3,)]
+
+    def test_a_stale_result_is_progress_too(self):
+        clock = FakeClock()
+        table = LeaseTable(duration=10.0, clock=clock)
+        table.grant(task(1), wid=0)
+        clock.advance(8.0)
+        assert table.settle((9,), 1, wid=0) is None
+        clock.advance(8.0)
+        assert table.expired() == []
+        assert table.holder((1,)) == 0
+
+    def test_busy_and_quiet_follow_grants_and_results(self):
+        clock = FakeClock()
+        table = LeaseTable(duration=None, clock=clock)
+        assert not table.busy(0)
+        a = table.grant(task(1), wid=0)
+        b = table.grant(task(2), wid=0)
+        assert table.busy(0) and not table.busy(1)
+        assert table.quiet(0) == 0.0
+        clock.advance(3.0)
+        assert table.quiet(0) == 3.0
+        table.settle((1,), a.fence, wid=0)
+        assert table.busy(0)
+        assert table.quiet(0) == 0.0
+        clock.advance(2.0)
+        table.settle((2,), b.fence, wid=0)
+        assert not table.busy(0)
+        assert table.quiet(0) == 0.0
+        table.grant(task(3), wid=0)
+        clock.advance(1.5)
+        table.progress(0)
+        clock.advance(0.5)
+        assert table.quiet(0) == 0.5
+        table.revoke_worker(0)
+        assert not table.busy(0)
+
+    def test_leases_come_back_in_grant_order_and_a_regrant_moves_last(self):
+        table = LeaseTable(duration=None)
+        for key in (5, 1, 3):
+            table.grant(task(key), wid=0)
+        table.grant(task(4), wid=1)
+        assert [l.key for l in table.owned_by(0)] == [(5,), (1,), (3,)]
+        table.grant(task(5), wid=0)
+        assert [l.key for l in table.owned_by(0)] == [(1,), (3,), (5,)]
+        # Re-granted elsewhere: it leaves this worker's record.
+        table.grant(task(1), wid=1)
+        assert [l.key for l in table.owned_by(0)] == [(3,), (5,)]
+        assert [l.key for l in table.owned_by(1)] == [(4,), (1,)]
+        assert [l.key for l in table.revoke_worker(0)] == [(3,), (5,)]
+        assert [l.key for l in table.drain()] == [(4,), (1,)]
+        assert not table.busy(1)
 
 
 class TestValidation:

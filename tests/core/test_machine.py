@@ -1,10 +1,14 @@
 """Integration tests for the machine engine (snapshot-based backtracking)."""
 
+import gc
+import types
+
 import pytest
 
 from repro.core.machine import MachineEngine
 from repro.core.sysno import SYS_EXIT, SYS_GUESS, SYS_GUESS_FAIL
 from repro.search import BeamStrategy, DFSStrategy, SMAStarStrategy
+from repro.snapshot.snapshot import Snapshot
 from repro.workloads.nqueens import (
     KNOWN_SOLUTION_COUNTS,
     boards_from_result,
@@ -97,6 +101,15 @@ class TestNQueens:
         assert result.solutions == []
         boards = [t.strip() for t in engine.failed_output()]
         assert sorted(boards) == ["1302", "2031"]
+
+    def test_transcript_keeps_only_failed_paths_that_printed(self):
+        # Every 6-queens path that fails prints nothing and every board
+        # exits, so a find-all run keeps no transcript at all.
+        engine = MachineEngine()
+        result = engine.run(nqueens_asm(6))
+        assert len(result.solutions) == 4
+        assert result.stats.fails > 0
+        assert engine.transcript == []
 
     def test_bfs_finds_same_solution_set(self):
         dfs = MachineEngine("dfs").run(nqueens_asm(5))
@@ -210,6 +223,23 @@ class TestIsolation:
         assert len(result.solutions) == 2
 
 
+def snapshots_held_by(root):
+    """Every snapshot *root* refers to, directly or through containers
+    and objects (not through snapshots, types, modules or functions)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Snapshot):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 class TestBudgets:
     def test_max_solutions(self):
         result = MachineEngine(max_solutions=2).run(TWO_BITS)
@@ -247,6 +277,16 @@ class TestBudgets:
         assert (strategy.stats.dropped > 0) == (strategy.name != "dfs")
         assert engine.manager.stats.live == 0
         assert engine.pool.live_frames == 1
+
+    def test_sma_star_refers_to_no_discarded_snapshot(self):
+        # The strategy whose point is a memory bound keeps nothing of
+        # the extensions it dropped once their snapshots are gone.
+        strategy = SMAStarStrategy(capacity=16)
+        engine = MachineEngine(strategy=strategy)
+        engine.allow_guest_strategy = False
+        engine.run(nqueens_asm(8))
+        assert strategy.stats.dropped > 0
+        assert [s for s in snapshots_held_by(strategy) if not s.alive] == []
 
     def test_runaway_extension_killed(self):
         src = f"""

@@ -110,16 +110,6 @@ class TestSMAStar:
         kept = [e.number for e in drain(s)]
         assert kept == [3, 1]  # hints 0.5 and 1.0
 
-    def test_forgotten_backup(self):
-        s = SMAStarStrategy(capacity=2)
-        s.add(batch("c", 3, hints=[1.0, 2.0, 3.0]))
-        assert s.forgotten == {"c": 3.0}
-
-    def test_forgotten_keeps_minimum(self):
-        s = SMAStarStrategy(capacity=2)
-        s.add(batch("c", 4, hints=[1.0, 2.0, 4.0, 3.0]))
-        assert s.forgotten == {"c": 3.0}
-
     def test_tiny_capacity_rejected(self):
         with pytest.raises(ValueError):
             SMAStarStrategy(capacity=1)
