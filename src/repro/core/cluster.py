@@ -31,8 +31,9 @@ counted (``parallel.fenced_stale``) and discarded wholesale, so the
 solution multiset and the exact work-conservation invariant hold even
 when a presumed-dead worker resurfaces.
 
-Robustness: a per-task wall-clock timeout, worker-crash detection with
-bounded retry of the lost tasks, lease expiry re-dispatch, and graceful
+Robustness: a per-task wall-clock timeout (the one clock rule for lost
+work), worker-crash detection with bounded retry of the lost tasks,
+steals that name the last fence their worker received, and graceful
 shutdown.  Observability: per-worker registry snapshots are merged into
 the coordinator's registry
 (:meth:`~repro.obs.registry.MetricsRegistry.merge_state`), and the
@@ -174,9 +175,6 @@ class ClusterConfig:
     #: Capacity of the per-worker flight-recorder ring of recent trace
     #: events, shipped inside heartbeats (0 disables the ring).
     flight_events: int = 0
-    #: Tasks a worker asks for per ``steal`` announcement (the engine
-    #: sets it to its batch_size; the coordinator may fulfil with less).
-    steal_batch: int = 4
 
 
 # ----------------------------------------------------------------------
@@ -374,13 +372,12 @@ class _SubtreeWorker:
         return True
 
 
-#: Seconds between an idle worker's re-announcements of its steal
-#: capacity.  Over a pipe the first announcement always arrives; over a
-#: chaos-injected network a ``steal`` (or the ``work`` answering it) can
-#: be dropped, and the periodic re-announcement is what un-wedges the
-#: run: the coordinator treats a steal from a worker it believes busy as
-#: proof the worker's results were lost, reclaims the leases, and
-#: re-dispatches.
+#: Seconds between an idle worker's re-announcements of its steal.  Over
+#: a pipe the first announcement always arrives; over a chaos-injected
+#: network a ``steal``, the ``work`` answering it or a result can be
+#: dropped, and the periodic re-announcement is what un-wedges the run:
+#: a steal names the highest fence its worker has received, which tells
+#: the coordinator whether to re-send a batch or reclaim lost results.
 _STEAL_REANNOUNCE_S = 1.0
 
 #: Trace events each worker's flight-recorder ring keeps.
@@ -461,8 +458,12 @@ def _worker_main(worker_id: int, conn, program: Program,
             conn, worker_id, worker.registry, config.heartbeat_interval,
             ring=ring, sync=worker.sync_registry,
         )
+    # The highest fence this worker has received.  Each batch it is
+    # granted carries higher fences than the last, so a ``work`` frame
+    # at or below it is a re-send of a batch it already ran.
+    fence = 0
     try:
-        conn.send(("steal", worker_id, config.steal_batch))
+        conn.send(("steal", worker_id, fence))
         last_steal = time.monotonic()
         while True:
             # Wait for work; heartbeat through idle waits (so the
@@ -478,7 +479,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                     emitter.beat(phase="idle", force=True)
                 now = time.monotonic()
                 if now - last_steal >= _STEAL_REANNOUNCE_S:
-                    conn.send(("steal", worker_id, config.steal_batch))
+                    conn.send(("steal", worker_id, fence))
                     last_steal = now
             msg = conn.recv()
             if msg is None:
@@ -486,6 +487,10 @@ def _worker_main(worker_id: int, conn, program: Program,
             if not (isinstance(msg, tuple) and len(msg) == 4
                     and msg[0] == "work"):
                 continue  # duplicated/unknown control frame: ignore
+            top = max(task.fence for task in msg[1])
+            if top <= fence:
+                continue  # a re-sent batch this worker already ran
+            fence = top
             try:
                 _serve_batch(worker, conn, msg, emitter, collector)
             except (EOFError, OSError):
@@ -494,7 +499,7 @@ def _worker_main(worker_id: int, conn, program: Program,
                 conn.send(("error", worker_id,
                            f"{type(exc).__name__}: {exc}"))
                 return
-            conn.send(("steal", worker_id, config.steal_batch))
+            conn.send(("steal", worker_id, fence))
             last_steal = time.monotonic()
     except (EOFError, OSError, KeyboardInterrupt, ConnectionError):
         pass  # coordinator went away or shut us down hard
@@ -535,15 +540,13 @@ class _WorkerHandle:
     """A worker's endpoint and slot; what it owes and when it last made
     progress live in the coordinator's :class:`LeaseTable`."""
 
-    __slots__ = ("ep", "slot", "want")
+    __slots__ = ("ep", "slot")
 
     def __init__(self, ep, slot: WorkerSlot):
         #: The transport endpoint this worker is reached through.
         self.ep = ep
         #: The supervisor slot this worker occupies.
         self.slot = slot
-        #: Outstanding steal capacity (0 = no unfulfilled steal).
-        self.want = 0
 
     @property
     def wid(self) -> int:
@@ -568,10 +571,12 @@ class ProcessParallelEngine:
         How much of a subtree a worker explores before spilling the
         remainder back (see :class:`ClusterConfig`).
     task_timeout:
-        Per-task wall-clock limit in seconds (> 0).  A worker that makes
-        no progress (as :mod:`repro.core.lease` defines it) for this
-        long is killed and its unreported tasks are retried elsewhere
-        (None disables the timeout).
+        Per-task wall-clock limit in seconds (> 0): the coordinator's
+        one clock rule for lost work.  A worker that makes no progress
+        (as :mod:`repro.core.lease` defines it) for this long is killed
+        and its unreported tasks are retried elsewhere (None disables
+        the timeout).  A worker whose results were lost in flight says
+        so itself: its next steal names the last fence it received.
     max_task_retries:
         How many times a task lost to a crash or timeout is re-dispatched
         before being dropped (a drop marks the result not exhausted).
@@ -671,15 +676,6 @@ class ProcessParallelEngine:
         TCP only: ``(host, port)`` to accept workers on.  Defaults to
         ``("127.0.0.1", 0)`` — loopback, ephemeral port; read
         :attr:`transport_address` once :meth:`run` is underway.
-    lease_timeout:
-        Seconds a dispatched task's lease lives without observed
-        progress by its worker before the coordinator re-dispatches it
-        (the late result, if any, is fenced off and discarded).  ``None``
-        (default) derives 1.5 × *task_timeout* — the stall detector
-        fires first and remains the primary recovery path; the lease is
-        the backstop for results lost in flight and for partitioned
-        workers that still look healthy.  When *task_timeout* is None,
-        leases never expire (fencing still applies).
     heartbeat_timeout:
         TCP only: seconds of per-connection silence (workers ping ~1/s)
         after which the transport declares a connection half-open and
@@ -713,7 +709,6 @@ class ProcessParallelEngine:
         flight_dir: Optional[str] = None,
         transport: str = "pipe",
         listen: Optional[tuple] = None,
-        lease_timeout: Optional[float] = None,
         heartbeat_timeout: float = 5.0,
     ):
         if workers < 1:
@@ -730,8 +725,6 @@ class ProcessParallelEngine:
             raise ValueError("task_timeout must be > 0 or None")
         if max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
-        if lease_timeout is not None and lease_timeout <= 0:
-            raise ValueError("lease_timeout must be > 0")
         if heartbeat_timeout <= 0:
             raise ValueError("heartbeat_timeout must be > 0")
         if verify not in ("off", "warn", "strict"):
@@ -762,7 +755,6 @@ class ProcessParallelEngine:
         #: :meth:`run` starts listening (None for pipe transport) — what
         #: an external worker passes to ``run_guest --connect``.
         self.transport_address: Optional[tuple] = None
-        self.lease_timeout = lease_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.num_workers = workers
         self.strategy_name = strategy  # TaskFrontier validates the name
@@ -823,7 +815,6 @@ class ProcessParallelEngine:
                 min(0.25, status_interval) if self._telemetry else None
             ),
             flight_events=_FLIGHT_EVENTS if flight_dir is not None else 0,
-            steal_batch=batch_size,
         )
         # fork where available: fast worker startup.
         self._ctx = multiprocessing.get_context(
@@ -947,15 +938,7 @@ class _Coordinator:
         #: counting, behind fence matching.
         self.completed_keys: set[tuple[int, ...]] = set(self.resume_completed)
 
-        #: Leases expire a bit *after* the stall detector would have
-        #: fired: the stall path (which kills the worker) stays primary;
-        #: lease expiry is the backstop for results lost in flight and
-        #: for partitioned workers that still look healthy.
-        lease_s = engine.lease_timeout
-        if lease_s is None and engine.task_timeout is not None:
-            lease_s = engine.task_timeout * 1.5
         self.leases = LeaseTable(
-            duration=lease_s,
             start_fence=(
                 self.recovered.last_fence + 1 if self.recovered else 1
             ),
@@ -968,7 +951,6 @@ class _Coordinator:
         self.by_wid: dict[int, _WorkerHandle] = {}
         #: wids with unfulfilled steal announcements, FIFO.
         self.steal_queue: deque[int] = deque()
-        self.wire_events: deque = deque()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -1014,7 +996,6 @@ class _Coordinator:
                 max_solutions=e.max_solutions,
                 replay_mode=e.replay_mode,
                 transport=e.transport_name,
-                lease_timeout=e.lease_timeout,
                 certified=(None if sites is None else not sites),
                 nondet_sites=(
                     None if sites is None
@@ -1037,15 +1018,6 @@ class _Coordinator:
                 heartbeat_timeout=e.heartbeat_timeout,
                 start_wid=e._next_wid,
             )
-            if _TRACER.enabled:
-                # Wire-level observations (chaos net faults) arrive on
-                # the transport's loop thread; the tracer is
-                # single-threaded, so they are buffered here and drained
-                # into the trace by the coordinator loop.  deque.append
-                # is atomic under the GIL.
-                transport.on_wire_event = (
-                    lambda kind, **f: self.wire_events.append((kind, f))
-                )
         else:
             transport = PipeTransport(
                 e._ctx, _worker_main, start_wid=e._next_wid,
@@ -1104,36 +1076,9 @@ class _Coordinator:
                 due = self.sup.next_respawn_due()
                 if due is not None:
                     timeout = min(poll, max(0.0, due - time.monotonic()))
-            events = self.transport.poll(max(0.0, timeout))
-            while self.wire_events:
-                kind, f = self.wire_events.popleft()
-                if kind == "net_fault" and _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.CHAOS_NET_FAULT, action=f.get("kind"),
-                        direction=f.get("direction"),
-                        worker=f.get("worker"), seq=f.get("seq"),
-                    )
-            for ev in events:
+            for ev in self.transport.poll(max(0.0, timeout)):
                 self._on_event(ev)
-            for slot in self.sup.slots:
-                handle = self.handles.get(slot.index)
-                if handle is None or not self.leases.busy(handle.wid):
-                    continue  # failed or drained earlier this sweep
-                if not handle.ep.alive():
-                    self._fail(handle, "crash", "worker process died")
-                elif (
-                    e.task_timeout is not None
-                    and self.leases.quiet(handle.wid) > e.task_timeout
-                ):
-                    self._fail(handle, "timeout",
-                               f"no progress for {e.task_timeout:.1f}s")
-            # Lease expiry is the *backstop* behind the stall detector
-            # above (leases outlive the task timeout by design): it
-            # fires when results were lost in flight or a partitioned
-            # worker still looks alive.  The expired fences are retired;
-            # whatever the old holder eventually delivers settles stale.
-            for lease in self.leases.expired():
-                self._expire(lease.task, lease.wid, "lease expired")
+            self._check_workers()
 
         if self.stop_reason is None and self.poisoned:
             self.stop_reason = "tasks_poisoned"
@@ -1221,7 +1166,6 @@ class _Coordinator:
         unsolicited, so a slow worker never queues work it cannot start
         while a fast one sits idle.
         """
-        e = self.engine
         while self.steal_queue and self.frontier:
             handle = self.by_wid.get(self.steal_queue.popleft())
             if handle is None or self.leases.busy(handle.wid):
@@ -1231,17 +1175,11 @@ class _Coordinator:
             if not handle.ep.alive():
                 self._fail(handle, "crash", "worker died while idle")
                 continue
-            want = max(1, min(handle.want, e.batch_size))
-            handle.want = 0
             granted = [
                 self.leases.grant(task, handle.wid).task
-                for task in self.frontier.take_batch(want)
+                for task in self.frontier.take_batch(self.engine.batch_size)
             ]
-            try:
-                handle.ep.send(("work", granted, self._remaining(),
-                                self._batch_events(granted)))
-            except EndpointDown:
-                self._fail(handle, "crash", "dispatch channel closed")
+            if not self._send_work(handle, granted):
                 continue
             self.c_dispatches.inc()
             self.c_tasks.inc(len(granted))
@@ -1251,6 +1189,17 @@ class _Coordinator:
             if _TRACER.enabled:
                 _TRACER.emit(_events.PARALLEL_DISPATCH, worker=handle.wid,
                              tasks=len(granted))
+
+    def _send_work(self, handle: _WorkerHandle, batch: list) -> bool:
+        """Send *batch* to *handle*'s worker; False when the channel is
+        closed (the worker is then failed)."""
+        try:
+            handle.ep.send(("work", batch, self._remaining(),
+                            self._batch_events(batch)))
+        except EndpointDown:
+            self._fail(handle, "crash", "dispatch channel closed")
+            return False
+        return True
 
     def _remaining(self) -> Optional[int]:
         """Solutions the run still wants (None: no limit)."""
@@ -1269,6 +1218,13 @@ class _Coordinator:
 
     def _on_event(self, ev) -> None:
         """Account one transport event."""
+        if ev.kind == "net_fault":
+            if _TRACER.enabled:
+                action, direction, seq = ev.payload
+                _TRACER.emit(_events.CHAOS_NET_FAULT, action=action,
+                             direction=direction, worker=ev.endpoint.wid,
+                             seq=seq)
+            return
         if ev.kind == "join":
             # An external (or resurfaced) worker completed the
             # handshake: give it a non-respawnable slot and let it steal.
@@ -1305,27 +1261,36 @@ class _Coordinator:
                        f"malformed result message {msg!r}"[:200])
             return
         if msg[0] == "steal":
-            if self.leases.busy(handle.wid):
-                if self.leases.quiet(handle.wid) < _STEAL_REANNOUNCE_S:
-                    # Sent before our latest dispatch reached the worker
-                    # (the two crossed in flight): it will steal again
-                    # once that batch is done.
-                    return
-                # The worker says it is idle while the coordinator still
-                # holds leases for it: its results were lost in flight
-                # (dropped frames, a reconnect).  Reclaim eagerly — the
-                # requeue re-executes, and the revoked fences turn any
-                # late duplicate delivery into a discarded stale.
-                for lease in self.leases.revoke_worker(handle.wid):
-                    self._expire(lease.task, handle.wid,
-                                 "steal while leases held")
-            handle.want = msg[2]
+            owed = self.leases.owned_by(handle.wid)
+            if owed and max(lease.fence for lease in owed) > msg[2]:
+                # The worker has not received the batch it owes: the
+                # steal crossed its dispatch, or the work frame was
+                # lost.  Send it again under the same fences (a worker
+                # skips a batch it already has).  A re-send is not a
+                # dispatch: no counter, no journal record, no progress,
+                # so a batch that never arrives still ends at the stall
+                # timeout.
+                self._send_work(handle, [lease.task for lease in owed])
+                return
+            # The worker received every fence it owes and is idle: its
+            # results were lost in flight (dropped frames, a reconnect).
+            # Reclaim at once; the revoked fences turn any late delivery
+            # into a discarded stale.
+            for lease in self.leases.revoke_worker(handle.wid):
+                self.c_lease_expired.inc()
+                self._journal("expire", task=lease.task.to_record(),
+                              fence=lease.fence, worker=handle.wid)
+                if _TRACER.enabled:
+                    _TRACER.emit(_events.PARALLEL_LEASE_EXPIRED,
+                                 task=list(lease.task.prefix),
+                                 fence=lease.fence, worker=handle.wid)
+                self._lose(lease.task)
             if handle.wid not in self.steal_queue:
                 self.steal_queue.append(handle.wid)
                 self.c_steals.inc()
                 if _TRACER.enabled:
                     _TRACER.emit(_events.PARALLEL_STEAL, worker=handle.wid,
-                                 want=msg[2])
+                                 want=self.engine.batch_size)
         elif msg[0] == "hb":
             record: HeartbeatRecord = msg[2]
             self.c_heartbeats.inc()
@@ -1356,10 +1321,10 @@ class _Coordinator:
         key = tuple(key)
         completed = self.leases.settle(key, fence, handle.wid)
         if completed is None:
-            # A fenced-off result: the lease expired (or the worker was
-            # declared down) and the task was re-dispatched, or this is
-            # a duplicated delivery.  Discard it *wholesale* — no
-            # registry merge, no solutions, no spills, no journal
+            # A fenced-off result: the worker was declared down or its
+            # steal reclaimed the lease, and the task was re-dispatched,
+            # or this is a duplicated delivery.  Discard it *wholesale*
+            # — no registry merge, no solutions, no spills, no journal
             # complete — so the accepted execution remains the only
             # accounting of this subtree.
             self.c_fenced.inc()
@@ -1421,6 +1386,22 @@ class _Coordinator:
 
     # -- lost tasks --------------------------------------------------------
 
+    def _check_workers(self) -> None:
+        """Fail every busy worker whose process died or that has gone
+        ``task_timeout`` without progress: the one clock rule for lost
+        work."""
+        timeout = self.engine.task_timeout
+        for slot in self.sup.slots:
+            handle = self.handles.get(slot.index)
+            if handle is None or not self.leases.busy(handle.wid):
+                continue  # failed or drained earlier this sweep
+            if not handle.ep.alive():
+                self._fail(handle, "crash", "worker process died")
+            elif (timeout is not None
+                  and self.leases.quiet(handle.wid) > timeout):
+                self._fail(handle, "timeout",
+                           f"no progress for {timeout:.1f}s")
+
     def _fail(self, handle: _WorkerHandle, kind: str,
               detail: str = "") -> None:
         """Account one worker death: blame, requeue, schedule respawn."""
@@ -1479,21 +1460,12 @@ class _Coordinator:
             _TRACER.emit(_events.PARALLEL_RETRY, worker=handle.wid,
                          tasks=requeued)
 
-    def _expire(self, task: PrefixTask, wid: int, reason: str) -> None:
-        """A lease ended without a result: record it, then lose the task."""
-        self.c_lease_expired.inc()
-        self._journal("expire", task=task.to_record(), fence=task.fence,
-                      worker=wid, reason=reason)
-        if _TRACER.enabled:
-            _TRACER.emit(_events.PARALLEL_LEASE_EXPIRED,
-                         task=list(task.prefix), fence=task.fence, worker=wid)
-        self._lose(task)
-
     def _lose(self, task: PrefixTask, suspect: bool = True) -> bool:
         """Skip, drop or requeue a task that will not report; returns
         whether it was requeued.  Only a *suspect* (the task a dead
-        worker was running, or whose lease ended) is attempt-bumped and
-        can run out of retries; collateral tasks requeue untouched."""
+        worker was running, or whose result a steal showed lost) is
+        attempt-bumped and can run out of retries; collateral tasks
+        requeue untouched."""
         key = task.key()
         if key in self.completed_keys or self.sup.is_poisoned(key):
             return False
@@ -1576,7 +1548,6 @@ class _Coordinator:
             "leases_expired": self.c_lease_expired.value,
             "fenced_stale": self.c_fenced.value,
             "worker_joins": self.c_joins.value,
-            "lease_timeout": self.leases.duration,
             "peak_task_frontier": self.frontier.peak,
             "replay_steps": reg.counter("parallel.replay_steps").value,
             "guest_instructions": reg.counter("parallel.guest_steps").value,

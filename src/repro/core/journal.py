@@ -394,7 +394,7 @@ def recover(path: str) -> RecoveredRun:
             })
             continue
         if rtype in ("expire", "stale"):
-            # Lease bookkeeping: an expired lease's task was requeued
+            # Lease bookkeeping: a reclaimed lease's task was requeued
             # (its own dispatch record keeps it in ``known``); a stale
             # record is purely evidentiary — the fenced-off result was
             # discarded.  Neither changes the rebuilt frontier.

@@ -13,12 +13,12 @@ The classic fix (Chubby/GFS lineage) is leases plus fencing:
 * every dispatched task carries a **fencing token** drawn from one
   strictly monotonic counter; the :class:`LeaseTable` remembers which
   token is the *live* one per task key;
-* a worker that makes no progress for the lease duration loses every
-  lease it holds (**expiry**): the tasks are requeued and their next
-  grants get higher tokens;
+* a worker's leases end when the coordinator revokes them: the worker
+  was declared down or stalled, or its results were lost (the tasks are
+  requeued and their next grants get higher tokens);
 * a result is accepted only if its token matches the live lease
   (:meth:`settle` returns the lease it consumed).  Anything else —
-  expired lease, earlier grant, duplicated delivery, already-settled
+  revoked lease, earlier grant, duplicated delivery, already-settled
   key — is **stale** and the engine discards it wholesale: no registry
   merge, no solutions, no spills, no journal ``complete``.  The
   re-execution elsewhere is the only accounting of that subtree, so the
@@ -30,10 +30,10 @@ progress: which tasks the worker owes, in grant order, and when it last
 made **progress**: a grant, any task result it delivers (a stale one
 too: the worker has moved on through its batch), or a heartbeat whose
 step counter grew.  Every per-worker decision reads it: busy or idle,
-the stall timeout, expiry, the steal re-announce window, and the
-suspect of a failure (the first lease owed, which is the task the
-worker was running, since workers run a batch in grant order and report
-per task).
+the stall timeout (the one clock rule for lost work), the answer to a
+steal from a worker that still owes leases, and the suspect of a
+failure (the first lease owed, which is the task the worker was
+running, since workers run a batch in grant order and report per task).
 
 The table is pure bookkeeping over an injected clock (deterministic
 tests); it never talks to workers or timers itself.
@@ -64,11 +64,6 @@ class LeaseTable:
 
     Parameters
     ----------
-    duration:
-        Seconds a worker may go without progress before its leases
-        expire; ``None`` disables expiry (fencing still applies — late
-        results from failed workers are still refused, they just are not
-        *timed* out).
     start_fence:
         First token to hand out; a resumed coordinator seeds this past
         the journal's highest recorded fence so tokens stay monotonic
@@ -77,14 +72,10 @@ class LeaseTable:
         Monotonic time source (injected for deterministic tests).
     """
 
-    def __init__(self, duration: Optional[float] = None,
-                 start_fence: int = 1,
+    def __init__(self, start_fence: int = 1,
                  clock: Callable[[], float] = time.monotonic):
-        if duration is not None and duration <= 0:
-            raise ValueError("lease duration must be > 0")
         if start_fence < 1:
             raise ValueError("start_fence must be >= 1")
-        self.duration = duration
         self._clock = clock
         self._next_fence = start_fence
         self._live: dict[tuple, Lease] = {}
@@ -123,7 +114,7 @@ class LeaseTable:
     # -- transitions ---------------------------------------------------
 
     def progress(self, wid: int) -> None:
-        """Record progress by *wid*: all its leases start a new duration."""
+        """Record progress by *wid*: its quiet time starts over."""
         self._progress[wid] = self._clock()
 
     def grant(self, task: PrefixTask, wid: int) -> Lease:
@@ -163,25 +154,12 @@ class LeaseTable:
 
     def revoke_worker(self, wid: int) -> list[Lease]:
         """Drop every lease *wid* owes, returned in grant order (worker
-        declared down, its results lost, or its leases expired)."""
+        declared down or its results lost)."""
         owed = self._owed.pop(wid, {})
         for key in owed:
             del self._live[key]
         self._progress.pop(wid, None)
         return list(owed.values())
-
-    def expired(self) -> list[Lease]:
-        """Pop and return the leases of every worker that has gone the
-        lease duration without progress."""
-        if self.duration is None:
-            return []
-        now = self._clock()
-        stalled = [
-            wid for wid in self._owed
-            if now - self._progress[wid] >= self.duration
-        ]
-        return [lease for wid in stalled
-                for lease in self.revoke_worker(wid)]
 
     def drain(self) -> list[Lease]:
         """Pop every live lease (coordinator shutdown/degrade path)."""

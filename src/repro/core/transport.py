@@ -142,8 +142,10 @@ class TransportEvent:
     ``kind`` is ``"msg"`` (payload holds the worker's message),
     ``"down"`` (the endpoint is no longer trusted; ``fail_kind`` is
     ``"crash"`` or ``"timeout"``, ``protocol_error`` marks undecodable
-    traffic) or ``"join"`` (an external worker completed the handshake;
-    the endpoint is fresh and idle).
+    traffic), ``"join"`` (an external worker completed the handshake;
+    the endpoint is fresh and idle) or ``"net_fault"`` (the TCP chaos
+    seam acted on one of the endpoint's frames; payload is
+    ``(action, direction, seq)``).
     """
 
     __slots__ = ("kind", "endpoint", "payload", "fail_kind", "detail",
@@ -350,7 +352,8 @@ class LocalTransport:
     which replies through ``conn.send`` exactly as a worker does over
     its pipe.  :meth:`poll` serves what was sent, synchronously, and
     delivers the replies, each batch followed by the endpoint's next
-    ``steal``.  An exception raised while serving propagates.
+    ``steal``, which names the highest fence of the batch just served.
+    An exception raised while serving propagates.
     """
 
     wid = -1
@@ -362,11 +365,10 @@ class LocalTransport:
         self._replies: list = []
 
     def start(self, program, config) -> "LocalTransport":
-        self._steal = ("steal", self.wid, config.steal_batch)
         return self
 
     def spawn(self) -> "LocalTransport":
-        self._replies.append(self._steal)
+        self._replies.append(("steal", self.wid, 0))
         return self
 
     def send(self, msg: Any) -> None:
@@ -385,8 +387,11 @@ class LocalTransport:
     def poll(self, timeout: float) -> list[TransportEvent]:
         conn = SimpleNamespace(send=self._replies.append)
         while self._work and not self.closed:
-            self._serve(conn, self._work.popleft())
-            self._replies.append(self._steal)
+            work = self._work.popleft()
+            self._serve(conn, work)
+            self._replies.append(
+                ("steal", self.wid, max(task.fence for task in work[1]))
+            )
         replies, self._replies = self._replies, []
         return [TransportEvent("msg", self, payload=msg) for msg in replies]
 
@@ -477,7 +482,8 @@ class TcpTransport:
     ``net_hook`` is the chaos seam: called per frame per direction on
     the loop thread, it returns actions (drop/delay/duplicate/reorder)
     that the transport applies before delivery — see
-    :meth:`repro.chaos.FaultPlan.net_hook`.
+    :meth:`repro.chaos.FaultPlan.net_hook` — and :meth:`poll` reports
+    each applied fault as a ``net_fault`` event.
     """
 
     def __init__(self, ctx=None, host: str = "127.0.0.1", port: int = 0,
@@ -508,9 +514,6 @@ class TcpTransport:
         #: is behind one of these, and is reaped at close.
         self._by_wid: dict[int, TcpEndpoint] = {}
         self.address: Optional[tuple] = None
-        #: Trace hook the engine may set: called as cb(event_type, **f)
-        #: from the loop thread for reconnect/net-fault observability.
-        self.on_wire_event: Optional[Callable] = None
         self.stats = {"reconnects": 0, "joins": 0, "frames_in": 0,
                       "frames_out": 0, "net_faults": 0}
 
@@ -717,9 +720,6 @@ class TcpTransport:
                 "join", ep,
                 detail="resurfaced" if old is not None else "external join",
             ))
-            if self.on_wire_event is not None:
-                self.on_wire_event("join", worker=wid,
-                                   resurfaced=old is not None)
         first_attach = not ep.ever_attached
         ep.writer = writer
         ep.attached = True
@@ -733,9 +733,6 @@ class TcpTransport:
             else:
                 ep.reconnects += 1
                 self.stats["reconnects"] += 1
-                if self.on_wire_event is not None:
-                    self.on_wire_event("reconnect", worker=ep.wid,
-                                       count=ep.reconnects)
                 writer.write(encode_frame(("rewelcome", ep.wid)))
             while ep.outbox:
                 writer.write(ep.outbox.popleft())
@@ -767,7 +764,7 @@ class TcpTransport:
         """Apply inbound chaos, refresh liveness, enqueue the message."""
         seq = ep.seq_in
         ep.seq_in += 1
-        for action, delay in self._decide("w2c", ep.wid, seq):
+        for action, delay in self._decide("w2c", ep, seq):
             if action == "drop":
                 continue
             if action == "delay":
@@ -797,24 +794,19 @@ class TcpTransport:
             return
         self._events.put(TransportEvent("msg", ep, payload=msg))
 
-    def _decide(self, direction: str, wid: int, seq: int):
+    def _decide(self, direction: str, ep: TcpEndpoint, seq: int):
         if self._net_hook is None:
             return (("pass", 0.0),)
         try:
-            actions = self._net_hook(direction, wid, seq)
+            actions = self._net_hook(direction, ep.wid, seq)
         except Exception:  # pragma: no cover - chaos hook bug
             return (("pass", 0.0),)
-        if actions:
-            self.stats["net_faults"] += sum(
-                1 for a, _ in actions if a != "pass"
-            )
-            if self.on_wire_event is not None:
-                for action, _ in actions:
-                    if action != "pass":
-                        self.on_wire_event(
-                            "net_fault", kind=action,
-                            direction=direction, worker=wid, seq=seq,
-                        )
+        for action, _ in actions or ():
+            if action != "pass":
+                self.stats["net_faults"] += 1
+                self._events.put(TransportEvent(
+                    "net_fault", ep, payload=(action, direction, seq),
+                ))
         return actions or (("pass", 0.0),)
 
     def _send(self, ep: TcpEndpoint, msg: Any) -> None:
@@ -826,7 +818,7 @@ class TcpTransport:
             return
         seq = ep.seq_out
         ep.seq_out += 1
-        for action, delay in self._decide("c2w", ep.wid, seq):
+        for action, delay in self._decide("c2w", ep, seq):
             if action == "drop":
                 continue
             if action == "delay":

@@ -96,14 +96,17 @@ PARALLEL_POISONED = "parallel.poisoned"
 #: The pool collapsed below min_workers; the coordinator finishes the
 #: remaining frontier in-process.
 PARALLEL_DEGRADED = "parallel.degraded"
-#: An idle worker announced steal capacity (the pull half of
-#: work-stealing; the matching grant is a parallel.dispatch).
+#: An idle worker announced a steal (the pull half of work-stealing;
+#: ``want`` is the batch size granted, the matching grant is a
+#: parallel.dispatch).
 PARALLEL_STEAL = "parallel.steal"
-#: A task lease saw no progress for its duration: its fence was retired
-#: and the task requeued under a fresh one.
+#: A steal showed a task's result lost in flight (its worker had
+#: received the fence and was idle): the fence was retired and the task
+#: requeued under a fresh one.
 PARALLEL_LEASE_EXPIRED = "parallel.lease_expired"
-#: A result arrived under a fence that is no longer live (expired lease,
-#: superseded grant, or duplicated delivery) and was discarded wholesale.
+#: A result arrived under a fence that is no longer live (reclaimed or
+#: revoked lease, superseded grant, or duplicated delivery) and was
+#: discarded wholesale.
 PARALLEL_FENCED_STALE = "parallel.fenced_stale"
 #: An external worker joined the pool over the network (elastic
 #: membership), or a presumed-dead one resurfaced as a new endpoint.

@@ -10,13 +10,17 @@ workers, stalls them past the task timeout, and writes garbage into the
 result pipe.  The invariant checked is the paper's core soundness claim
 for the robustness layer: *injected faults may cost retries, but never
 solutions* — every chaos run must produce exactly the solution multiset
-of the fault-free baseline.
+of the fault-free baseline, and a run whose coordinator was not killed
+must also exhaust its frontier and conserve work exactly: its
+``guest_instructions`` equal the fault-free run's.
 
 With ``--kill``, each seed additionally schedules a coordinator kill at
 a seed-derived journal epoch: the run dies mid-flight, is resumed from
 its journal (with the kill stripped via :meth:`FaultPlan.sterile`), and
-the combined run must again match the baseline exactly — the
-crash/resume differential test, swept across seeds.
+the combined run must again match the baseline's multiset — the
+crash/resume differential test, swept across seeds.  (A resumed run
+re-explores the subtrees whose completions the journal lost, so its
+instruction count is not checked.)
 
 Every fault decision is a pure function of the seed, so any failing
 seed reproduces locally with the same command line.
@@ -118,25 +122,27 @@ def _engine(args, replay_log=None, baseline=False,
 
 
 def _build_workload(args):
-    """Resolve --workload: returns (guest, baseline multiset, replay log).
+    """Resolve --workload: returns (guest, baseline multiset, baseline
+    guest_instructions, replay log).
 
     The nondeterministic workloads are recorded once on the sequential
     engine; that run's solutions are the sweep baseline and its nondet
     log seeds every chaos run, which then replays under strict mode.
+    The instruction count is always a fault-free run's with the sweep's
+    engine settings.
     """
     if args.workload == "nqueens":
         if args.n not in KNOWN_SOLUTION_COUNTS:
             raise SystemExit(f"error: no known solution count for n={args.n}")
         guest = nqueens_asm(args.n)
-        baseline = _solution_multiset(
-            _engine(args, baseline=True).run(guest)
-        )
+        result = _engine(args, baseline=True).run(guest)
+        baseline = _solution_multiset(result)
         if len(baseline) != KNOWN_SOLUTION_COUNTS[args.n]:
             raise SystemExit(
                 f"error: fault-free baseline found {len(baseline)} "
                 f"solutions, expected {KNOWN_SOLUTION_COUNTS[args.n]}"
             )
-        return guest, baseline, None
+        return guest, baseline, result.stats.extra["guest_instructions"], None
 
     import warnings
 
@@ -160,13 +166,16 @@ def _build_workload(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the DT lint is the point here
         result = seq.run(guest)
+        replayed = _engine(args, replay_log=seq.recorder.log,
+                           baseline=True).run(guest)
     baseline = _solution_multiset(result)
     if len(baseline) != expected:
         raise SystemExit(
             f"error: recording baseline found {len(baseline)} solutions, "
             f"expected {expected}"
         )
-    return guest, baseline, seq.recorder.log
+    return (guest, baseline, replayed.stats.extra["guest_instructions"],
+            seq.recorder.log)
 
 
 def _plan(args, seed: int) -> FaultPlan:
@@ -192,7 +201,7 @@ def _plan(args, seed: int) -> FaultPlan:
     )
 
 
-def run_seed(args, seed: int, guest, baseline, journal_dir,
+def run_seed(args, seed: int, guest, baseline, steps, journal_dir,
              replay_log=None) -> dict:
     """One sweep iteration; returns its report row."""
     plan = _plan(args, seed)
@@ -226,15 +235,26 @@ def run_seed(args, seed: int, guest, baseline, journal_dir,
             row["resume_solutions"] = result.stats.extra["resume_solutions"]
     row["elapsed_s"] = round(time.monotonic() - started, 3)
     extra = result.stats.extra
+    problems = []
+    if _solution_multiset(result) != baseline:
+        problems.append("solution mismatch")
+    if not row["killed"]:
+        if not result.exhausted:
+            problems.append(f"not exhausted ({result.stop_reason})")
+        if extra["guest_instructions"] != steps:
+            problems.append(f"{extra['guest_instructions']} guest "
+                            f"instructions, fault-free {steps}")
     row.update({
         "solutions": len(result.solutions),
+        "guest_instructions": extra["guest_instructions"],
         "crashes": extra["worker_crashes"],
         "timeouts": extra["task_timeouts"],
         "protocol_errors": extra["protocol_errors"],
         "retried": extra["tasks_retried"],
         "respawns": extra["respawns"],
         "degraded": extra["degraded"],
-        "ok": _solution_multiset(result) == baseline,
+        "problems": problems,
+        "ok": not problems,
     })
     if args.transport == "tcp":
         row.update({
@@ -260,7 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        guest, baseline, replay_log = _build_workload(args)
+        guest, baseline, steps, replay_log = _build_workload(args)
     except SystemExit as err:
         print(err, file=sys.stderr)
         return 2
@@ -270,8 +290,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.journal_dir:
             os.makedirs(args.journal_dir, exist_ok=True)
         rows = [
-            run_seed(args, args.seed_base + i, guest, baseline, journal_dir,
-                     replay_log=replay_log)
+            run_seed(args, args.seed_base + i, guest, baseline, steps,
+                     journal_dir, replay_log=replay_log)
             for i in range(args.seeds)
         ]
 
@@ -280,6 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "n": args.n,
         "workload": args.workload,
         "expected_solutions": len(baseline),
+        "expected_guest_instructions": steps,
         "seeds": args.seeds,
         "kill_mode": args.kill,
         "transport": args.transport,
@@ -298,7 +319,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for row in rows:
-            status = "ok" if row["ok"] else "SOLUTION MISMATCH"
+            status = "ok" if row["ok"] else (
+                "FAILED: " + "; ".join(row["problems"]))
             kill = (
                 f" kill@{row['kill_epoch']}"
                 + ("+resume" if row["killed"] else " (finished first)")

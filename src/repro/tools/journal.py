@@ -70,7 +70,6 @@ def _report(args) -> dict:
         "solutions": len(recovered.solutions),
         "dropped": [list(t.prefix) for t in recovered.dropped],
         "transport": header.get("transport"),
-        "lease_timeout": header.get("lease_timeout"),
         "last_fence": recovered.last_fence,
         "poisoned": [
             {
@@ -152,10 +151,8 @@ def _render_human(report: dict) -> str:
         lines.append(f"  dropped (retryable on resume): "
                      f"{report['dropped']}")
     if report.get("transport"):
-        lease = report.get("lease_timeout")
         lines.append(
-            f"  transport: {report['transport']}, lease_timeout="
-            f"{'none' if lease is None else f'{lease:.1f}s'}, "
+            f"  transport: {report['transport']}, "
             f"last fence {report.get('last_fence', 0)}"
         )
     for entry in report["poisoned"]:

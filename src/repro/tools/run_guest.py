@@ -76,12 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of starting a run; the guest program and "
                         "engine config arrive over the wire, so no source "
                         "file or engine flags are needed")
-    parser.add_argument("--lease-ms", type=float, default=None,
-                        metavar="MS",
-                        help="task lease duration in milliseconds: a "
-                        "dispatched task whose worker shows no progress for "
-                        "this long is re-dispatched and the late result "
-                        "fenced off (default: 1.5 x --task-timeout)")
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="write-ahead run journal for crash-tolerant "
                         "runs (process engine only); inspect it with "
@@ -231,7 +225,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ("--flight-dir", args.flight_dir),
             ("--chaos-crash-rate", args.chaos_crash_rate),
             ("--listen", args.listen),
-            ("--lease-ms", args.lease_ms),
         ):
             if value is not None:
                 print(f"error: {flag} requires --engine process",
@@ -252,9 +245,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: --listen expects HOST:PORT, got {args.listen!r}",
                   file=sys.stderr)
             return 2
-    if args.lease_ms is not None and args.lease_ms <= 0:
-        print("error: --lease-ms must be > 0", file=sys.stderr)
-        return 2
     if args.task_timeout <= 0:
         print("error: --task-timeout must be > 0", file=sys.stderr)
         return 2
@@ -376,9 +366,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             flight_dir=args.flight_dir,
             transport=args.transport,
             listen=listen,
-            lease_timeout=(
-                args.lease_ms / 1000.0 if args.lease_ms is not None else None
-            ),
         )
         if args.transport == "tcp" and listen is not None:
             print(f"accepting workers on {listen[0]}:{listen[1]} "
@@ -462,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             line = (
                 f"  scheduling [{extra.get('transport', 'pipe')}]: "
                 f"{extra['steals']} steals, "
-                f"{extra['leases_expired']} leases expired, "
+                f"{extra['leases_expired']} leases reclaimed, "
                 f"{extra['fenced_stale']} stale results fenced"
             )
             if extra.get("worker_joins"):

@@ -61,8 +61,7 @@ class TestPlainData:
             input_script=b"input", hostfs=HostFS({"/data": b"x" * 10}),
             status_port=0, status_log=str(tmp_path / "status.jsonl"),
             status_interval=0.2, flight_dir=str(tmp_path / "flight"),
-            transport="tcp", listen=("127.0.0.1", 0), lease_timeout=6.0,
-            heartbeat_timeout=3.0,
+            transport="tcp", listen=("127.0.0.1", 0), heartbeat_timeout=3.0,
         )
         params = inspect.signature(ProcessParallelEngine).parameters
         assert set(options) == set(params)  # every option is set
@@ -117,9 +116,6 @@ class TestDerivedDefaults:
 class TestArgumentChecks:
     @pytest.mark.parametrize("timeout", [0.0, -1.0])
     def test_task_timeout_must_be_positive(self, timeout):
-        with pytest.raises(ValueError, match="task_timeout"):
-            ProcessParallelEngine(workers=1, task_timeout=timeout,
-                                  lease_timeout=1.0)
         with pytest.raises(ValueError, match="task_timeout"):
             ProcessParallelEngine(workers=1, task_timeout=timeout)
 

@@ -18,6 +18,8 @@ from repro.core.cluster import ProcessParallelEngine
 from repro.core.errors import CoordinatorKilled
 from repro.core.journal import recover
 from repro.core.machine import MachineEngine
+from repro.obs import events as ev
+from repro.obs.trace import TRACER
 from repro.workloads.nqueens import KNOWN_SOLUTION_COUNTS, nqueens_asm
 
 
@@ -130,6 +132,26 @@ class TestChaosTcp:
         ).run(nqueens_asm(5))
         wire = result.stats.extra["transport_stats"]
         assert wire["net_faults"] > 0
+
+    def test_net_faults_surface_in_the_trace(self):
+        """The transport reports each injected fault through ``poll``;
+        faults on the frames that close the pool come after the last
+        poll, so the trace may hold fewer than the transport counted."""
+        with TRACER.capture() as sink:
+            result = engine(
+                transport="tcp",
+                chaos=chaos_net_plan(1),
+                heartbeat_timeout=1.5,
+                max_task_retries=10,
+            ).run(nqueens_asm(5))
+        faults = [e for e in sink.events if e["type"] == ev.CHAOS_NET_FAULT]
+        wire = result.stats.extra["transport_stats"]
+        assert 1 <= len(faults) <= wire["net_faults"]
+        assert {e["action"] for e in faults} <= {"drop", "delay", "dup",
+                                                 "hold"}
+        assert {e["direction"] for e in faults} <= {"c2w", "w2c"}
+        assert all(isinstance(e["worker"], int) and isinstance(e["seq"], int)
+                   for e in faults)
 
 
 class TestKillAndResumeTcp:

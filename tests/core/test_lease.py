@@ -1,12 +1,12 @@
-"""Lease table: fenced ownership, expiry, the stale-result rules, and
-the per-worker record of what each worker owes and when it last made
+"""Lease table: fenced ownership, the stale-result rules, and the
+per-worker record of what each worker owes and when it last made
 progress.
 
 Every test injects a fake clock — the table never sleeps, so neither do
 the tests.  The invariants exercised here are the ones the distributed
 engine's exactness rests on: a (key, fence) pair settles at most once,
-tokens are strictly monotonic, and every revocation path (expiry, worker
-death, re-grant) fences off the old token.
+tokens are strictly monotonic, and every revocation path (worker death,
+lost results, re-grant) fences off the old token.
 """
 
 import pytest
@@ -32,7 +32,7 @@ def task(*prefix):
 
 class TestGrantSettle:
     def test_grant_stamps_fence_and_settle_consumes(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         lease = table.grant(task(1, 2), wid=7)
         assert lease.fence == 1
         assert lease.task.fence == 1
@@ -42,7 +42,7 @@ class TestGrantSettle:
         assert len(table) == 0
 
     def test_duplicate_settle_is_never_ok_twice(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         lease = table.grant(task(3), wid=0)
         assert table.settle((3,), lease.fence, wid=0) is lease
         # A duplicated delivery of the very same result is stale: the
@@ -50,7 +50,7 @@ class TestGrantSettle:
         assert table.settle((3,), lease.fence, wid=0) is None
 
     def test_wrong_fence_is_stale_and_leaves_live_lease(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         lease = table.grant(task(3), wid=0)
         assert table.settle((3,), lease.fence + 5, wid=0) is None
         assert table.settle((3,), 0, wid=0) is None
@@ -58,11 +58,11 @@ class TestGrantSettle:
         assert table.settle((3,), lease.fence, wid=0) is lease
 
     def test_unknown_key_is_stale(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         assert table.settle((9, 9), 1, wid=0) is None
 
     def test_regrant_fences_off_earlier_token(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         first = table.grant(task(5), wid=1)
         second = table.grant(task(5), wid=2)
         assert second.fence > first.fence
@@ -72,65 +72,39 @@ class TestGrantSettle:
         assert table.settle((5,), second.fence, wid=2) is second
 
     def test_fences_strictly_monotonic_across_keys(self):
-        table = LeaseTable(duration=None, start_fence=40)
+        table = LeaseTable(start_fence=40)
         fences = [table.grant(task(i), wid=0).fence for i in range(5)]
         assert fences == [40, 41, 42, 43, 44]
         assert table.next_fence == 45
 
     def test_key_normalised_to_tuple(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         lease = table.grant(task(1, 2, 3), wid=0)
         assert table.holder([1, 2, 3]) == 0
         assert table.settle([1, 2, 3], lease.fence, wid=0) is lease
 
 
 class TestExpiry:
-    def test_expired_pops_past_deadline_only(self):
-        clock = FakeClock()
-        table = LeaseTable(duration=10.0, clock=clock)
-        early = table.grant(task(1), wid=0)
-        clock.advance(6.0)
-        late = table.grant(task(2), wid=1)
-        clock.advance(5.0)  # t=111: early (deadline 110) is out
-        out = table.expired()
-        assert [l.key for l in out] == [(1,)]
-        assert table.settle((1,), early.fence, wid=0) is None
-        assert table.settle((2,), late.fence, wid=1) is late
+    """Leases have no deadline of their own: a worker's leases end only
+    when the coordinator revokes them, and the stall timeout that does
+    so reads :meth:`LeaseTable.quiet`."""
 
     def test_progress_pushes_out_only_that_workers_leases(self):
         clock = FakeClock()
-        table = LeaseTable(duration=10.0, clock=clock)
+        table = LeaseTable(clock=clock)
         table.grant(task(1), wid=0)
         table.grant(task(2), wid=1)
         clock.advance(8.0)
         table.progress(0)  # a heartbeat showing progress from wid 0
-        clock.advance(4.0)  # wid 1's lease (deadline 110) is past
-        out = table.expired()
-        assert [l.wid for l in out] == [1]
-        assert table.holder((1,)) == 0
-
-    def test_duration_none_never_expires_but_still_fences(self):
-        clock = FakeClock()
-        table = LeaseTable(duration=None, clock=clock)
-        lease = table.grant(task(1), wid=0)
-        clock.advance(1e9)
-        assert table.expired() == []
-        table.progress(0)  # no expiry to push out, must not raise
-        superseded = table.grant(task(1), wid=1)
-        assert table.settle((1,), lease.fence, wid=0) is None
-        assert table.settle((1,), superseded.fence, wid=1) is superseded
-
-    def test_expiry_exactly_at_deadline(self):
-        clock = FakeClock()
-        table = LeaseTable(duration=10.0, clock=clock)
-        table.grant(task(1), wid=0)
-        clock.advance(10.0)
-        assert len(table.expired()) == 1
+        clock.advance(4.0)
+        assert table.quiet(0) == 4.0
+        assert table.quiet(1) == 12.0
+        assert table.holder((1,)) == 0 and table.holder((2,)) == 1
 
 
 class TestRevocation:
     def test_revoke_worker_drops_all_and_only_its_leases(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         a = table.grant(task(1), wid=3)
         b = table.grant(task(2), wid=3)
         c = table.grant(task(3), wid=4)
@@ -142,7 +116,7 @@ class TestRevocation:
         assert table.owned_by(3) == []
 
     def test_drain_empties_table(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         table.grant(task(1), wid=0)
         table.grant(task(2), wid=1)
         drained = list(table.drain())
@@ -150,7 +124,7 @@ class TestRevocation:
         assert len(table) == 0
 
     def test_owned_by_lists_live_leases(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         table.grant(task(1), wid=5)
         table.grant(task(2), wid=5)
         assert sorted(l.key for l in table.owned_by(5)) == [(1,), (2,)]
@@ -163,30 +137,29 @@ class TestWorkerRecord:
 
     def test_a_result_renews_the_workers_other_leases(self):
         clock = FakeClock()
-        table = LeaseTable(duration=10.0, clock=clock)
+        table = LeaseTable(clock=clock)
         first = table.grant(task(1), wid=0)
         table.grant(task(2), wid=0)
         table.grant(task(3), wid=0)
         clock.advance(8.0)
         assert table.settle((1,), first.fence, wid=0) is first
         clock.advance(8.0)  # t=116: 16 s after the grants, 8 s quiet
-        assert table.expired() == []
-        clock.advance(2.0)  # 10 s without progress: they go together
-        assert [l.key for l in table.expired()] == [(2,), (3,)]
+        assert table.quiet(0) == 8.0
+        assert [l.key for l in table.owned_by(0)] == [(2,), (3,)]
 
     def test_a_stale_result_is_progress_too(self):
         clock = FakeClock()
-        table = LeaseTable(duration=10.0, clock=clock)
+        table = LeaseTable(clock=clock)
         table.grant(task(1), wid=0)
         clock.advance(8.0)
         assert table.settle((9,), 1, wid=0) is None
         clock.advance(8.0)
-        assert table.expired() == []
+        assert table.quiet(0) == 8.0
         assert table.holder((1,)) == 0
 
     def test_busy_and_quiet_follow_grants_and_results(self):
         clock = FakeClock()
-        table = LeaseTable(duration=None, clock=clock)
+        table = LeaseTable(clock=clock)
         assert not table.busy(0)
         a = table.grant(task(1), wid=0)
         b = table.grant(task(2), wid=0)
@@ -210,7 +183,7 @@ class TestWorkerRecord:
         assert not table.busy(0)
 
     def test_leases_come_back_in_grant_order_and_a_regrant_moves_last(self):
-        table = LeaseTable(duration=None)
+        table = LeaseTable()
         for key in (5, 1, 3):
             table.grant(task(key), wid=0)
         table.grant(task(4), wid=1)
@@ -227,12 +200,6 @@ class TestWorkerRecord:
 
 
 class TestValidation:
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            LeaseTable(duration=0)
-        with pytest.raises(ValueError):
-            LeaseTable(duration=-1.0)
-
     def test_rejects_start_fence_below_one(self):
         with pytest.raises(ValueError):
             LeaseTable(start_fence=0)

@@ -264,6 +264,7 @@ class TestErrors:
         '.ascii "\\8"',
         '.ascii "\\400"',          # more than one byte
         '.ascii "ab\\"',           # a backslash ending the string
+        '.ascii ""\\"',            # the string runs to the last quote
         "mov rax, '\\x'",
         "mov rax, '\\u1234'",
         "mov rax, [rbx + '\\777']",

@@ -12,7 +12,7 @@ tuple or fail with the same error.
 import re
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.cpu import isa
 from repro.cpu.assembler import _ALIASES, _operand_kinds, assemble
@@ -113,7 +113,11 @@ OLD_SYNTAX = {"'": ';#,[]"', '"': ';#"'}
 #: assembler raises an ``AssemblyError``.
 GOOD_ESCAPE = re.compile(
     r"""\\(?:x[0-9A-Fa-f]{2}|[0-3][0-7]{0,2}|[4-7][0-7]?(?![0-7])|[\\'"abfnrtv])""")
-LABELS = re.compile(r"\s*(?:[A-Za-z_.$][\w.$]*:\s*)*\S*")
+#: The labels and the mnemonic or directive name (group 1) of a line.
+LABELS = re.compile(r"\s*(?:[A-Za-z_.$][\w.$]*:\s*)*(\S*)")
+#: How both assemblers cut a string into escapes: a backslash and two
+#: hex digits, one to three octal digits, or any one character.
+ESCAPE = re.compile(r"\\(?:x[0-9A-Fa-f]{2}|[0-7]{1,3}|.?)", re.S)
 
 
 def reads_alike_lower_cased(part: str) -> bool:
@@ -137,6 +141,9 @@ def lexes_differently(line: str) -> bool:
     operands at a comma inside single quotes or after an unmatched
     ``]``, lower-cased labels and character literals inside brackets,
     and let a bad escape in a quoted span through to Python's codec.
+    ``.ascii`` and ``.asciz`` take everything from the first to the last
+    quote of their operand as the string, whatever quotes lie between,
+    so their escapes are read from that span.
     """
     quote = ""
     escaped = unmatched = False
@@ -168,8 +175,13 @@ def lexes_differently(line: str) -> bool:
             depth = max(depth - 1, 0)
         elif ch == "," and unmatched:
             return True
+    head = LABELS.match(line[:end])
+    string = re.match(r'^"(.*)"$', line[head.end():end].strip())
+    if head.group(1) in (".ascii", ".asciz") and string and not all(
+            GOOD_ESCAPE.match(esc.group()) for esc in ESCAPE.finditer(string.group(1))):
+        return True
     # The operands split alike; the old lexer lower-cased memory operands.
-    for tok in reference._split_operands(LABELS.sub("", line[:end], count=1)):
+    for tok in reference._split_operands(line[head.end():end]):
         if len(tok) >= 3 and tok[0] == "[" and tok[-1] == "]":
             body = tok[1:-1].replace(" ", "").replace("\t", "").replace("-", "+-")
             if not all(map(reads_alike_lower_cased, body.split("+"))):
@@ -279,8 +291,11 @@ sources = st.lists(source_line().filter(lambda line: not lexes_differently(line)
 
 
 @given(source=sources)
+@example(source='.data\n.quad\n.ascii ""\\"')
 @settings(max_examples=400, deadline=None)
 def test_random_sources_assemble_alike(source):
+    # An explicit example skips the strategy's filter.
+    assume(not any(map(lexes_differently, source.split("\n"))))
     assert outcome(assemble, source) == outcome(reference.assemble, source)
 
 

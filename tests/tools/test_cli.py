@@ -56,7 +56,7 @@ class TestRunGuest:
                                                         capsys):
         assert run_guest.main(
             [queens_file, "--engine", "process", "--workers", "1",
-             "--task-timeout", "0", "--lease-ms", "1000"]
+             "--task-timeout", "0"]
         ) == 2
         assert "--task-timeout must be > 0" in capsys.readouterr().err
 
