@@ -22,6 +22,7 @@ bounds) and always run.
 import json
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from benchmarks._gates import gates_forced, record_gate, usable_cores
@@ -49,33 +50,47 @@ def _poll_for_msg(transport, timeout=5.0):
     raise AssertionError("transport delivered no message in time")
 
 
+def _serve(transport, future, timeout=10.0):
+    """Poll *transport* until *future*, a worker call running on a
+    helper thread, is done (a dial or redial waits for the answer that
+    ``poll`` gives); returns its result and the events polled."""
+    events = []
+    deadline = time.monotonic() + timeout
+    while not future.done() and time.monotonic() < deadline:
+        events.extend(transport.poll(0.02))
+    return future.result(timeout=0), events
+
+
 def _measure_steal_and_reconnect():
     transport = TcpTransport(host="127.0.0.1", port=0)
     transport.start(program="X8", config={})
     rtts = []
     try:
-        conn = TcpWorkerConnection(transport.address)
-        try:
-            events = transport.poll(2.0)
-            ep = next(ev.endpoint for ev in events if ev.kind == "join")
-            for _ in range(STEAL_ROUNDS):
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            conn, events = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
+            try:
+                ep = next(ev.endpoint for ev in events if ev.kind == "join")
+                for _ in range(STEAL_ROUNDS):
+                    t0 = time.perf_counter()
+                    conn.send(("steal", conn.wid, 1))
+                    _poll_for_msg(transport)
+                    ep.send(("work", [], None, []))
+                    assert conn.poll(5.0)
+                    conn.recv()
+                    rtts.append(time.perf_counter() - t0)
+                # Reconnect: sever the socket under the worker and time
+                # how long until the coordinator hears from it again.
+                conn._sock.close()
                 t0 = time.perf_counter()
-                conn.send(("steal", conn.wid, 1))
+                sent = helper.submit(conn.send, ("steal", conn.wid, 1))
                 _poll_for_msg(transport)
-                ep.send(("work", [], None, []))
-                assert conn.poll(5.0)
-                conn.recv()
-                rtts.append(time.perf_counter() - t0)
-            # Reconnect: sever the socket under the worker and time how
-            # long until the coordinator hears from it again.
-            conn._sock.close()
-            t0 = time.perf_counter()
-            conn.send(("steal", conn.wid, 1))
-            _poll_for_msg(transport)
-            reconnect_s = time.perf_counter() - t0
-            assert transport.stats["reconnects"] >= 1
-        finally:
-            conn.close()
+                reconnect_s = time.perf_counter() - t0
+                _serve(transport, sent)
+                assert transport.stats["reconnects"] >= 1
+            finally:
+                conn.close()
     finally:
         transport.close()
     return rtts, reconnect_s

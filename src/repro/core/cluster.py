@@ -667,9 +667,9 @@ class ProcessParallelEngine:
     transport:
         The wire between coordinator and workers: ``"pipe"`` (default;
         local worker processes over duplex multiprocessing pipes) or
-        ``"tcp"`` (framed sockets via an asyncio acceptor; workers may
-        additionally join elastically from other hosts/processes with
-        ``run_guest --connect``).  Scheduling, supervision, journaling
+        ``"tcp"`` (framed sockets polled on the coordinator's thread;
+        workers may also join elastically from other hosts/processes
+        with ``run_guest --connect``).  Scheduling, supervision, journaling
         and chaos semantics are identical across transports — the
         differential battery pins that down.
     listen:
@@ -855,9 +855,12 @@ class _Coordinator:
     """
 
     def __init__(self, engine: ProcessParallelEngine, program: Program,
-                 sites: Optional[tuple[tuple[int, str], ...]]):
+                 sites: Optional[tuple[tuple[int, str], ...]],
+                 clock: Callable[[], float] = time.monotonic):
         self.engine = engine
         self.program = program
+        #: The run's one clock: every coordinator deadline reads it.
+        self.clock = clock
         engine.registry.reset()
         self.reg = reg = engine.registry
         # Workers ship ``search.*`` with every result; start the run's
@@ -895,7 +898,7 @@ class _Coordinator:
         self.span = next(_run_spans)
         self.status = engine.status = RunStatus(
             workers=engine.num_workers, span=self.span,
-            strategy=engine.strategy_name,
+            strategy=engine.strategy_name, clock=clock,
         )
         self.server: Optional[StatusServer] = None
         self.logger: Optional[StatusLogger] = None
@@ -907,7 +910,7 @@ class _Coordinator:
         self.degraded = False
         self.poisoned: list[tuple[PrefixTask, list]] = []
         self.sup = WorkerSupervisor(engine.num_workers,
-                                    engine.supervisor_policy)
+                                    engine.supervisor_policy, clock=clock)
         self.nlog = engine.replay_log  # the run's merged nondet-event log
         self.journal: Optional[JournalWriter] = None
         #: Task keys already completed in the journaled run: a resumed
@@ -942,6 +945,7 @@ class _Coordinator:
             start_fence=(
                 self.recovered.last_fence + 1 if self.recovered else 1
             ),
+            clock=clock,
         )
         #: The pool's transport, and the one in use: the same object
         #: until degraded mode swaps in the in-process endpoint.
@@ -1016,7 +1020,7 @@ class _Coordinator:
                 e._ctx, host=host, port=port,
                 worker_entry=_tcp_worker_entry, net_hook=net_hook,
                 heartbeat_timeout=e.heartbeat_timeout,
-                start_wid=e._next_wid,
+                start_wid=e._next_wid, clock=self.clock,
             )
         else:
             transport = PipeTransport(
@@ -1049,8 +1053,7 @@ class _Coordinator:
                 break
             self._refresh()
             if not self.degraded:
-                now = time.monotonic()
-                for slot in self.sup.respawn_ready(now):
+                for slot in self.sup.respawn_ready():
                     handle = self._add_handle(self.transport.spawn(), slot)
                     self.sup.mark_running(slot)
                     self.c_respawns.inc()
@@ -1075,7 +1078,7 @@ class _Coordinator:
                 # slot is down.
                 due = self.sup.next_respawn_due()
                 if due is not None:
-                    timeout = min(poll, max(0.0, due - time.monotonic()))
+                    timeout = min(poll, max(0.0, due - self.clock()))
             for ev in self.transport.poll(max(0.0, timeout)):
                 self._on_event(ev)
             self._check_workers()
@@ -1499,7 +1502,7 @@ class _Coordinator:
     def _refresh(self, force: bool = False) -> None:
         if not self.engine._telemetry:
             return
-        now = time.monotonic()
+        now = self.clock()
         # The status refreshes as often as the workers beat.
         if (not force and now - self.last_refresh
                 < self.config.heartbeat_interval):

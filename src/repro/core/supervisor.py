@@ -149,10 +149,9 @@ class WorkerSupervisor:
         floor = max(1, self.policy.min_workers)
         return self.serviceable() < floor
 
-    def respawn_ready(self, now: Optional[float] = None) -> list[WorkerSlot]:
+    def respawn_ready(self) -> list[WorkerSlot]:
         """BACKOFF slots whose respawn deadline has passed."""
-        if now is None:
-            now = self._clock()
+        now = self._clock()
         return [
             s for s in self.slots
             if s.state is SlotState.BACKOFF and now >= s.respawn_due
@@ -168,7 +167,7 @@ class WorkerSupervisor:
     def is_poisoned(self, key: tuple) -> bool:
         return key in self._poisoned_keys
 
-    def health(self, now: Optional[float] = None) -> list[dict]:
+    def health(self) -> list[dict]:
         """JSON-safe per-slot view for the live-telemetry exporters.
 
         One dict per slot: its state-machine state, failure streak and
@@ -177,8 +176,7 @@ class WorkerSupervisor:
         the worker currently occupying the slot before handing the list
         to :class:`~repro.obs.status.RunStatus`.
         """
-        if now is None:
-            now = self._clock()
+        now = self._clock()
         out: list[dict] = []
         for slot in self.slots:
             entry: dict = {
@@ -218,7 +216,6 @@ class WorkerSupervisor:
         kind: str,
         suspect_key: Optional[tuple],
         detail: str = "",
-        now: Optional[float] = None,
     ) -> FailureDecision:
         """Account one worker death; decide respawn and poisoning.
 
@@ -226,8 +223,7 @@ class WorkerSupervisor:
         the task that was executing (batch head), or None when the
         worker died idle.
         """
-        if now is None:
-            now = self._clock()
+        now = self._clock()
         decision = FailureDecision(slot=slot)
         slot.failures += 1
         slot.total_failures += 1

@@ -9,8 +9,9 @@ once against a small interface and the wire underneath is swappable:
 * :class:`PipeTransport` — today's behaviour, bit-compatibly: one
   ``multiprocessing.Pipe`` per local worker process, pickle framing done
   by the pipe itself, worker death observed as a closed pipe.
-* :class:`TcpTransport` — an asyncio acceptor loop (run on a background
-  thread so the coordinator stays synchronous), length-prefixed
+* :class:`TcpTransport` — non-blocking sockets served inside
+  :meth:`~TcpTransport.poll` on the coordinator's own thread, with
+  every deadline read from the coordinator's clock: length-prefixed
   CRC32-framed pickle messages, per-connection heartbeat deadlines that
   catch *half-open* peers no EOF will ever announce, a reconnect grace
   window so a transient disconnect is not a death, and elastic
@@ -37,9 +38,9 @@ re-handshaking — the stream is unrecoverable past a bad header.
 
 from __future__ import annotations
 
-import asyncio
+import heapq
+import itertools
 import pickle
-import queue
 import select
 import socket
 import struct
@@ -64,6 +65,23 @@ HEADER_SIZE = _HEADER.size
 #: Refuse frames claiming more than this many payload bytes: a flipped
 #: bit in the length field must not make the decoder buffer gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: TCP timings, in seconds.  A worker whose connection was lost has
+#: ``RECONNECT_GRACE_S`` to redial under its worker id; either side of a
+#: new connection waits ``HANDSHAKE_TIMEOUT_S`` for the other's
+#: handshake frame (a worker's connect too); a coordinator send that the
+#: peer does not take within ``SEND_TIMEOUT_S`` loses the connection;
+#: workers ping every ``PING_INTERVAL_S``, inside the heartbeat timeout.
+RECONNECT_GRACE_S = 2.0
+HANDSHAKE_TIMEOUT_S = 5.0
+SEND_TIMEOUT_S = 5.0
+PING_INTERVAL_S = 1.0
+#: A worker redials ``RECONNECT_ATTEMPTS`` times after losing its
+#: connection, waiting ``BACKOFF_BASE_S * 2**(k-1)``, at most
+#: ``BACKOFF_MAX_S``, before the k-th.
+RECONNECT_ATTEMPTS = 6
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 1.0
 
 
 class TransportError(RuntimeError):
@@ -414,31 +432,34 @@ class TcpEndpoint:
     exercised rather than masked).
     """
 
-    def __init__(self, transport: "TcpTransport", wid: int,
-                 proc=None, external: bool = False):
+    def __init__(self, transport: "TcpTransport", wid: int, proc=None):
         self._transport = transport
         self.wid = wid
         self.proc = proc
-        self.external = external
         self.closed = False
-        #: Loop-thread state ------------------------------------------
-        self.writer = None
-        self.attached = False
-        self.ever_attached = False
+        #: The connection (None while detached) and its frame decoder.
+        self.sock: Optional[socket.socket] = None
+        self.decoder: Optional[FrameDecoder] = None
+        #: Clock readings: when the last connection was lost (None
+        #: before any was), when the last frame was delivered.
         self.detached_at: Optional[float] = None
-        self.last_rx = time.monotonic()
+        self.last_rx = 0.0
         self.down_emitted = False
-        self.reconnects = 0
+        #: Frames sent while detached, flushed on reattach.
         self.outbox: deque[bytes] = deque()
         self.seq_in = 0
         self.seq_out = 0
         self.held_in: Optional[Any] = None
         self.held_out: Optional[bytes] = None
 
+    @property
+    def attached(self) -> bool:
+        return self.sock is not None
+
     def send(self, msg: Any) -> None:
         if self.closed:
             raise EndpointDown(f"worker {self.wid} endpoint closed")
-        self._transport._send(self, msg)
+        self._transport._send_frame(self, encode_frame(msg))
 
     def alive(self) -> bool:
         if self.closed or self.down_emitted:
@@ -458,30 +479,38 @@ class TcpEndpoint:
         """Sever trust: close the connection, keep the process (if any)
         for transport-close reaping — see the class docstring."""
         self.closed = True
-        self._transport._detach_threadsafe(self)
+        self._transport._detach(self)
 
 
 class TcpTransport:
-    """Asyncio acceptor + framed sockets behind the Transport interface.
+    """Framed sockets behind the Transport interface, served by
+    :meth:`poll` on the caller's thread.
 
-    The event loop runs on a daemon thread; the synchronous coordinator
-    talks to it through a thread-safe event queue (:meth:`poll`) and
-    ``call_soon_threadsafe`` (sends).  Liveness per connection:
+    One :meth:`poll` waits once for socket IO, then accepts, reads every
+    ready socket, answers hellos, delivers chaos-delayed frames that are
+    due, and only then checks the deadlines, so a caller that was busy
+    never calls a peer silent whose frames were waiting in its socket.
+    Every deadline reads the injected ``clock``.  Sends write straight
+    to the socket; one that cannot finish within :data:`SEND_TIMEOUT_S`
+    counts as a disconnect.  Liveness per connection:
 
-    * every received frame refreshes ``last_rx``; workers ping ~1/s even
-      while computing, so a connection with no traffic for
-      ``heartbeat_timeout`` seconds is *half-open* → ``down``;
-    * a clean disconnect starts a ``reconnect_grace`` window — the
+    * every delivered frame refreshes ``last_rx``; workers ping every
+      :data:`PING_INTERVAL_S` even while computing, so a connection
+      with no traffic for ``heartbeat_timeout`` seconds is *half-open*
+      → ``down``;
+    * a lost connection opens a :data:`RECONNECT_GRACE_S` window — the
       worker side reconnects with exponential backoff and resumes under
       the same wid; only an expired window surfaces ``down``;
+    * an accepted socket that sends no hello within
+      :data:`HANDSHAKE_TIMEOUT_S` is closed;
     * an unknown (or previously failed) wid completing the handshake
       surfaces ``join`` — elastic membership, also how a partitioned
       worker resurfaces (as a *new* endpoint whose stale results the
       engine fences off).
 
-    ``net_hook`` is the chaos seam: called per frame per direction on
-    the loop thread, it returns actions (drop/delay/duplicate/reorder)
-    that the transport applies before delivery — see
+    ``net_hook`` is the chaos seam: called per frame per direction, it
+    returns actions (drop/delay/duplicate/reorder) that the transport
+    applies before delivery — see
     :meth:`repro.chaos.FaultPlan.net_hook` — and :meth:`poll` reports
     each applied fault as a ``net_fault`` event.
     """
@@ -490,28 +519,28 @@ class TcpTransport:
                  *, worker_entry: Optional[Callable] = None,
                  net_hook: Optional[Callable] = None,
                  heartbeat_timeout: float = 5.0,
-                 reconnect_grace: float = 2.0,
-                 handshake_timeout: float = 5.0,
-                 start_wid: int = 0):
+                 start_wid: int = 0,
+                 clock: Callable[[], float] = time.monotonic):
         self._ctx = ctx
         self._host = host
         self._port = port
         self._worker_entry = worker_entry
         self._net_hook = net_hook
         self.heartbeat_timeout = heartbeat_timeout
-        self.reconnect_grace = reconnect_grace
-        self.handshake_timeout = handshake_timeout
+        self._clock = clock
         self._next_wid = start_wid
         self._program = None
         self._config = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server = None
-        self._watchdog = None
-        self._events: "queue.Queue[TransportEvent]" = queue.Queue()
-        #: wid -> most recent endpoint for it (loop thread only after
-        #: start, except for reads).  Every local process ever spawned
-        #: is behind one of these, and is reaped at close.
+        self._listener: Optional[socket.socket] = None
+        #: Accepted sockets that have not said hello yet: their decoder
+        #: and handshake deadline.
+        self._handshakes: dict[socket.socket, tuple[FrameDecoder, float]] = {}
+        #: Chaos-delayed deliveries, a heap of (due, seq, fn, args).
+        self._timers: list = []
+        self._timer_seq = itertools.count()
+        self._events: list[TransportEvent] = []
+        #: wid -> most recent endpoint for it.  Every local process ever
+        #: spawned is behind one of these, and is reaped at close.
         self._by_wid: dict[int, TcpEndpoint] = {}
         self.address: Optional[tuple] = None
         self.stats = {"reconnects": 0, "joins": 0, "frames_in": 0,
@@ -522,31 +551,17 @@ class TcpTransport:
     def start(self, program, config) -> "TcpTransport":
         self._program = program
         self._config = config
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-tcp-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        fut = asyncio.run_coroutine_threadsafe(self._serve(), self._loop)
-        self.address = fut.result(timeout=10.0)
+        self._listener = socket.create_server((self._host, self._port))
+        self._listener.setblocking(False)
+        self.address = self._listener.getsockname()[:2]
         return self
-
-    async def _serve(self):
-        self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port,
-        )
-        self._watchdog = self._loop.create_task(self._watch())
-        sockname = self._server.sockets[0].getsockname()
-        return (sockname[0], sockname[1])
 
     def spawn(self) -> TcpEndpoint:
         """Start a local worker process that dials back over TCP."""
         if self._worker_entry is None:
             raise TransportError("transport has no local worker entry")
         wid = self._alloc_wid()
-        ep = TcpEndpoint(self, wid, proc=None, external=False)
-        self._register(ep)
+        ep = self._by_wid[wid] = TcpEndpoint(self, wid)
         proc = self._ctx.Process(
             target=self._worker_entry,
             args=(self.address, wid),
@@ -562,148 +577,87 @@ class TcpTransport:
         self._next_wid += 1
         return wid
 
-    def _register(self, ep: TcpEndpoint) -> None:
-        self._by_wid[ep.wid] = ep
-
     def poll(self, timeout: float) -> list[TransportEvent]:
-        events: list[TransportEvent] = []
-        try:
-            events.append(self._events.get(timeout=timeout))
-        except queue.Empty:
-            return events
-        while True:
-            try:
-                events.append(self._events.get_nowait())
-            except queue.Empty:
-                return events
+        if self._timers:
+            timeout = min(timeout, self._timers[0][0] - self._clock())
+        conns = {ep.sock: ep for ep in self._by_wid.values()
+                 if ep.sock is not None}
+        ready = mp_connection.wait(
+            [self._listener, *self._handshakes, *conns], max(0.0, timeout),
+        )
+        for sock in ready:
+            if sock is self._listener:
+                self._accept()
+            elif sock in self._handshakes:
+                self._handshake(sock)
+            elif conns[sock].sock is sock:  # not superseded this sweep
+                self._read(conns[sock])
+        now = self._clock()
+        while self._timers and self._timers[0][0] <= now:
+            _, _, fn, args = heapq.heappop(self._timers)
+            fn(*args)
+        self._check_deadlines(now)
+        events, self._events = self._events, []
+        return events
 
     def close(self) -> None:
         """Stop and reap every local worker (including those whose
         endpoints were killed mid-run and deliberately left running to
-        model partitions), then tear the acceptor down."""
-        if self._loop is None or self._loop.is_closed():
+        model partitions), then close every socket."""
+        if self._listener is None:
             return
-        # While the loop still runs, so the pills go out.
         _reap(list(self._by_wid.values()))
+        self._listener.close()
+        self._listener = None
+        for sock in self._handshakes:
+            sock.close()
+        self._handshakes.clear()
+        for ep in self._by_wid.values():
+            self._detach(ep)
 
-        async def _teardown():
-            if self._watchdog is not None:
-                self._watchdog.cancel()
-            if self._server is not None:
-                self._server.close()
-            for ep in list(self._by_wid.values()):
-                self._detach(ep)
+    # -- connections ---------------------------------------------------
 
-        try:
-            asyncio.run_coroutine_threadsafe(
-                _teardown(), self._loop
-            ).result(timeout=5.0)
-        except Exception:  # pragma: no cover - teardown races
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        try:
-            self._loop.close()
-        except RuntimeError:  # pragma: no cover
-            pass
-
-    # -- loop-thread internals -----------------------------------------
-
-    def _call(self, fn, *args) -> None:
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(fn, *args)
-
-    def _detach_threadsafe(self, ep: TcpEndpoint) -> None:
-        self._call(self._detach, ep)
-
-    def _detach(self, ep: TcpEndpoint) -> None:
-        ep.attached = False
-        ep.detached_at = time.monotonic()
-        writer, ep.writer = ep.writer, None
-        if writer is not None:
+    def _accept(self) -> None:
+        while True:
             try:
-                writer.close()
-            except Exception:  # pragma: no cover
-                pass
-
-    def _emit_down(self, ep: TcpEndpoint, fail_kind: str, detail: str,
-                   protocol_error: bool = False) -> None:
-        if ep.down_emitted:
-            return
-        ep.down_emitted = True
-        self._detach(ep)
-        if not ep.closed:
-            self._events.put(TransportEvent(
-                "down", ep, fail_kind=fail_kind, detail=detail,
-                protocol_error=protocol_error,
-            ))
-
-    async def _watch(self):
-        interval = max(0.05, min(0.25, self.heartbeat_timeout / 4.0))
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for ep in list(self._by_wid.values()):
-                if ep.closed or ep.down_emitted:
-                    continue
-                if ep.attached:
-                    if now - ep.last_rx > self.heartbeat_timeout:
-                        self._emit_down(
-                            ep, "timeout",
-                            f"no traffic for {self.heartbeat_timeout:.1f}s "
-                            "(half-open connection)",
-                        )
-                    continue
-                if ep.ever_attached:
-                    if (ep.detached_at is not None
-                            and now - ep.detached_at > self.reconnect_grace):
-                        self._emit_down(
-                            ep, "crash",
-                            "connection lost (reconnect grace expired)",
-                        )
-                elif ep.proc is not None and not ep.proc.is_alive():
-                    self._emit_down(
-                        ep, "crash", "worker died before first handshake",
-                    )
-
-    async def _read_frame(self, reader, decoder: FrameDecoder):
-        while True:
-            for msg in decoder.messages():
-                return msg
-            data = await reader.read(65536)
-            if not data:
-                raise ConnectionResetError("peer closed")
-            decoder.feed(data)
-
-    async def _on_connection(self, reader, writer):
-        decoder = FrameDecoder()
-        try:
-            hello = await asyncio.wait_for(
-                self._read_frame(reader, decoder),
-                timeout=self.handshake_timeout,
+                sock, _ = self._listener.accept()
+            except OSError:  # BlockingIOError: no connection left
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._handshakes[sock] = (
+                FrameDecoder(), self._clock() + HANDSHAKE_TIMEOUT_S,
             )
-        except Exception:
-            writer.close()
+            self._handshake(sock)  # the hello may be here already
+
+    def _handshake(self, sock: socket.socket) -> None:
+        """Read *sock*'s hello, if it has come, and answer it."""
+        decoder, _ = self._handshakes[sock]
+        open_ = _recv_into(sock, decoder)
+        try:
+            hello = next(decoder.messages(), None)
+        except FrameError:
+            hello, open_ = None, False
+        if hello is None and open_:
             return
+        del self._handshakes[sock]
         if (not isinstance(hello, tuple) or len(hello) != 3
                 or hello[0] != "hello"):
-            writer.close()
+            sock.close()
             return
         _, claimed_wid, version = hello
         if version != PROTOCOL_VERSION:
             try:
-                writer.write(encode_frame(
+                _send_all(sock, encode_frame(
                     ("reject", f"protocol version {version} != "
                                f"{PROTOCOL_VERSION}")
                 ))
-                await writer.drain()
-            except Exception:  # pragma: no cover
+            except OSError:
                 pass
-            writer.close()
+            sock.close()
             return
 
         ep = self._by_wid.get(claimed_wid) if claimed_wid is not None else None
-        fresh = False
         if ep is None or ep.closed or ep.down_emitted:
             # External join — or a presumed-dead worker resurfacing
             # after a partition.  Either way it enters as a *new*
@@ -711,54 +665,86 @@ class TcpTransport:
             # off anything it still believes it owns.
             wid = claimed_wid if claimed_wid is not None else self._alloc_wid()
             old = self._by_wid.get(wid)
-            ep = TcpEndpoint(self, wid, proc=old.proc if old else None,
-                             external=old.external if old else True)
-            self._register(ep)
-            fresh = True
+            ep = self._by_wid[wid] = TcpEndpoint(
+                self, wid, proc=old.proc if old else None,
+            )
             self.stats["joins"] += 1
-            self._events.put(TransportEvent(
+            self._events.append(TransportEvent(
                 "join", ep,
                 detail="resurfaced" if old is not None else "external join",
             ))
-        first_attach = not ep.ever_attached
-        ep.writer = writer
-        ep.attached = True
-        ep.ever_attached = True
-        ep.last_rx = time.monotonic()
-        try:
-            if first_attach or fresh:
-                writer.write(encode_frame(
-                    ("welcome", ep.wid, self._program, self._config)
-                ))
-            else:
-                ep.reconnects += 1
-                self.stats["reconnects"] += 1
-                writer.write(encode_frame(("rewelcome", ep.wid)))
-            while ep.outbox:
-                writer.write(ep.outbox.popleft())
-            await writer.drain()
-        except Exception:
-            self._detach(ep)
-            return
-        await self._read_loop(ep, reader, writer, decoder)
+        self._detach(ep)  # a redial supersedes the old connection
+        if ep.detached_at is None:
+            greeting = ("welcome", ep.wid, self._program, self._config)
+        else:
+            self.stats["reconnects"] += 1
+            greeting = ("rewelcome", ep.wid)
+        ep.sock, ep.decoder = sock, decoder
+        ep.last_rx = self._clock()
+        frames = [encode_frame(greeting), *ep.outbox]
+        ep.outbox.clear()
+        self._write(ep, b"".join(frames))
 
-    async def _read_loop(self, ep: TcpEndpoint, reader, writer, decoder):
+    def _read(self, ep: TcpEndpoint) -> None:
+        open_ = _recv_into(ep.sock, ep.decoder)
         try:
-            while True:
-                msg = await self._read_frame(reader, decoder)
-                if ep.writer is not writer or ep.closed:
-                    return  # superseded by a newer connection
+            for msg in ep.decoder.messages():
                 self._deliver(ep, msg)
         except FrameError as exc:
-            if ep.writer is writer and not ep.closed:
-                self._emit_down(ep, "crash",
-                                f"undecodable frame: {exc}",
-                                protocol_error=True)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            if ep.writer is writer and not ep.closed:
-                # Clean-ish disconnect: open the reconnect grace window
-                # instead of declaring death immediately.
-                self._detach(ep)
+            self._emit_down(ep, "crash", f"undecodable frame: {exc}",
+                            protocol_error=True)
+            return
+        if not open_:
+            # A clean disconnect opens the reconnect grace window
+            # instead of declaring death immediately.
+            self._detach(ep)
+
+    def _detach(self, ep: TcpEndpoint) -> None:
+        if ep.sock is not None:
+            ep.sock.close()
+            ep.sock = None
+            ep.detached_at = self._clock()
+
+    def _emit_down(self, ep: TcpEndpoint, fail_kind: str, detail: str,
+                   protocol_error: bool = False) -> None:
+        ep.down_emitted = True
+        self._detach(ep)
+        self._events.append(TransportEvent(
+            "down", ep, fail_kind=fail_kind, detail=detail,
+            protocol_error=protocol_error,
+        ))
+
+    def _check_deadlines(self, now: float) -> None:
+        for sock, (_, deadline) in list(self._handshakes.items()):
+            if now > deadline:
+                del self._handshakes[sock]
+                sock.close()
+        for ep in self._by_wid.values():
+            if ep.closed or ep.down_emitted:
+                continue
+            if ep.attached:
+                if now - ep.last_rx > self.heartbeat_timeout:
+                    self._emit_down(
+                        ep, "timeout",
+                        f"no traffic for {self.heartbeat_timeout:.1f}s "
+                        "(half-open connection)",
+                    )
+            elif ep.detached_at is not None:
+                if now - ep.detached_at > RECONNECT_GRACE_S:
+                    self._emit_down(
+                        ep, "crash",
+                        "connection lost (reconnect grace expired)",
+                    )
+            elif ep.proc is not None and not ep.proc.is_alive():
+                self._emit_down(
+                    ep, "crash", "worker died before first handshake",
+                )
+
+    # -- frames, through the chaos seam ----------------------------------
+
+    def _later(self, delay: float, fn: Callable, *args) -> None:
+        heapq.heappush(self._timers, (self._clock() + delay,
+                                      next(self._timer_seq), fn, args))
 
     def _deliver(self, ep: TcpEndpoint, msg: Any) -> None:
         """Apply inbound chaos, refresh liveness, enqueue the message."""
@@ -768,8 +754,7 @@ class TcpTransport:
             if action == "drop":
                 continue
             if action == "delay":
-                self._loop.call_later(
-                    delay, self._deliver_now, ep, msg)
+                self._later(delay, self._deliver_now, ep, msg)
                 continue
             if action == "hold":
                 # Reorder: park this message; it rides out behind the
@@ -788,11 +773,11 @@ class TcpTransport:
     def _deliver_now(self, ep: TcpEndpoint, msg: Any) -> None:
         if ep.closed or ep.down_emitted:
             return
-        ep.last_rx = time.monotonic()
+        ep.last_rx = self._clock()
         self.stats["frames_in"] += 1
         if isinstance(msg, tuple) and len(msg) == 2 and msg[0] == "ping":
             return
-        self._events.put(TransportEvent("msg", ep, payload=msg))
+        self._events.append(TransportEvent("msg", ep, payload=msg))
 
     def _decide(self, direction: str, ep: TcpEndpoint, seq: int):
         if self._net_hook is None:
@@ -804,25 +789,19 @@ class TcpTransport:
         for action, _ in actions or ():
             if action != "pass":
                 self.stats["net_faults"] += 1
-                self._events.put(TransportEvent(
+                self._events.append(TransportEvent(
                     "net_fault", ep, payload=(action, direction, seq),
                 ))
         return actions or (("pass", 0.0),)
 
-    def _send(self, ep: TcpEndpoint, msg: Any) -> None:
-        frame = encode_frame(msg)
-        self._call(self._send_frame, ep, frame)
-
     def _send_frame(self, ep: TcpEndpoint, frame: bytes) -> None:
-        if ep.closed:
-            return
         seq = ep.seq_out
         ep.seq_out += 1
         for action, delay in self._decide("c2w", ep, seq):
             if action == "drop":
                 continue
             if action == "delay":
-                self._loop.call_later(delay, self._write_now, ep, frame)
+                self._later(delay, self._write_now, ep, frame)
                 continue
             if action == "hold":
                 prev, ep.held_out = ep.held_out, frame
@@ -838,14 +817,43 @@ class TcpTransport:
         if ep.closed:
             return
         self.stats["frames_out"] += 1
-        if not ep.attached or ep.writer is None:
-            # Buffer for the reconnect window; flushed on reattach.
-            ep.outbox.append(frame)
-            return
+        self._write(ep, frame)
+
+    def _write(self, ep: TcpEndpoint, data: bytes) -> None:
+        """Write *data* to *ep*'s connection; keep it in the outbox for
+        the next attach when there is none or the write fails."""
+        if ep.sock is not None:
+            try:
+                _send_all(ep.sock, data)
+                return
+            except OSError:
+                self._detach(ep)
+        ep.outbox.append(data)
+
+
+def _recv_into(sock: socket.socket, decoder: FrameDecoder) -> bool:
+    """Feed every byte waiting on non-blocking *sock* to *decoder*;
+    False once the peer has closed."""
+    while True:
         try:
-            ep.writer.write(frame)
-        except Exception:  # pragma: no cover - write race with close
-            ep.outbox.append(frame)
+            data = sock.recv(65536)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        if not data:
+            return False
+        decoder.feed(data)
+
+
+def _send_all(sock: socket.socket, data: bytes) -> None:
+    """Write all of *data* to non-blocking *sock*, waiting at most
+    :data:`SEND_TIMEOUT_S` (``TimeoutError``, an ``OSError``, past it)."""
+    sock.settimeout(SEND_TIMEOUT_S)
+    try:
+        sock.sendall(data)
+    finally:
+        sock.setblocking(False)
 
 
 # ----------------------------------------------------------------------
@@ -862,25 +870,16 @@ class TcpWorkerConnection:
     Adds what a socket needs that a pipe never did: a handshake that
     fetches the program and config, reconnect with exponential backoff
     under the same wid, and a daemon ping thread so long CPU-bound
-    explores don't trip the coordinator's heartbeat deadline.
+    explores don't trip the coordinator's heartbeat deadline.  The
+    constructor returns once the coordinator has answered the hello,
+    which it does inside its transport's ``poll``.
     """
 
-    def __init__(self, address, wid: Optional[int] = None, *,
-                 ping_interval: float = 1.0,
-                 reconnect_attempts: int = 6,
-                 backoff_base: float = 0.05,
-                 backoff_max: float = 1.0,
-                 connect_timeout: float = 5.0):
+    def __init__(self, address, wid: Optional[int] = None):
         self.address = tuple(address)
         self.wid = wid
         self.program = None
         self.config = None
-        self.ping_interval = ping_interval
-        self.reconnect_attempts = reconnect_attempts
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.connect_timeout = connect_timeout
-        self.reconnects = 0
         self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder()
         self._inbox: deque = deque()
@@ -898,17 +897,14 @@ class TcpWorkerConnection:
         """(Re)establish the socket and complete the handshake."""
         with self._lock:
             last_exc: Optional[Exception] = None
-            attempts = 1 if initial else self.reconnect_attempts
+            attempts = 1 if initial else RECONNECT_ATTEMPTS
             for attempt in range(attempts):
                 if attempt:
-                    delay = min(
-                        self.backoff_base * (2 ** (attempt - 1)),
-                        self.backoff_max,
-                    )
-                    time.sleep(delay)
+                    time.sleep(min(BACKOFF_BASE_S * (2 ** (attempt - 1)),
+                                   BACKOFF_MAX_S))
                 try:
                     sock = socket.create_connection(
-                        self.address, timeout=self.connect_timeout,
+                        self.address, timeout=HANDSHAKE_TIMEOUT_S,
                     )
                     sock.settimeout(None)
                     sock.sendall(encode_frame(
@@ -936,15 +932,13 @@ class TcpWorkerConnection:
                         old.close()
                     except OSError:
                         pass
-                if not initial:
-                    self.reconnects += 1
                 return
             raise ConnectionError(
                 f"cannot reach coordinator at {self.address}: {last_exc}"
             )
 
     def _read_handshake(self, sock, decoder: FrameDecoder):
-        deadline = time.monotonic() + self.connect_timeout
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         while True:
             for msg in decoder.messages():
                 return msg
@@ -960,9 +954,6 @@ class TcpWorkerConnection:
                 raise ConnectionError("coordinator closed during handshake")
             decoder.feed(data)
 
-    def _reconnect(self) -> None:
-        self._connect(initial=False)
-
     # -- mp.Connection-compatible surface ------------------------------
 
     def send(self, msg: Any) -> None:
@@ -971,7 +962,7 @@ class TcpWorkerConnection:
             try:
                 self._sock.sendall(frame)
             except OSError:
-                self._reconnect()  # raises ConnectionError when hopeless
+                self._connect()  # raises ConnectionError when hopeless
                 self._sock.sendall(frame)
 
     def send_bytes(self, data: bytes) -> None:
@@ -996,9 +987,7 @@ class TcpWorkerConnection:
             ready, _, _ = select.select([sock], [], [], max(0.0, timeout))
         except (OSError, ValueError):
             return True  # force recv() to notice and reconnect
-        if not ready:
-            return False
-        return True
+        return bool(ready)
 
     def recv(self) -> Any:
         while True:
@@ -1029,7 +1018,7 @@ class TcpWorkerConnection:
             if not blocking:
                 return False
             try:
-                self._reconnect()
+                self._connect()
             except ConnectionError:
                 raise EOFError("coordinator gone") from None
             return False
@@ -1052,7 +1041,7 @@ class TcpWorkerConnection:
             # The stream is unrecoverable past a bad frame: drop the
             # connection and re-handshake on a clean one.
             try:
-                self._reconnect()
+                self._connect()
             except ConnectionError:
                 raise EOFError("coordinator gone") from None
             return False
@@ -1070,7 +1059,7 @@ class TcpWorkerConnection:
     # -- liveness ------------------------------------------------------
 
     def _ping_loop(self) -> None:
-        while not self._stop.wait(self.ping_interval):
+        while not self._stop.wait(PING_INTERVAL_S):
             with self._lock:
                 sock = self._sock
                 if sock is None:

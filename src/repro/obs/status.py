@@ -296,87 +296,91 @@ class RunStatus:
     def snapshot(self) -> dict:
         """One JSON-safe view of the whole run, internally consistent."""
         with self._lock:
-            now = self._clock()
-            merged = self._merged_locked()
-            flat = merged.as_dict()
-            steps_total = self._steps_locked()
-            steps_rate = self._rate_locked(now, 2, steps_total)
-            covered = min(self.covered, 1.0)
-            if covered > 1.0 - 1e-9:
-                covered = 1.0  # telescoped weights, modulo float error
-            coverage_rate = self._rate_locked(now, 1, self.covered)
-            if self.done:
-                eta: Optional[float] = 0.0
-            elif coverage_rate > 0 and covered < 1.0:
-                eta = (1.0 - covered) / coverage_rate
-            else:
-                eta = None
-            mean_fanout = (
-                self._fanout_sum / self._fanout_n if self._fanout_n else 0.0
-            )
-            detail: list[dict] = []
-            for entry in self._health:
-                entry = dict(entry)
-                beat = self._hb.get(entry.get("worker"))
-                if beat is not None:
-                    entry.update(
-                        phase=beat["phase"],
-                        task=beat["task"],
-                        task_span=beat["span"],
-                        steps=beat["steps"],
-                        cow_faults=beat["cow_faults"],
-                        spills=beat["spills"],
-                        tasks_done=beat["tasks_done"],
-                        beat_seq=beat["seq"],
-                        beat_age_s=max(0.0, now - beat["at"]),
-                    )
-                detail.append(entry)
-            busy = sum(
-                1 for entry in detail
-                if entry.get("state") == "running" and entry.get("busy")
-            )
-            return {
-                "schema": 1,
-                "done": self.done,
-                "stop_reason": self.stop_reason,
-                "degraded": self.degraded,
-                "elapsed_s": max(0.0, now - self.started),
-                "span": self.span,
-                "strategy": self.strategy,
-                "workers": self.workers,
-                "workers_busy": busy,
-                "tasks": {
-                    "pending": self._pending,
-                    "in_flight": self._in_flight,
-                    "done": int(flat.get("parallel.tasks_completed", 0)),
-                    "spilled": int(flat.get("parallel.tasks_spilled", 0)),
-                    "retried": int(flat.get("parallel.tasks_retried", 0)),
-                    "dropped": int(flat.get("parallel.tasks_dropped", 0)),
-                    "poisoned": int(flat.get("parallel.poisoned_tasks", 0)),
-                    "crashes": int(flat.get("parallel.worker_crashes", 0)),
-                    "timeouts": int(flat.get("parallel.task_timeouts", 0)),
-                },
-                "solutions": self._solutions,
-                "coverage": {
-                    "fraction": covered,
-                    "rate_per_s": coverage_rate,
-                    "eta_s": eta,
-                    "mean_fanout": mean_fanout,
-                },
-                "throughput": {
-                    "steps_total": int(steps_total),
-                    "steps_per_s": steps_rate,
-                    "heartbeats": self.heartbeats,
-                },
-                "workers_detail": detail,
-                "metrics": flat,
-            }
+            return self._snapshot_locked(self._merged_locked())
 
     def prometheus(self) -> str:
-        """Prometheus text exposition (format 0.0.4) of the run."""
+        """Prometheus text exposition (format 0.0.4) of the run: the
+        metric lines and the run-level series come from one merge."""
         with self._lock:
             merged = self._merged_locked()
-        return render_prometheus(merged, self.snapshot())
+            snapshot = self._snapshot_locked(merged)
+        return render_prometheus(merged, snapshot)
+
+    def _snapshot_locked(self, merged: MetricsRegistry) -> dict:
+        now = self._clock()
+        flat = merged.as_dict()
+        steps_total = self._steps_locked()
+        steps_rate = self._rate_locked(now, 2, steps_total)
+        covered = min(self.covered, 1.0)
+        if covered > 1.0 - 1e-9:
+            covered = 1.0  # telescoped weights, modulo float error
+        coverage_rate = self._rate_locked(now, 1, self.covered)
+        if self.done:
+            eta: Optional[float] = 0.0
+        elif coverage_rate > 0 and covered < 1.0:
+            eta = (1.0 - covered) / coverage_rate
+        else:
+            eta = None
+        mean_fanout = (
+            self._fanout_sum / self._fanout_n if self._fanout_n else 0.0
+        )
+        detail: list[dict] = []
+        for entry in self._health:
+            entry = dict(entry)
+            beat = self._hb.get(entry.get("worker"))
+            if beat is not None:
+                entry.update(
+                    phase=beat["phase"],
+                    task=beat["task"],
+                    task_span=beat["span"],
+                    steps=beat["steps"],
+                    cow_faults=beat["cow_faults"],
+                    spills=beat["spills"],
+                    tasks_done=beat["tasks_done"],
+                    beat_seq=beat["seq"],
+                    beat_age_s=max(0.0, now - beat["at"]),
+                )
+            detail.append(entry)
+        busy = sum(
+            1 for entry in detail
+            if entry.get("state") == "running" and entry.get("busy")
+        )
+        return {
+            "schema": 1,
+            "done": self.done,
+            "stop_reason": self.stop_reason,
+            "degraded": self.degraded,
+            "elapsed_s": max(0.0, now - self.started),
+            "span": self.span,
+            "strategy": self.strategy,
+            "workers": self.workers,
+            "workers_busy": busy,
+            "tasks": {
+                "pending": self._pending,
+                "in_flight": self._in_flight,
+                "done": int(flat.get("parallel.tasks_completed", 0)),
+                "spilled": int(flat.get("parallel.tasks_spilled", 0)),
+                "retried": int(flat.get("parallel.tasks_retried", 0)),
+                "dropped": int(flat.get("parallel.tasks_dropped", 0)),
+                "poisoned": int(flat.get("parallel.poisoned_tasks", 0)),
+                "crashes": int(flat.get("parallel.worker_crashes", 0)),
+                "timeouts": int(flat.get("parallel.task_timeouts", 0)),
+            },
+            "solutions": self._solutions,
+            "coverage": {
+                "fraction": covered,
+                "rate_per_s": coverage_rate,
+                "eta_s": eta,
+                "mean_fanout": mean_fanout,
+            },
+            "throughput": {
+                "steps_total": int(steps_total),
+                "steps_per_s": steps_rate,
+                "heartbeats": self.heartbeats,
+            },
+            "workers_detail": detail,
+            "metrics": flat,
+        }
 
 
 # ----------------------------------------------------------------------

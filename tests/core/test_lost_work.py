@@ -8,7 +8,7 @@ fences; or the worker got every fence it owes and is idle, so its
 results were lost, and the coordinator reclaims the leases at once.
 The only clock rule is the stall timeout.  The coordinator and the
 worker body run in this process against scripted wires, on a fake
-lease clock: nothing here sleeps.
+coordinator clock: nothing here sleeps.
 """
 
 from collections import deque
@@ -24,7 +24,6 @@ from repro.core.cluster import (
     _worker_main,
 )
 from repro.core.journal import scan
-from repro.core.lease import LeaseTable
 from repro.core.transport import TransportEvent
 from repro.cpu.assembler import assemble
 from repro.obs.registry import MetricsRegistry
@@ -100,8 +99,7 @@ def run(monkeypatch, tmp_path, clock):
         workers=1, batch_size=3, task_timeout=5.0, fsync="off",
         journal=str(tmp_path / "run.journal"),
     )
-    coord = _Coordinator(engine, assemble(nqueens_asm(4)), None)
-    coord.leases = LeaseTable(clock=clock)
+    coord = _Coordinator(engine, assemble(nqueens_asm(4)), None, clock=clock)
     coord.frontier.extend([PrefixTask(prefix=(1,), fanouts=(4,)),
                            PrefixTask(prefix=(2,), fanouts=(4,))])
     coord._start()

@@ -61,10 +61,10 @@ class TestBackoff:
         slot = sup.slots[0]
         decision = sup.record_failure(slot, 0, "crash", None)
         assert slot.state is SlotState.BACKOFF
-        assert sup.respawn_ready(clock()) == []
+        assert sup.respawn_ready() == []
         assert sup.next_respawn_due() == pytest.approx(clock() + 1.0)
         clock.now += decision.backoff + 0.01
-        assert sup.respawn_ready(clock()) == [slot]
+        assert sup.respawn_ready() == [slot]
         sup.mark_running(slot)
         assert slot.state is SlotState.RUNNING
         assert slot.respawns == 1

@@ -8,19 +8,23 @@ arbitrary truncation points.
 """
 
 import pickle
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.transport import (
+    HANDSHAKE_TIMEOUT_S,
     HEADER_SIZE,
     MAGIC,
     MAX_FRAME_BYTES,
     FrameDecoder,
     FrameError,
     PROTOCOL_VERSION,
+    RECONNECT_GRACE_S,
     TcpTransport,
     TcpWorkerConnection,
     decode_payload,
@@ -135,6 +139,25 @@ class TestFrameCodec:
         assert decode_payload(pickle.dumps(42)) == 42
 
 
+@pytest.fixture
+def helper():
+    """A thread for the worker side of a loopback test: a worker's
+    constructor and redials wait for the coordinator's answer, which
+    comes only while the test thread polls the transport."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool
+
+
+def _serve(transport, future, timeout=10.0):
+    """Poll *transport* until the helper's *future* is done; returns its
+    result and the events polled meanwhile."""
+    events = []
+    deadline = time.monotonic() + timeout
+    while not future.done() and time.monotonic() < deadline:
+        events.extend(transport.poll(0.05))
+    return future.result(timeout=0), events
+
+
 class TestTcpLoopback:
     """Coordinator transport and worker connection over real sockets."""
 
@@ -143,19 +166,20 @@ class TestTcpLoopback:
         transport.start(program="PROG", config={"k": 1})
         return transport
 
-    def test_external_join_handshake_ships_program(self):
+    def test_external_join_handshake_ships_program(self, helper):
         transport = self._start()
         try:
-            conn = TcpWorkerConnection(transport.address)
+            conn, events = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
             try:
                 assert conn.program == "PROG"
                 assert conn.config == {"k": 1}
                 assert conn.wid is not None
-                events = transport.poll(2.0)
                 kinds = [ev.kind for ev in events]
                 assert "join" in kinds
                 ep = events[kinds.index("join")].endpoint
-                assert ep.external
+                assert ep.proc is None
                 # Worker -> coordinator.
                 conn.send(("steal", conn.wid, 4))
                 deadline = time.monotonic() + 5.0
@@ -174,9 +198,7 @@ class TestTcpLoopback:
         finally:
             transport.close()
 
-    def test_version_mismatch_rejected(self):
-        import socket
-
+    def test_version_mismatch_rejected(self, helper):
         transport = self._start()
         try:
             sock = socket.create_connection(transport.address, timeout=5.0)
@@ -184,41 +206,50 @@ class TestTcpLoopback:
                 sock.sendall(encode_frame(
                     ("hello", None, PROTOCOL_VERSION + 1)
                 ))
-                decoder = FrameDecoder()
-                reply = None
-                sock.settimeout(5.0)
-                while reply is None:
-                    data = sock.recv(65536)
-                    if not data:
-                        break
-                    decoder.feed(data)
-                    for msg in decoder.messages():
-                        reply = msg
-                        break
+
+                def read_reply():
+                    decoder = FrameDecoder()
+                    reply = None
+                    sock.settimeout(5.0)
+                    while reply is None:
+                        data = sock.recv(65536)
+                        if not data:
+                            break
+                        decoder.feed(data)
+                        for msg in decoder.messages():
+                            reply = msg
+                            break
+                    return reply
+
+                reply, _ = _serve(transport, helper.submit(read_reply))
                 assert reply is not None and reply[0] == "reject"
             finally:
                 sock.close()
         finally:
             transport.close()
 
-    def test_reconnect_resumes_same_wid(self):
-        transport = self._start(reconnect_grace=5.0)
+    def test_reconnect_resumes_same_wid(self, helper):
+        transport = self._start()
         try:
-            conn = TcpWorkerConnection(transport.address)
+            conn, _ = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
             try:
                 wid = conn.wid
-                transport.poll(1.0)  # drain the join
                 # Sever the socket underneath the worker; its next send
                 # reconnects with backoff and lands a rewelcome.
                 conn._sock.close()
-                conn.send(("steal", wid, 2))
+                _, events = _serve(
+                    transport, helper.submit(conn.send, ("steal", wid, 2))
+                )
                 assert conn.wid == wid
                 deadline = time.monotonic() + 5.0
                 got = None
                 while time.monotonic() < deadline and got is None:
-                    for ev in transport.poll(0.2):
+                    for ev in events + transport.poll(0.2):
                         if ev.kind == "msg" and ev.payload[0] == "steal":
                             got = ev
+                    events = []
                 assert got is not None
                 assert got.endpoint.wid == wid
                 assert transport.stats["reconnects"] >= 1
@@ -227,10 +258,10 @@ class TestTcpLoopback:
         finally:
             transport.close()
 
-    def test_heartbeat_timeout_declares_half_open(self):
+    def test_heartbeat_timeout_declares_half_open(self, helper):
         # Drop every worker->coordinator frame: the connection looks
-        # connected but carries nothing, and the watchdog must declare
-        # it down on the heartbeat deadline.
+        # connected but carries nothing, and poll() must declare it
+        # down on the heartbeat deadline.
         transport = self._start(
             heartbeat_timeout=0.5,
             net_hook=lambda d, w, s: (
@@ -238,14 +269,17 @@ class TestTcpLoopback:
             ),
         )
         try:
-            conn = TcpWorkerConnection(transport.address, ping_interval=0.1)
+            conn, events = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
             try:
                 deadline = time.monotonic() + 5.0
                 down = None
                 while time.monotonic() < deadline and down is None:
-                    for ev in transport.poll(0.2):
+                    for ev in events + transport.poll(0.2):
                         if ev.kind == "down":
                             down = ev
+                    events = []
                 assert down is not None
                 assert down.fail_kind == "timeout"
                 assert "half-open" in down.detail
@@ -254,12 +288,13 @@ class TestTcpLoopback:
         finally:
             transport.close()
 
-    def test_killed_endpoint_resurfaces_as_join(self):
+    def test_killed_endpoint_resurfaces_as_join(self, helper):
         transport = self._start()
         try:
-            conn = TcpWorkerConnection(transport.address, ping_interval=0.1)
+            conn, events = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
             try:
-                events = transport.poll(2.0)
                 ep = next(ev.endpoint for ev in events if ev.kind == "join")
                 wid = ep.wid
                 ep.kill()  # sever trust; the remote peer lives on
@@ -267,16 +302,26 @@ class TestTcpLoopback:
                 # does every second); the failed send triggers its
                 # reconnect, and the coordinator — which no longer
                 # trusts wid — must surface it as a *new* endpoint.
+                stop = threading.Event()
+
+                def announce():
+                    while not stop.wait(0.05):
+                        try:
+                            conn.send(("steal", wid, 1))
+                        except (ConnectionError, OSError):
+                            pass
+
+                announcing = helper.submit(announce)
                 deadline = time.monotonic() + 5.0
                 rejoin = None
-                while time.monotonic() < deadline and rejoin is None:
-                    try:
-                        conn.send(("steal", wid, 1))
-                    except (ConnectionError, OSError):
-                        pass
-                    for ev in transport.poll(0.2):
-                        if ev.kind == "join":
-                            rejoin = ev
+                try:
+                    while time.monotonic() < deadline and rejoin is None:
+                        for ev in transport.poll(0.2):
+                            if ev.kind == "join":
+                                rejoin = ev
+                finally:
+                    stop.set()
+                    _serve(transport, announcing)
                 assert rejoin is not None
                 assert rejoin.endpoint is not ep
                 assert rejoin.endpoint.wid == wid
@@ -286,30 +331,194 @@ class TestTcpLoopback:
         finally:
             transport.close()
 
-    def test_outbox_buffers_across_disconnect(self):
-        transport = self._start(reconnect_grace=5.0)
+    def test_outbox_buffers_across_disconnect(self, helper):
+        transport = self._start()
         try:
-            conn = TcpWorkerConnection(transport.address, ping_interval=0.1)
+            conn, events = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
             try:
-                events = transport.poll(2.0)
                 ep = next(ev.endpoint for ev in events if ev.kind == "join")
                 conn._sock.close()  # transient network blip
-                # Wait until the coordinator notices the disconnect —
+                # Poll until the coordinator notices the disconnect —
                 # only a detached endpoint buffers to the outbox.
                 deadline = time.monotonic() + 5.0
                 while ep.attached and time.monotonic() < deadline:
-                    time.sleep(0.05)
+                    transport.poll(0.05)
                 assert not ep.attached
                 ep.send(("work", ["t"], None, []))  # buffered in outbox
                 # The worker's next IO re-establishes the link and the
                 # outbox flushes on reattach.
-                got = None
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline and got is None:
-                    if conn.poll(0.2):
-                        got = conn.recv()
+
+                def next_frame():
+                    deadline = time.monotonic() + 5.0
+                    while time.monotonic() < deadline:
+                        if conn.poll(0.2):
+                            return conn.recv()
+                    return None
+
+                got, _ = _serve(transport, helper.submit(next_frame))
                 assert got == ("work", ["t"], None, [])
             finally:
                 conn.close()
         finally:
             transport.close()
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 100.0
+
+    def __call__(self):
+        return self.now
+
+
+def _dial(address, wid=None):
+    """A worker's socket that has sent its hello (it does not wait for
+    the answer)."""
+    sock = socket.create_connection(address, timeout=5.0)
+    sock.sendall(encode_frame(("hello", wid, PROTOCOL_VERSION)))
+    return sock
+
+
+def _until(transport, kind):
+    """Poll until an event of *kind* arrives.  Each round waits at most
+    0.05 s of real time for socket IO; the fake clock does not move."""
+    for _ in range(200):
+        for ev in transport.poll(0.05):
+            if ev.kind == kind:
+                return ev
+    raise AssertionError(f"no {kind!r} event")
+
+
+def _w2c(action):
+    """A net hook that applies *action* to every worker->coordinator
+    frame."""
+    return lambda d, w, s: [action] if d == "w2c" else [("pass", 0.0)]
+
+
+class TestTcpDeadlines:
+    """Every TCP deadline reads the transport's clock: these tests move
+    a fake one and call poll(0).  Nothing sleeps."""
+
+    @pytest.fixture
+    def clock(self):
+        return FakeClock()
+
+    def _start(self, clock, **kw):
+        return TcpTransport(clock=clock, **kw).start(program="P", config={})
+
+    def test_dropped_frames_go_down_half_open_past_the_heartbeat_timeout(
+            self, clock):
+        transport = self._start(clock, heartbeat_timeout=5.0,
+                                net_hook=_w2c(("drop", 0.0)))
+        sock = _dial(transport.address)
+        try:
+            wid = _until(transport, "join").endpoint.wid
+            sock.sendall(encode_frame(("ping", wid)))
+            assert _until(transport, "net_fault").payload == (
+                "drop", "w2c", 0)
+            clock.now += 5.0
+            assert transport.poll(0) == []
+            clock.now += 0.1
+            (down,) = transport.poll(0)
+            assert (down.kind, down.fail_kind) == ("down", "timeout")
+            assert "half-open" in down.detail
+        finally:
+            sock.close()
+            transport.close()
+
+    def test_a_detached_endpoint_goes_down_once_the_grace_has_passed(
+            self, clock):
+        transport = self._start(clock)
+        sock = _dial(transport.address)
+        try:
+            ep = _until(transport, "join").endpoint
+            sock.close()
+            for _ in range(200):
+                if not ep.attached:
+                    break
+                transport.poll(0.05)
+            assert not ep.attached
+            clock.now += RECONNECT_GRACE_S
+            assert transport.poll(0) == []
+            clock.now += 0.1
+            (down,) = transport.poll(0)
+            assert (down.kind, down.fail_kind) == ("down", "crash")
+            assert down.endpoint is ep and "grace expired" in down.detail
+        finally:
+            transport.close()
+
+    def test_a_socket_without_a_hello_is_dropped_after_the_handshake_timeout(
+            self, clock):
+        transport = self._start(clock)
+        sock = socket.create_connection(transport.address, timeout=5.0)
+        try:
+            transport.poll(5.0)  # the listener is readable: accept
+            clock.now += HANDSHAKE_TIMEOUT_S
+            assert transport.poll(0) == []
+            sock.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                sock.recv(1)  # still open
+            clock.now += 0.1
+            assert transport.poll(0) == []
+            sock.settimeout(5.0)
+            assert sock.recv(1) == b""  # closed by the transport
+        finally:
+            sock.close()
+            transport.close()
+
+    def test_a_delayed_frame_is_delivered_once_its_delay_has_passed(
+            self, clock):
+        transport = self._start(clock, net_hook=_w2c(("delay", 0.5)))
+        sock = _dial(transport.address)
+        try:
+            wid = _until(transport, "join").endpoint.wid
+            sock.sendall(encode_frame(("steal", wid, 0)))
+            assert _until(transport, "net_fault").payload == (
+                "delay", "w2c", 0)
+            clock.now += 0.4
+            assert transport.poll(0) == []
+            clock.now += 0.2
+            (msg,) = transport.poll(0)
+            assert (msg.kind, msg.payload) == ("msg", ("steal", wid, 0))
+        finally:
+            sock.close()
+            transport.close()
+
+
+def test_the_transport_starts_no_thread():
+    before = set(threading.enumerate())
+    transport = TcpTransport().start(program="P", config={})
+    sock = _dial(transport.address)
+    try:
+        assert _until(transport, "join").endpoint.proc is None
+        assert set(threading.enumerate()) <= before
+    finally:
+        sock.close()
+        transport.close()
+
+
+def test_a_redial_closes_the_connection_it_supersedes():
+    transport = TcpTransport().start(program="P", config={})
+    first = _dial(transport.address)
+    try:
+        ep = _until(transport, "join").endpoint
+        second = _dial(transport.address, wid=ep.wid)
+        try:
+            for _ in range(200):
+                if transport.stats["reconnects"]:
+                    break
+                transport.poll(0.05)
+            assert transport.stats["reconnects"] == 1 and ep.attached
+            # The first socket holds its welcome, then the stream's end.
+            first.settimeout(5.0)
+            decoder = FrameDecoder()
+            while data := first.recv(65536):
+                decoder.feed(data)
+            assert [msg[0] for msg in decoder.messages()] == ["welcome"]
+        finally:
+            second.close()
+    finally:
+        first.close()
+        transport.close()

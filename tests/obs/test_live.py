@@ -302,6 +302,33 @@ class TestExporters:
         assert "repro_search_frontier 7" in text
         assert "repro_run_workers 2" in text
 
+    def test_a_scrape_merges_each_state_once(self, monkeypatch):
+        clock = _Clock()
+        status = RunStatus(workers=1, clock=clock)
+        status.refresh({"parallel.guest_steps":
+                        {"kind": "counter", "value": 100}},
+                       pending=0, in_flight=1, solutions=0)
+        status.observe_heartbeat(_beat(0, 0, 40, state={
+            "parallel.guest_steps": {"kind": "counter", "value": 40}}))
+        clock.now += 2.0
+        merges = []
+        merge_state = MetricsRegistry.merge_state
+
+        def counting(registry, state):
+            merges.append(state)
+            return merge_state(registry, state)
+
+        monkeypatch.setattr(MetricsRegistry, "merge_state", counting)
+        text = status.prometheus()
+        # One merge of the committed state and one of the heartbeat's.
+        assert len(merges) == 2
+        series = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                      if not line.startswith("#"))
+        # The rate gauge and the counter line read the same merge: 40
+        # steps since the refresh 2 s ago.
+        assert float(series["repro_parallel_guest_steps_total"]) == 140
+        assert float(series["repro_guest_steps_per_second"]) * 2.0 == 40
+
     def test_status_server_endpoints(self):
         status = RunStatus(workers=1)
         server = StatusServer(status, port=0)
