@@ -5,13 +5,15 @@ run with telemetry off, and fully instrumented (heartbeats + status
 server + status log).  The design claim is that in-flight visibility is
 nearly free: heartbeats are rate-limited registry snapshots (a dict of
 a few dozen scalars, shipped over a pipe that is already hot with task
-traffic), and the exporters run on their own threads and only read.
-The acceptance budget is 5 % wall-clock overhead.
+traffic); the HTTP server runs on its own thread and only reads, and
+the coordinator writes the status log from its own loop.  The
+acceptance budget is 5 % wall-clock overhead.
 
 Shared CI hardware makes wall-clock ratios noisy, so each configuration
 takes the best of three runs, and the overhead assertion is gated on
-having at least 2 usable cores (on one core, the exporter threads and
-workers genuinely contend — the number is recorded but not judged).
+having at least 2 usable cores (on one core, the coordinator, the
+server thread and the workers genuinely contend — the number is
+recorded but not judged).
 The telemetry run also re-checks the exactness criterion end to end:
 the final status snapshot's metrics must equal the engine registry.
 """
@@ -34,8 +36,9 @@ WORKERS = 2
 TASK_STEP_BUDGET = 8_000
 REPS = 3
 OVERHEAD_BUDGET = 0.05
-#: Forced-gate bound for serial hardware, where exporter threads and
-#: workers genuinely contend: telemetry must not double the wall clock.
+#: Forced-gate bound for serial hardware, where the coordinator, the
+#: server thread and the workers genuinely contend: telemetry must not
+#: double the wall clock.
 OVERHEAD_BUDGET_SERIAL = 1.0
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_live.json"
 

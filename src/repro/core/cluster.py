@@ -418,8 +418,6 @@ def _serve_batch(worker: _SubtreeWorker, conn, work: tuple,
         state = worker.ship_state()
         if emitter is not None:
             worker.heartbeat = None
-            # Bank the lifetime counters the reset zeroed.
-            emitter.note_task_result(state)
         segment = collector.drain() if collector is not None else None
         fresh_events = (
             worker.recorder.drain_fresh()
@@ -650,15 +648,17 @@ class ProcessParallelEngine:
     status_log:
         Append periodic ``status.sample`` JSONL records (one full
         status snapshot each) to this path, consumable by
-        ``repro.tools.top --status-log`` and ``trace_report``.
+        ``repro.tools.top --status-log`` and ``trace_report``.  The
+        coordinator writes them from its own loop: the first when the
+        run starts, the last after the run is sealed.
     status_interval:
-        Seconds between status-log samples.  Workers beat, and the
-        coordinator refreshes its status, every
+        Seconds of the coordinator's clock between status-log samples.
+        Workers beat, and the coordinator refreshes its status, every
         ``min(0.25, status_interval)`` seconds whenever a telemetry
         surface (*status_port*, *status_log*, *flight_dir*) is on; with
         none on, workers send no heartbeats.  Heartbeats also defer the
-        per-task timeout while a worker's step counter demonstrably
-        grows — a stalled worker cannot beat, so stalls still time out.
+        per-task timeout while a worker's steps demonstrably grow — a
+        stalled worker cannot beat, so stalls still time out.
     flight_dir:
         Directory for flight-recorder post-mortems: each worker's 256
         most recent trace events (shipped inside heartbeats, so they
@@ -903,7 +903,9 @@ class _Coordinator:
         self.server: Optional[StatusServer] = None
         self.logger: Optional[StatusLogger] = None
         self.flight: Optional[FlightRecorder] = None
-        self.last_refresh = 0.0
+        self.last_refresh = self.last_sample = 0.0
+        #: The run's search stats, recorded when :meth:`close` seals it.
+        self.stats: Optional[SearchStats] = None
         self.frontier = TaskFrontier(order=engine.strategy_name)
         self.solutions: list[Solution] = []
         self.stop_reason: Optional[str] = None
@@ -967,6 +969,7 @@ class _Coordinator:
         if e.flight_dir is not None:
             self.flight = FlightRecorder(
                 e.flight_dir, capacity=self.config.flight_events,
+                clock=self.clock,
             )
         e.flight_recorder = self.flight
         rec, sites = self.recovered, self.config.nondet_sites
@@ -1032,11 +1035,9 @@ class _Coordinator:
         for slot in self.sup.slots:
             self._add_handle(transport.spawn(), slot)
         self.g_workers.set(e.num_workers)
-        self._refresh(force=True)
         if e.status_log is not None:
-            self.logger = StatusLogger(
-                self.status, e.status_log, interval=e.status_interval,
-            ).start()
+            self.logger = StatusLogger(self.status, e.status_log)
+        self._refresh(force=True)
 
     def run(self) -> None:
         """Schedule until the frontier is exhausted or a stop condition
@@ -1096,7 +1097,8 @@ class _Coordinator:
         )
 
     def close(self) -> None:
-        """Release workers, journal and telemetry, on every exit path."""
+        """Release workers and journal, seal the run, and close its
+        telemetry, on every exit path."""
         if self.transport is not None:
             self._close_transport()
             # Worker ids stay unique across an engine's runs even though
@@ -1105,11 +1107,9 @@ class _Coordinator:
         self.g_workers.set(0)
         if self.journal is not None:
             self.journal.close()
-        # Seal the status: uncommitted heartbeat states are dropped, so
-        # from here the status metrics mirror the engine registry.
         self._finalize()
         if self.logger is not None:
-            self.logger.stop()
+            self.logger.close(self.clock())
         if self.server is not None:
             self.server.stop()
 
@@ -1301,9 +1301,9 @@ class _Coordinator:
             if self.flight is not None and record.events:
                 self.flight.extend(handle.wid, record.events)
             if progressed:
-                # The worker's step counter grew: its task is alive, so
-                # the stall timeout and its leases start over.  (A
-                # stalled worker cannot beat, so real stalls still trip.)
+                # The worker's steps grew: its task is alive, so the
+                # stall timeout and its leases start over.  (A stalled
+                # worker cannot beat, so real stalls still trip.)
                 self.leases.progress(handle.wid)
         elif msg[0] == "error":
             if str(msg[2]).startswith("ReplayDivergenceError:"):
@@ -1343,7 +1343,7 @@ class _Coordinator:
         self.c_spilled.inc(len(spilled))
         self.reg.merge_state(state)
         self.status.on_task_complete(
-            handle.wid, completed.task.fanouts, len(task_solutions),
+            handle.wid, state, completed.task.fanouts,
             [t.fanouts for t in spilled],
         )
         for child in spilled:
@@ -1515,22 +1515,30 @@ class _Coordinator:
             solutions=len(self.solutions),
             health=self._health(),
         )
+        due = now - self.last_sample >= self.engine.status_interval
+        if self.logger is not None and (force or due):
+            self.last_sample = now
+            self.logger.sample(now)
 
     def _finalize(self) -> None:
-        self.status.finalize(
-            self.reg.state_dict(), pending=len(self.frontier),
-            solutions=len(self.solutions), health=self._health(),
-            stop_reason=self.stop_reason, degraded=self.degraded,
-        )
-
-    def result(self) -> SearchResult:
-        e, reg, rec = self.engine, self.reg, self.recovered
-        stats = SearchStats(**{
+        """Seal the run, once: record the search stats with the peak
+        task frontier, then seal the status, which drops the uncommitted
+        heartbeat states, so its metrics mirror the engine registry."""
+        reg = self.reg
+        self.stats = stats = SearchStats(**{
             field: reg.get(f"search.{field}").value
             for field in SearchStats.FIELDS
         })
         stats.peak_frontier = max(stats.peak_frontier, self.frontier.peak)
         record_into(reg, "search", stats)
+        self.status.finalize(
+            reg.state_dict(), pending=len(self.frontier),
+            solutions=len(self.solutions), health=self._health(),
+            stop_reason=self.stop_reason, degraded=self.degraded,
+        )
+
+    def result(self) -> SearchResult:
+        e, reg, rec, stats = self.engine, self.reg, self.recovered, self.stats
         stats.extra.update({
             "workers": e.num_workers,
             "transport": e.transport_name,
@@ -1594,9 +1602,6 @@ class _Coordinator:
                 stats.extra["status_log"] = e.status_log
             if self.flight is not None:
                 stats.extra["flight_dumps"] = list(self.flight.dumps)
-        # Re-seal after the peak_frontier gauge write above, so the
-        # status metrics equal the registry's true final state exactly.
-        self._finalize()
         return SearchResult(
             solutions=self.solutions,
             stats=stats,

@@ -28,8 +28,8 @@ The classic fix (Chubby/GFS lineage) is leases plus fencing:
 The table is also the coordinator's one record of each worker's
 progress: which tasks the worker owes, in grant order, and when it last
 made **progress**: a grant, any task result it delivers (a stale one
-too: the worker has moved on through its batch), or a heartbeat whose
-step counter grew.  Every per-worker decision reads it: busy or idle,
+too: the worker has moved on through its batch), or a heartbeat that
+shows its steps grew.  Every per-worker decision reads it: busy or idle,
 the stall timeout (the one clock rule for lost work), the answer to a
 steal from a worker that still owes leases, and the suspect of a
 failure (the first lease owed, which is the task the worker was

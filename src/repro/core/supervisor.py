@@ -248,7 +248,7 @@ class WorkerSupervisor:
                 "kind": kind,
                 "worker": worker_id,
                 "slot": slot.index,
-                "time": time.time(),
+                "time": now,
                 "detail": detail,
             })
             killers = self._killers.setdefault(suspect_key, set())

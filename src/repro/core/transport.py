@@ -470,10 +470,11 @@ class TcpEndpoint:
         return True
 
     def poison(self) -> None:
-        try:
-            self.send(None)
-        except (EndpointDown, TransportError):
-            pass
+        """Send the pill past the chaos seam (which models the traffic
+        recovery exercises, not shutdown), so a close never waits on a
+        dropped, held or delayed pill; detached, it waits in the
+        outbox."""
+        self._transport._write_now(self, encode_frame(None))
 
     def kill(self) -> None:
         """Sever trust: close the connection, keep the process (if any)

@@ -5,8 +5,8 @@ Four small pieces around :mod:`repro.obs.status`:
 * :class:`RingSink` — a bounded tracer sink holding a worker's most
   recent events (the flight-recorder ring).  Cheap enough to leave on
   even when full tracing is off: an append to a bounded deque.
-* :class:`HeartbeatEmitter` — worker-side; rate-limits heartbeats,
-  ships the registry's uncommitted state plus lifetime scalars and the
+* :class:`HeartbeatEmitter` — worker-side; rate-limits heartbeats and
+  ships the registry's uncommitted state, the current task and the
   drained ring over the result pipe as ``("hb", wid, record)``.
 * :class:`FlightRecorder` — coordinator-side; keeps the last N shipped
   events per worker and dumps them to a JSONL post-mortem when the
@@ -15,8 +15,9 @@ Four small pieces around :mod:`repro.obs.status`:
   ``kill -9``, which no worker-side flush could.
 * :class:`StatusServer` / :class:`StatusLogger` — a stdlib
   ``ThreadingHTTPServer`` exposing ``/status`` (JSON) and ``/metrics``
-  (Prometheus text), and a daemon thread appending ``status.sample``
-  JSONL records next to the trace.  Both only ever call the
+  (Prometheus text) from a daemon thread, and an appender of
+  ``status.sample`` JSONL records that the coordinator's loop calls on
+  its own thread and clock.  Both only ever call the
   :class:`~repro.obs.status.RunStatus` read API.
 """
 
@@ -61,18 +62,10 @@ class HeartbeatEmitter:
     """Worker-side heartbeat source over the duplex result pipe.
 
     ``beat()`` is called from the exploration hot loop; it is a clock
-    read and a compare unless the interval elapsed.  Lifetime scalars
-    survive the per-result registry resets because
-    :meth:`note_task_result` banks each shipped state's counters before
-    the reset zeroes them.
+    read and a compare unless the interval elapsed.  A beat carries the
+    registry's uncommitted state only: the coordinator adds it to the
+    results it accepted from this worker.
     """
-
-    #: (scalar key, registry counters summed into it).
-    LIFETIME: tuple[tuple[str, tuple[str, ...]], ...] = (
-        ("steps", ("parallel.guest_steps", "parallel.replay_steps")),
-        ("cow_faults", ("mem.frames_copied",)),
-        ("spills", ("parallel.worker_spills",)),
-    )
 
     def __init__(self, conn: Any, worker: int, registry: MetricsRegistry,
                  interval: float, *, ring: Optional[RingSink] = None,
@@ -88,26 +81,8 @@ class HeartbeatEmitter:
         self._sync = sync
         self._clock = clock
         self.seq = 0
-        self.tasks_done = 0
         # Backdate so the first beat() check fires immediately.
         self._last = clock() - self.interval
-        self._base = {key: 0 for key, _ in self.LIFETIME}
-
-    def note_task_result(self, state: dict) -> None:
-        """Bank the counters of a result *state* about to be reset."""
-        for key, names in self.LIFETIME:
-            for name in names:
-                data = state.get(name)
-                if data:
-                    self._base[key] += data.get("value", 0)
-        self.tasks_done += 1
-
-    def _lifetime(self, key: str, names: tuple[str, ...]) -> int:
-        total = self._base[key]
-        for name in names:
-            if name in self.registry:
-                total += self.registry.get(name).value
-        return total
 
     def poll_timeout(self) -> float:
         """Seconds until the next beat is due (for idle ``conn.poll``)."""
@@ -126,14 +101,9 @@ class HeartbeatEmitter:
         record = HeartbeatRecord(
             worker=self.worker,
             seq=self.seq,
-            ts=time.time(),
             state=self.registry.state_dict(),
             task=tuple(task) if task is not None else None,
             span=span,
-            steps=self._lifetime("steps", self.LIFETIME[0][1]),
-            cow_faults=self._lifetime("cow_faults", self.LIFETIME[1][1]),
-            spills=self._lifetime("spills", self.LIFETIME[2][1]),
-            tasks_done=self.tasks_done,
             phase=phase,
             events=tuple(self.ring.drain()) if self.ring is not None else (),
         )
@@ -151,14 +121,17 @@ class FlightRecorder:
     Heartbeats carry each worker's recent trace events; the recorder
     retains the newest *capacity* per worker and writes them to
     ``flight-w<wid>-<kind>-<n>.jsonl`` (header line + one event per
-    line) when the engine observes that worker crash or stall.
+    line) when the engine observes that worker crash or stall.  The
+    header's ``ts`` reads *clock*, the coordinator's.
     """
 
-    def __init__(self, directory: str, capacity: int = 256):
+    def __init__(self, directory: str, capacity: int = 256,
+                 clock: Callable[[], float] = time.monotonic):
         if capacity < 1:
             raise ValueError("flight capacity must be >= 1")
         self.directory = directory
         self.capacity = capacity
+        self._clock = clock
         os.makedirs(directory, exist_ok=True)
         self._rings: dict[int, deque] = {}
         #: Paths of every dump written, in order.
@@ -180,7 +153,7 @@ class FlightRecorder:
         )
         header = {
             "type": FLIGHT_HEADER,
-            "ts": time.time(),
+            "ts": self._clock(),
             "worker": worker,
             "kind": kind,
             "detail": detail,
@@ -256,49 +229,32 @@ class StatusServer:
 
 
 class StatusLogger:
-    """Appends periodic ``status.sample`` JSONL records to a file.
+    """Appends ``status.sample`` JSONL records to a file.
 
     Each line is ``{"seq", "ts", "type": "status.sample"}`` plus the
     full :meth:`RunStatus.snapshot` — the same shape the HTTP endpoint
     serves, so ``repro.tools.top --status-log`` and ``trace_report``
-    replay a run's trajectory offline.  Autoflushes every sample (the
-    point is surviving an unclean end) and writes one final sample at
-    :meth:`stop`, after the run finalizes.
+    replay a run's trajectory offline.  It runs no thread: the
+    coordinator's loop calls :meth:`sample` and, after the run is
+    sealed, :meth:`close`, each with a reading of its clock for the
+    stamp.  Every sample is flushed (the point is surviving an unclean
+    end).
     """
 
-    def __init__(self, status: RunStatus, path: str, interval: float = 0.5):
-        if interval <= 0:
-            raise ValueError("status-log interval must be > 0")
+    def __init__(self, status: RunStatus, path: str):
         self.status = status
         self.path = path
-        self.interval = float(interval)
         self._sink = JsonlSink(path, autoflush=True)
-        self._stop = threading.Event()
         self._seq = 0
-        self._thread: Optional[threading.Thread] = None
 
-    def sample(self) -> None:
-        event = {"seq": self._seq, "ts": time.time(), "type": STATUS_SAMPLE}
+    def sample(self, now: float) -> None:
+        """Append one sample stamped *now*."""
+        event = {"seq": self._seq, "ts": now, "type": STATUS_SAMPLE}
         event.update(self.status.snapshot())
         self._sink.write(event)
         self._seq += 1
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()
-
-    def start(self) -> "StatusLogger":
-        self.sample()
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="repro-status-log",
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.sample()
+    def close(self, now: float) -> None:
+        """Write the last sample, stamped *now*, and close the file."""
+        self.sample(now)
         self._sink.close()

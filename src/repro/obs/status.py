@@ -4,10 +4,11 @@ The cluster's observability was post-mortem only — registries and traces
 tell you what a run did after it exits.  This module is the in-flight
 half: workers ship :class:`HeartbeatRecord`\\ s over the result pipe
 (see :mod:`repro.obs.live` for the worker-side emitter) and the
-coordinator folds them into one :class:`RunStatus`, a thread-safe model
-of the run *right now* — tasks pending/in-flight/done, solutions so
-far, per-worker health, aggregate guest-instructions/sec, and a
-decision-tree coverage/ETA estimate.
+coordinator folds them, with every task result it accepts, into one
+:class:`RunStatus`, a thread-safe model of the run *right now* — tasks
+pending/in-flight/done, solutions so far, per-worker figures and
+health, aggregate guest-instructions/sec, and a decision-tree
+coverage/ETA estimate.
 
 Soundness of the fold: a worker's registry is reset after every task
 result, so a mid-task ``state_dict()`` *is* the uncommitted delta since
@@ -15,9 +16,12 @@ the last result.  The coordinator keeps exactly one uncommitted state
 per worker (latest heartbeat wins — the pipe is FIFO, so seq order is
 arrival order, but out-of-order replays through :meth:`observe_heartbeat`
 are still safe) and drops it the moment that worker's task result is
-merged into the committed registry.  Total = committed + Σ uncommitted,
-with no event counted twice; once the run drains, the uncommitted side
-is empty and the status metrics equal the engine registry exactly.
+accepted: the result's state is merged into the committed registry and
+added to the worker's committed figures.  Total = committed + Σ
+uncommitted, per run and per worker, with no event counted twice; once
+the run is sealed, the uncommitted side is empty, the status metrics
+equal the engine registry exactly, and in a run without worker failures
+the per-worker figures add up to the run totals.
 
 Coverage: a :class:`~repro.search.shard.PrefixTask` with fan-outs
 ``(f1..fk)`` roots a subtree that is ``1/(f1*...*fk)`` of the whole
@@ -65,61 +69,17 @@ class HeartbeatRecord:
 
     ``state`` is the worker registry's ``state_dict()`` — the
     *uncommitted* delta since its last task result (see module
-    docstring).  The scalar fields (``steps``, ``cow_faults``,
-    ``spills``, ``tasks_done``) are worker-lifetime totals so their
-    monotonicity is meaningful across result-driven registry resets.
-    ``events`` is the drained flight-recorder ring (possibly empty).
+    docstring).  ``events`` is the drained flight-recorder ring
+    (possibly empty).
     """
 
     worker: int
     seq: int
-    ts: float
     state: dict = field(default_factory=dict)
     task: Optional[tuple[int, ...]] = None
     span: Optional[int] = None
-    steps: int = 0
-    cow_faults: int = 0
-    spills: int = 0
-    tasks_done: int = 0
     phase: str = "exploring"
     events: tuple[dict, ...] = ()
-
-    def to_record(self) -> dict:
-        """JSON-safe encoding (tuples become lists)."""
-        return {
-            "worker": self.worker,
-            "seq": self.seq,
-            "ts": self.ts,
-            "state": {name: dict(data) for name, data in self.state.items()},
-            "task": list(self.task) if self.task is not None else None,
-            "span": self.span,
-            "steps": self.steps,
-            "cow_faults": self.cow_faults,
-            "spills": self.spills,
-            "tasks_done": self.tasks_done,
-            "phase": self.phase,
-            "events": [dict(event) for event in self.events],
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "HeartbeatRecord":
-        """Inverse of :meth:`to_record` (restores the tuple fields)."""
-        task = record.get("task")
-        return cls(
-            worker=int(record["worker"]),
-            seq=int(record["seq"]),
-            ts=float(record["ts"]),
-            state={name: dict(data)
-                   for name, data in record.get("state", {}).items()},
-            task=tuple(task) if task is not None else None,
-            span=record.get("span"),
-            steps=int(record.get("steps", 0)),
-            cow_faults=int(record.get("cow_faults", 0)),
-            spills=int(record.get("spills", 0)),
-            tasks_done=int(record.get("tasks_done", 0)),
-            phase=str(record.get("phase", "exploring")),
-            events=tuple(dict(e) for e in record.get("events", ())),
-        )
 
 
 def _counter_value(state: dict, name: str) -> float:
@@ -127,15 +87,34 @@ def _counter_value(state: dict, name: str) -> float:
     return data.get("value", 0) if data else 0
 
 
+#: Per-worker figures and the registry counters summed into each.
+_FIGURES: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("steps", STEP_COUNTERS),
+    ("cow_faults", ("mem.frames_copied",)),
+    ("spills", ("parallel.worker_spills",)),
+)
+
+
+def _figures(state: dict, base: Optional[dict] = None) -> dict:
+    """A copy of *base* (no results yet: ``tasks_done`` 0) plus the
+    counters of *state*."""
+    figures = dict(base) if base is not None else {"tasks_done": 0}
+    for key, names in _FIGURES:
+        figures[key] = figures.get(key, 0) + sum(
+            _counter_value(state, name) for name in names
+        )
+    return figures
+
+
 class RunStatus:
     """Thread-safe live model of one cluster run.
 
     The coordinator mutates it (``observe_heartbeat`` per heartbeat,
-    ``on_task_complete`` per result, rate-limited ``refresh`` with the
-    committed registry, ``finalize`` at the end); the HTTP server thread
-    and the status-log thread only call :meth:`snapshot` /
-    :meth:`prometheus`.  Every method takes the one internal lock, and
-    snapshots deep-enough-copy everything they return.
+    ``on_task_complete`` per accepted result, rate-limited ``refresh``
+    with the committed registry, ``finalize`` once at the end); the
+    HTTP server thread only calls :meth:`snapshot` / :meth:`prometheus`.
+    Every method takes the one internal lock, and snapshots
+    deep-enough-copy everything they return.
     """
 
     def __init__(self, workers: int, span: Optional[int] = None,
@@ -156,10 +135,13 @@ class RunStatus:
         #: by epsilon through float error; snapshots clamp).
         self.covered = 0.0
         self._committed: dict = {}
+        #: worker id -> figures of its accepted results, and how many.
+        self._done: dict[int, dict] = {}
         #: worker id -> uncommitted registry state from its latest
         #: heartbeat (cleared when that worker's task result commits).
         self._inflight: dict[int, dict] = {}
-        #: worker id -> scalars of the latest heartbeat.
+        #: worker id -> seq, steps, task, span, phase and arrival time
+        #: of its latest heartbeat.
         self._hb: dict[int, dict] = {}
         self._health: list[dict] = []
         self._pending = 0
@@ -175,41 +157,40 @@ class RunStatus:
     def observe_heartbeat(self, record: HeartbeatRecord) -> bool:
         """Fold one heartbeat in; returns True when it shows progress.
 
-        Progress means the worker's lifetime step counter grew since
-        its previous heartbeat — the engine uses this to defer the
-        per-task timeout for long tasks that are demonstrably running
-        (a stalled worker cannot beat, so stalls still time out).
-        Records older than the latest seen for the worker are ignored,
-        which makes the fold order-independent per worker.
+        Progress means the worker's steps (its accepted results plus
+        this beat's uncommitted state) grew since its previous
+        heartbeat: the engine uses this to defer the per-task timeout
+        for long tasks that are demonstrably running (a stalled worker
+        cannot beat, so stalls still time out).  Records older than the
+        latest seen for the worker are ignored, which makes the fold
+        order-independent per worker.
         """
         with self._lock:
             self.heartbeats += 1
             last = self._hb.get(record.worker)
             if last is not None and record.seq <= last["seq"]:
                 return False
-            progressed = last is None or record.steps > last["steps"]
+            self._inflight[record.worker] = record.state
+            steps = self._figures_locked(record.worker)["steps"]
             self._hb[record.worker] = {
                 "seq": record.seq,
-                "steps": record.steps,
-                "cow_faults": record.cow_faults,
-                "spills": record.spills,
-                "tasks_done": record.tasks_done,
+                "steps": steps,
                 "task": list(record.task) if record.task is not None else None,
                 "span": record.span,
                 "phase": record.phase,
                 "at": self._clock(),
             }
-            self._inflight[record.worker] = record.state
-            return progressed
+            return last is None or steps > last["steps"]
 
-    def on_task_complete(self, worker: int, fanouts: Sequence[int],
-                         solutions: int, spilled: Iterable[Sequence[int]]) -> None:
-        """Account one committed task result from *worker*.
+    def on_task_complete(self, worker: int, state: dict,
+                         fanouts: Sequence[int],
+                         spilled: Iterable[Sequence[int]]) -> None:
+        """Account one accepted task result from *worker*.
 
-        The worker's uncommitted heartbeat state is dropped here: the
-        authoritative registry delta arrived with the result and was
-        merged into the coordinator registry, which the next
-        :meth:`refresh` re-commits.
+        *state* is the result's registry state: it is added to the
+        worker's committed figures, and the worker's uncommitted
+        heartbeat state is dropped, because the coordinator registry
+        merged the same delta (the next :meth:`refresh` re-commits it).
         """
         with self._lock:
             weight = subtree_weight(fanouts)
@@ -219,6 +200,10 @@ class RunStatus:
             if fanouts:
                 self._fanout_sum += fanouts[-1]
                 self._fanout_n += 1
+            figures = self._done[worker] = _figures(
+                state, self._done.get(worker)
+            )
+            figures["tasks_done"] += 1
             self._inflight.pop(worker, None)
 
     def on_worker_failed(self, worker: int) -> None:
@@ -265,6 +250,11 @@ class RunStatus:
             )
 
     # -- internals (caller holds the lock) -----------------------------
+
+    def _figures_locked(self, worker: int) -> dict:
+        """*worker*'s committed figures plus its latest beat's state."""
+        return _figures(self._inflight.get(worker, {}),
+                        self._done.get(worker))
 
     def _steps_locked(self) -> float:
         total = 0.0
@@ -327,16 +317,15 @@ class RunStatus:
         detail: list[dict] = []
         for entry in self._health:
             entry = dict(entry)
-            beat = self._hb.get(entry.get("worker"))
+            worker = entry.get("worker")
+            beat = self._hb.get(worker)
+            if beat is not None or worker in self._done:
+                entry.update(self._figures_locked(worker))
             if beat is not None:
                 entry.update(
                     phase=beat["phase"],
                     task=beat["task"],
                     task_span=beat["span"],
-                    steps=beat["steps"],
-                    cow_faults=beat["cow_faults"],
-                    spills=beat["spills"],
-                    tasks_done=beat["tasks_done"],
                     beat_seq=beat["seq"],
                     beat_age_s=max(0.0, now - beat["at"]),
                 )

@@ -1,12 +1,18 @@
 """Live telemetry through the real process-parallel engine.
 
-Three acceptance properties from the observability work:
+Acceptance properties from the observability work:
 
 * a run with a status server answers ``/status`` and ``/metrics``
   *while workers are exploring*, and the final snapshot's metrics equal
   the engine's end-of-run registry exactly (committed + uncommitted
   folding never double- or under-counts);
 * the Prometheus exposition carries the same final counter values;
+* per-worker figures are one fold of the results the coordinator
+  accepts: sealed, they add up to the run totals, the in-process
+  endpoint of a degraded run included, and the status log's last
+  sample is written after the one seal;
+* the coordinator writes the status log from its own loop, on its
+  clock, and starts no thread for it;
 * chaos-killing a worker produces a flight-recorder dump containing
   that worker's last trace events, shipped via heartbeats before the
   kill (no worker-side flush could survive ``os._exit``).
@@ -24,9 +30,17 @@ from dataclasses import dataclass
 import pytest
 
 from repro.chaos import FaultPlan
-from repro.core.cluster import ProcessParallelEngine
+from repro.core import cluster
+from repro.core.cluster import ProcessParallelEngine, _Coordinator
 from repro.core.machine import MachineEngine
+from repro.core.supervisor import SupervisorPolicy
+from repro.cpu.assembler import assemble
 from repro.workloads.nqueens import nqueens_asm
+from tests.core.test_lost_work import (
+    FakeClock,
+    ScriptedTransport,
+    dispatched_batch,
+)
 
 
 def solution_set(result):
@@ -166,6 +180,119 @@ class TestLiveEndpoints:
                 == final["throughput"]["steps_total"])
         seqs = [s["seq"] for s in samples]
         assert seqs == sorted(seqs)
+
+
+def _run_totals(snapshot):
+    """The per-worker figures of *snapshot* summed, beside the run's."""
+    detail = snapshot["workers_detail"]
+    return ((sum(entry.get("steps", 0) for entry in detail),
+             sum(entry.get("tasks_done", 0) for entry in detail)),
+            (snapshot["throughput"]["steps_total"],
+             snapshot["tasks"]["done"]))
+
+
+class TestOneFold:
+    def test_sealed_worker_figures_add_up_to_the_run(self, tmp_path,
+                                                      monkeypatch):
+        seals = []
+        finalize = _Coordinator._finalize
+
+        def counted(coord):
+            seals.append(coord)
+            finalize(coord)
+
+        monkeypatch.setattr(_Coordinator, "_finalize", counted)
+        log_path = str(tmp_path / "status.jsonl")
+        engine = ProcessParallelEngine(
+            workers=2, task_step_budget=2000, status_log=log_path,
+            status_interval=0.1,
+        )
+        result = engine.run(nqueens_asm(6))
+        assert len(seals) == 1
+        extra = result.stats.extra
+        assert extra["worker_crashes"] == extra["task_timeouts"] == 0
+        final = engine.status.snapshot()
+        workers, run = _run_totals(final)
+        assert workers == run == (
+            extra["guest_instructions"] + extra["replay_steps"],
+            extra["tasks_completed"],
+        )
+        # The last sample is written after the run is sealed, once.
+        last = [json.loads(line)
+                for line in open(log_path, encoding="utf-8")][-1]
+        assert last["done"]
+        assert last["metrics"] == engine.registry.as_dict()
+        assert _run_totals(last) == (run, run)
+
+    def test_the_in_process_endpoint_shows_its_figures(self):
+        engine = ProcessParallelEngine(
+            workers=1, supervisor=SupervisorPolicy(min_workers=2),
+            task_step_budget=2000,
+        )
+        result = engine.run(nqueens_asm(5))
+        extra = result.stats.extra
+        assert extra["degraded"]
+        [local] = [entry for entry in engine.status.snapshot()
+                   ["workers_detail"] if entry["worker"] == -1]
+        assert local["tasks_done"] == extra["tasks_completed"] == 13
+        assert local["steps"] == (
+            extra["guest_instructions"] + extra["replay_steps"]) == 5293
+
+
+class TestTheCoordinatorsClock:
+    """A coordinator on a fake clock over scripted endpoints: nothing
+    here sleeps, and every stamp is a reading of that clock."""
+
+    def _start(self, monkeypatch, clock, **telemetry):
+        monkeypatch.setattr(cluster, "PipeTransport", ScriptedTransport)
+        engine = ProcessParallelEngine(workers=1, batch_size=3,
+                                       task_timeout=5.0, **telemetry)
+        coord = _Coordinator(engine, assemble(nqueens_asm(4)), None,
+                             clock=clock)
+        threads = set(threading.enumerate())
+        coord._start()
+        assert set(threading.enumerate()) == threads
+        return coord
+
+    def test_the_loop_writes_the_status_log(self, monkeypatch, tmp_path):
+        clock = FakeClock()
+        log_path = str(tmp_path / "status.jsonl")
+        coord = self._start(monkeypatch, clock, status_log=log_path,
+                            status_interval=0.5)
+        stamps = [clock.now]
+        try:
+            def samples():
+                return [json.loads(line)
+                        for line in open(log_path, encoding="utf-8")]
+
+            assert [s["ts"] for s in samples()] == stamps
+            clock.now += 0.3
+            coord._refresh()  # the status refreshes; no sample is due
+            assert [s["ts"] for s in samples()] == stamps
+            clock.now += 0.3
+            coord._refresh()
+            stamps.append(clock.now)
+            assert [s["ts"] for s in samples()] == stamps
+            clock.now += 0.1
+        finally:
+            coord.close()
+        stamps.append(clock.now)
+        assert [s["ts"] for s in samples()] == stamps
+        assert [s["done"] for s in samples()] == [False, False, True]
+
+    def test_a_flight_header_reads_the_clock(self, monkeypatch, tmp_path):
+        clock = FakeClock()
+        coord = self._start(monkeypatch, clock,
+                            flight_dir=str(tmp_path / "flight"))
+        try:
+            dispatched_batch(coord)
+            clock.now += coord.engine.task_timeout + 0.1
+            coord._check_workers()
+        finally:
+            coord.close()
+        [dump] = coord.flight.dumps
+        header = json.loads(open(dump, encoding="utf-8").readline())
+        assert header["kind"] == "timeout" and header["ts"] == clock.now
 
 
 class TestFlightRecorder:

@@ -124,6 +124,14 @@ class TestCircuitBreaker:
         assert {e["worker"] for e in decision.evidence} == {7, 8}
         assert {e["kind"] for e in decision.evidence} == {"crash", "timeout"}
 
+    def test_evidence_is_stamped_with_the_supervisors_clock(self):
+        sup, clock = make(workers=2, poison_threshold=1,
+                          max_slot_failures=100)
+        sup.record_failure(sup.slots[0], 0, "crash", self.KEY)
+        clock.now += 2.5
+        decision = sup.record_failure(sup.slots[1], 1, "timeout", self.KEY)
+        assert [e["time"] for e in decision.evidence] == [100.0, 102.5]
+
     def test_poison_fires_once(self):
         sup, _ = make(workers=3, poison_threshold=1, max_slot_failures=100)
         assert sup.record_failure(sup.slots[0], 0, "crash", self.KEY).poison

@@ -364,6 +364,30 @@ class TestTcpLoopback:
         finally:
             transport.close()
 
+    def test_the_pill_passes_a_hook_that_drops_every_frame(self, helper):
+        # The chaos seam models the traffic recovery code exercises, not
+        # the transport's own shutdown: a close must not wait on a pill
+        # the seam dropped.
+        transport = self._start(
+            net_hook=lambda d, w, s: (
+                [("drop", 0.0)] if d == "c2w" else [("pass", 0.0)]
+            ),
+        )
+        try:
+            conn, events = _serve(
+                transport, helper.submit(TcpWorkerConnection, transport.address)
+            )
+            try:
+                ep = next(ev.endpoint for ev in events if ev.kind == "join")
+                ep.send(("work", ["t"], None, []))  # dropped at the seam
+                ep.poison()
+                assert conn.poll(5.0)
+                assert conn.recv() is None
+            finally:
+                conn.close()
+        finally:
+            transport.close()
+
 
 class FakeClock:
     def __init__(self):
