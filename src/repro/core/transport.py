@@ -192,6 +192,9 @@ class TransportEvent:
 class PipeEndpoint:
     """A local worker process reached over a duplex mp pipe."""
 
+    #: A pipe never detaches: the pill reaches the child's end.
+    attached = True
+
     def __init__(self, wid: int, proc, conn):
         self.wid = wid
         self.proc = proc
@@ -332,15 +335,17 @@ def _close_then_run(inherited, worker_main: Callable, *args) -> None:
 def _reap(endpoints, grace: float = 2.0) -> None:
     """Stop every worker behind *endpoints*: poison -> terminate -> kill.
 
-    Trusted endpoints get the poison pill; the processes of endpoints
+    Trusted endpoints get the poison pill.  The processes of endpoints
     the engine killed (crashed, stalled, busy at shutdown) are
-    terminated at once.  Each stage shares one deadline across the
-    pool, and the final join after SIGKILL reaps every local child.  An
-    external worker has no local process: the pill is all it gets.
+    terminated at once, and so are those of local TCP endpoints detached
+    at close: their pill would wait in an outbox that no later poll
+    flushes.  Each stage shares one deadline across the pool, and the
+    final join after SIGKILL reaps every local child.  An external
+    worker has no local process: the pill is all it gets.
     """
     procs = []
     for ep in endpoints:
-        if not ep.closed:
+        if not ep.closed and (ep.attached or ep.proc is None):
             ep.poison()
         elif ep.proc is not None and ep.proc.is_alive():
             ep.proc.terminate()

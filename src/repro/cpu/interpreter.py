@@ -21,14 +21,22 @@ Both tiers instantiate :data:`repro.cpu.semantics.SEMANTICS`:
   are joined into one compiled function, with registers as locals,
   operands folded to constants, and each flag computed only where a
   later reader, the block exit or a possibly-faulting instruction needs
-  it.
+  it.  A block follows a direct ``jmp`` to an already-decoded address it
+  does not hold yet, up to :data:`_FOLLOW_LIMIT` instructions.  A block
+  whose last jump can return to its own head (a ``jmp``, or either edge
+  of a conditional jump) loops in place: its function runs pass after
+  pass with registers and flags kept as locals, computes a flag per pass
+  only if the next pass or a fault can read it (the others are set once,
+  after the loop), and stops at the exit edge or before a pass that would
+  not fit the step room it was given.
 
-Exits stay exact.  A block runs only if it fits the remaining step
+Exits stay exact.  A block runs only if one pass fits the remaining step
 budget; otherwise the cold tier single-steps.  Before an instruction
 that can fault, a block stores the registers and flags written so far
-and the instruction's address, so a fault leaves registers, flags,
-``rip``, ``steps`` and ``instructions_executed`` as single-stepping
-would.
+and the instruction's address (a looping block whose pass can fault also
+stores them at the end of each pass), so a fault leaves registers,
+flags, ``rip``, ``steps`` and ``instructions_executed`` as
+single-stepping would.
 
 Fetch translates once per decode.  An instruction that lies within one
 page is decoded in place from the frame's bytes after one translation
@@ -50,6 +58,7 @@ cache, never guest memory.
 from __future__ import annotations
 
 import enum
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -67,6 +76,10 @@ from repro.mem.layout import PAGE_MASK
 #: iterations, while a guest that runs each of its few hundred
 #: instructions a handful of times (one crash search) stays cold.
 HOT_THRESHOLD = 64
+#: A block follows a direct ``jmp`` only while it holds fewer
+#: instructions than this, so that a chain of jumps cannot grow one block
+#: past the step budgets the engines hand out.
+_FOLLOW_LIMIT = 32
 
 
 class DivideError(Exception):
@@ -122,7 +135,7 @@ def _define(params: str, lines: list[str], name: str) -> Callable[..., Any]:
     """
     source = f"def f({params}):\n" + "".join(f"    {line}\n" for line in lines)
     source = source.replace("MASK64", f"{MASK64:#x}").replace("SIGN", f"{1 << 63:#x}")
-    namespace: dict[str, Any] = {"DivideError": DivideError}
+    namespace: dict[str, Any] = {"DivideError": DivideError, "FAULTS": _FAULTS}
     exec(compile(source, name, "exec"), namespace)
     return namespace["f"]
 
@@ -152,6 +165,12 @@ def _cold_handler(op: int) -> Callable[..., int]:
 _HANDLERS = {op: _cold_handler(op) for op in SEMANTICS}
 #: Register placeholders each template reads and writes.
 _REGISTER_EFFECTS = {op: register_effects(sem.body) for op, sem in SEMANTICS.items()}
+#: The temporaries (and ``rip``) each template assigns.
+_TEMPORARIES = {op: frozenset(re.findall(r"^([a-z]\w*) = ", sem.body, re.MULTILINE))
+                for op, sem in SEMANTICS.items()}
+#: A name in a flag expression: one of its writer's temporaries.
+_NAME = re.compile(r"\b[a-z]\w*")
+_ALL_FLAGS = frozenset(FLAGS)
 
 
 def _constant(value: int) -> str:
@@ -159,33 +178,66 @@ def _constant(value: int) -> str:
 
 
 class Block:
-    """One compiled basic block: ``run(g, regs, space) -> next rip``."""
+    """One compiled block.  A straight block's ``run(g, regs, space)``
+    returns the next rip; a loop's ``run(g, regs, space, room)`` returns
+    the next rip and the steps it ran, and marks a fault it raises with
+    the passes it completed before it (``fault.passes``)."""
 
-    __slots__ = ("size", "run", "exit", "pcs")
+    __slots__ = ("size", "run", "exit", "pcs", "loop")
 
-    def __init__(self, run: Callable[..., int], pcs: list[int],
-                 exit: Optional[VmExitReason]):
+    def __init__(self, run: Callable[..., Any], pcs: list[int],
+                 exit: Optional[VmExitReason], loop: bool):
+        #: Instructions in one pass.
         self.size = len(pcs)
         self.run = run
         #: The exit its last instruction makes, if it leaves the guest.
         self.exit = exit
         #: Address of each instruction, in order.
         self.pcs = pcs
+        #: Whether its last jump can return to its head.
+        self.loop = loop
 
 
-def _compile_block(insns: list[tuple[int, tuple[int, ...]]]) -> Block:
-    """Join the templates of ``(pc, decoded)`` pairs, a straight-line run,
-    into one function."""
-    sems = [SEMANTICS[d[0]] for _, d in insns]
-    # Flags that can be read after each instruction: at the block exit
-    # all of them, and at an instruction that can fault all of them too.
+def _liveness(sems: list[Semantics], live: frozenset[str]
+              ) -> tuple[list[frozenset[str]], frozenset[str]]:
+    """The flags that can be read after each instruction, given *live*
+    after the last, and the flags read before the first."""
     live_after: list[frozenset[str]] = []
-    live = frozenset(FLAGS)
     for sem in reversed(sems):
         live_after.append(live)
-        live = frozenset(FLAGS) if sem.faults else (
-            live - sem.writes.keys()) | sem.reads
+        live = _ALL_FLAGS if sem.faults else (live - sem.writes.keys()) | sem.reads
     live_after.reverse()
+    return live_after, live
+
+
+def _exit_only_flags(ops: list[int]) -> dict[str, str]:
+    """flag -> expression, for each flag a loop pass writes that only the
+    loop's exit reads, and that can be computed after the loop from its
+    last writer's temporaries (no later instruction reassigns them)."""
+    live_after, live_in = _liveness([SEMANTICS[op] for op in ops], frozenset())
+    exit_only: dict[str, str] = {}
+    written: set[str] = set()
+    assigned: set[str] = set()
+    for op, live in zip(reversed(ops), reversed(live_after)):
+        for flag, expr in SEMANTICS[op].writes.items():
+            if flag not in written | live | live_in \
+                    and not assigned & set(_NAME.findall(expr)):
+                exit_only[flag] = expr
+        written |= SEMANTICS[op].writes.keys()
+        assigned |= _TEMPORARIES[op]
+    return exit_only
+
+
+def _compile_block(insns: list[tuple[int, tuple[int, ...]]], loop: bool) -> Block:
+    """Join the templates of ``(pc, decoded)`` pairs, a straight-line run
+    whose direct jumps are followed, into one function; a *loop* block
+    runs them pass after pass (see :class:`Block`)."""
+    sems = [SEMANTICS[d[0]] for _, d in insns]
+    size = len(insns)
+    # Every flag can be read at the exit and at an instruction that can
+    # fault, but a loop sets the flags only its exit reads after the loop.
+    exit_only = _exit_only_flags([d[0] for _, d in insns]) if loop else {}
+    live_after, _ = _liveness(sems, _ALL_FLAGS - exit_only.keys())
 
     entry: list[str] = []    # loads of the registers and flags read first
     lines: list[str] = []
@@ -194,13 +246,16 @@ def _compile_block(insns: list[tuple[int, tuple[int, ...]]]) -> Block:
     dirty: set[int] = set()    # registers written since the last store
     pending: set[str] = set()  # flags computed since the last store
 
-    def store() -> None:
-        lines.extend(f"g[{r}] = r{r}" for r in sorted(dirty))
-        lines.extend(f"regs.{flag} = {flag}" for flag in FLAGS if flag in pending)
+    def store() -> list[str]:
+        out = [f"g[{r}] = r{r}" for r in sorted(dirty)]
+        out += [f"regs.{flag} = {flag}" for flag in FLAGS if flag in pending]
         dirty.clear()
         pending.clear()
+        return out
 
-    for (pc, d), sem, live in zip(insns, sems, live_after):
+    for i, ((pc, d), sem, live) in enumerate(zip(insns, sems, live_after)):
+        if d[0] == isa.JMP and i < size - 1:
+            continue    # followed: the next instruction is its target
         layout = isa.OPCODES[d[0]].layout
         register = {str(k): d[k + 1] for k, kind in enumerate(layout) if kind == "r"}
         register["sp"] = 4
@@ -213,7 +268,7 @@ def _compile_block(insns: list[tuple[int, tuple[int, ...]]]) -> Block:
             entry.append(f"{flag} = regs.{flag}")
             local_flags.add(flag)
         if sem.faults:
-            store()
+            lines += store()
             lines.append(f"regs.rip = {pc:#x}")
         operands = [f"r{value}" if kind == "r" else _constant(value)
                     for kind, value in zip(layout, d[1:-1])]
@@ -228,11 +283,26 @@ def _compile_block(insns: list[tuple[int, tuple[int, ...]]]) -> Block:
                 lines.append(f"{flag} = {expr}")
                 local_flags.add(flag)
                 pending.add(flag)
-    store()
+    head = insns[0][0]
     last = insns[-1][1]
-    lines.append("return rip" if transfers(sems[-1].body) else f"return {last[-1]:#x}")
-    run = _define("g, regs, space", entry + lines, f"<block {insns[0][0]:#x}>")
-    return Block(run, [pc for pc, _ in insns], _EXIT_OF.get(last[0]))
+    if loop:
+        # A pass that can fault stores its writes before it loops back, so
+        # the next pass's first fault finds them in place.
+        if any(sem.faults for sem in sems):
+            lines += store()
+        pending.update(exit_only)
+        lines = (["try:", f"    for k in range(room // {size}):"]
+                 + [f"        {line}" for line in lines]
+                 + [f"        if rip != {head:#x}: break",
+                    "except FAULTS as fault:", "    fault.passes = k", "    raise"]
+                 + [f"{flag} = {expr}" for flag, expr in exit_only.items()]
+                 + store() + [f"return rip, (k + 1) * {size}"])
+    else:
+        lines += store()
+        lines.append("return rip" if transfers(sems[-1].body) else f"return {last[-1]:#x}")
+    run = _define("g, regs, space, room" if loop else "g, regs, space",
+                  entry + lines, f"<block {head:#x}>")
+    return Block(run, [pc for pc, _ in insns], _EXIT_OF.get(last[0]), loop)
 
 
 class CodeCache:
@@ -258,18 +328,30 @@ class CodeCache:
 
     def compile(self, head: int) -> Optional[Block]:
         """Compile the decoded run from *head* to the next block end (or
-        to the first instruction not decoded yet); None if *head* itself
-        was never decoded."""
+        to the first instruction not decoded yet), following each direct
+        ``jmp`` to a decoded address the block does not hold yet while it
+        is shorter than :data:`_FOLLOW_LIMIT`; None if *head* itself was
+        never decoded.  The block loops if its last jump can return to
+        *head*."""
+        decoded = self.decoded
         insns: list[tuple[int, tuple[int, ...]]] = []
+        pcs: set[int] = set()
         pc = head
-        while (d := self.decoded.get(pc)) is not None:
+        while (d := decoded.get(pc)) is not None and pc not in pcs:
             insns.append((pc, d))
-            if d[0] in isa.ENDS_BLOCK:
+            pcs.add(pc)
+            if d[0] == isa.JMP and len(insns) < _FOLLOW_LIMIT:
+                pc = d[1]
+            elif d[0] in isa.ENDS_BLOCK:
                 break
-            pc = d[-1]
+            else:
+                pc = d[-1]
         if not insns:
             return None
-        block = self.blocks[head] = _compile_block(insns)
+        op, *fields = insns[-1][1]
+        loop = op == isa.JMP and fields[0] == head \
+            or op in isa.CONDITIONAL_JUMPS and head in (fields[0], fields[-1])
+        block = self.blocks[head] = _compile_block(insns, loop)
         return block
 
 
@@ -351,11 +433,17 @@ class Interpreter:
                 block = blocks.get(rip)
                 if block is not None and block.size <= budget - steps:
                     try:
+                        if block.loop:
+                            rip, ran = block.run(g, regs, space, budget - steps)
+                            steps += ran
+                            continue
                         rip = block.run(g, regs, space)
-                    except _FAULTS:
+                    except _FAULTS as fault:
                         # The block stored the faulting instruction's pc.
                         rip = regs.rip
                         steps += block.pcs.index(rip) + 1
+                        if block.loop:
+                            steps += fault.passes * block.size
                         raise
                     steps += block.size
                     if block.exit is not None:
@@ -367,7 +455,7 @@ class Interpreter:
                     continue
                 # Cold tier: single-step to the end of the block.
                 while True:
-                    if steps == budget:
+                    if steps >= budget:
                         return VmExit(VmExitReason.STEP_LIMIT, steps)
                     d = decoded.get(rip)
                     if d is None:

@@ -28,7 +28,8 @@ Python bools.  Flags outside ``writes`` keep their value.
 
 :mod:`repro.cpu.interpreter` instantiates the table twice: once per
 process as one generic handler per opcode (the cold tier), and per hot
-basic block as one compiled function (the hot tier).
+block as one compiled function (the hot tier), which may follow jumps
+and loop in place.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import threading
 import time
 from collections import deque
@@ -211,21 +212,40 @@ class StatusServer:
         self.port = self._httpd.server_address[1]
         self.url = f"http://{host}:{self.port}"
         self._thread: Optional[threading.Thread] = None
+        self._wake: Optional[tuple[int, int]] = None
 
     def start(self) -> "StatusServer":
+        self._wake = os.pipe()
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.1},
-            daemon=True, name="repro-status-http",
+            target=self._serve, args=(self._wake[0],), daemon=True,
+            name="repro-status-http",
         )
         self._thread.start()
         return self
 
+    def _serve(self, wake: int) -> None:
+        """Answer requests until :meth:`stop` writes to the *wake* pipe.
+
+        It blocks in one ``select`` over the listener and the pipe, so it
+        neither polls nor keeps :meth:`stop` waiting for a tick.
+        """
+        httpd = self._httpd
+        httpd.timeout = 0   # handle_request() must not block on a lost client
+        while True:
+            ready, _, _ = select.select([httpd, wake], [], [])
+            if wake in ready:
+                return
+            httpd.handle_request()
+
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
         if self._thread is not None:
+            os.write(self._wake[1], b"x")
             self._thread.join(timeout=5.0)
             self._thread = None
+            for fd in self._wake:
+                os.close(fd)
+            self._wake = None
+        self._httpd.server_close()
 
 
 class StatusLogger:

@@ -25,8 +25,11 @@ from repro.core.transport import (
     FrameError,
     PROTOCOL_VERSION,
     RECONNECT_GRACE_S,
+    PipeEndpoint,
+    TcpEndpoint,
     TcpTransport,
     TcpWorkerConnection,
+    _reap,
     decode_payload,
     encode_frame,
 )
@@ -509,6 +512,58 @@ class TestTcpDeadlines:
         finally:
             sock.close()
             transport.close()
+
+
+class _Recorder:
+    """A worker process or pipe end that records what ``_reap`` does to
+    it.  The process exits once it is joined after a pill, or once it is
+    terminated."""
+
+    def __init__(self):
+        self.calls = []
+        self.alive = True
+
+    def is_alive(self):
+        return self.alive
+
+    def terminate(self):
+        self.calls.append("terminate")
+        self.alive = False
+
+    def join(self, timeout=None):
+        self.calls.append("join")
+        self.alive = self.alive and "pill" not in self.calls
+
+    def send(self, msg):
+        self.calls.append("pill" if msg is None else msg)
+
+
+class TestReap:
+    def test_a_detached_local_tcp_endpoint_is_terminated_at_once(self):
+        transport = TcpTransport().start(program="P", config={})
+        try:
+            proc = _Recorder()
+            ep = TcpEndpoint(transport, wid=7, proc=proc)
+            assert not ep.attached
+            _reap([ep])
+            assert proc.calls == ["terminate", "join", "join", "join"]
+            assert not ep.outbox
+        finally:
+            transport.close()
+
+    def test_an_external_detached_endpoint_keeps_its_pill(self):
+        transport = TcpTransport().start(program="P", config={})
+        try:
+            ep = TcpEndpoint(transport, wid=7)
+            _reap([ep])
+            assert list(ep.outbox) == [encode_frame(None)]
+        finally:
+            transport.close()
+
+    def test_a_pipe_worker_gets_the_pill(self):
+        proc = _Recorder()
+        _reap([PipeEndpoint(0, proc, conn=proc)])
+        assert proc.calls == ["pill", "join", "join", "join"]
 
 
 def test_the_transport_starts_no_thread():
