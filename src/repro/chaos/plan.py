@@ -27,7 +27,7 @@ invariant the differential sweep checks.  ``targets`` name single
 subtrees instead: each ``(prefix, kind, attempts)`` entry injects
 *kind* into the task with exactly that prefix for every attempt below
 *attempts* (``None``: every attempt), which is how tests fault one
-known subtree and how a poisoned subtree feeds the circuit breaker.
+known subtree and how a poisoned subtree is driven into quarantine.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class FaultPlan:
     max_faulted_attempt: int = 0
     #: ``(prefix, kind, attempts)`` entries: inject worker fault *kind*
     #: into the task whose prefix is exactly *prefix*, for attempts
-    #: ``< attempts`` (``None``: every attempt — circuit-breaker food).
+    #: ``< attempts`` (``None``: every attempt, until it is given up).
     #: Checked before the rate roll; ``max_faulted_attempt`` does not
     #: apply.
     targets: tuple = ()

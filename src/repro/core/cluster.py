@@ -78,8 +78,9 @@ from repro.core.journal import (
 from repro.core.result import SearchResult, SearchStats, Solution
 from repro.core.stepper import ExtensionStepper, Pending
 from repro.core.supervisor import (
+    DROP,
+    POISON,
     SlotState,
-    SupervisorPolicy,
     WorkerSlot,
     WorkerSupervisor,
 )
@@ -534,23 +535,6 @@ def tcp_worker(host: str, port: int) -> None:
 # ----------------------------------------------------------------------
 
 
-class _WorkerHandle:
-    """A worker's endpoint and slot; what it owes and when it last made
-    progress live in the coordinator's :class:`LeaseTable`."""
-
-    __slots__ = ("ep", "slot")
-
-    def __init__(self, ep, slot: WorkerSlot):
-        #: The transport endpoint this worker is reached through.
-        self.ep = ep
-        #: The supervisor slot this worker occupies.
-        self.slot = slot
-
-    @property
-    def wid(self) -> int:
-        return self.ep.wid
-
-
 class ProcessParallelEngine:
     """Shard the extension frontier across real worker processes.
 
@@ -576,8 +560,12 @@ class ProcessParallelEngine:
         the timeout).  A worker whose results were lost in flight says
         so itself: its next steal names the last fence it received.
     max_task_retries:
-        How many times a task lost to a crash or timeout is re-dispatched
-        before being dropped (a drop marks the result not exhausted).
+        The one failure budget: how many times a task lost to a crash,
+        a timeout or a steal reclaim is re-dispatched.  At the budget
+        the task is given up — quarantined with its evidence when its
+        kills span more than this many distinct workers, dropped
+        otherwise; either marks the result not exhausted (see
+        :mod:`repro.core.supervisor`).
     verify:
         Static-analysis gate run on each guest before sharding: ``"off"``
         (default), ``"warn"`` or ``"strict"``.  Strict mode refuses
@@ -602,13 +590,13 @@ class ProcessParallelEngine:
     fsync:
         Journal durability policy: ``"always"``, ``"batch"`` (default)
         or ``"off"``.
-    supervisor:
-        :class:`~repro.core.supervisor.SupervisorPolicy`: respawn
-        backoff, poison threshold, slot failure limit, and the
-        graceful-degradation floor ``min_workers`` — when fewer worker
-        slots stay serviceable, the coordinator closes the pool and
-        finishes the frontier on an in-process endpoint instead of
-        aborting the run.
+    min_workers:
+        The graceful-degradation floor (>= 0; 0 and 1 both mean one):
+        when fewer worker slots stay serviceable, the coordinator
+        closes the pool and finishes the frontier on an in-process
+        endpoint instead of aborting the run.  Respawn backoff and the
+        slot failure limit are constants of
+        :mod:`repro.core.supervisor`.
     chaos:
         A :class:`~repro.chaos.FaultPlan`, the one way to inject faults:
         it rides :class:`ClusterConfig` to the workers (crash or stall
@@ -697,7 +685,7 @@ class ProcessParallelEngine:
         journal: Optional[str] = None,
         resume: bool = False,
         fsync: str = "batch",
-        supervisor: Optional[SupervisorPolicy] = None,
+        min_workers: int = 1,
         chaos: Optional[FaultPlan] = None,
         replay_mode: str = "off",
         replay_log: Optional[NondetLog] = None,
@@ -774,9 +762,7 @@ class ProcessParallelEngine:
             replay_log.copy() if replay_log is not None
             else (NondetLog() if replay_mode != "off" else None)
         )
-        self.supervisor_policy = (
-            supervisor if supervisor is not None else SupervisorPolicy()
-        )
+        self.min_workers = min_workers
         self.status_port = status_port
         self.status_log = status_log
         self.status_interval = status_interval
@@ -911,8 +897,10 @@ class _Coordinator:
         self.stop_reason: Optional[str] = None
         self.degraded = False
         self.poisoned: list[tuple[PrefixTask, list]] = []
-        self.sup = WorkerSupervisor(engine.num_workers,
-                                    engine.supervisor_policy, clock=clock)
+        self.sup = WorkerSupervisor(
+            engine.num_workers, max_task_retries=engine.max_task_retries,
+            min_workers=engine.min_workers, clock=clock,
+        )
         self.nlog = engine.replay_log  # the run's merged nondet-event log
         self.journal: Optional[JournalWriter] = None
         #: Task keys already completed in the journaled run: a resumed
@@ -952,9 +940,8 @@ class _Coordinator:
         #: The pool's transport, and the one in use: the same object
         #: until degraded mode swaps in the in-process endpoint.
         self.pool = self.transport = None
-        #: Worker handles by supervisor slot index, and by worker id.
-        self.handles: dict[int, _WorkerHandle] = {}
-        self.by_wid: dict[int, _WorkerHandle] = {}
+        #: Supervisor slots by the id of the worker in them.
+        self.by_wid: dict[int, WorkerSlot] = {}
         #: wids with unfulfilled steal announcements, FIFO.
         self.steal_queue: deque[int] = deque()
 
@@ -1033,7 +1020,7 @@ class _Coordinator:
                                                      self.config)
         e.transport_address = transport.address
         for slot in self.sup.slots:
-            self._add_handle(transport.spawn(), slot)
+            self._seat(slot, transport.spawn())
         self.g_workers.set(e.num_workers)
         if e.status_log is not None:
             self.logger = StatusLogger(self.status, e.status_log)
@@ -1055,12 +1042,12 @@ class _Coordinator:
             self._refresh()
             if not self.degraded:
                 for slot in self.sup.respawn_ready():
-                    handle = self._add_handle(self.transport.spawn(), slot)
+                    self._seat(slot, self.transport.spawn())
                     self.sup.mark_running(slot)
                     self.c_respawns.inc()
                     if _TRACER.enabled:
                         _TRACER.emit(
-                            _events.PARALLEL_RESPAWN, worker=handle.wid,
+                            _events.PARALLEL_RESPAWN, worker=slot.ep.wid,
                             slot=slot.index, failures=slot.failures,
                         )
                 if self.sup.collapsed() and (self.frontier or self.leases):
@@ -1117,9 +1104,9 @@ class _Coordinator:
         """Signal busy workers at once (their tasks are lost by
         construction); the transport's close poisons the idle ones and
         reaps every local process."""
-        for handle in self.handles.values():
-            if self.leases.busy(handle.wid):
-                handle.ep.kill()
+        for slot in self.sup.slots:
+            if slot.ep is not None and self.leases.busy(slot.ep.wid):
+                slot.ep.kill()
         self.transport.close()
 
     def _degrade(self) -> None:
@@ -1133,7 +1120,8 @@ class _Coordinator:
         # lease: nothing the old pool still delivers can count.
         for lease in self.leases.drain():
             self._lose(lease.task, suspect=False)
-        self.handles.clear()
+        for slot in self.sup.slots:
+            slot.ep = None
         self.by_wid.clear()
         self.steal_queue.clear()
         self.g_workers.set(0)
@@ -1150,16 +1138,15 @@ class _Coordinator:
         self.transport = LocalTransport(
             functools.partial(_serve_batch, local, collector=MemorySink())
         ).start(self.program, self.config)
-        self._add_handle(self.transport.spawn(),
-                         self.sup.add_slot(respawnable=False))
+        self._seat(self.sup.add_slot(respawnable=False),
+                   self.transport.spawn())
 
     # -- scheduling --------------------------------------------------------
 
-    def _add_handle(self, ep, slot: WorkerSlot) -> _WorkerHandle:
-        handle = _WorkerHandle(ep, slot)
-        self.handles[slot.index] = handle
-        self.by_wid[ep.wid] = handle
-        return handle
+    def _seat(self, slot: WorkerSlot, ep) -> None:
+        """Put worker endpoint *ep* in *slot*."""
+        slot.ep = ep
+        self.by_wid[ep.wid] = slot
 
     def _dispatch(self) -> None:
         """Fulfil steal announcements off the frontier.
@@ -1170,37 +1157,37 @@ class _Coordinator:
         while a fast one sits idle.
         """
         while self.steal_queue and self.frontier:
-            handle = self.by_wid.get(self.steal_queue.popleft())
-            if handle is None or self.leases.busy(handle.wid):
+            wid = self.steal_queue.popleft()
+            slot = self.by_wid.get(wid)
+            if slot is None or self.leases.busy(wid):
                 continue  # died or was re-dispatched meanwhile
-            if handle.slot.state is not SlotState.RUNNING:
+            if slot.state is not SlotState.RUNNING:
                 continue
-            if not handle.ep.alive():
-                self._fail(handle, "crash", "worker died while idle")
+            if not slot.ep.alive():
+                self._fail(slot, "crash", "worker died while idle")
                 continue
             granted = [
-                self.leases.grant(task, handle.wid).task
+                self.leases.grant(task, wid).task
                 for task in self.frontier.take_batch(self.engine.batch_size)
             ]
-            if not self._send_work(handle, granted):
+            if not self._send_work(slot, granted):
                 continue
             self.c_dispatches.inc()
             self.c_tasks.inc(len(granted))
             for task in granted:
-                self._journal("dispatch", task=task.to_record(),
-                              worker=handle.wid)
+                self._journal("dispatch", task=task.to_record(), worker=wid)
             if _TRACER.enabled:
-                _TRACER.emit(_events.PARALLEL_DISPATCH, worker=handle.wid,
+                _TRACER.emit(_events.PARALLEL_DISPATCH, worker=wid,
                              tasks=len(granted))
 
-    def _send_work(self, handle: _WorkerHandle, batch: list) -> bool:
-        """Send *batch* to *handle*'s worker; False when the channel is
+    def _send_work(self, slot: WorkerSlot, batch: list) -> bool:
+        """Send *batch* to *slot*'s worker; False when the channel is
         closed (the worker is then failed)."""
         try:
-            handle.ep.send(("work", batch, self._remaining(),
-                            self._batch_events(batch)))
+            slot.ep.send(("work", batch, self._remaining(),
+                          self._batch_events(batch)))
         except EndpointDown:
-            self._fail(handle, "crash", "dispatch channel closed")
+            self._fail(slot, "crash", "dispatch channel closed")
             return False
         return True
 
@@ -1231,21 +1218,24 @@ class _Coordinator:
         if ev.kind == "join":
             # An external (or resurfaced) worker completed the
             # handshake: give it a non-respawnable slot and let it steal.
-            self._add_handle(ev.endpoint, self.sup.add_slot(respawnable=False))
+            self._seat(self.sup.add_slot(respawnable=False), ev.endpoint)
             self.c_joins.inc()
-            self.g_workers.set(len(self.handles))
+            self.g_workers.set(
+                sum(slot.ep is not None for slot in self.sup.slots)
+            )
             self._journal("join", worker=ev.endpoint.wid, detail=ev.detail)
             if _TRACER.enabled:
                 _TRACER.emit(_events.PARALLEL_JOIN, worker=ev.endpoint.wid,
                              detail=ev.detail)
             return
-        handle = self.by_wid.get(ev.endpoint.wid)
-        if handle is None or handle.ep is not ev.endpoint:
+        wid = ev.endpoint.wid
+        slot = self.by_wid.get(wid)
+        if slot is None or slot.ep is not ev.endpoint:
             return  # failed/replaced earlier this sweep
         if ev.kind == "down":
             if ev.protocol_error:
                 self.c_proto.inc()
-            self._fail(handle, ev.fail_kind or "crash", ev.detail)
+            self._fail(slot, ev.fail_kind or "crash", ev.detail)
             return
         msg = ev.payload
         if (
@@ -1260,11 +1250,11 @@ class _Coordinator:
                 and not (len(msg) == 3 and isinstance(msg[2], int)))
         ):
             self.c_proto.inc()
-            self._fail(handle, "crash",
+            self._fail(slot, "crash",
                        f"malformed result message {msg!r}"[:200])
             return
         if msg[0] == "steal":
-            owed = self.leases.owned_by(handle.wid)
+            owed = self.leases.owned_by(wid)
             if owed and max(lease.fence for lease in owed) > msg[2]:
                 # The worker has not received the batch it owes: the
                 # steal crossed its dispatch, or the work frame was
@@ -1273,38 +1263,38 @@ class _Coordinator:
                 # dispatch: no counter, no journal record, no progress,
                 # so a batch that never arrives still ends at the stall
                 # timeout.
-                self._send_work(handle, [lease.task for lease in owed])
+                self._send_work(slot, [lease.task for lease in owed])
                 return
             # The worker received every fence it owes and is idle: its
             # results were lost in flight (dropped frames, a reconnect).
             # Reclaim at once; the revoked fences turn any late delivery
             # into a discarded stale.
-            for lease in self.leases.revoke_worker(handle.wid):
+            for lease in self.leases.revoke_worker(wid):
                 self.c_lease_expired.inc()
                 self._journal("expire", task=lease.task.to_record(),
-                              fence=lease.fence, worker=handle.wid)
+                              fence=lease.fence, worker=wid)
                 if _TRACER.enabled:
                     _TRACER.emit(_events.PARALLEL_LEASE_EXPIRED,
                                  task=list(lease.task.prefix),
-                                 fence=lease.fence, worker=handle.wid)
+                                 fence=lease.fence, worker=wid)
                 self._lose(lease.task)
-            if handle.wid not in self.steal_queue:
-                self.steal_queue.append(handle.wid)
+            if wid not in self.steal_queue:
+                self.steal_queue.append(wid)
                 self.c_steals.inc()
                 if _TRACER.enabled:
-                    _TRACER.emit(_events.PARALLEL_STEAL, worker=handle.wid,
+                    _TRACER.emit(_events.PARALLEL_STEAL, worker=wid,
                                  want=self.engine.batch_size)
         elif msg[0] == "hb":
             record: HeartbeatRecord = msg[2]
             self.c_heartbeats.inc()
             progressed = self.status.observe_heartbeat(record)
             if self.flight is not None and record.events:
-                self.flight.extend(handle.wid, record.events)
+                self.flight.extend(wid, record.events)
             if progressed:
                 # The worker's steps grew: its task is alive, so the
                 # stall timeout and its leases start over.  (A stalled
                 # worker cannot beat, so real stalls still trip.)
-                self.leases.progress(handle.wid)
+                self.leases.progress(wid)
         elif msg[0] == "error":
             if str(msg[2]).startswith("ReplayDivergenceError:"):
                 # Surface a worker's replay divergence as itself: callers
@@ -1313,16 +1303,17 @@ class _Coordinator:
                 raise ReplayDivergenceError(f"worker {msg[1]}: {msg[2]}")
             raise WorkerError(msg[1], msg[2])
         else:
-            self._settle(handle, msg)
+            self._settle(slot, msg)
 
-    def _settle(self, handle: _WorkerHandle, msg: tuple) -> None:
+    def _settle(self, slot: WorkerSlot, msg: tuple) -> None:
         """Account one ``task`` result: fence check, registry merge,
         status, spills, nondet events, the ``complete`` record,
         solutions and the trace splice."""
         (_kind, _wid, key, fence, task_solutions, spilled,
          state, segment, fresh_events) = msg
         key = tuple(key)
-        completed = self.leases.settle(key, fence, handle.wid)
+        wid = slot.ep.wid
+        completed = self.leases.settle(key, fence, wid)
         if completed is None:
             # A fenced-off result: the worker was declared down or its
             # steal reclaimed the lease, and the task was re-dispatched,
@@ -1332,18 +1323,18 @@ class _Coordinator:
             # accounting of this subtree.
             self.c_fenced.inc()
             self._journal("stale", task={"prefix": list(key)},
-                          fence=fence, worker=handle.wid)
+                          fence=fence, worker=wid)
             if _TRACER.enabled:
                 _TRACER.emit(_events.PARALLEL_FENCED_STALE,
-                             worker=handle.wid, task=list(key), fence=fence)
+                             worker=wid, task=list(key), fence=fence)
             return
         self.completed_keys.add(key)
-        self.sup.record_success(handle.slot)
+        self.sup.record_success(slot)
         self.c_done.inc()
         self.c_spilled.inc(len(spilled))
         self.reg.merge_state(state)
         self.status.on_task_complete(
-            handle.wid, state, completed.task.fanouts,
+            wid, state, completed.task.fanouts,
             [t.fanouts for t in spilled],
         )
         for child in spilled:
@@ -1363,7 +1354,7 @@ class _Coordinator:
                 "nondet", events=[e.to_record() for e in fresh_events]
             )
         self._journal(
-            "complete", task=completed.task.to_record(), worker=handle.wid,
+            "complete", task=completed.task.to_record(), worker=wid,
             solutions=[[list(path), status, text]
                        for path, status, text in task_solutions],
             spilled=[t.to_record() for t in spilled],
@@ -1376,14 +1367,14 @@ class _Coordinator:
             # causally ordered.
             if segment:
                 self.c_trace_merged.inc(
-                    _TRACER.ingest(segment, worker=handle.wid)
+                    _TRACER.ingest(segment, worker=wid)
                 )
             elif segment is None:
                 # The worker never collected: its events for this task
                 # are gone.  Count the loss.
                 self.c_trace_dropped.inc()
             _TRACER.emit(
-                _events.PARALLEL_RESULT, worker=handle.wid,
+                _events.PARALLEL_RESULT, worker=wid,
                 solutions=len(task_solutions), spilled=len(spilled),
             )
 
@@ -1395,85 +1386,80 @@ class _Coordinator:
         work."""
         timeout = self.engine.task_timeout
         for slot in self.sup.slots:
-            handle = self.handles.get(slot.index)
-            if handle is None or not self.leases.busy(handle.wid):
+            if slot.ep is None or not self.leases.busy(slot.ep.wid):
                 continue  # failed or drained earlier this sweep
-            if not handle.ep.alive():
-                self._fail(handle, "crash", "worker process died")
+            if not slot.ep.alive():
+                self._fail(slot, "crash", "worker process died")
             elif (timeout is not None
-                  and self.leases.quiet(handle.wid) > timeout):
-                self._fail(handle, "timeout",
+                  and self.leases.quiet(slot.ep.wid) > timeout):
+                self._fail(slot, "timeout",
                            f"no progress for {timeout:.1f}s")
 
-    def _fail(self, handle: _WorkerHandle, kind: str,
-              detail: str = "") -> None:
+    def _fail(self, slot: WorkerSlot, kind: str, detail: str = "") -> None:
         """Account one worker death: blame, requeue, schedule respawn."""
+        ep = slot.ep
         # Fence off everything the worker still owed us: whatever it
         # delivers from here on settles as stale.  Workers run their
         # batch in grant order and report per task, so the first lease
         # owed is the task that was executing: the suspect.
-        owed = [lease.task for lease in self.leases.revoke_worker(handle.wid)]
+        owed = [lease.task for lease in self.leases.revoke_worker(ep.wid)]
         suspect = owed[0] if owed else None
         if self.flight is not None:
             self.flight.record_failure(
-                handle.wid, kind, detail,
+                ep.wid, kind, detail,
                 task=list(suspect.prefix) if suspect is not None else None,
             )
             self.c_flight.inc()
-        self.status.on_worker_failed(handle.wid)
+        self.status.on_worker_failed(ep.wid)
         if kind == "timeout":
             self.c_timeouts.inc()
             if _TRACER.enabled:
-                _TRACER.emit(_events.PARALLEL_TIMEOUT, worker=handle.wid)
+                _TRACER.emit(_events.PARALLEL_TIMEOUT, worker=ep.wid)
         else:
             self.c_crashes.inc()
             if _TRACER.enabled:
-                _TRACER.emit(_events.PARALLEL_CRASH, worker=handle.wid)
+                _TRACER.emit(_events.PARALLEL_CRASH, worker=ep.wid)
         # Sever trust in the endpoint.  For pipes this also terminates
         # the process; for TCP it only disconnects — a partitioned worker
         # cannot be signalled either, and its possible resurfacing (with
         # now-stale fences) is exactly the case the lease table exists
         # for.  Either way the transport's close reaps the process.
-        handle.ep.kill()
-        decision = self.sup.record_failure(
-            handle.slot, handle.wid, kind,
+        ep.kill()
+        self.sup.record_failure(
+            slot, ep.wid, kind,
             suspect.key() if suspect is not None else None, detail,
         )
-        requeued = 0
-        if suspect is not None:
-            if decision.poison:
-                self.c_poisoned.inc()
-                self.poisoned.append((suspect, decision.evidence))
-                self._journal("poisoned", task=suspect.to_record(),
-                              evidence=decision.evidence)
-                if _TRACER.enabled:
-                    _TRACER.emit(
-                        _events.PARALLEL_POISONED,
-                        task=list(suspect.prefix),
-                        kills=len(decision.evidence),
-                    )
-            else:
-                requeued += self._lose(suspect)
-            for task in owed[1:]:
-                requeued += self._lose(task, suspect=False)
-        self.handles.pop(handle.slot.index, None)
-        if self.by_wid.get(handle.wid) is handle:
-            del self.by_wid[handle.wid]
+        requeued = sum(self._lose(task, suspect=i == 0)
+                       for i, task in enumerate(owed))
+        slot.ep = None
+        if self.by_wid.get(ep.wid) is slot:
+            del self.by_wid[ep.wid]
         if requeued and _TRACER.enabled:
-            _TRACER.emit(_events.PARALLEL_RETRY, worker=handle.wid,
+            _TRACER.emit(_events.PARALLEL_RETRY, worker=ep.wid,
                          tasks=requeued)
 
     def _lose(self, task: PrefixTask, suspect: bool = True) -> bool:
-        """Skip, drop or requeue a task that will not report; returns
+        """Skip, give up or requeue a task that will not report; returns
         whether it was requeued.  Only a *suspect* (the task a dead
         worker was running, or whose result a steal showed lost) is
-        attempt-bumped and can run out of retries; collateral tasks
-        requeue untouched."""
+        attempt-bumped and can be given up, by the supervisor's verdict;
+        collateral tasks requeue untouched."""
         key = task.key()
         if key in self.completed_keys or self.sup.is_poisoned(key):
             return False
         if suspect:
-            if task.attempt >= self.engine.max_task_retries:
+            verdict = self.sup.verdict(task)
+            if verdict == POISON:
+                evidence = self.sup.evidence[key]
+                self.c_poisoned.inc()
+                self.poisoned.append((task, evidence))
+                self._journal("poisoned", task=task.to_record(),
+                              evidence=evidence)
+                if _TRACER.enabled:
+                    _TRACER.emit(_events.PARALLEL_POISONED,
+                                 task=list(task.prefix), kills=len(evidence))
+                return False
+            if verdict == DROP:
                 self.c_dropped.inc()
                 self._journal("drop", task=task.to_record())
                 if _TRACER.enabled:
@@ -1493,10 +1479,8 @@ class _Coordinator:
     def _health(self) -> list[dict]:
         health = self.sup.health()
         for entry in health:
-            handle = self.handles.get(entry["slot"])
-            entry["worker"] = handle.wid if handle is not None else None
-            entry["busy"] = (handle is not None
-                             and self.leases.busy(handle.wid))
+            entry["busy"] = (entry["worker"] is not None
+                             and self.leases.busy(entry["worker"]))
         return health
 
     def _refresh(self, force: bool = False) -> None:
@@ -1554,7 +1538,7 @@ class _Coordinator:
             "respawns": self.c_respawns.value,
             "protocol_errors": self.c_proto.value,
             "degraded": bool(self.c_degraded.value),
-            "min_workers": e.supervisor_policy.min_workers,
+            "min_workers": e.min_workers,
             "steals": self.c_steals.value,
             "leases_expired": self.c_lease_expired.value,
             "fenced_stale": self.c_fenced.value,

@@ -1,4 +1,4 @@
-"""Worker-pool supervision: respawn, circuit-break, degrade.
+"""Worker-pool supervision: respawn, give up, degrade.
 
 The cluster's original failure handling was fail-and-retry bookkeeping:
 a dead worker's tasks were requeued (attempt-bumped) and a replacement
@@ -9,12 +9,15 @@ serially kills every worker that touches it, and its batch-mates burn
 their retry budgets as collateral damage).
 
 :class:`WorkerSupervisor` replaces it with a state machine per worker
-slot and a circuit breaker per task:
+slot and one failure budget per task:
 
-* **Slots**, not workers: the pool has a fixed number of slots; each
-  failure of the worker occupying a slot schedules a respawn with
-  exponential backoff plus deterministic jitter.  A slot whose workers
-  die ``max_slot_failures`` times consecutively is marked ``DEAD``
+* **Slots**, not workers: the pool has a fixed number of slots, and a
+  slot holds the endpoint of the worker occupying it (the coordinator's
+  one record of a worker).  Each failure of that worker schedules a
+  respawn with exponential backoff plus deterministic jitter
+  (:data:`BACKOFF_BASE_S`, :data:`BACKOFF_MAX_S`,
+  :data:`BACKOFF_JITTER`).  A slot whose workers die
+  :data:`MAX_SLOT_FAILURES` times consecutively is marked ``DEAD``
   (the host is presumed hostile to it); any successful task completion
   resets the streak.
 * **Blame the head**: workers execute a dispatched batch in order and
@@ -22,11 +25,13 @@ slot and a circuit breaker per task:
   running when the worker died.  Only that *suspect* has its attempt
   bumped; batch-mates are requeued untouched — innocent tasks can no
   longer exhaust their retries by sharing a batch with a poisonous one.
-* **Circuit breaker**: a task whose suspected kills span
-  ``poison_threshold`` *distinct workers* is poisoned — quarantined
-  with its accumulated evidence (kind, worker, attempt per kill)
-  instead of being retried or silently dropped.  The journal records
-  the quarantine durably.
+* **One budget**: a lost suspect (crashed, timed out, or reclaimed by
+  a steal) is retried while ``attempt < max_task_retries``.  At the
+  budget it is given up: *quarantined* with its accumulated evidence
+  (kind, worker, slot, time and detail per kill) when its kills span
+  more than ``max_task_retries`` distinct workers — every attempt
+  killed a different worker — and *dropped* otherwise.  The journal
+  records either durably.
 * **Graceful degradation**: when fewer than ``min_workers`` slots
   remain serviceable the engine stops paying process overhead for a
   pool that cannot sustain it and finishes the remaining frontier on an
@@ -34,7 +39,8 @@ slot and a circuit breaker per task:
 
 The supervisor is pure bookkeeping — it never spawns or kills anything
 itself.  The engine asks it what to do; that keeps every transition unit
-testable without processes.
+testable without processes.  The timings are module constants, not
+options: tests that need others patch them.
 """
 
 from __future__ import annotations
@@ -42,36 +48,28 @@ from __future__ import annotations
 import enum
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
+
+#: Backoff before respawning slot failure k (consecutive):
+#: ``BACKOFF_BASE_S * 2**(k-1)`` seconds, capped at ``BACKOFF_MAX_S``,
+#: +/- ``BACKOFF_JITTER`` fraction of jitter drawn from a stream seeded
+#: with ``JITTER_SEED`` (deterministic tests and chaos runs).
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+BACKOFF_JITTER = 0.25
+JITTER_SEED = 0
+#: Consecutive worker deaths after which a slot is marked DEAD.
+MAX_SLOT_FAILURES = 4
+
+#: Verdicts on a lost suspect (:meth:`WorkerSupervisor.verdict`).
+RETRY, DROP, POISON = "retry", "drop", "poison"
 
 
 class SlotState(enum.Enum):
     RUNNING = "running"
     BACKOFF = "backoff"
     DEAD = "dead"
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Knobs governing respawn, poisoning and degradation."""
-
-    #: Below this many serviceable (non-DEAD) slots, degrade to
-    #: in-process execution rather than aborting the run.
-    min_workers: int = 1
-    #: A task suspected of killing this many *distinct* workers is
-    #: poisoned (quarantined with evidence, never re-dispatched).
-    poison_threshold: int = 3
-    #: Backoff before respawning slot failure k (consecutive):
-    #: ``backoff_base * 2**(k-1)`` seconds, capped at ``backoff_max``,
-    #: +/- ``backoff_jitter`` fraction of deterministic jitter.
-    backoff_base: float = 0.05
-    backoff_max: float = 2.0
-    backoff_jitter: float = 0.25
-    #: Consecutive worker deaths after which a slot is marked DEAD.
-    max_slot_failures: int = 4
-    #: Seed for the jitter stream (deterministic tests and chaos runs).
-    seed: int = 0
 
 
 @dataclass
@@ -90,40 +88,27 @@ class WorkerSlot:
     #: the engine cannot spawn a replacement into them, so a failure
     #: sends the slot straight to DEAD instead of BACKOFF.
     respawnable: bool = True
-
-
-@dataclass
-class FailureDecision:
-    """What the engine should do about one worker death."""
-
-    slot: WorkerSlot
-    #: True when the suspect task crossed the poison threshold.
-    poison: bool = False
-    #: Accumulated evidence for the suspect task (all its kills so far).
-    evidence: list = field(default_factory=list)
-    #: Backoff delay scheduled before this slot respawns (0 when DEAD).
-    backoff: float = 0.0
-    #: True when this failure killed the slot for good.
-    slot_died: bool = False
+    #: The transport endpoint of the worker in this slot (None while
+    #: the slot has none: failed, or not yet respawned).
+    ep: Any = None
 
 
 class WorkerSupervisor:
     """Tracks slot health and task blame for the cluster engine."""
 
-    def __init__(self, workers: int, policy: Optional[SupervisorPolicy] = None,
+    def __init__(self, workers: int, max_task_retries: int = 2,
+                 min_workers: int = 1,
                  clock: Callable[[], float] = time.monotonic):
-        self.policy = policy if policy is not None else SupervisorPolicy()
-        if self.policy.min_workers < 0:
+        if min_workers < 0:
             raise ValueError("min_workers must be >= 0")
-        if self.policy.poison_threshold < 1:
-            raise ValueError("poison_threshold must be >= 1")
+        self.max_task_retries = max_task_retries
+        self.min_workers = min_workers
         self._clock = clock
-        self._rng = random.Random(self.policy.seed)
+        self._rng = random.Random(JITTER_SEED)
         self.slots = [WorkerSlot(index=i) for i in range(workers)]
-        #: task key -> list of evidence dicts (one per suspected kill).
-        self._evidence: dict[tuple, list[dict]] = {}
-        #: task key -> set of worker ids it is suspected of killing.
-        self._killers: dict[tuple, set[int]] = {}
+        #: task key -> one evidence dict per suspected kill; each names
+        #: the worker it killed.
+        self.evidence: dict[tuple, list[dict]] = {}
         self._poisoned_keys: set[tuple] = set()
 
     # -- queries -------------------------------------------------------
@@ -146,8 +131,7 @@ class WorkerSupervisor:
 
     def collapsed(self) -> bool:
         """True when the pool can no longer sustain the configured floor."""
-        floor = max(1, self.policy.min_workers)
-        return self.serviceable() < floor
+        return self.serviceable() < max(1, self.min_workers)
 
     def respawn_ready(self) -> list[WorkerSlot]:
         """BACKOFF slots whose respawn deadline has passed."""
@@ -171,10 +155,8 @@ class WorkerSupervisor:
         """JSON-safe per-slot view for the live-telemetry exporters.
 
         One dict per slot: its state-machine state, failure streak and
-        lifetime counts, and (for BACKOFF slots) seconds until the
-        respawn is due.  The engine decorates each entry with the id of
-        the worker currently occupying the slot before handing the list
-        to :class:`~repro.obs.status.RunStatus`.
+        lifetime counts, (for BACKOFF slots) seconds until the respawn
+        is due, and the id of the worker in the slot (None when empty).
         """
         now = self._clock()
         out: list[dict] = []
@@ -188,11 +170,9 @@ class WorkerSupervisor:
             }
             if slot.state is SlotState.BACKOFF:
                 entry["respawn_in_s"] = max(0.0, slot.respawn_due - now)
+            entry["worker"] = slot.ep.wid if slot.ep is not None else None
             out.append(entry)
         return out
-
-    def evidence_for(self, key: tuple) -> list[dict]:
-        return list(self._evidence.get(key, []))
 
     # -- transitions ---------------------------------------------------
 
@@ -216,48 +196,46 @@ class WorkerSupervisor:
         kind: str,
         suspect_key: Optional[tuple],
         detail: str = "",
-    ) -> FailureDecision:
-        """Account one worker death; decide respawn and poisoning.
+    ) -> None:
+        """Account one worker death: schedule the slot's respawn (or
+        mark it DEAD) and add the kill to the suspect's evidence.
 
         *kind* is ``"crash"`` or ``"timeout"``; *suspect_key* the key of
         the task that was executing (batch head), or None when the
         worker died idle.
         """
         now = self._clock()
-        decision = FailureDecision(slot=slot)
         slot.failures += 1
         slot.total_failures += 1
-        if (not slot.respawnable
-                or slot.failures >= self.policy.max_slot_failures):
+        if not slot.respawnable or slot.failures >= MAX_SLOT_FAILURES:
             slot.state = SlotState.DEAD
-            decision.slot_died = True
         else:
-            delay = min(
-                self.policy.backoff_base * (2 ** (slot.failures - 1)),
-                self.policy.backoff_max,
-            )
-            jitter = self.policy.backoff_jitter * delay
+            delay = min(BACKOFF_BASE_S * (2 ** (slot.failures - 1)),
+                        BACKOFF_MAX_S)
+            jitter = BACKOFF_JITTER * delay
             delay = max(0.0, delay + self._rng.uniform(-jitter, jitter))
             slot.state = SlotState.BACKOFF
             slot.respawn_due = now + delay
-            decision.backoff = delay
-
         if suspect_key is not None:
-            evidence = self._evidence.setdefault(suspect_key, [])
-            evidence.append({
+            self.evidence.setdefault(suspect_key, []).append({
                 "kind": kind,
                 "worker": worker_id,
                 "slot": slot.index,
                 "time": now,
                 "detail": detail,
             })
-            killers = self._killers.setdefault(suspect_key, set())
-            killers.add(worker_id)
-            decision.evidence = list(evidence)
-            if (
-                len(killers) >= self.policy.poison_threshold
-                and suspect_key not in self._poisoned_keys
-            ):
-                self._poisoned_keys.add(suspect_key)
-                decision.poison = True
-        return decision
+
+    def verdict(self, task) -> str:
+        """Decide a lost suspect *task* (a :class:`PrefixTask`):
+        :data:`RETRY` while ``task.attempt < max_task_retries``; at the
+        budget :data:`POISON` (its key is quarantined) when its kills
+        span more than ``max_task_retries`` distinct workers, and
+        :data:`DROP` otherwise."""
+        if task.attempt < self.max_task_retries:
+            return RETRY
+        key = task.key()
+        killers = {kill["worker"] for kill in self.evidence.get(key, ())}
+        if len(killers) <= self.max_task_retries:
+            return DROP
+        self._poisoned_keys.add(key)
+        return POISON

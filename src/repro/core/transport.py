@@ -332,20 +332,23 @@ def _close_then_run(inherited, worker_main: Callable, *args) -> None:
     worker_main(*args)
 
 
-def _reap(endpoints, grace: float = 2.0) -> None:
+def _reap(endpoints, killed=frozenset(), grace: float = 2.0) -> None:
     """Stop every worker behind *endpoints*: poison -> terminate -> kill.
 
     Trusted endpoints get the poison pill.  The processes of endpoints
     the engine killed (crashed, stalled, busy at shutdown) are
-    terminated at once, and so are those of local TCP endpoints detached
-    at close: their pill would wait in an outbox that no later poll
-    flushes.  Each stage shares one deadline across the pool, and the
-    final join after SIGKILL reaps every local child.  An external
-    worker has no local process: the pill is all it gets.
+    terminated at once, and so are the processes in *killed* (a killed
+    TCP worker that redialled is back behind a trusted endpoint, but it
+    is the process the engine gave up on) and those of local TCP
+    endpoints detached at close: their pill would wait in an outbox
+    that no later poll flushes.  Each stage shares one deadline across
+    the pool, and the final join after SIGKILL reaps every local child.
+    An external worker has no local process: the pill is all it gets.
     """
     procs = []
     for ep in endpoints:
-        if not ep.closed and (ep.attached or ep.proc is None):
+        if (not ep.closed and ep.proc not in killed
+                and (ep.attached or ep.proc is None)):
             ep.poison()
         elif ep.proc is not None and ep.proc.is_alive():
             ep.proc.terminate()
@@ -485,6 +488,8 @@ class TcpEndpoint:
         """Sever trust: close the connection, keep the process (if any)
         for transport-close reaping — see the class docstring."""
         self.closed = True
+        if self.proc is not None:
+            self._transport._killed.add(self.proc)
         self._transport._detach(self)
 
 
@@ -548,6 +553,9 @@ class TcpTransport:
         #: wid -> most recent endpoint for it.  Every local process ever
         #: spawned is behind one of these, and is reaped at close.
         self._by_wid: dict[int, TcpEndpoint] = {}
+        #: Local processes whose endpoint the engine killed: reaped at
+        #: once even after they redial.
+        self._killed: set = set()
         self.address: Optional[tuple] = None
         self.stats = {"reconnects": 0, "joins": 0, "frames_in": 0,
                       "frames_out": 0, "net_faults": 0}
@@ -612,7 +620,7 @@ class TcpTransport:
         model partitions), then close every socket."""
         if self._listener is None:
             return
-        _reap(list(self._by_wid.values()))
+        _reap(list(self._by_wid.values()), self._killed)
         self._listener.close()
         self._listener = None
         for sock in self._handshakes:

@@ -91,7 +91,8 @@ PARALLEL_RETRY = "parallel.retry"
 PARALLEL_DROP = "parallel.drop"
 #: The supervisor respawned a worker into a failed slot (after backoff).
 PARALLEL_RESPAWN = "parallel.respawn"
-#: The circuit breaker quarantined a task that killed too many workers.
+#: A task out of retries was quarantined: its kills spanned more
+#: distinct workers than the retry budget.
 PARALLEL_POISONED = "parallel.poisoned"
 #: The pool collapsed below min_workers; the coordinator finishes the
 #: remaining frontier in-process.

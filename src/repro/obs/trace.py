@@ -112,34 +112,15 @@ def _json_default(value: Any) -> Any:
     return str(value)
 
 
-def _encode_line(event: dict) -> str:
-    """Encode one event as a JSONL line, fast.
+#: Built once: ``json.dumps`` with these arguments builds an encoder per
+#: call, which costs more than the encoding of a small event.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False,
+                            default=_json_default)
 
-    Event fields are overwhelmingly ints, short safe strings, floats and
-    small int lists; open-coding those skips ``json.dumps``'s generic
-    dispatch (~25% less CPU per event, which matters at the merged-trace
-    volumes the cluster engine produces).  Anything unusual falls back
-    to ``json.dumps`` so the output is always valid JSON.
-    """
-    parts = []
-    for key, value in event.items():
-        t = type(value)
-        if t is int:
-            parts.append('"%s":%d' % (key, value))
-        elif t is str:
-            if '"' in value or "\\" in value:
-                parts.append('"%s":%s' % (key, json.dumps(value)))
-            else:
-                parts.append('"%s":"%s"' % (key, value))
-        elif t is float:
-            parts.append('"%s":%r' % (key, value))
-        elif t is list and all(type(i) is int for i in value):
-            parts.append('"%s":[%s]' % (key, ",".join(map(str, value))))
-        else:
-            parts.append(
-                '"%s":%s' % (key, json.dumps(value, default=_json_default))
-            )
-    return "{%s}\n" % ",".join(parts)
+
+def _encode_line(event: dict) -> str:
+    """Encode one event as a JSONL line: valid JSON on one line."""
+    return _ENCODER.encode(event) + "\n"
 
 
 class Tracer:

@@ -75,8 +75,8 @@ def _report(args) -> dict:
             {
                 "task": list(task.prefix),
                 "evidence": evidence,
-                # The distinct workers this task is blamed for killing —
-                # the circuit breaker's quarantine basis.
+                # The distinct workers this task is blamed for killing,
+                # the count that put it in quarantine.
                 "workers": sorted({
                     e.get("worker") for e in evidence
                     if e.get("worker") is not None

@@ -21,7 +21,6 @@ from repro.core.cluster import ProcessParallelEngine
 from repro.core.machine import MachineEngine
 from repro.core.parallel import ParallelMachineEngine
 from repro.core.replay_machine import ReplayMachineEngine
-from repro.core.supervisor import SupervisorPolicy
 from repro.cpu.assembler import AssemblyError, assemble
 from repro.obs.trace import TRACER
 
@@ -355,7 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             journal=args.journal,
             resume=args.resume,
             fsync=args.fsync,
-            supervisor=SupervisorPolicy(min_workers=args.min_workers),
+            min_workers=args.min_workers,
             chaos=chaos,
             replay_mode=args.replay_mode,
             replay_log=seed_log,

@@ -18,7 +18,6 @@ import pytest
 from repro.chaos import FaultPlan
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.recorder import NondetLog
-from repro.core.supervisor import SupervisorPolicy
 from repro.libos.files import HostFS
 from repro.obs.trace import TRACER
 from repro.workloads.nqueens import nqueens_asm
@@ -56,7 +55,7 @@ class TestPlainData:
             max_solutions=5, task_timeout=4.0, max_task_retries=3,
             verify="warn", journal=str(tmp_path / "run.journal"),
             resume=True, fsync="always",
-            supervisor=SupervisorPolicy(min_workers=2), chaos=plan,
+            min_workers=2, chaos=plan,
             replay_mode="record", replay_log=NondetLog(),
             input_script=b"input", hostfs=HostFS({"/data": b"x" * 10}),
             status_port=0, status_log=str(tmp_path / "status.jsonl"),

@@ -14,10 +14,10 @@ import multiprocessing
 import pytest
 
 from repro.chaos import FaultPlan
+from repro.core import supervisor
 from repro.core.cluster import ProcessParallelEngine
 from repro.core.journal import scan
 from repro.core.machine import MachineEngine
-from repro.core.supervisor import SupervisorPolicy
 from repro.workloads.nqueens import nqueens_asm
 
 
@@ -28,6 +28,18 @@ def solution_set(result):
 @pytest.fixture(scope="module")
 def sequential_5():
     return MachineEngine().run(nqueens_asm(5))
+
+
+@pytest.fixture
+def fast_respawn(monkeypatch):
+    """Respawn a dead worker's slot after 10 ms instead of 50."""
+    monkeypatch.setattr(supervisor, "BACKOFF_BASE_S", 0.01)
+
+
+@pytest.fixture
+def fragile_slots(monkeypatch):
+    """A slot whose worker dies once is dead for good."""
+    monkeypatch.setattr(supervisor, "MAX_SLOT_FAILURES", 1)
 
 
 # With subtree_depth=1 the root task explores the depth-0 guess locally
@@ -44,6 +56,9 @@ _stall_first_attempt = FaultPlan(targets=((_POISON, "stall", 1),),
                                  stall_seconds=60.0)
 
 _crash_always = FaultPlan(targets=((_POISON, "exit", None),))
+
+#: Kill the worker on the root task's first three attempts.
+_crash_root_thrice = FaultPlan(targets=(((), "exit", 3),))
 
 #: Every attempt of every task crashes, up to the highest retry budget
 #: any test below sets (5).
@@ -67,7 +82,10 @@ class TestWorkerCrash:
         assert result.stats.extra["tasks_retried"] >= 1
         assert result.stats.extra["tasks_dropped"] == 0
 
-    def test_permanently_failing_subtree_is_dropped(self, sequential_5):
+    def test_permanently_failing_subtree_is_quarantined_at_the_budget(
+            self, sequential_5):
+        """Budget 1: the poison subtree is killed on attempts 0 and 1,
+        by two distinct workers, which outnumber the budget."""
         engine = ProcessParallelEngine(
             workers=2,
             batch_size=1,  # isolate the poisoned task from innocents
@@ -77,9 +95,14 @@ class TestWorkerCrash:
             chaos=_crash_always,
         )
         result = engine.run(nqueens_asm(5))
+        extra = result.stats.extra
         assert not result.exhausted
-        assert result.stop_reason == "task_retries_exhausted"
-        assert result.stats.extra["tasks_dropped"] >= 1
+        assert result.stop_reason == "tasks_poisoned"
+        assert extra["worker_crashes"] == 2
+        assert extra["tasks_poisoned"] == 1 and extra["tasks_dropped"] == 0
+        [entry] = extra["poisoned_tasks"]
+        assert tuple(entry["task"]["prefix"]) == _POISON
+        assert len({e["worker"] for e in entry["evidence"]}) == 2
         # Exactly the poisoned subtree's solutions are missing; every
         # other solution is found exactly once, none invented.
         found = solution_set(result)
@@ -126,19 +149,18 @@ class TestTaskTimeout:
 
 
 class TestSupervision:
-    def test_poisonous_task_is_quarantined_with_evidence(self, sequential_5):
-        """The circuit breaker beats retry exhaustion when kills span
-        enough distinct workers."""
+    def test_poisonous_task_is_quarantined_with_evidence(
+            self, sequential_5, fast_respawn, monkeypatch):
+        """At the budget, a task whose kills span more distinct workers
+        than the budget is quarantined, not dropped."""
+        monkeypatch.setattr(supervisor, "MAX_SLOT_FAILURES", 10)
         engine = ProcessParallelEngine(
             workers=2,
             batch_size=1,
             subtree_depth=1,
             task_step_budget=None,
-            max_task_retries=5,  # generous: poisoning must win first
+            max_task_retries=1,
             chaos=_crash_always,
-            supervisor=SupervisorPolicy(
-                poison_threshold=2, backoff_base=0.01, max_slot_failures=10,
-            ),
         )
         result = engine.run(nqueens_asm(5))
         assert not result.exhausted
@@ -156,7 +178,8 @@ class TestSupervision:
         ]
         assert found == expected
 
-    def test_respawned_workers_keep_the_run_going(self, sequential_5):
+    def test_respawned_workers_keep_the_run_going(self, sequential_5,
+                                                 fast_respawn):
         # A single worker slot: after the injected crash the run can
         # only finish if the supervisor respawns into that slot.
         engine = ProcessParallelEngine(
@@ -165,13 +188,13 @@ class TestSupervision:
             task_step_budget=None,
             max_task_retries=2,
             chaos=_crash_first_attempt,
-            supervisor=SupervisorPolicy(backoff_base=0.01),
         )
         result = engine.run(nqueens_asm(5))
         assert solution_set(result) == solution_set(sequential_5)
         assert result.stats.extra["respawns"] >= 1
 
-    def test_pool_collapse_degrades_to_in_process(self, sequential_5):
+    def test_pool_collapse_degrades_to_in_process(self, sequential_5,
+                                                  fragile_slots):
         """Every worker dies on every task: the pool collapses, and the
         coordinator finishes the whole frontier in-process — losing
         throughput, not solutions."""
@@ -181,7 +204,6 @@ class TestSupervision:
             task_step_budget=None,
             max_task_retries=5,
             chaos=_crash_every_task,
-            supervisor=SupervisorPolicy(max_slot_failures=1),
         )
         result = engine.run(nqueens_asm(5))
         assert result.stats.extra["degraded"] is True
@@ -189,7 +211,7 @@ class TestSupervision:
         assert result.exhausted
 
     def test_degraded_run_is_dispatched_and_journaled_like_a_pool(
-            self, tmp_path, sequential_5):
+            self, tmp_path, sequential_5, fragile_slots):
         """In-process tasks are leased, counted and journaled exactly
         like remote ones: every dispatch is accounted, every completion
         names its worker, and every grant carries its own fence."""
@@ -200,7 +222,6 @@ class TestSupervision:
             task_step_budget=None,
             max_task_retries=5,
             chaos=_crash_every_task,
-            supervisor=SupervisorPolicy(max_slot_failures=1),
             journal=journal,
         )
         result = engine.run(nqueens_asm(5))
@@ -219,6 +240,24 @@ class TestSupervision:
         assert len(fences) == extra["tasks_dispatched"]
         assert all(fence > 0 for fence in fences)
         assert len(set(fences)) == len(fences)
+
+
+class TestOneBudget:
+    def test_a_budget_above_the_kills_outlasts_them(self, sequential_5):
+        """The root task is killed on attempts 0-2, by three distinct
+        workers; budget 4 runs the fourth attempt, which passes."""
+        engine = ProcessParallelEngine(
+            workers=2,
+            task_step_budget=2000,
+            max_task_retries=4,
+            chaos=_crash_root_thrice,
+        )
+        result = engine.run(nqueens_asm(5))
+        extra = result.stats.extra
+        assert result.exhausted
+        assert solution_set(result) == solution_set(sequential_5)
+        assert extra["worker_crashes"] == 3
+        assert extra["tasks_poisoned"] == 0 and extra["tasks_dropped"] == 0
 
 
 class TestLeaseExpiry:
@@ -292,7 +331,7 @@ class TestNondetWorkloadFaults:
         assert result.stats.extra["worker_crashes"] >= 1
         assert result.stats.extra["nondet_conflicts"] == 0
 
-    def test_degraded_replay_still_matches(self, recorded):
+    def test_degraded_replay_still_matches(self, recorded, fragile_slots):
         guest, log, baseline = recorded
         engine = ProcessParallelEngine(
             workers=2,
@@ -300,7 +339,6 @@ class TestNondetWorkloadFaults:
             task_step_budget=None,
             max_task_retries=5,
             chaos=_crash_every_task,
-            supervisor=SupervisorPolicy(max_slot_failures=1),
             verify="warn",
             replay_mode="strict",
             replay_log=log,
@@ -333,7 +371,7 @@ class TestNondetWorkloadFaults:
 
 
 class TestNoZombies:
-    def test_no_live_children_after_faulted_run(self):
+    def test_no_live_children_after_faulted_run(self, fast_respawn):
         """Shutdown escalation reaps every worker, even after crashes."""
         engine = ProcessParallelEngine(
             workers=2,
@@ -341,21 +379,19 @@ class TestNoZombies:
             task_step_budget=None,
             max_task_retries=2,
             chaos=_crash_first_attempt,
-            supervisor=SupervisorPolicy(backoff_base=0.01),
         )
         engine.run(nqueens_asm(5))
         # active_children() also reaps finished processes; anything
         # still alive here survived the escalation chain.
         assert multiprocessing.active_children() == []
 
-    def test_no_live_children_after_degraded_run(self):
+    def test_no_live_children_after_degraded_run(self, fragile_slots):
         engine = ProcessParallelEngine(
             workers=2,
             subtree_depth=1,
             task_step_budget=None,
             max_task_retries=5,
             chaos=_crash_every_task,
-            supervisor=SupervisorPolicy(max_slot_failures=1),
         )
         engine.run(nqueens_asm(5))
         assert multiprocessing.active_children() == []

@@ -33,7 +33,6 @@ from repro.chaos import FaultPlan
 from repro.core import cluster
 from repro.core.cluster import ProcessParallelEngine, _Coordinator
 from repro.core.machine import MachineEngine
-from repro.core.supervisor import SupervisorPolicy
 from repro.cpu.assembler import assemble
 from repro.workloads.nqueens import nqueens_asm
 from tests.core.test_lost_work import (
@@ -226,7 +225,7 @@ class TestOneFold:
 
     def test_the_in_process_endpoint_shows_its_figures(self):
         engine = ProcessParallelEngine(
-            workers=1, supervisor=SupervisorPolicy(min_workers=2),
+            workers=1, min_workers=2,
             task_step_budget=2000,
         )
         result = engine.run(nqueens_asm(5))

@@ -113,7 +113,7 @@ def steal(coord, ep, fence):
 
 def dispatched_batch(coord):
     """Steal as a fresh worker does and return the batch it is granted."""
-    ep = coord.handles[0].ep
+    ep = coord.sup.slots[0].ep
     steal(coord, ep, 0)
     coord._dispatch()
     assert len(ep.sent) == 1
@@ -159,6 +159,23 @@ class TestSteal:
             t.key() for t in batch)
         assert all(task.attempt == 1 for task in regranted)
         assert min(t.fence for t in regranted) > max(t.fence for t in batch)
+
+    def test_a_task_lost_to_three_covering_steals_is_dropped(self, run):
+        """A reclaim costs a retry but kills no worker: at the default
+        budget (2) the third reclaim gives each task up, and with no
+        killer against it that is a drop, not a quarantine."""
+        ep, batch = dispatched_batch(run)
+        for reclaim in range(3):
+            assert all(task.attempt == reclaim for task in batch)
+            steal(run, ep, max(task.fence for task in batch))
+            run._dispatch()
+            batch = ep.sent[-1][1]
+        assert len(ep.sent) == 3 and not run.frontier
+        assert run.c_lease_expired.value == 9
+        assert run.c_retries.value == 6 and run.c_dropped.value == 3
+        types = journal_types(run)
+        assert types.count("drop") == 3 and "poisoned" not in types
+        assert run.poisoned == [] and run.c_poisoned.value == 0
 
 
 class TestStallTimeout:

@@ -560,6 +560,30 @@ class TestReap:
         finally:
             transport.close()
 
+    def test_a_killed_worker_that_redials_is_terminated_at_once(self):
+        """The engine killed the endpoint; the worker redialled under its
+        wid and came back behind a trusted endpoint that keeps the old
+        process.  Its pill could wait behind a stall, so the kill carries
+        over: the process is terminated, not poisoned."""
+        transport = TcpTransport().start(program="P", config={})
+        first = _dial(transport.address)
+        try:
+            ep = _until(transport, "join").endpoint
+            proc = ep.proc = _Recorder()  # as if spawned locally
+            ep.kill()
+            second = _dial(transport.address, wid=ep.wid)
+            try:
+                back = _until(transport, "join").endpoint
+                assert back is not ep and back.proc is proc
+                assert back.attached and not back.closed
+                transport.close()
+                assert proc.calls == ["terminate", "join", "join", "join"]
+            finally:
+                second.close()
+        finally:
+            first.close()
+            transport.close()
+
     def test_a_pipe_worker_gets_the_pill(self):
         proc = _Recorder()
         _reap([PipeEndpoint(0, proc, conn=proc)])

@@ -7,6 +7,7 @@ import pytest
 
 from repro.obs import events as ev
 from repro.obs.events import EVENT_FIELDS, EventSchemaError, validate_event
+from repro.obs.live import FlightRecorder
 from repro.obs.trace import (
     JsonlSink,
     MemorySink,
@@ -15,6 +16,7 @@ from repro.obs.trace import (
     get_tracer,
     normalize_events,
 )
+from repro.tools.trace_report import load_events
 
 
 def make_tracer():
@@ -148,6 +150,22 @@ class TestJsonlSink:
         decoded = json.loads(buffer.getvalue())
         assert decoded["blob"] == "bytes"
         assert decoded["who"] == [1, 2, 3]
+
+    def test_every_line_loads_back(self, tmp_path):
+        """A newline or a tab in a string and a non-finite float keep
+        each event one valid JSON line, in a trace and a flight dump."""
+        odd = {"type": "x", "text": "a\nb", "tab": "\t", "big": float("inf")}
+        path = str(tmp_path / "trace.jsonl")
+        sink = JsonlSink(path)
+        sink.write(odd)
+        sink.close()
+        recorder = FlightRecorder(str(tmp_path / "flight"), clock=lambda: 0.0)
+        recorder.extend(3, [odd])
+        dump = recorder.record_failure(3, "crash", detail="a\nb\t")
+        assert load_events(path) == ([odd], 0)
+        events, corrupt = load_events(dump)
+        assert corrupt == 0
+        assert events[0]["detail"] == "a\nb\t" and events[1:] == [odd]
 
 
 class TestNormalize:
