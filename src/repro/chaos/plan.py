@@ -109,9 +109,9 @@ class FaultPlan:
     net_reorder_rate: float = 0.0
     #: Probability a *window* of ``partition_frames`` consecutive frames
     #: is dropped in both directions — a symmetric partition.  The
-    #: worker keeps computing; the coordinator declares it down on the
-    #: heartbeat deadline, re-dispatches its leases, and fences off the
-    #: late results when the window lifts.
+    #: coordinator declares the worker down on the heartbeat deadline,
+    #: terminates it if local or disconnects it if external (it then
+    #: exits), and re-dispatches its leases.
     partition_rate: float = 0.0
     partition_frames: int = 8
     #: Probability a window drops only worker→coordinator frames: the

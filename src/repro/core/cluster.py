@@ -23,13 +23,13 @@ Scheduling is **work-stealing**: idle workers announce their capacity
 spilled subtrees re-enter that steal pool.  The wire underneath is a
 pluggable :mod:`~repro.core.transport`: duplex pipes for local pools
 (bit-compatible with the original protocol) or framed TCP for elastic
-pools whose workers join and leave mid-run.  Because a TCP "death" is
-only ever a suspicion (a partitioned worker keeps computing), every
-dispatch carries a lease with a monotonic fencing token
-(:mod:`~repro.core.lease`): late results under a stale fence are
-counted (``parallel.fenced_stale``) and discarded wholesale, so the
-solution multiset and the exact work-conservation invariant hold even
-when a presumed-dead worker resurfaces.
+pools that external workers may join mid-run.  Either way a lost
+channel is a dead worker.  Because frames may still be lost,
+duplicated or delayed on a live one, every dispatch carries a lease
+with a monotonic fencing token (:mod:`~repro.core.lease`): late results
+under a stale fence are counted (``parallel.fenced_stale``) and
+discarded wholesale, so the solution multiset and the exact
+work-conservation invariant hold under network faults.
 
 Robustness: a per-task wall-clock timeout (the one clock rule for lost
 work), worker-crash detection with bounded retry of the lost tasks,
@@ -1216,8 +1216,8 @@ class _Coordinator:
                              seq=seq)
             return
         if ev.kind == "join":
-            # An external (or resurfaced) worker completed the
-            # handshake: give it a non-respawnable slot and let it steal.
+            # An external worker completed the handshake: give it a
+            # non-respawnable slot and let it steal.
             self._seat(self.sup.add_slot(respawnable=False), ev.endpoint)
             self.c_joins.inc()
             self.g_workers.set(
@@ -1266,7 +1266,7 @@ class _Coordinator:
                 self._send_work(slot, [lease.task for lease in owed])
                 return
             # The worker received every fence it owes and is idle: its
-            # results were lost in flight (dropped frames, a reconnect).
+            # results were lost in flight (dropped or reordered frames).
             # Reclaim at once; the revoked fences turn any late delivery
             # into a discarded stale.
             for lease in self.leases.revoke_worker(wid):
@@ -1419,11 +1419,10 @@ class _Coordinator:
             self.c_crashes.inc()
             if _TRACER.enabled:
                 _TRACER.emit(_events.PARALLEL_CRASH, worker=ep.wid)
-        # Sever trust in the endpoint.  For pipes this also terminates
-        # the process; for TCP it only disconnects — a partitioned worker
-        # cannot be signalled either, and its possible resurfacing (with
-        # now-stale fences) is exactly the case the lease table exists
-        # for.  Either way the transport's close reaps the process.
+        # Sever trust in the endpoint: close its channel and terminate a
+        # local process; an external worker exits when its connection
+        # closes.  Nothing it sent is delivered from here on, and the
+        # transport's close reaps the process.
         ep.kill()
         self.sup.record_failure(
             slot, ep.wid, kind,

@@ -23,7 +23,7 @@ The classic fix (Chubby/GFS lineage) is leases plus fencing:
   merge, no solutions, no spills, no journal ``complete``.  The
   re-execution elsewhere is the only accounting of that subtree, so the
   solution multiset and step counts match the sequential run exactly
-  even when a presumed-dead worker resurfaces.
+  even when frames are lost, duplicated or delayed.
 
 The table is also the coordinator's one record of each worker's
 progress: which tasks the worker owes, in grant order, and when it last

@@ -13,27 +13,28 @@ once against a small interface and the wire underneath is swappable:
   :meth:`~TcpTransport.poll` on the coordinator's own thread, with
   every deadline read from the coordinator's clock: length-prefixed
   CRC32-framed pickle messages, per-connection heartbeat deadlines that
-  catch *half-open* peers no EOF will ever announce, a reconnect grace
-  window so a transient disconnect is not a death, and elastic
+  catch *half-open* peers no EOF will ever announce, and elastic
   membership: a worker started anywhere with ``run_guest --connect``
-  does a ``hello`` handshake and joins the pool mid-run.
+  does a ``hello`` handshake and joins the pool mid-run.  A lost
+  connection is a dead worker, as a closed pipe is: the endpoint goes
+  ``down`` at once and the worker exits.
 * :class:`LocalTransport` — degraded mode: one in-process endpoint
   whose batches run synchronously inside :meth:`~LocalTransport.poll`.
 
 Failure model.  The transport reports, it never decides: every observed
 anomaly surfaces as a :class:`TransportEvent` (``kind="down"``) and the
 engine's supervisor applies the same blame/retry/poison policy whichever
-wire delivered it.  Crucially, a TCP endpoint reported down may still be
-*alive and computing* (partition, stalled network) — which is why the
-engine layers lease fencing (:mod:`repro.core.lease`) on top: transports
-only ever guarantee "no more messages from this endpoint will be
-*trusted*", not "the process stopped".
+wire delivered it.  A transport guarantees "no more messages from this
+endpoint will be *trusted*", not "every message it sent arrived once, in
+order": the TCP chaos seam drops, delays, duplicates and reorders frames,
+which is why the engine layers lease fencing (:mod:`repro.core.lease`)
+on top.
 
 Framing.  ``MAGIC | length | crc32 | pickle-payload`` with both length
 and checksum validated before unpickling; a flipped bit or truncated
-write yields :class:`FrameError`, never a misparsed message.  The
-worker side answers frame corruption by dropping the connection and
-re-handshaking — the stream is unrecoverable past a bad header.
+write yields :class:`FrameError`, never a misparsed message.  Either
+side answers a refused frame by giving the connection up — the stream
+is unrecoverable past a bad header.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Any, Callable, Optional
 
 #: Version of the hello/welcome handshake; bumped on incompatible
 #: protocol changes so mixed deployments fail loudly at join time.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: magic, payload length, payload CRC32.
 MAGIC = b"RPF1"
@@ -66,22 +67,14 @@ HEADER_SIZE = _HEADER.size
 #: bit in the length field must not make the decoder buffer gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: TCP timings, in seconds.  A worker whose connection was lost has
-#: ``RECONNECT_GRACE_S`` to redial under its worker id; either side of a
-#: new connection waits ``HANDSHAKE_TIMEOUT_S`` for the other's
-#: handshake frame (a worker's connect too); a coordinator send that the
-#: peer does not take within ``SEND_TIMEOUT_S`` loses the connection;
-#: workers ping every ``PING_INTERVAL_S``, inside the heartbeat timeout.
-RECONNECT_GRACE_S = 2.0
+#: TCP timings, in seconds.  Either side of a new connection waits
+#: ``HANDSHAKE_TIMEOUT_S`` for the other's handshake frame (a worker's
+#: connect too); a coordinator send that the peer does not take within
+#: ``SEND_TIMEOUT_S`` loses the connection; workers ping every
+#: ``PING_INTERVAL_S``, inside the heartbeat timeout.
 HANDSHAKE_TIMEOUT_S = 5.0
 SEND_TIMEOUT_S = 5.0
 PING_INTERVAL_S = 1.0
-#: A worker redials ``RECONNECT_ATTEMPTS`` times after losing its
-#: connection, waiting ``BACKOFF_BASE_S * 2**(k-1)``, at most
-#: ``BACKOFF_MAX_S``, before the k-th.
-RECONNECT_ATTEMPTS = 6
-BACKOFF_BASE_S = 0.05
-BACKOFF_MAX_S = 1.0
 
 
 class TransportError(RuntimeError):
@@ -192,9 +185,6 @@ class TransportEvent:
 class PipeEndpoint:
     """A local worker process reached over a duplex mp pipe."""
 
-    #: A pipe never detaches: the pill reaches the child's end.
-    attached = True
-
     def __init__(self, wid: int, proc, conn):
         self.wid = wid
         self.proc = proc
@@ -212,12 +202,16 @@ class PipeEndpoint:
     def alive(self) -> bool:
         return not self.closed and self.proc.is_alive()
 
-    def poison(self) -> None:
-        """Best-effort graceful-stop request (the ``None`` pill)."""
+    def poison(self) -> bool:
+        """Best-effort graceful-stop request (the ``None`` pill); False
+        when the pipe is closed or the send failed."""
+        if self.closed:
+            return False
         try:
             self.conn.send(None)
         except (OSError, ValueError):
-            pass
+            return False
+        return True
 
     def kill(self) -> None:
         """Hard-stop: close the pipe and terminate the process (the
@@ -325,32 +319,27 @@ class PipeTransport:
 
 
 def _close_then_run(inherited, worker_main: Callable, *args) -> None:
-    """Pipe worker entry: close the *inherited* coordinator-side pipe
-    ends, then run *worker_main*."""
+    """Worker entry: close the *inherited* coordinator-side pipe ends or
+    sockets, then run *worker_main*."""
     for conn in inherited:
         conn.close()
     worker_main(*args)
 
 
-def _reap(endpoints, killed=frozenset(), grace: float = 2.0) -> None:
+def _reap(endpoints, grace: float = 2.0) -> None:
     """Stop every worker behind *endpoints*: poison -> terminate -> kill.
 
-    Trusted endpoints get the poison pill.  The processes of endpoints
-    the engine killed (crashed, stalled, busy at shutdown) are
-    terminated at once, and so are the processes in *killed* (a killed
-    TCP worker that redialled is back behind a trusted endpoint, but it
-    is the process the engine gave up on) and those of local TCP
-    endpoints detached at close: their pill would wait in an outbox
-    that no later poll flushes.  Each stage shares one deadline across
-    the pool, and the final join after SIGKILL reaps every local child.
-    An external worker has no local process: the pill is all it gets.
+    Every trusted, connected endpoint gets the poison pill
+    (:meth:`poison` says whether it went); every other local process is
+    terminated at once.  An endpoint the engine killed has had its
+    process terminated already, so its process is only joined.  Each
+    stage shares one deadline across the pool, and the final join after
+    SIGKILL reaps every local child.  An external worker has no local
+    process: the pill is all it gets.
     """
     procs = []
     for ep in endpoints:
-        if (not ep.closed and ep.proc not in killed
-                and (ep.attached or ep.proc is None)):
-            ep.poison()
-        elif ep.proc is not None and ep.proc.is_alive():
+        if not ep.poison() and ep.proc is not None and ep.proc.is_alive():
             ep.proc.terminate()
         if ep.proc is not None:
             procs.append(ep.proc)
@@ -431,66 +420,55 @@ class TcpEndpoint:
     """A worker reached over a framed TCP connection.
 
     May be *local* (spawned by the coordinator, ``proc`` set) or
-    *external* (joined via the hello handshake, ``proc`` None).  A local
-    endpoint's :meth:`kill` only severs trust — it closes the connection
-    and stops accepting the worker's messages but defers process
-    termination to transport close: a partitioned worker cannot be
-    reached by SIGTERM either, and deferring makes the local transport
-    faithfully model that (the resurface-with-stale-fence path is
-    exercised rather than masked).
+    *external* (joined via the hello handshake, ``proc`` None).  As with
+    a pipe, the connection is the worker: once it is lost, or the engine
+    kills the endpoint, the endpoint is ``closed`` for good.  A local
+    worker's :meth:`kill` terminates its process at once, as
+    :meth:`PipeEndpoint.kill` does; an external worker sees its
+    connection close and exits.
     """
 
     def __init__(self, transport: "TcpTransport", wid: int, proc=None):
         self._transport = transport
         self.wid = wid
         self.proc = proc
+        #: No longer trusted: the engine killed it or the transport
+        #: reported it down.
         self.closed = False
-        #: The connection (None while detached) and its frame decoder.
+        #: The connection (None before a spawned worker's hello, and once
+        #: closed) and its frame decoder.
         self.sock: Optional[socket.socket] = None
         self.decoder: Optional[FrameDecoder] = None
-        #: Clock readings: when the last connection was lost (None
-        #: before any was), when the last frame was delivered.
-        self.detached_at: Optional[float] = None
+        #: Clock reading of the last delivered frame.
         self.last_rx = 0.0
-        self.down_emitted = False
-        #: Frames sent while detached, flushed on reattach.
-        self.outbox: deque[bytes] = deque()
         self.seq_in = 0
         self.seq_out = 0
         self.held_in: Optional[Any] = None
         self.held_out: Optional[bytes] = None
 
-    @property
-    def attached(self) -> bool:
-        return self.sock is not None
-
     def send(self, msg: Any) -> None:
-        if self.closed:
-            raise EndpointDown(f"worker {self.wid} endpoint closed")
+        """Send *msg* through the chaos seam.  A closed endpoint takes
+        no frame: the transport has reported it down (the event is on
+        its way to the engine) or the engine killed it."""
         self._transport._send_frame(self, encode_frame(msg))
 
     def alive(self) -> bool:
-        if self.closed or self.down_emitted:
-            return False
-        if self.proc is not None and not self.proc.is_alive() \
-                and not self.attached:
-            return False
-        return True
+        return not self.closed and (self.proc is None or self.proc.is_alive())
 
-    def poison(self) -> None:
+    def poison(self) -> bool:
         """Send the pill past the chaos seam (which models the traffic
         recovery exercises, not shutdown), so a close never waits on a
-        dropped, held or delayed pill; detached, it waits in the
-        outbox."""
-        self._transport._write_now(self, encode_frame(None))
+        dropped, held or delayed pill; False when there is no connection
+        to send it on or the write failed."""
+        return self._transport._write_now(self, encode_frame(None))
 
     def kill(self) -> None:
-        """Sever trust: close the connection, keep the process (if any)
-        for transport-close reaping — see the class docstring."""
+        """Hard-stop: close the connection and terminate the process, if
+        local (the transport's close reaps it)."""
         self.closed = True
-        if self.proc is not None:
-            self._transport._killed.add(self.proc)
-        self._transport._detach(self)
+        self._transport._hang_up(self)
+        if self.proc is not None and self.proc.is_alive():
+            self.proc.terminate()
 
 
 class TcpTransport:
@@ -502,22 +480,25 @@ class TcpTransport:
     due, and only then checks the deadlines, so a caller that was busy
     never calls a peer silent whose frames were waiting in its socket.
     Every deadline reads the injected ``clock``.  Sends write straight
-    to the socket; one that cannot finish within :data:`SEND_TIMEOUT_S`
-    counts as a disconnect.  Liveness per connection:
+    to the socket.  Liveness per connection:
 
+    * EOF, an undecodable frame, or a send that fails or that the peer
+      does not take within :data:`SEND_TIMEOUT_S` → ``down`` in the same
+      call, as a closed pipe is;
     * every delivered frame refreshes ``last_rx``; workers ping every
       :data:`PING_INTERVAL_S` even while computing, so a connection
       with no traffic for ``heartbeat_timeout`` seconds is *half-open*
       → ``down``;
-    * a lost connection opens a :data:`RECONNECT_GRACE_S` window — the
-      worker side reconnects with exponential backoff and resumes under
-      the same wid; only an expired window surfaces ``down``;
+    * a spawned worker whose process dies before its hello → ``down``;
     * an accepted socket that sends no hello within
-      :data:`HANDSHAKE_TIMEOUT_S` is closed;
-    * an unknown (or previously failed) wid completing the handshake
-      surfaces ``join`` — elastic membership, also how a partitioned
-      worker resurfaces (as a *new* endpoint whose stale results the
-      engine fences off).
+      :data:`HANDSHAKE_TIMEOUT_S` is closed.
+
+    A hello is answered only if it claims no worker id (an external
+    worker: it surfaces as ``join``, elastic membership) or it is the
+    first hello of a worker this transport spawned.  Any other hello —
+    a worker id that is live, was killed, went down or was never handed
+    out — is refused, so a worker id names one connection for the
+    transport's life.
 
     ``net_hook`` is the chaos seam: called per frame per direction, it
     returns actions (drop/delay/duplicate/reorder) that the transport
@@ -550,15 +531,12 @@ class TcpTransport:
         self._timers: list = []
         self._timer_seq = itertools.count()
         self._events: list[TransportEvent] = []
-        #: wid -> most recent endpoint for it.  Every local process ever
-        #: spawned is behind one of these, and is reaped at close.
+        #: wid -> its endpoint.  Every local process ever spawned is
+        #: behind one of these, and is reaped at close.
         self._by_wid: dict[int, TcpEndpoint] = {}
-        #: Local processes whose endpoint the engine killed: reaped at
-        #: once even after they redial.
-        self._killed: set = set()
         self.address: Optional[tuple] = None
-        self.stats = {"reconnects": 0, "joins": 0, "frames_in": 0,
-                      "frames_out": 0, "net_faults": 0}
+        self.stats = {"joins": 0, "frames_in": 0, "frames_out": 0,
+                      "net_faults": 0}
 
     # -- lifecycle -----------------------------------------------------
 
@@ -575,15 +553,23 @@ class TcpTransport:
         if self._worker_entry is None:
             raise TransportError("transport has no local worker entry")
         wid = self._alloc_wid()
-        ep = self._by_wid[wid] = TcpEndpoint(self, wid)
+        # A forked child must close its copies of the coordinator's
+        # sockets: while one stays open, a worker whose connection the
+        # coordinator closed sees no EOF.
+        inherited = (
+            [self._listener, *self._handshakes,
+             *(ep.sock for ep in self._by_wid.values()
+               if ep.sock is not None)]
+            if self._ctx.get_start_method() == "fork" else []
+        )
         proc = self._ctx.Process(
-            target=self._worker_entry,
-            args=(self.address, wid),
+            target=_close_then_run,
+            args=(inherited, self._worker_entry, self.address, wid),
             daemon=True,
             name=f"repro-cluster-w{wid}",
         )
         proc.start()
-        ep.proc = proc
+        ep = self._by_wid[wid] = TcpEndpoint(self, wid, proc)
         return ep
 
     def _alloc_wid(self) -> int:
@@ -604,7 +590,7 @@ class TcpTransport:
                 self._accept()
             elif sock in self._handshakes:
                 self._handshake(sock)
-            elif conns[sock].sock is sock:  # not superseded this sweep
+            else:
                 self._read(conns[sock])
         now = self._clock()
         while self._timers and self._timers[0][0] <= now:
@@ -615,19 +601,17 @@ class TcpTransport:
         return events
 
     def close(self) -> None:
-        """Stop and reap every local worker (including those whose
-        endpoints were killed mid-run and deliberately left running to
-        model partitions), then close every socket."""
+        """Stop and reap every local worker, then close every socket."""
         if self._listener is None:
             return
-        _reap(list(self._by_wid.values()), self._killed)
+        _reap(list(self._by_wid.values()))
         self._listener.close()
         self._listener = None
         for sock in self._handshakes:
             sock.close()
         self._handshakes.clear()
         for ep in self._by_wid.values():
-            self._detach(ep)
+            self._hang_up(ep)
 
     # -- connections ---------------------------------------------------
 
@@ -661,43 +645,25 @@ class TcpTransport:
             return
         _, claimed_wid, version = hello
         if version != PROTOCOL_VERSION:
-            try:
-                _send_all(sock, encode_frame(
-                    ("reject", f"protocol version {version} != "
-                               f"{PROTOCOL_VERSION}")
-                ))
-            except OSError:
-                pass
-            sock.close()
+            _refuse(sock, f"protocol version {version} != {PROTOCOL_VERSION}")
             return
-
-        ep = self._by_wid.get(claimed_wid) if claimed_wid is not None else None
-        if ep is None or ep.closed or ep.down_emitted:
-            # External join — or a presumed-dead worker resurfacing
-            # after a partition.  Either way it enters as a *new*
-            # endpoint: the engine grants it fresh leases and fences
-            # off anything it still believes it owns.
-            wid = claimed_wid if claimed_wid is not None else self._alloc_wid()
-            old = self._by_wid.get(wid)
-            ep = self._by_wid[wid] = TcpEndpoint(
-                self, wid, proc=old.proc if old else None,
-            )
+        if claimed_wid is None:
+            wid = self._alloc_wid()
+            ep = self._by_wid[wid] = TcpEndpoint(self, wid)
             self.stats["joins"] += 1
-            self._events.append(TransportEvent(
-                "join", ep,
-                detail="resurfaced" if old is not None else "external join",
-            ))
-        self._detach(ep)  # a redial supersedes the old connection
-        if ep.detached_at is None:
-            greeting = ("welcome", ep.wid, self._program, self._config)
+            self._events.append(TransportEvent("join", ep,
+                                               detail="external join"))
         else:
-            self.stats["reconnects"] += 1
-            greeting = ("rewelcome", ep.wid)
+            ep = self._by_wid.get(claimed_wid)
+            if ep is None or ep.closed or ep.sock is not None:
+                _refuse(sock, f"worker id {claimed_wid} is not awaiting "
+                              "its hello")
+                return
         ep.sock, ep.decoder = sock, decoder
         ep.last_rx = self._clock()
-        frames = [encode_frame(greeting), *ep.outbox]
-        ep.outbox.clear()
-        self._write(ep, b"".join(frames))
+        self._write(ep, encode_frame(
+            ("welcome", ep.wid, self._program, self._config)
+        ))
 
     def _read(self, ep: TcpEndpoint) -> None:
         open_ = _recv_into(ep.sock, ep.decoder)
@@ -709,20 +675,17 @@ class TcpTransport:
                             protocol_error=True)
             return
         if not open_:
-            # A clean disconnect opens the reconnect grace window
-            # instead of declaring death immediately.
-            self._detach(ep)
+            self._emit_down(ep, "crash", "connection closed")
 
-    def _detach(self, ep: TcpEndpoint) -> None:
+    def _hang_up(self, ep: TcpEndpoint) -> None:
         if ep.sock is not None:
             ep.sock.close()
             ep.sock = None
-            ep.detached_at = self._clock()
 
     def _emit_down(self, ep: TcpEndpoint, fail_kind: str, detail: str,
                    protocol_error: bool = False) -> None:
-        ep.down_emitted = True
-        self._detach(ep)
+        ep.closed = True
+        self._hang_up(ep)
         self._events.append(TransportEvent(
             "down", ep, fail_kind=fail_kind, detail=detail,
             protocol_error=protocol_error,
@@ -734,22 +697,16 @@ class TcpTransport:
                 del self._handshakes[sock]
                 sock.close()
         for ep in self._by_wid.values():
-            if ep.closed or ep.down_emitted:
+            if ep.closed:
                 continue
-            if ep.attached:
+            if ep.sock is not None:
                 if now - ep.last_rx > self.heartbeat_timeout:
                     self._emit_down(
                         ep, "timeout",
                         f"no traffic for {self.heartbeat_timeout:.1f}s "
                         "(half-open connection)",
                     )
-            elif ep.detached_at is not None:
-                if now - ep.detached_at > RECONNECT_GRACE_S:
-                    self._emit_down(
-                        ep, "crash",
-                        "connection lost (reconnect grace expired)",
-                    )
-            elif ep.proc is not None and not ep.proc.is_alive():
+            elif not ep.proc.is_alive():  # spawned, no hello yet
                 self._emit_down(
                     ep, "crash", "worker died before first handshake",
                 )
@@ -785,7 +742,7 @@ class TcpTransport:
                 self._deliver_now(ep, held)
 
     def _deliver_now(self, ep: TcpEndpoint, msg: Any) -> None:
-        if ep.closed or ep.down_emitted:
+        if ep.closed:
             return
         ep.last_rx = self._clock()
         self.stats["frames_in"] += 1
@@ -827,22 +784,31 @@ class TcpTransport:
                 held, ep.held_out = ep.held_out, None
                 self._write_now(ep, held)
 
-    def _write_now(self, ep: TcpEndpoint, frame: bytes) -> None:
-        if ep.closed:
-            return
+    def _write_now(self, ep: TcpEndpoint, frame: bytes) -> bool:
+        """Write *frame* to *ep*'s connection; False when it has none."""
+        if ep.sock is None:
+            return False
         self.stats["frames_out"] += 1
-        self._write(ep, frame)
+        return self._write(ep, frame)
 
-    def _write(self, ep: TcpEndpoint, data: bytes) -> None:
-        """Write *data* to *ep*'s connection; keep it in the outbox for
-        the next attach when there is none or the write fails."""
-        if ep.sock is not None:
-            try:
-                _send_all(ep.sock, data)
-                return
-            except OSError:
-                self._detach(ep)
-        ep.outbox.append(data)
+    def _write(self, ep: TcpEndpoint, data: bytes) -> bool:
+        """Write *data* to *ep*'s connection; a write that fails loses
+        the connection (``down``)."""
+        try:
+            _send_all(ep.sock, data)
+        except OSError as exc:
+            self._emit_down(ep, "crash", f"send failed: {exc}")
+            return False
+        return True
+
+
+def _refuse(sock: socket.socket, reason: str) -> None:
+    """Answer a hello with ``reject`` (best effort) and close *sock*."""
+    try:
+        _send_all(sock, encode_frame(("reject", reason)))
+    except OSError:
+        pass
+    sock.close()
 
 
 def _recv_into(sock: socket.socket, decoder: FrameDecoder) -> bool:
@@ -882,102 +848,63 @@ class TcpWorkerConnection:
     emitter) use on a multiprocessing connection — ``send``, ``recv``,
     ``poll``, ``close`` — so the worker body is transport-agnostic.
     Adds what a socket needs that a pipe never did: a handshake that
-    fetches the program and config, reconnect with exponential backoff
-    under the same wid, and a daemon ping thread so long CPU-bound
-    explores don't trip the coordinator's heartbeat deadline.  The
-    constructor returns once the coordinator has answered the hello,
-    which it does inside its transport's ``poll``.
+    fetches the program and config, and a daemon ping thread so long
+    CPU-bound explores don't trip the coordinator's heartbeat deadline.
+    The constructor dials once and returns once the coordinator has
+    answered the hello, which it does inside its transport's ``poll``.
+    The connection is the worker's life, as a pipe is: EOF or a refused
+    frame raises :class:`EOFError`, a failed send :class:`OSError`, and
+    ``_worker_main`` exits on either.
     """
 
     def __init__(self, address, wid: Optional[int] = None):
         self.address = tuple(address)
-        self.wid = wid
-        self.program = None
-        self.config = None
-        self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder()
         self._inbox: deque = deque()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._connect(initial=True)
+        sock = self._sock = socket.create_connection(
+            self.address, timeout=HANDSHAKE_TIMEOUT_S,
+        )
+        try:
+            sock.sendall(encode_frame(("hello", wid, PROTOCOL_VERSION)))
+            reply = self._read_handshake()
+            if reply[0] == "reject":
+                raise ConnectionError(f"coordinator rejected: {reply[1]}")
+        except BaseException:
+            sock.close()
+            raise
+        _, self.wid, self.program, self.config = reply
+        sock.settimeout(None)
         self._pinger = threading.Thread(
             target=self._ping_loop, name="repro-tcp-ping", daemon=True,
         )
         self._pinger.start()
 
-    # -- connection management -----------------------------------------
-
-    def _connect(self, initial: bool = False) -> None:
-        """(Re)establish the socket and complete the handshake."""
-        with self._lock:
-            last_exc: Optional[Exception] = None
-            attempts = 1 if initial else RECONNECT_ATTEMPTS
-            for attempt in range(attempts):
-                if attempt:
-                    time.sleep(min(BACKOFF_BASE_S * (2 ** (attempt - 1)),
-                                   BACKOFF_MAX_S))
-                try:
-                    sock = socket.create_connection(
-                        self.address, timeout=HANDSHAKE_TIMEOUT_S,
-                    )
-                    sock.settimeout(None)
-                    sock.sendall(encode_frame(
-                        ("hello", self.wid, PROTOCOL_VERSION)
-                    ))
-                    decoder = FrameDecoder()
-                    reply = self._read_handshake(sock, decoder)
-                except (OSError, FrameError, ConnectionError) as exc:
-                    last_exc = exc
-                    continue
-                if reply[0] == "reject":
-                    raise ConnectionError(f"coordinator rejected: {reply[1]}")
-                if reply[0] == "welcome":
-                    self.wid = reply[1]
-                    self.program = reply[2]
-                    self.config = reply[3]
-                elif reply[0] != "rewelcome":
-                    last_exc = FrameError(f"bad handshake reply {reply!r}")
-                    continue
-                old = self._sock
-                self._sock = sock
-                self._decoder = decoder
-                if old is not None:
-                    try:
-                        old.close()
-                    except OSError:
-                        pass
-                return
-            raise ConnectionError(
-                f"cannot reach coordinator at {self.address}: {last_exc}"
-            )
-
-    def _read_handshake(self, sock, decoder: FrameDecoder):
+    def _read_handshake(self):
+        """The coordinator's first frame: ``welcome`` or ``reject``."""
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT_S
         while True:
-            for msg in decoder.messages():
-                return msg
+            try:
+                for msg in self._decoder.messages():
+                    return msg
+            except FrameError as exc:
+                raise ConnectionError(f"bad handshake reply: {exc}") from None
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ConnectionError("handshake timed out")
-            sock.settimeout(remaining)
-            try:
-                data = sock.recv(65536)
-            finally:
-                sock.settimeout(None)
+            self._sock.settimeout(remaining)
+            data = self._sock.recv(65536)
             if not data:
                 raise ConnectionError("coordinator closed during handshake")
-            decoder.feed(data)
+            self._decoder.feed(data)
 
     # -- mp.Connection-compatible surface ------------------------------
 
     def send(self, msg: Any) -> None:
         frame = encode_frame(msg)
         with self._lock:
-            try:
-                self._sock.sendall(frame)
-            except OSError:
-                self._connect()  # raises ConnectionError when hopeless
-                self._sock.sendall(frame)
+            self._sock.sendall(frame)
 
     def send_bytes(self, data: bytes) -> None:
         """Write raw, unframed bytes into the stream (chaos: garbage
@@ -986,21 +913,18 @@ class TcpWorkerConnection:
         protocol error, the TCP analog of writing junk into the result
         pipe."""
         with self._lock:
-            try:
-                self._sock.sendall(data)
-            except OSError:
-                pass  # the severed link is its own kind of garbage
+            self._sock.sendall(data)
 
     def poll(self, timeout: float = 0.0) -> bool:
         if self._inbox:
             return True
         if self._pump(blocking=False):
             return True
-        sock = self._sock
         try:
-            ready, _, _ = select.select([sock], [], [], max(0.0, timeout))
+            ready, _, _ = select.select([self._sock], [], [],
+                                        max(0.0, timeout))
         except (OSError, ValueError):
-            return True  # force recv() to notice and reconnect
+            return True  # force recv() to notice the loss
         return bool(ready)
 
     def recv(self) -> Any:
@@ -1010,9 +934,10 @@ class TcpWorkerConnection:
             self._pump(blocking=True)
 
     def _pump(self, blocking: bool) -> bool:
-        """Read socket bytes into the inbox; True if anything arrived."""
-        # Frames that came in behind a handshake reply (an outbox flushed
-        # on reattach) are already buffered: deliver them first.
+        """Read socket bytes into the inbox; True if anything arrived.
+        A blocking read raises :class:`EOFError` once the stream ends."""
+        # Frames that came in behind the welcome are already buffered:
+        # deliver them first.
         if len(self._decoder) and self._unpack(b""):
             return True
         sock = self._sock
@@ -1031,34 +956,21 @@ class TcpWorkerConnection:
         if not data:
             if not blocking:
                 return False
-            try:
-                self._connect()
-            except ConnectionError:
-                raise EOFError("coordinator gone") from None
-            return False
+            raise EOFError("coordinator gone")
         return self._unpack(data)
 
     def _unpack(self, data: bytes) -> bool:
         """Feed *data* to the decoder and queue every complete message."""
+        self._decoder.feed(data)
+        got = False
         try:
-            self._decoder.feed(data)
-            got = False
             for msg in self._decoder.messages():
-                if isinstance(msg, tuple) and msg and msg[0] in (
-                    "rewelcome", "welcome",
-                ):
-                    continue
                 self._inbox.append(msg)
                 got = True
-            return got
-        except FrameError:
-            # The stream is unrecoverable past a bad frame: drop the
-            # connection and re-handshake on a clean one.
-            try:
-                self._connect()
-            except ConnectionError:
-                raise EOFError("coordinator gone") from None
-            return False
+        except FrameError as exc:
+            # The stream is unrecoverable past a bad frame.
+            raise EOFError(f"undecodable frame: {exc}") from None
+        return got
 
     def close(self) -> None:
         self._stop.set()
@@ -1075,10 +987,9 @@ class TcpWorkerConnection:
     def _ping_loop(self) -> None:
         while not self._stop.wait(PING_INTERVAL_S):
             with self._lock:
-                sock = self._sock
-                if sock is None:
+                if self._sock is None:
                     return
                 try:
-                    sock.sendall(encode_frame(("ping", self.wid)))
+                    self._sock.sendall(encode_frame(("ping", self.wid)))
                 except OSError:
-                    pass  # the main thread will reconnect on its next IO
+                    return  # the main thread notices on its next IO

@@ -55,7 +55,6 @@ from repro.obs.registry import (
     Gauge,
     MetricsRegistry,
     Timer,
-    get_registry,
     record_into,
 )
 from repro.obs.status import (
@@ -69,7 +68,6 @@ from repro.obs.trace import (
     JsonlSink,
     MemorySink,
     Tracer,
-    get_tracer,
     normalize_events,
 )
 
@@ -78,7 +76,6 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "Timer",
-    "get_registry",
     "record_into",
     "EVENT_FIELDS",
     "EVENT_TYPES",
@@ -94,7 +91,6 @@ __all__ = [
     "Tracer",
     "JsonlSink",
     "MemorySink",
-    "get_tracer",
     "normalize_events",
     "HeartbeatRecord",
     "RunStatus",

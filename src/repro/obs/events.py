@@ -110,7 +110,7 @@ PARALLEL_LEASE_EXPIRED = "parallel.lease_expired"
 #: discarded wholesale.
 PARALLEL_FENCED_STALE = "parallel.fenced_stale"
 #: An external worker joined the pool over the network (elastic
-#: membership), or a presumed-dead one resurfaced as a new endpoint.
+#: membership).
 PARALLEL_JOIN = "parallel.join"
 
 # -- crash-tolerance journal -------------------------------------------

@@ -17,8 +17,7 @@ Design constraints (in priority order):
    coordinator's merged registry, an engine's registry after a run).
 
 Registries are instantiable (one per engine keeps concurrent
-sessions from double-counting); :func:`get_registry` returns the
-process-wide default for code without a natural owner.
+sessions from double-counting).
 """
 
 from __future__ import annotations
@@ -289,11 +288,3 @@ def record_into(registry: MetricsRegistry, prefix: str, record: Any) -> None:
             gauge.peak = getattr(record, gauges[field])
         else:
             registry.counter(f"{prefix}.{field}").value = value
-
-
-_GLOBAL = MetricsRegistry("global")
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _GLOBAL

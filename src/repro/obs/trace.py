@@ -266,10 +266,6 @@ class Tracer:
 TRACER = Tracer()
 
 
-def get_tracer() -> Tracer:
-    return TRACER
-
-
 # ----------------------------------------------------------------------
 # Trace comparison
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ class PrefixTask(NamedTuple):
         first dispatch, stamped by the coordinator's lease table at
         grant time.  A result whose fence does not match the live lease
         is stale and discarded — the mechanism that keeps solution
-        multisets exact when a presumed-dead worker resurfaces.
+        multisets exact when frames are lost, duplicated or delayed.
     """
 
     prefix: tuple[int, ...] = ()

@@ -177,24 +177,19 @@ class TestSteal:
         assert types.count("drop") == 3 and "poisoned" not in types
         assert run.poisoned == [] and run.c_poisoned.value == 0
 
-
-class TestStallTimeout:
-    def test_a_result_under_a_fence_the_timeout_revoked_settles_stale(
-            self, run, clock):
+    def test_a_result_under_a_fence_a_steal_reclaimed_settles_stale(
+            self, run):
         ep, batch = dispatched_batch(run)
-        clock.now += run.engine.task_timeout + 0.1
-        run._check_workers()
-        assert run.c_timeouts.value == 1 and ep.closed
+        steal(run, ep, max(task.fence for task in batch))
         assert not run.leases.busy(ep.wid)
-        # A partition heals: the worker resurfaces as a new endpoint
-        # and delivers the first task's result under its revoked fence.
-        back = ScriptedEndpoint(ep.wid)
-        run._on_event(TransportEvent("join", back))
+        # The first task's result trails its worker's steal (reordered
+        # frames) and arrives on the live endpoint under a fence the
+        # reclaim revoked.
         worker_state = MetricsRegistry("w")
         worker_state.counter("parallel.guest_steps").inc(999)
         task = batch[0]
-        run._on_event(TransportEvent("msg", back, payload=(
-            "task", back.wid, task.key(), task.fence,
+        run._on_event(TransportEvent("msg", ep, payload=(
+            "task", ep.wid, task.key(), task.fence,
             [(task.prefix + (0,), "exit", "board")], [],
             worker_state.state_dict(), None, [],
         )))

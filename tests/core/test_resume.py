@@ -202,16 +202,22 @@ class TestRealSigkill:
         assert result.exhausted
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-    def test_workers_of_a_killed_coordinator_exit(self, tmp_path):
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_workers_of_a_killed_coordinator_exit(self, tmp_path, transport):
         """Workers notice a ``kill -9``-ed coordinator and exit.
 
         Each pipe worker must see EOF once the coordinator's pipe ends
         are gone, which fails if a forked worker keeps an inherited copy
-        of its own coordinator end or of an earlier worker's.
+        of its own coordinator end or of an earlier worker's.  A TCP
+        worker whose connection ends exits at once, as a pipe worker
+        does: it does not dial again.
         """
         journal = str(tmp_path / "run.journal")
         script = tmp_path / "coordinator.py"
-        script.write_text(_CHILD.replace("nqueens_asm(6)", "nqueens_asm(7)"))
+        script.write_text(
+            _CHILD.replace("nqueens_asm(6)", "nqueens_asm(7)")
+            .replace('fsync="off"', f'fsync="off", transport="{transport}"')
+        )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
         child = subprocess.Popen(

@@ -7,7 +7,9 @@ drive that with arbitrary payloads, arbitrary single-byte flips and
 arbitrary truncation points.
 """
 
+import multiprocessing
 import pickle
+import select
 import socket
 import threading
 import time
@@ -24,7 +26,6 @@ from repro.core.transport import (
     FrameDecoder,
     FrameError,
     PROTOCOL_VERSION,
-    RECONNECT_GRACE_S,
     PipeEndpoint,
     TcpEndpoint,
     TcpTransport,
@@ -145,8 +146,8 @@ class TestFrameCodec:
 @pytest.fixture
 def helper():
     """A thread for the worker side of a loopback test: a worker's
-    constructor and redials wait for the coordinator's answer, which
-    comes only while the test thread polls the transport."""
+    constructor waits for the coordinator's answer, which comes only
+    while the test thread polls the transport."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         yield pool
 
@@ -231,31 +232,35 @@ class TestTcpLoopback:
         finally:
             transport.close()
 
-    def test_reconnect_resumes_same_wid(self, helper):
+    def test_a_cut_worker_raises_and_never_dials_again(self, helper):
         transport = self._start()
         try:
-            conn, _ = _serve(
+            conn, events = _serve(
                 transport, helper.submit(TcpWorkerConnection, transport.address)
             )
             try:
-                wid = conn.wid
-                # Sever the socket underneath the worker; its next send
-                # reconnects with backoff and lands a rewelcome.
-                conn._sock.close()
-                _, events = _serve(
-                    transport, helper.submit(conn.send, ("steal", wid, 2))
-                )
-                assert conn.wid == wid
-                deadline = time.monotonic() + 5.0
-                got = None
-                while time.monotonic() < deadline and got is None:
-                    for ev in events + transport.poll(0.2):
-                        if ev.kind == "msg" and ev.payload[0] == "steal":
-                            got = ev
-                    events = []
-                assert got is not None
-                assert got.endpoint.wid == wid
-                assert transport.stats["reconnects"] >= 1
+                ep = next(ev.endpoint for ev in events if ev.kind == "join")
+                ep.kill()  # the coordinator closes the connection
+
+                def send_until_it_fails():
+                    for _ in range(100):
+                        conn.send(("steal", conn.wid, 0))
+                        time.sleep(0.01)
+
+                sending, events = helper.submit(send_until_it_fails), []
+                for _ in range(500):
+                    if sending.done():
+                        break
+                    events += transport.poll(0.02)
+                assert isinstance(sending.exception(timeout=0),
+                                  ConnectionError)
+                with pytest.raises(EOFError):
+                    conn.recv()
+                for _ in range(10):
+                    events += transport.poll(0.02)
+                assert events == [] and not transport._handshakes
+                assert transport.stats["joins"] == 1
+                assert list(transport._by_wid.values()) == [ep]
             finally:
                 conn.close()
         finally:
@@ -286,82 +291,6 @@ class TestTcpLoopback:
                 assert down is not None
                 assert down.fail_kind == "timeout"
                 assert "half-open" in down.detail
-            finally:
-                conn.close()
-        finally:
-            transport.close()
-
-    def test_killed_endpoint_resurfaces_as_join(self, helper):
-        transport = self._start()
-        try:
-            conn, events = _serve(
-                transport, helper.submit(TcpWorkerConnection, transport.address)
-            )
-            try:
-                ep = next(ev.endpoint for ev in events if ev.kind == "join")
-                wid = ep.wid
-                ep.kill()  # sever trust; the remote peer lives on
-                # The worker keeps announcing steals (as _worker_main
-                # does every second); the failed send triggers its
-                # reconnect, and the coordinator — which no longer
-                # trusts wid — must surface it as a *new* endpoint.
-                stop = threading.Event()
-
-                def announce():
-                    while not stop.wait(0.05):
-                        try:
-                            conn.send(("steal", wid, 1))
-                        except (ConnectionError, OSError):
-                            pass
-
-                announcing = helper.submit(announce)
-                deadline = time.monotonic() + 5.0
-                rejoin = None
-                try:
-                    while time.monotonic() < deadline and rejoin is None:
-                        for ev in transport.poll(0.2):
-                            if ev.kind == "join":
-                                rejoin = ev
-                finally:
-                    stop.set()
-                    _serve(transport, announcing)
-                assert rejoin is not None
-                assert rejoin.endpoint is not ep
-                assert rejoin.endpoint.wid == wid
-                assert rejoin.detail == "resurfaced"
-            finally:
-                conn.close()
-        finally:
-            transport.close()
-
-    def test_outbox_buffers_across_disconnect(self, helper):
-        transport = self._start()
-        try:
-            conn, events = _serve(
-                transport, helper.submit(TcpWorkerConnection, transport.address)
-            )
-            try:
-                ep = next(ev.endpoint for ev in events if ev.kind == "join")
-                conn._sock.close()  # transient network blip
-                # Poll until the coordinator notices the disconnect —
-                # only a detached endpoint buffers to the outbox.
-                deadline = time.monotonic() + 5.0
-                while ep.attached and time.monotonic() < deadline:
-                    transport.poll(0.05)
-                assert not ep.attached
-                ep.send(("work", ["t"], None, []))  # buffered in outbox
-                # The worker's next IO re-establishes the link and the
-                # outbox flushes on reattach.
-
-                def next_frame():
-                    deadline = time.monotonic() + 5.0
-                    while time.monotonic() < deadline:
-                        if conn.poll(0.2):
-                            return conn.recv()
-                    return None
-
-                got, _ = _serve(transport, helper.submit(next_frame))
-                assert got == ("work", ["t"], None, [])
             finally:
                 conn.close()
         finally:
@@ -455,24 +384,18 @@ class TestTcpDeadlines:
             sock.close()
             transport.close()
 
-    def test_a_detached_endpoint_goes_down_once_the_grace_has_passed(
-            self, clock):
+    def test_a_closed_connection_is_down_in_the_same_poll(self, clock):
         transport = self._start(clock)
         sock = _dial(transport.address)
         try:
             ep = _until(transport, "join").endpoint
             sock.close()
-            for _ in range(200):
-                if not ep.attached:
-                    break
-                transport.poll(0.05)
-            assert not ep.attached
-            clock.now += RECONNECT_GRACE_S
-            assert transport.poll(0) == []
-            clock.now += 0.1
-            (down,) = transport.poll(0)
+            assert select.select([ep.sock], [], [], 5.0)[0]  # EOF is in
+            (down,) = transport.poll(0)  # the clock has not moved
             assert (down.kind, down.fail_kind) == ("down", "crash")
-            assert down.endpoint is ep and "grace expired" in down.detail
+            assert down.endpoint is ep and not down.protocol_error
+            assert ep.closed and ep.sock is None and not ep.alive()
+            assert transport.poll(0) == []  # reported once
         finally:
             transport.close()
 
@@ -540,48 +463,33 @@ class _Recorder:
 
 class TestReap:
     def test_a_detached_local_tcp_endpoint_is_terminated_at_once(self):
+        """A spawned worker that never said hello has no connection to
+        carry its pill."""
         transport = TcpTransport().start(program="P", config={})
         try:
             proc = _Recorder()
-            ep = TcpEndpoint(transport, wid=7, proc=proc)
-            assert not ep.attached
-            _reap([ep])
+            _reap([TcpEndpoint(transport, wid=7, proc=proc)])
             assert proc.calls == ["terminate", "join", "join", "join"]
-            assert not ep.outbox
         finally:
             transport.close()
 
-    def test_an_external_detached_endpoint_keeps_its_pill(self):
+    def test_kill_terminates_a_local_tcp_worker_and_reap_only_joins_it(
+            self):
         transport = TcpTransport().start(program="P", config={})
-        try:
-            ep = TcpEndpoint(transport, wid=7)
-            _reap([ep])
-            assert list(ep.outbox) == [encode_frame(None)]
-        finally:
-            transport.close()
-
-    def test_a_killed_worker_that_redials_is_terminated_at_once(self):
-        """The engine killed the endpoint; the worker redialled under its
-        wid and came back behind a trusted endpoint that keeps the old
-        process.  Its pill could wait behind a stall, so the kill carries
-        over: the process is terminated, not poisoned."""
-        transport = TcpTransport().start(program="P", config={})
-        first = _dial(transport.address)
+        sock = _dial(transport.address)
         try:
             ep = _until(transport, "join").endpoint
             proc = ep.proc = _Recorder()  # as if spawned locally
             ep.kill()
-            second = _dial(transport.address, wid=ep.wid)
-            try:
-                back = _until(transport, "join").endpoint
-                assert back is not ep and back.proc is proc
-                assert back.attached and not back.closed
-                transport.close()
-                assert proc.calls == ["terminate", "join", "join", "join"]
-            finally:
-                second.close()
+            assert proc.calls == ["terminate"]
+            assert ep.closed and not ep.alive()
+            sock.settimeout(5.0)
+            assert sock.recv(65536)  # the welcome,
+            assert sock.recv(65536) == b""  # then the connection's end
+            _reap([ep])
+            assert proc.calls == ["terminate", "join", "join", "join"]
         finally:
-            first.close()
+            sock.close()
             transport.close()
 
     def test_a_pipe_worker_gets_the_pill(self):
@@ -602,26 +510,73 @@ def test_the_transport_starts_no_thread():
         transport.close()
 
 
-def test_a_redial_closes_the_connection_it_supersedes():
+def _idle(address, wid):
+    time.sleep(60)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_spawned_worker_holds_no_copy_of_another_connection():
+    """A worker forked after an external one joined must close its copy
+    of the coordinator's end of that connection, or the external worker
+    never sees the coordinator close it."""
+    transport = TcpTransport(multiprocessing.get_context("fork"),
+                             worker_entry=_idle).start(program="P", config={})
+    sock = _dial(transport.address)
+    try:
+        ep = _until(transport, "join").endpoint
+        transport.spawn()
+        ep.kill()
+        sock.settimeout(5.0)
+        assert sock.recv(65536)  # the welcome,
+        assert sock.recv(65536) == b""  # then the connection's end
+    finally:
+        sock.close()
+        transport.close()
+
+
+def _answer(transport, sock):
+    """Poll *transport* until it has closed *sock*; returns the frames it
+    sent on *sock* and the events polled meanwhile."""
+    events, decoder = [], FrameDecoder()
+    sock.setblocking(False)
+    for _ in range(200):
+        events += transport.poll(0.05)
+        try:
+            while data := sock.recv(65536):
+                decoder.feed(data)
+        except BlockingIOError:
+            continue
+        return list(decoder.messages()), events
+    raise AssertionError("the transport kept the connection open")
+
+
+@pytest.mark.parametrize("claim", ["live", "killed", "down", "unknown"])
+def test_a_hello_that_claims_a_worker_id_is_refused(claim):
+    """Only a worker the transport spawned may name its worker id, in
+    its first hello; a redial under a known id is refused."""
     transport = TcpTransport().start(program="P", config={})
     first = _dial(transport.address)
     try:
         ep = _until(transport, "join").endpoint
-        second = _dial(transport.address, wid=ep.wid)
+        wid = ep.wid
+        if claim == "killed":
+            ep.kill()
+        elif claim == "down":
+            first.close()
+            _until(transport, "down")
+        elif claim == "unknown":
+            wid += 1
+        second = _dial(transport.address, wid=wid)
         try:
-            for _ in range(200):
-                if transport.stats["reconnects"]:
-                    break
-                transport.poll(0.05)
-            assert transport.stats["reconnects"] == 1 and ep.attached
-            # The first socket holds its welcome, then the stream's end.
-            first.settimeout(5.0)
-            decoder = FrameDecoder()
-            while data := first.recv(65536):
-                decoder.feed(data)
-            assert [msg[0] for msg in decoder.messages()] == ["welcome"]
+            frames, events = _answer(transport, second)
         finally:
             second.close()
+        assert [frame[0] for frame in frames] == ["reject"]
+        assert [ev.kind for ev in events] == []
+        assert transport.stats["joins"] == 1
+        assert list(transport._by_wid.values()) == [ep]
+        assert (ep.sock is not None) == (claim in ("live", "unknown"))
     finally:
         first.close()
         transport.close()

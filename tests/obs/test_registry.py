@@ -7,7 +7,6 @@ from repro.obs.registry import (
     Gauge,
     MetricsRegistry,
     Timer,
-    get_registry,
 )
 
 
@@ -127,7 +126,3 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         with pytest.raises(ValueError, match="unknown metric kind"):
             reg.merge_state({"h": {"kind": "histogram", "count": 1}})
-
-    def test_global_registry_is_a_singleton(self):
-        assert get_registry() is get_registry()
-        assert isinstance(get_registry(), MetricsRegistry)

@@ -13,7 +13,6 @@ from repro.obs.trace import (
     MemorySink,
     TRACER,
     Tracer,
-    get_tracer,
     normalize_events,
 )
 from repro.tools.trace_report import load_events
@@ -84,7 +83,6 @@ class TestEmission:
         assert not tracer.enabled
 
     def test_global_tracer_exists_and_is_disabled_by_default(self):
-        assert get_tracer() is TRACER
         assert not TRACER.enabled
 
 
